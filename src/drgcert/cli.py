@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -99,13 +100,23 @@ def _emit(report: dict, args) -> None:
 
 
 def _cache_write(path: Path, content: str) -> None:
-    """Write-if-absent; an existing file must be byte-identical."""
+    """Write-if-absent; an existing file must be byte-identical.
+
+    The content goes to a temporary file beside the target, which os.replace
+    then renames into place, so an interrupted write never leaves a partial
+    cache file that a later run would report as differing.
+    """
     if path.exists():
         if path.read_text(encoding="ascii") != content:
             raise DrgError(f"cache file {path} differs from a fresh computation")
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="ascii")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(content, encoding="ascii")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _graph_cache_path(args, family, params) -> Path:

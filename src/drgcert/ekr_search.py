@@ -41,14 +41,11 @@ def threshold_graph(G: Graph, census: DistanceCensus, t: int) -> Graph:
     d = census.diameter
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    s = d - t
     adj = []
-    for i in range(G.n):
-        row = census.dist[i]
+    for row in census.levels:
         mask = 0
-        for j in range(G.n):
-            if 1 <= row[j] <= s:
-                mask |= 1 << j
+        for level in row[1:d - t + 1]:
+            mask |= level
         adj.append(mask)
     return Graph(f"{G.family}-threshold", {**G.params, "t": t}, G.vertices, adj)
 

@@ -152,23 +152,6 @@ class ExactMatrix:
                     aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
         return ExactMatrix([row[n:] for row in aug])
 
-    def rank(self) -> int:
-        work = [list(r) for r in self.rows]
-        rank = 0
-        for col in range(self.ncols):
-            piv = next((r for r in range(rank, self.nrows) if work[r][col] != 0), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            inv = 1 / work[rank][col]
-            work[rank] = [x * inv for x in work[rank]]
-            for r in range(self.nrows):
-                if r != rank and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-            rank += 1
-        return rank
-
 
 def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Solve Ax = b exactly for square nonsingular A.
@@ -217,32 +200,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic helpers for GF(p), p prime.  Elements are plain ints in
-    [0, p); keeping them unboxed matters for subspace enumeration speed."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ParameterError(f"{p} is not prime; GF(p^k) fields are not supported")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-
 def rref_gf(rows: Sequence[Sequence[int]], p: int):
     """Reduced row echelon form over GF(p).
 
@@ -250,7 +207,8 @@ def rref_gf(rows: Sequence[Sequence[int]], p: int):
     rows dropped.  The output is the canonical representative of the row
     space: two inputs have equal output iff they span the same subspace.
     """
-    field = PrimeField(p)
+    if not is_prime(p):
+        raise ParameterError(f"{p} is not prime; GF(p^k) fields are not supported")
     work = [[x % p for x in row] for row in rows]
     if not work:
         return (), 0
@@ -263,7 +221,7 @@ def rref_gf(rows: Sequence[Sequence[int]], p: int):
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = field.inv(work[rank][col])
+        inv = pow(work[rank][col], p - 2, p)
         work[rank] = [(x * inv) % p for x in work[rank]]
         for r in range(len(work)):
             if r != rank and work[r][col]:

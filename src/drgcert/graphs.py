@@ -2,9 +2,11 @@
 
 Vertices are plain nested tuples (canonical labels, JSON-friendly); adjacency
 is stored as one Python-int bitmask per vertex.  Distances are always computed
-by breadth-first search, never by closed-form distance formulas; the
-distance-regularity check then recovers the intersection array and
-cross-validates the construction.
+by breadth-first search, never by closed-form distance formulas.  The census
+keeps what BFS produces, the level masks: levels[x][k] is the bitmask of the
+vertices at distance k from x.  Threshold graphs, subset histograms, distance
+matrices and the distance-regularity check (which recovers the intersection
+array and cross-validates the construction) all read those masks directly.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist only for the Grassmann and Hamming
@@ -135,18 +137,6 @@ class SubspaceRep:
     def contains(self, other: "SubspaceRep") -> bool:
         return self.meet_dim(other) == other.dim
 
-    def elements(self):
-        """All nonzero vectors of the subspace, as coordinate tuples."""
-        for coeffs in itertools.product(range(self.q), repeat=self.dim):
-            if not any(coeffs):
-                continue
-            vec = [0] * self.n
-            for ci, row in zip(coeffs, self.rows):
-                if ci:
-                    for j, x in enumerate(row):
-                        vec[j] = (vec[j] + ci * x) % self.q
-            yield tuple(vec)
-
     def is_inside_hyperplane(self) -> bool:
         """True iff every vector has last coordinate zero."""
         return all(row[-1] == 0 for row in self.rows)
@@ -178,20 +168,6 @@ def all_subspaces(n: int, k: int, q: int):
             for (i, j), v in zip(free_cells, values):
                 rows[i][j] = v
             yield SubspaceRep(n, q, tuple(tuple(r) for r in rows), canonical=True)
-
-
-def sub_subspaces(rep: SubspaceRep, k: int):
-    """All k-dim subspaces of a given subspace, via its coefficient space."""
-    for coeff in all_subspaces(rep.dim, k, rep.q):
-        rows = []
-        for crow in coeff.rows:
-            vec = [0] * rep.n
-            for ci, row in zip(crow, rep.rows):
-                if ci:
-                    for j, x in enumerate(row):
-                        vec[j] = (vec[j] + ci * x) % rep.q
-            rows.append(tuple(vec))
-        yield SubspaceRep(rep.n, rep.q, tuple(rows), canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -412,41 +388,41 @@ def twisted_x2_vertices(q: int, d: int) -> list[SubspaceRep]:
 
 
 class DistanceCensus:
-    """All-pairs BFS distances, one bytearray row per source vertex."""
+    """All-pairs BFS distances as level masks: levels[x][k] is the bitmask of
+    the vertices at distance k from x, for k = 0..diameter (zero beyond the
+    eccentricity of x)."""
 
-    __slots__ = ("dist", "diameter")
+    __slots__ = ("levels", "diameter")
 
-    def __init__(self, dist: list[bytearray], diameter: int):
-        self.dist = dist
+    def __init__(self, levels: list[list[int]], diameter: int):
+        self.levels = levels
         self.diameter = diameter
 
     def d(self, i: int, j: int) -> int:
-        return self.dist[i][j]
+        return next(k for k, mask in enumerate(self.levels[i]) if mask >> j & 1)
 
 
 def distance_census(G: Graph) -> DistanceCensus:
     """Exact graph distances by BFS from every vertex."""
-    n = G.n
-    full = (1 << n) - 1
-    rows = []
-    for s in range(n):
-        row = bytearray(n)
-        seen = 1 << s
-        frontier = seen
-        level = 0
+    full = (1 << G.n) - 1
+    levels = []
+    for s in range(G.n):
+        seen = frontier = 1 << s
+        row = []
         while frontier:
-            for v in iter_bits(frontier):
-                row[v] = level
+            row.append(frontier)
             nxt = 0
             for v in iter_bits(frontier):
                 nxt |= G.adj[v]
             frontier = nxt & ~seen
             seen |= frontier
-            level += 1
         if seen != full:
             raise DisconnectedGraph(f"vertex {s} does not reach every vertex")
-        rows.append(row)
-    return DistanceCensus(rows, max(max(r) for r in rows))
+        levels.append(row)
+    diameter = max(len(row) for row in levels) - 1
+    for row in levels:
+        row.extend([0] * (diameter + 1 - len(row)))
+    return DistanceCensus(levels, diameter)
 
 
 @dataclass(frozen=True)
@@ -498,38 +474,34 @@ class IntersectionArray:
 def check_distance_regular(G: Graph, census: DistanceCensus) -> IntersectionArray:
     """Verify that (c_i, a_i, b_i) are pair-independent and return the array.
 
-    Raises NotDistanceRegular with a witness pair on the first mismatch.
+    Every neighbour of y at distance k from x lies at distance k-1, k or k+1
+    from x, so a_k = deg(y) - c_k - b_k needs no third popcount.  Raises
+    NotDistanceRegular with a witness pair on the first mismatch.
     """
-    n = G.n
     dmax = census.diameter
-    classes = [[0] * (dmax + 1) for _ in range(n)]
-    for x in range(n):
-        row = census.dist[x]
-        cx = classes[x]
-        for y in range(n):
-            cx[row[y]] |= 1 << y
+    degree = [mask.bit_count() for mask in G.adj]
     triple = [None] * (dmax + 1)
-    for x in range(n):
-        row = census.dist[x]
-        cx = classes[x]
-        for y in range(n):
-            k = row[y]
-            ady = G.adj[y]
-            ck = (ady & cx[k - 1]).bit_count() if k > 0 else 0
-            ak = (ady & cx[k]).bit_count()
-            bk = (ady & cx[k + 1]).bit_count() if k < dmax else 0
-            if triple[k] is None:
-                triple[k] = (ck, ak, bk)
-            elif triple[k] != (ck, ak, bk):
-                raise NotDistanceRegular(
-                    f"pair {G.vertices[x]!r}, {G.vertices[y]!r} at distance {k} "
-                    f"sees {(ck, ak, bk)}, expected {triple[k]}",
-                    witness=(G.vertices[x], G.vertices[y]),
-                )
+    for x, row in enumerate(census.levels):
+        for k in range(dmax + 1):
+            below = row[k - 1] if k > 0 else 0
+            above = row[k + 1] if k < dmax else 0
+            for y in iter_bits(row[k]):
+                ady = G.adj[y]
+                ck = (ady & below).bit_count()
+                bk = (ady & above).bit_count()
+                seen = (ck, degree[y] - ck - bk, bk)
+                if triple[k] is None:
+                    triple[k] = seen
+                elif triple[k] != seen:
+                    raise NotDistanceRegular(
+                        f"pair {G.vertices[x]!r}, {G.vertices[y]!r} at distance {k} "
+                        f"sees {seen}, expected {triple[k]}",
+                        witness=(G.vertices[x], G.vertices[y]),
+                    )
     b = tuple(triple[k][2] for k in range(dmax))
     c = tuple(triple[k][0] for k in range(1, dmax + 1))
     arr = IntersectionArray(b, c)
-    if arr.vertex_count() != n:
+    if arr.vertex_count() != G.n:
         raise NotDistanceRegular("valency sum does not match the vertex count")
     return arr
 
@@ -576,37 +548,33 @@ def twisted_intersection_array(q: int, d: int) -> IntersectionArray:
 # twisted X2 distances without the full graph
 
 
-def twisted_x2_distance(x: SubspaceRep, y: SubspaceRep, hyperplanes_of_x=None) -> int:
+def twisted_x2_distance(x: SubspaceRep, y: SubspaceRep) -> int:
     """Distance in the twisted graph between two X2 vertices, from the
     adjacency rule alone (the graph is never materialized).
 
-    Both vertices have dimension d-1 inside H, so they are adjacent iff they
-    meet in dimension d-2.  A non-adjacent pair has no common neighbour in
-    X1: X1 neighbours of an X2 vertex are its (d+1)-dim supersets outside H,
-    and a common superset would force dim(x+y) <= d, which is adjacency.
-    Any common X2 neighbour z satisfies z = (z meet x) + <c> where z meet x
-    is a hyperplane of x and c lies in y but not in x, so enumerating those
-    candidates decides distance 2 completely.
+    Let g = dim x - dim(x meet y), the distance of x and y in the Grassmann
+    graph J_q(2d, d-1) that X2 induces (x ~ y iff they meet in dimension d-2,
+    i.e. g = 1).  The twisted distance is g when g is 1 or 2, and at least 3
+    otherwise:
+
+    * g = 1 is the adjacency rule itself.
+    * g = 2: the induced Grassmann graph has a path of length 2, and the pair
+      is not adjacent.
+    * g >= 3: there is no common neighbour.  A common X2 neighbour z would
+      give g <= gap(x, z) + gap(z, y) = 2, since the Grassmann distance is a
+      metric.  An X1 neighbour w of x is a (d+1)-dim subspace with
+      dim w + dim x - 2 dim(w meet x) = 2, i.e. w contains x; so a common X1
+      neighbour would contain x + y, whose dimension is (d-1) + g >= d+2.
+
+    (At g = 2, x + y has dimension d+1 and lies inside H, so it is no X1
+    vertex; the common neighbours are all in X2.)  Distances of 3 and more
+    depend on paths through X1, so they raise DistanceUndetermined.
     """
     if x == y:
         return 0
-    dim = x.dim  # = d - 1; adjacency needs a (d-2)-dim meet, i.e. dim - 1
-    if x.meet_dim(y) == dim - 1:
-        return 1
-    if hyperplanes_of_x is None:
-        hyperplanes_of_x = list(sub_subspaces(x, dim - 1))
-    x_mask = x.point_mask() if x.q ** x.n <= _MASK_LIMIT else None
-    for hyp in hyperplanes_of_x:
-        for c in y.elements():
-            if x_mask is not None:
-                in_x = bool(x_mask >> x._encode(c) & 1)
-            else:
-                in_x = x.contains(SubspaceRep(x.n, x.q, (c,)))
-            if in_x:
-                continue
-            z = SubspaceRep(x.n, x.q, hyp.rows + (c,))
-            if z.meet_dim(y) == dim - 1:
-                return 2
+    gap = x.dim - x.meet_dim(y)
+    if gap <= 2:
+        return gap
     raise DistanceUndetermined(
         "pair is at distance >= 3; materialize the graph for an exact value"
     )
@@ -618,11 +586,8 @@ def twisted_x2_distance_counts(members: list[SubspaceRep], q: int, d: int) -> li
     counts = [0] * (d + 1)
     counts[0] = len(members)
     for i, x in enumerate(members):
-        hyps = None
         for y in members[i + 1:]:
-            if hyps is None:
-                hyps = list(sub_subspaces(x, x.dim - 1))
-            counts[twisted_x2_distance(x, y, hyps)] += 2
+            counts[twisted_x2_distance(x, y)] += 2
     return counts
 
 

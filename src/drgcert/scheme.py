@@ -259,11 +259,18 @@ def verify_q_polynomial(kt: KreinTensor) -> QPolynomialVerdict:
 def materialize_distance_matrices(
     G: Graph, census: DistanceCensus, cap: int = FULL_MATRIX_CAP
 ) -> list[np.ndarray]:
-    """Explicit 0/1 distance matrices A_0..A_d as int64 arrays."""
-    if G.n > cap:
-        raise TierLimitExceeded(f"{G.n} vertices exceeds the full-matrix cap {cap}")
-    dist = np.array([list(row) for row in census.dist], dtype=np.int64)
-    return [(dist == j).astype(np.int64) for j in range(census.diameter + 1)]
+    """Explicit 0/1 distance matrices A_0..A_d as int64 arrays; row x of A_k
+    is the level mask levels[x][k] unpacked."""
+    n = G.n
+    if n > cap:
+        raise TierLimitExceeded(f"{n} vertices exceeds the full-matrix cap {cap}")
+    width = (n + 7) // 8
+    mats = []
+    for k in range(census.diameter + 1):
+        packed = b"".join(row[k].to_bytes(width, "little") for row in census.levels)
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+        mats.append(np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64))
+    return mats
 
 
 def materialize_idempotents(

@@ -77,15 +77,15 @@ class WidthReport:
 
 
 def distance_counts(subset: VertexSubset, census: DistanceCensus) -> list[int]:
-    """Ordered-pair distance histogram of Y x Y."""
+    """Ordered-pair distance histogram of Y x Y: one popcount of
+    (level mask AND subset mask) per member and distance."""
+    ymask = 0
+    for i in subset.indices:
+        ymask |= 1 << i
     counts = [0] * (census.diameter + 1)
-    idx = subset.indices
-    counts[0] = len(idx)
-    dist = census.dist
-    for a, i in enumerate(idx):
-        row = dist[i]
-        for j in idx[a + 1:]:
-            counts[row[j]] += 2
+    for i in subset.indices:
+        for k, level in enumerate(census.levels[i]):
+            counts[k] += (level & ymask).bit_count()
     return counts
 
 
@@ -136,12 +136,3 @@ def load_subset(path, graph: Graph) -> VertexSubset:
     if not isinstance(labels, list) or not labels:
         raise ParameterError(f"{path}: expected a nonempty JSON list of labels")
     return VertexSubset.from_labels(graph, labels)
-
-
-def format_distribution(dist: InnerDistribution) -> dict:
-    from .exact import format_fraction
-
-    return {
-        "e": [format_fraction(x) for x in dist.e],
-        "eQ": [format_fraction(x) for x in dist.eq],
-    }

@@ -1,9 +1,11 @@
 """Independent oracle helpers for the tests.
 
 Deliberately shares no code with the package: plain list-of-list Fraction
-matrices and Lagrange interpolation in the adjacency matrix.  Slow but
-obviously correct; used on small graphs only.
+matrices, Lagrange interpolation in the adjacency matrix, and subspaces of
+GF(q)^n as explicit point sets.  Slow but obviously correct; used on small
+inputs only.
 """
+import itertools
 from fractions import Fraction
 
 
@@ -34,6 +36,22 @@ def mat_add(A, B):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
+def mat_rank(A):
+    """Rank by Gaussian elimination over Q."""
+    work = [[Fraction(x) for x in row] for row in A]
+    rank = 0
+    for col in range(len(work[0])):
+        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def adjacency_matrix(graph):
     n = graph.n
     return [[1 if graph.is_edge(i, j) else 0 for j in range(n)] for i in range(n)]
@@ -58,3 +76,68 @@ def lagrange_idempotents(adj_int, thetas):
 def quad_form(E, indices):
     """chi^T E chi for the 0/1 indicator of the index set."""
     return sum(E[i][j] for i in indices for j in indices)
+
+
+# ---------------------------------------------------------------------------
+# subspaces of GF(q)^n as point sets, and X2 distances by search
+
+
+def span(rows, q, n):
+    """Every vector of the row space, as a frozenset of coordinate tuples."""
+    points = {(0,) * n}
+    for row in rows:
+        points = {
+            tuple((a + c * b) % q for a, b in zip(p, row)) for p in points for c in range(q)
+        }
+    return frozenset(points)
+
+
+def elements(rows, q, n):
+    """All nonzero vectors of the row space, sorted."""
+    return sorted(span(rows, q, n) - {(0,) * n})
+
+
+def sub_subspaces(rows, q, n, k):
+    """All k-dim subspaces of the row space, as point sets."""
+    found = {
+        pts
+        for basis in itertools.combinations(elements(rows, q, n), k)
+        if len(pts := span(basis, q, n)) == q ** k
+    }
+    return sorted(found, key=sorted)
+
+
+def x2_distance_by_search(x_rows, y_rows, q):
+    """Twisted-graph distance of two X2 vertices (equal-dimension subspaces
+    of the hyperplane), given by their basis rows: 0, 1 or 2, or None when it
+    is at least 3.
+
+    A common X2 neighbour z of a non-adjacent pair meets x in a hyperplane of
+    x and contains a vector c of y outside x, so searching hyperplanes of x
+    times vectors of y finds one whenever it exists; X1 holds no common
+    neighbour of a non-adjacent pair.
+    """
+    n, dim = len(x_rows[0]), len(x_rows)
+    x, y = span(x_rows, q, n), span(y_rows, q, n)
+    if x == y:
+        return 0
+    if len(x & y) == q ** (dim - 1):
+        return 1
+    for hyp in sub_subspaces(x_rows, q, n, dim - 1):
+        for c in sorted(y - x):
+            z = {tuple((a + s * b) % q for a, b in zip(p, c)) for p in hyp for s in range(q)}
+            if len(z & y) == q ** (dim - 1):
+                return 2
+    return None
+
+
+def x2_distance_counts_by_search(members, q, d):
+    """Ordered-pair distance histogram of X2 vertices given by basis rows."""
+    counts = [0] * (d + 1)
+    for x in members:
+        for y in members:
+            dist = x2_distance_by_search(x, y, q)
+            if dist is None:
+                raise ValueError(f"pair {x}, {y} is at distance >= 3")
+            counts[dist] += 1
+    return counts

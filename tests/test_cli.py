@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,24 @@ def test_build_johnson(tmp_path, capsys):
         capsys, "build", "johnson", "-v", "7", "-d", "3", "--cache", str(tmp_path)
     )
     assert code2 == 0 and cache.read_text() == text
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    real_write_text = Path.write_text
+
+    def fail_halfway(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    argv = ("build", "johnson", "-v", "7", "-d", "3", "--cache", str(tmp_path))
+    monkeypatch.setattr(Path, "write_text", fail_halfway)
+    code, doc = run(capsys, *argv)
+    assert code == 1 and doc is None
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == [Path(doc["cache_file"]).name]
 
 
 def test_build_twisted_and_grassmann(tmp_path, capsys):

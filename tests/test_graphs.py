@@ -1,10 +1,19 @@
-import itertools
+import random
 
 import networkx as nx
 import pytest
 
+from _oracles import (
+    elements,
+    span,
+    sub_subspaces,
+    x2_distance_by_search,
+    x2_distance_counts_by_search,
+)
+from drgcert.ekr_search import threshold_graph
 from drgcert.errors import (
     DisconnectedGraph,
+    DistanceUndetermined,
     NotDistanceRegular,
     ParameterError,
     TierLimitExceeded,
@@ -26,12 +35,12 @@ from drgcert.graphs import (
     graph_cache_text,
     hamming_intersection_array,
     read_graph_cache,
-    sub_subspaces,
     twisted_intersection_array,
     twisted_x2_distance_counts,
     twisted_x2_vertices,
     write_graph_cache,
 )
+from drgcert.subsets import VertexSubset, distance_counts
 
 
 def is_complete(graph):
@@ -65,15 +74,16 @@ def test_meet_dim_mask_and_rank_agree():
 
 
 def test_sub_subspaces():
-    rep = SubspaceRep(4, 2, ((1, 0, 0, 0), (0, 1, 0, 0)), canonical=True)
-    subs = list(sub_subspaces(rep, 1))
+    # the oracle's subspaces of a subspace, used by the X2 search oracle
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0))
+    subs = sub_subspaces(rows, 2, 4, 1)
     assert len(subs) == 3
-    assert all(rep.contains(s) for s in subs)
+    assert all(sub <= span(rows, 2, 4) for sub in subs)
+    assert len(sub_subspaces(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3, 3, 2)) == q_binomial(3, 2, 3)
 
 
 def test_subspace_elements():
-    rep = SubspaceRep(3, 2, ((1, 0, 0), (0, 1, 0)), canonical=True)
-    assert sorted(rep.elements()) == [(0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    assert elements(((1, 0, 0), (0, 1, 0)), 2, 3) == [(0, 1, 0), (1, 0, 0), (1, 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +222,42 @@ def test_census_trivia():
     sq = build_hamming(2, 2)
     c = distance_census(sq)
     assert sorted(c.d(0, j) for j in range(4)) == [0, 1, 1, 2]
+    # level masks per vertex, padded with empty levels up to the diameter
+    path = Graph("path", {}, [0, 1, 2], [2, 5, 2])
+    assert distance_census(path).levels == [
+        [0b001, 0b010, 0b100],
+        [0b010, 0b101, 0],
+        [0b100, 0b010, 0b001],
+    ]
 
 
 def test_census_disconnected():
     bad = Graph("pair", {}, ["a", "b", "c", "d"], [2, 1, 8, 4])
     with pytest.raises(DisconnectedGraph):
         distance_census(bad)
+
+
+@pytest.mark.parametrize(
+    "family,args", [("johnson", (7, 3)), ("hamming", (4, 3)), ("twisted", (2, 2))]
+)
+def test_census_consumers_match_networkx(family, args, built):
+    # threshold graphs for every t and subset histograms, on every pair
+    g, census, _, _ = built(family, *args)
+    oracle = nx_distances(g)
+    d = census.diameter
+    for t in range(1, d):
+        thr = threshold_graph(g, census, t)
+        for i in range(g.n):
+            expected = sum(1 << j for j in range(g.n) if 1 <= oracle[i][j] <= d - t)
+            assert thr.adj[i] == expected
+    rng = random.Random(g.n)
+    for size in (1, 2, 7, g.n // 3, g.n):
+        idx = rng.sample(range(g.n), size)
+        expected = [0] * (d + 1)
+        for i in idx:
+            for j in idx:
+                expected[oracle[i][j]] += 1
+        assert distance_counts(VertexSubset(g, idx), census) == expected
 
 
 def test_check_distance_regular_examples(built):
@@ -236,6 +276,17 @@ def test_not_distance_regular_witness():
     with pytest.raises(NotDistanceRegular) as err:
         check_distance_regular(path, census)
     assert err.value.witness is not None
+    # triangular prism: 3-regular, but the pairs (0,1) and (0,3) at distance 1
+    # see (c, a, b) = (1, 1, 1) and (1, 0, 2)
+    adj = [0] * 6
+    for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    prism = Graph("prism", {}, list(range(6)), adj)
+    with pytest.raises(NotDistanceRegular) as err:
+        check_distance_regular(prism, distance_census(prism))
+    assert err.value.witness == (0, 3)
+    assert "sees (1, 0, 2), expected (1, 1, 1)" in str(err.value)
 
 
 def test_intersection_array_validation():
@@ -331,6 +382,26 @@ def test_x2_distance_two_pairs():
     y = next(p for p in pool if p.meet_dim(x) == 0)
     counts = twisted_x2_distance_counts([x, y], 2, 3)
     assert counts == [2, 0, 2, 0]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_x2_distance_counts_match_search_oracle(q):
+    members = random.Random(40 + q).sample(twisted_x2_vertices(q, 3), 40)
+    counts = twisted_x2_distance_counts(members, q, 3)
+    assert counts == x2_distance_counts_by_search([m.rows for m in members], q, 3)
+    assert counts[2] > 0
+
+
+def test_x2_distance_beyond_two_is_undetermined():
+    # two 3-dim subspaces of GF(2)^8 (inside GF(2)^9) with a trivial meet
+    def unit(i):
+        return tuple(int(j == i) for j in range(9))
+
+    x = SubspaceRep(9, 2, (unit(0), unit(1), unit(2)), canonical=True)
+    y = SubspaceRep(9, 2, (unit(3), unit(4), unit(5)), canonical=True)
+    assert x2_distance_by_search(x.rows, y.rows, 2) is None
+    with pytest.raises(DistanceUndetermined):
+        twisted_x2_distance_counts([x, y], 2, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import adjacency_matrix, lagrange_idempotents, mat_mul, mat_scale
+from _oracles import adjacency_matrix, lagrange_idempotents, mat_mul, mat_rank, mat_scale
 from drgcert.errors import IrrationalEigenvalue, NotQPolynomial, ParameterError
 from drgcert.exact import ExactMatrix
 from drgcert.graphs import IntersectionArray, build_hamming, distance_census
@@ -122,8 +122,8 @@ def test_idempotent_ranks_are_multiplicities(built):
     mats = materialize_idempotents(g, census, sys_)
     ranks = []
     for M, D in mats:
-        exact = ExactMatrix([[Fraction(int(M[i, j]), D) for j in range(g.n)] for i in range(g.n)])
-        ranks.append(exact.rank())
+        E = [[Fraction(int(M[i, j]), D) for j in range(g.n)] for i in range(g.n)]
+        ranks.append(mat_rank(E))
     assert tuple(ranks) == sys_.m
     assert sum(ranks) == g.n
 
