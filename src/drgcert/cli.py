@@ -32,6 +32,7 @@ from .graphs import (
 from .lp_cert import certify_subset, expected_bound, hamming_certificate, solve_certificate
 from .scheme import (
     eigensystem_cache_key,
+    eigensystem_doc,
     eigensystem_from_array,
     eigensystem_to_json,
 )
@@ -161,15 +162,7 @@ def cmd_eigensystem(args) -> int:
     _cache_write(cache_path, content)
     report = {
         "config": _config(args, family, graph.params),
-        "n": sys_.n,
-        "d": sys_.d,
-        "eigenvalues": list(sys_.eigenvalues),
-        "k": [format_fraction(x) for x in sys_.k],
-        "m": [format_fraction(x) for x in sys_.m],
-        "P": [[format_fraction(x) for x in row] for row in sys_.P.rows],
-        "Q": [[format_fraction(x) for x in row] for row in sys_.Q.rows],
-        "ordering": list(sys_.ordering),
-        "passing_orderings": [list(p) for p in sys_.passing_orderings],
+        **eigensystem_doc(sys_),
         "cache_file": str(cache_path),
     }
     _emit(report, args)

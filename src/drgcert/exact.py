@@ -28,11 +28,6 @@ def format_fraction(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 # ---------------------------------------------------------------------------
 # q-analogues
 
@@ -139,18 +134,26 @@ class ExactMatrix:
         if n != self.ncols:
             raise ParameterError("inverse of a non-square matrix")
         aug = [list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularSystem(f"singular at column {col}")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
+        return ExactMatrix(_gauss_jordan(aug))
+
+
+def _gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Reduce the augmented matrix [A | B], A square, in place to
+    [I | A^{-1} B] over Q and return A^{-1} B; raises SingularSystem when A
+    is singular."""
+    n = len(aug)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise SingularSystem(f"singular at column {col}")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -166,21 +169,7 @@ def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, .
     if len(b) != n:
         raise ParameterError("right-hand side has wrong length")
     rhs = [as_fraction(x) for x in b]
-    work = [list(A.rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystem(f"no pivot in column {col}")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = work[i][n] - sum(work[i][j] * x[j] for j in range(i + 1, n))
+    x = [row[0] for row in _gauss_jordan([list(r) + [v] for r, v in zip(A.rows, rhs)])]
     assert all(sum(A.rows[i][j] * x[j] for j in range(n)) == rhs[i] for i in range(n))
     return tuple(x)
 

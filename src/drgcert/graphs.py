@@ -625,28 +625,3 @@ def graph_cache_text(G: Graph) -> str:
         for j in iter_bits(higher):
             lines.append(f"{i} {j}")
     return "\n".join(lines) + "\n"
-
-
-def write_graph_cache(G: Graph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_cache_text(G))
-
-
-def read_graph_cache(path) -> Graph:
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CACHE_MAGIC:
-        raise ParameterError(f"{path} is not a {CACHE_MAGIC} file")
-    meta = json.loads(lines[1])
-    n = meta["vertices"]
-    labels = [_tuplify(json.loads(s)) for s in lines[2:2 + n]]
-    adj = [0] * n
-    edges = 0
-    for line in lines[2 + n:]:
-        i, j = map(int, line.split())
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        edges += 1
-    if edges != meta["edges"]:
-        raise ParameterError(f"{path}: edge count mismatch")
-    return Graph(meta["family"], meta["params"], labels, adj)

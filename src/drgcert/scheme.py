@@ -2,16 +2,16 @@
 
 The eigenvalues of the distance-1 matrix are the roots of the characteristic
 polynomial of the (d+1) x (d+1) tridiagonal intersection matrix; for every
-in-scope family they are integers, found by scanning [-k, k] (all eigenvalues
-are bounded by the valency).  P is filled by the three-term recurrence of the
-distance polynomials, Q = |X| P^{-1}, and the Krein tensor certifies the
-Q-polynomial ordering.
+in-scope family they are integers, found by integer bisection on Sturm sign
+counts and each confirmed as an exact root.  P is filled by the three-term
+recurrence of the distance polynomials, Q = |X| P^{-1}, and the Krein tensor
+certifies the Q-polynomial ordering.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     TierLimitExceeded,
 )
-from .exact import ExactMatrix, format_fraction, parse_fraction
+from .exact import ExactMatrix, format_fraction
 from .graphs import DistanceCensus, Graph, IntersectionArray
 
 FULL_MATRIX_CAP = 1_000
@@ -75,33 +75,65 @@ class QPolynomialVerdict:
     passing: tuple[tuple[int, ...], ...]
 
 
-def _char_poly(arr: IntersectionArray) -> list[int]:
-    """Monic integer characteristic polynomial of the tridiagonal
-    intersection matrix, by the principal-minor recurrence."""
-    a = arr.a()
+def _scaled_minors(arr: IntersectionArray, a: tuple[int, ...], y: int) -> list[int]:
+    """P_i = 2^i p_i(y/2) for i = 0..d+1, where p_i(x) is the i-th leading
+    principal minor of xI - L.  All integers, by the three-term recurrence
+    P_{i+1} = (y - 2a_i) P_i - 4 b_{i-1} c_i P_{i-1}."""
+    P = [1, y - 2 * a[0]]
+    for i in range(1, arr.d + 1):
+        P.append((y - 2 * a[i]) * P[i] - 4 * arr.b[i - 1] * arr.c[i - 1] * P[i - 1])
+    return P
+
+
+def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
+    """The d+1 eigenvalues of the intersection matrix L, descending.
+
+    L is a Jacobi matrix (every b_{i-1} c_i > 0), so its leading principal
+    minors p_0 = 1, p_1, ..., p_{d+1} = det(xI - L) form a Sturm sequence:
+    the number N(x) of sign changes in p_0(x), ..., p_{d+1}(x) is the number
+    of eigenvalues above x.  Each p_i is monic of degree i, so N = d+1 as
+    x -> -inf and N = 0 as x -> +inf.  N can only change where some p_i
+    vanishes.  An interior zero p_i(x) = 0, 1 <= i <= d, forces
+    p_{i+1}(x) = -b_{i-1} c_i p_{i-1}(x): p_{i-1} and p_{i+1} have opposite
+    signs, so (p_{i-1}, p_i, p_{i+1}) holds one sign change on either side
+    of x.  Two consecutive minors never vanish together (the recurrence
+    would then reach p_0 = 0), so N changes only at roots of p_{d+1}, by at
+    most one each; it falls by d+1 in all, so p_{d+1} has d+1 distinct roots
+    and N drops by one at each.
+
+    The p_i are monic integer polynomials, and a rational root of one is an
+    integer, so at x = y/2 with y odd no p_i vanishes and N is read off the
+    signs of the integers P_i = 2^i p_i(y/2), with no zero to skip.
+
+    All eigenvalues lie in [-b_0, b_0] (L >= 0 with row sums b_0).  Integer
+    bisection on N(m + 1/2) puts the j-th largest eigenvalue in
+    (m - 1/2, m + 1/2); it equals m exactly when p_{d+1}(m) = 0 and is
+    irrational otherwise.  d+1 distinct confirmed integers are all the roots.
+    Raises IrrationalEigenvalue when a root is not an integer.
+    """
     d = arr.d
-    prev = [1]
-    cur = [-a[0], 1]
-    for i in range(1, d + 1):
-        shifted = [0] + cur
-        scaled = [-a[i] * x for x in cur]
-        offdiag = arr.b[i - 1] * arr.c[i - 1]
-        nxt = [0] * (len(shifted))
-        for j, x in enumerate(shifted):
-            nxt[j] += x
-        for j, x in enumerate(scaled):
-            nxt[j] += x
-        for j, x in enumerate(prev):
-            nxt[j] -= offdiag * x
-        prev, cur = cur, nxt
-    return cur
 
+    def above(m: int) -> int:  # N(m + 1/2)
+        P = _scaled_minors(arr, a, 2 * m + 1)
+        return sum((u < 0) != (v < 0) for u, v in zip(P, P[1:]))
 
-def _poly_eval(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    thetas: list[int] = []
+    hi = arr.b0
+    for j in range(d + 1):
+        lo = -arr.b0 - 1  # invariant: above(lo) > j >= above(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid) > j:
+                lo = mid
+            else:
+                hi = mid
+        if _scaled_minors(arr, a, 2 * hi)[-1] != 0 or hi in thetas:
+            raise IrrationalEigenvalue(
+                f"eigenvalue {j + 1} of {d + 1} (descending) lies within 1/2 of {hi}"
+                " and is not an integer"
+            )
+        thetas.append(hi)
+    return tuple(thetas)
 
 
 def eigensystem_from_array(
@@ -120,13 +152,7 @@ def eigensystem_from_array(
         )
     d = arr.d
     a = arr.a()
-    poly = _char_poly(arr)
-    b0 = arr.b0
-    thetas = [t for t in range(b0, -b0 - 1, -1) if _poly_eval(poly, t) == 0]
-    if len(thetas) != d + 1:
-        raise IrrationalEigenvalue(
-            f"found {len(thetas)} integer eigenvalues in [-{b0},{b0}], need {d + 1}"
-        )
+    thetas = _eigenvalues(arr, a)
     prows = []
     for th in thetas:
         v = [Fraction(1), Fraction(th)]
@@ -148,7 +174,7 @@ def eigensystem_from_array(
     sys = SchemeEigensystem(
         n=n_vertices,
         d=d,
-        eigenvalues=tuple(thetas),
+        eigenvalues=thetas,
         k=k,
         m=tuple(m),
         P=P,
@@ -158,14 +184,9 @@ def eigensystem_from_array(
     )
     if not check_q_polynomial:
         return sys
-    kt = krein_parameters(sys)
-    verdict = verify_q_polynomial(kt)
+    verdict = verify_q_polynomial(krein_parameters(sys))
     if verdict.natural_ok:
-        return SchemeEigensystem(
-            n=sys.n, d=d, eigenvalues=sys.eigenvalues, k=sys.k, m=sys.m,
-            P=sys.P, Q=sys.Q, ordering=tuple(range(d + 1)),
-            passing_orderings=verdict.passing,
-        )
+        return replace(sys, passing_orderings=verdict.passing)
     return _reorder(sys, verdict.passing[0], verdict.passing)
 
 
@@ -175,11 +196,9 @@ def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
     Q = ExactMatrix(
         [[sys.Q[i, perm[j]] for j in range(d + 1)] for i in range(d + 1)]
     )
-    return SchemeEigensystem(
-        n=sys.n,
-        d=d,
+    return replace(
+        sys,
         eigenvalues=tuple(sys.eigenvalues[perm[i]] for i in range(d + 1)),
-        k=sys.k,
         m=tuple(sys.m[perm[j]] for j in range(d + 1)),
         P=P,
         Q=Q,
@@ -225,31 +244,26 @@ def _ordering_passes(kt: KreinTensor, perm) -> bool:
 
 
 def verify_q_polynomial(kt: KreinTensor) -> QPolynomialVerdict:
-    """Check tridiagonality of q^k_{1i}; if the natural ordering fails and
-    d <= 6, search every ordering that fixes E_0."""
+    """Check tridiagonality of q^k_{1i}; for d <= 6, also search every
+    ordering that fixes E_0 (needed when the natural ordering fails)."""
     d = kt.d
     natural = tuple(range(d + 1))
-    if _ordering_passes(kt, natural):
-        passing = [natural]
-        if d <= _ORDERING_SEARCH_MAX_D:
-            passing = [
-                (0,) + p
-                for p in permutations(range(1, d + 1))
-                if _ordering_passes(kt, (0,) + p)
-            ]
-        return QPolynomialVerdict(natural_ok=True, passing=tuple(passing))
-    if d > _ORDERING_SEARCH_MAX_D:
+    natural_ok = _ordering_passes(kt, natural)
+    if d <= _ORDERING_SEARCH_MAX_D:
+        passing = tuple(
+            (0,) + p
+            for p in permutations(range(1, d + 1))
+            if _ordering_passes(kt, (0,) + p)
+        )
+    elif natural_ok:
+        passing = (natural,)
+    else:
         raise NotQPolynomial(
             f"natural ordering fails and d={d} exceeds the ordering search cap"
         )
-    passing = [
-        (0,) + p
-        for p in permutations(range(1, d + 1))
-        if _ordering_passes(kt, (0,) + p)
-    ]
     if not passing:
         raise NotQPolynomial("no idempotent ordering is Q-polynomial")
-    return QPolynomialVerdict(natural_ok=False, passing=tuple(passing))
+    return QPolynomialVerdict(natural_ok=natural_ok, passing=passing)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +379,9 @@ def eigensystem_cache_key(family: str, params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def eigensystem_to_json(sys: SchemeEigensystem, family: str, params: dict) -> str:
-    doc = {
-        "family": family,
-        "params": params,
-        "version": CACHE_VERSION,
+def eigensystem_doc(sys: SchemeEigensystem) -> dict:
+    """The eigensystem fields as JSON values, rationals as 'num/den'."""
+    return {
         "n": sys.n,
         "d": sys.d,
         "eigenvalues": list(sys.eigenvalues),
@@ -380,20 +392,8 @@ def eigensystem_to_json(sys: SchemeEigensystem, family: str, params: dict) -> st
         "ordering": list(sys.ordering),
         "passing_orderings": [list(p) for p in sys.passing_orderings],
     }
+
+
+def eigensystem_to_json(sys: SchemeEigensystem, family: str, params: dict) -> str:
+    doc = {"family": family, "params": params, "version": CACHE_VERSION, **eigensystem_doc(sys)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def eigensystem_from_json(text: str) -> tuple[SchemeEigensystem, str, dict]:
-    doc = json.loads(text)
-    sys = SchemeEigensystem(
-        n=doc["n"],
-        d=doc["d"],
-        eigenvalues=tuple(doc["eigenvalues"]),
-        k=tuple(int(parse_fraction(x)) for x in doc["k"]),
-        m=tuple(int(parse_fraction(x)) for x in doc["m"]),
-        P=ExactMatrix([[parse_fraction(x) for x in row] for row in doc["P"]]),
-        Q=ExactMatrix([[parse_fraction(x) for x in row] for row in doc["Q"]]),
-        ordering=tuple(doc["ordering"]),
-        passing_orderings=tuple(tuple(p) for p in doc["passing_orderings"]),
-    )
-    return sys, doc["family"], doc["params"]

@@ -6,6 +6,7 @@ GF(q)^n as explicit point sets.  Slow but obviously correct; used on small
 inputs only.
 """
 import itertools
+import json
 from fractions import Fraction
 
 
@@ -141,3 +142,22 @@ def x2_distance_counts_by_search(members, q, d):
                 raise ValueError(f"pair {x}, {y} is at distance >= 3")
             counts[dist] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# graph cache files
+
+
+def _tuples(x):
+    return tuple(_tuples(v) for v in x) if isinstance(x, list) else x
+
+
+def parse_graph_cache(text):
+    """(metadata, labels, edges) of a graph cache file: a magic line, JSON
+    metadata, one JSON label per vertex, then one 'i j' line per edge."""
+    lines = text.splitlines()
+    meta = json.loads(lines[1])
+    n = meta["vertices"]
+    labels = [_tuples(json.loads(line)) for line in lines[2:2 + n]]
+    edges = [tuple(map(int, line.split())) for line in lines[2 + n:]]
+    return meta, labels, edges

@@ -1,17 +1,27 @@
+import itertools
+import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, event, given, settings, strategies as st
 
 from _oracles import adjacency_matrix, lagrange_idempotents, mat_mul, mat_rank, mat_scale
 from drgcert.errors import IrrationalEigenvalue, NotQPolynomial, ParameterError
-from drgcert.exact import ExactMatrix
-from drgcert.graphs import IntersectionArray, build_hamming, distance_census
+from drgcert.exact import ExactMatrix, q_binomial
+from drgcert.graphs import (
+    IntersectionArray,
+    build_hamming,
+    distance_census,
+    grassmann_intersection_array,
+    hamming_intersection_array,
+)
 from drgcert.scheme import (
     KreinTensor,
     eigensystem_cache_key,
     eigensystem_from_array,
-    eigensystem_from_json,
     eigensystem_to_json,
     krein_cross_check,
     krein_parameters,
@@ -144,10 +154,12 @@ def test_twisted_and_grassmann_share_eigensystem(built):
 
 
 def test_irrational_eigenvalues_rejected():
-    # pentagon: {2, 1; 1, 1}, spectrum contains golden-ratio values
-    arr = IntersectionArray((2, 1), (1, 1))
-    with pytest.raises(IrrationalEigenvalue):
-        eigensystem_from_array(arr, 5)
+    for b, c, n in [
+        ((2, 1), (1, 1), 5),  # pentagon: golden-ratio eigenvalues
+        ((5, 1, 1), (1, 1, 5), 12),  # 1 - sqrt 6 lies within 1/2 of the eigenvalue -1
+    ]:
+        with pytest.raises(IrrationalEigenvalue):
+            eigensystem_from_array(IntersectionArray(b, c), n)
 
 
 def test_vertex_count_mismatch():
@@ -157,27 +169,125 @@ def test_vertex_count_mismatch():
 
 
 def test_not_q_polynomial_tensor():
-    # synthetic tensor with every q^k_{1i}, k = i +- 1, equal to zero:
-    # no ordering can pass
-    d = 2
-    vals = tuple(
-        tuple(
-            tuple(Fraction(1 if i == j == kk else 0) for j in range(d + 1))
-            for i in range(d + 1)
+    # synthetic tensor with every q^k_{1i}, k = i +- 1, equal to zero: no
+    # ordering can pass, searched (d = 2) or past the search cap (d = 7)
+    for d in (2, 7):
+        vals = tuple(
+            tuple(
+                tuple(Fraction(1 if i == j == kk else 0) for j in range(d + 1))
+                for i in range(d + 1)
+            )
+            for kk in range(d + 1)
         )
-        for kk in range(d + 1)
-    )
-    with pytest.raises(NotQPolynomial):
-        verify_q_polynomial(KreinTensor(vals))
+        with pytest.raises(NotQPolynomial):
+            verify_q_polynomial(KreinTensor(vals))
+
+
+def test_natural_ordering_beyond_search_cap():
+    # H(7,2): d = 7 is not searched, so the natural ordering is the only one
+    sys_ = eigensystem_from_array(hamming_intersection_array(7, 2), 2 ** 7)
+    assert sys_.eigenvalues == tuple(7 - 2 * j for j in range(8))
+    assert sys_.passing_orderings == (tuple(range(8)),)
 
 
 def test_eigensystem_cache_roundtrip(built):
     _, _, _, sys_ = built("johnson", 7, 3)
     text = eigensystem_to_json(sys_, "johnson", {"v": 7, "d": 3})
-    back, family, params = eigensystem_from_json(text)
-    assert family == "johnson" and params == {"v": 7, "d": 3}
-    assert back == sys_
-    assert eigensystem_to_json(back, family, params) == text
+    doc = json.loads(text)
+    assert (doc["family"], doc["params"], doc["version"]) == ("johnson", {"v": 7, "d": 3}, 1)
+    assert (doc["n"], doc["d"], tuple(doc["eigenvalues"])) == (sys_.n, sys_.d, sys_.eigenvalues)
+    assert tuple(Fraction(x) for x in doc["k"]) == sys_.k
+    assert tuple(Fraction(x) for x in doc["m"]) == sys_.m
+    assert ExactMatrix([[Fraction(x) for x in row] for row in doc["P"]]) == sys_.P
+    assert ExactMatrix([[Fraction(x) for x in row] for row in doc["Q"]]) == sys_.Q
+    assert tuple(doc["ordering"]) == sys_.ordering
+    assert tuple(tuple(p) for p in doc["passing_orderings"]) == sys_.passing_orderings
+    assert eigensystem_to_json(sys_, "johnson", {"d": 3, "v": 7}) == text
     key = eigensystem_cache_key("johnson", {"v": 7, "d": 3})
     assert key == eigensystem_cache_key("johnson", {"d": 3, "v": 7})
     assert key != eigensystem_cache_key("johnson", {"v": 9, "d": 4})
+
+
+def test_odd_graph_needs_reordering():
+    # O_4 = Kneser K(7,3): the descending ordering is not Q-polynomial
+    sys_ = eigensystem_from_array(IntersectionArray((4, 3, 3), (1, 1, 2)), 35)
+    assert sys_.ordering == (0, 3, 1, 2)
+    assert sys_.eigenvalues == (4, -3, 2, -1)
+    assert sys_.m == (1, 6, 14, 14)
+    triples = [set(t) for t in itertools.combinations(range(7), 3)]
+    adj = np.array([[int(not x & y) for y in triples] for x in triples], dtype=float)
+    eigs = np.linalg.eigvalsh(adj)
+    rounded = np.rint(eigs)
+    assert np.allclose(eigs, rounded)
+    assert Counter(int(x) for x in rounded) == dict(zip(sys_.eigenvalues, sys_.m))
+
+
+@pytest.mark.parametrize("q,v,d", [(2, 30, 15), (7, 16, 8)])
+def test_grassmann_eigenvalues_beyond_valency_scan(q, v, d):
+    # b_0 is about 2.1e9 for J_2(30,15) and 6.5e12 for J_7(16,8)
+    def qi(m):
+        return (q ** m - 1) // (q - 1)
+
+    arr = grassmann_intersection_array(q, v, d)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count(), check_q_polynomial=False)
+    assert sys_.eigenvalues == tuple(
+        q ** (j + 1) * qi(d - j) * qi(v - d - j) - qi(j) for j in range(d + 1)
+    )
+    assert sys_.m == tuple(
+        q_binomial(v, j, q) - (q_binomial(v, j - 1, q) if j else 0) for j in range(d + 1)
+    )
+
+
+@st.composite
+def intersection_arrays(draw):
+    """Arrays with d <= 4, c_1 = 1, every a_i >= 0 and integral valencies:
+    arbitrary ones (often irrational spectra) and Hamming and Johnson ones."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["any", "hamming", "johnson"]))
+    if kind == "hamming":
+        q = draw(st.integers(2, 40))
+        b = [(d - i) * (q - 1) for i in range(d)]
+        c = list(range(1, d + 1))
+    elif kind == "johnson":
+        v = draw(st.integers(2 * d, 40))
+        b = [(d - i) * (v - d - i) for i in range(d)]
+        c = [i * i for i in range(1, d + 1)]
+    else:
+        b0 = draw(st.integers(2, 12))
+        b = [b0] + [draw(st.integers(1, b0 - 1)) for _ in range(d - 1)]
+        c = [1] + [draw(st.integers(1, b0 - bi)) for bi in b[2:]]
+        if d > 1:
+            c.append(draw(st.integers(1, b0)))
+    try:
+        return IntersectionArray(tuple(b), tuple(c))
+    except ParameterError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(intersection_arrays())
+def test_eigenvalues_match_sympy_charpoly(arr):
+    d, a = arr.d, arr.a()
+    L = sympy.zeros(d + 1, d + 1)
+    for i in range(d + 1):
+        L[i, i] = a[i]
+        if i < d:
+            L[i, i + 1] = arr.b[i]
+            L[i + 1, i] = arr.c[i]
+    x = sympy.Symbol("x")
+    roots = sympy.Poly(L.charpoly(x).as_expr(), x).ground_roots()
+    n = arr.vertex_count()
+    if sum(roots.values()) < d + 1:
+        event("irrational spectrum")
+        with pytest.raises(IrrationalEigenvalue):
+            eigensystem_from_array(arr, n, check_q_polynomial=False)
+        return
+    try:
+        sys_ = eigensystem_from_array(arr, n, check_q_polynomial=False)
+    except ParameterError as exc:  # a feasibility condition, past the spectrum
+        assert "multiplicit" in str(exc)
+        event("integral spectrum, infeasible multiplicities")
+        return
+    event("integral spectrum, eigensystem built")
+    assert sys_.eigenvalues == tuple(sorted((int(r) for r in roots), reverse=True))
+    assert sys_.P * sys_.Q == ExactMatrix.identity(d + 1).scale(n)
