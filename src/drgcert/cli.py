@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import DrgError, ParameterError, TierLimitExceeded
-from .exact import format_fraction, q_binomial
+from .exact import ExactMatrix, format_fraction, q_binomial
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     build_bilinear,
@@ -323,8 +323,6 @@ def cmd_selftest(args) -> int:
                     if lhs != rhs:
                         ok = False
     record("q-binomial symmetry and Pascal identity", ok)
-
-    from .exact import ExactMatrix
 
     ok = True
     for family, params in (

@@ -273,9 +273,7 @@ def verify_theorem(
     cert = solve_certificate(sys_tw, t)
     expected, _ = expected_bound("twisted", {"q": q, "d": d}, t)
     families = enumerate_descendent_families(q, d, t)
-    fam_index_sets = []
-    for fam in families:
-        fam_index_sets.append(frozenset(twisted.index_of(lab) for lab in fam.labels()))
+    fam_index_sets = [frozenset(twisted.index_of(lab) for lab in f.labels()) for f in families]
     warm = max(fam_index_sets, key=len)
     thr = threshold_graph(twisted, census_tw, t)
     hint = int(cert.bound) if cert.feasible and cert.bound.denominator == 1 else None

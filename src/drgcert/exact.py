@@ -104,9 +104,6 @@ class ExactMatrix:
     def row(self, i) -> tuple[Fraction, ...]:
         return self.rows[i]
 
-    def column(self, j) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
@@ -121,12 +118,6 @@ class ExactMatrix:
     def scale(self, c: Scalar) -> "ExactMatrix":
         c = as_fraction(c)
         return ExactMatrix([[c * x for x in row] for row in self.rows])
-
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(vec) != self.ncols:
-            raise ParameterError("dimension mismatch in matrix-vector product")
-        v = [as_fraction(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def inverse(self) -> "ExactMatrix":
         """Gauss-Jordan inverse; raises SingularSystem if rank-deficient."""

@@ -437,6 +437,8 @@ class IntersectionArray:
             raise ParameterError("intersection array needs matching nonempty b and c")
         if any(x <= 0 for x in self.b) or any(x <= 0 for x in self.c):
             raise ParameterError("intersection numbers must be positive")
+        if self.c[0] != 1:
+            raise ParameterError(f"c_1 = {self.c[0]}; a distance-regular graph has c_1 = 1")
         self.valencies()  # forces the integrality check
 
     @property

@@ -15,7 +15,9 @@ gives the equality clause.
 For Hamming graphs there is a second, independent route: the (possibly
 formal) inner distribution e' of a length-d minimum-distance-(t+1) code of
 size q^(d-t) is uniquely determined by the same kind of linear system in the
-e-domain, and f = e' . diag(k_0..k_d)^{-1}.
+e-domain, and f = e' . diag(k_0..k_d)^{-1}.  That route builds no
+eigensystem: H(d,q) is self-dual, so Q_ij = K_j(i), the Krawtchouk
+polynomial, and k_i = C(d,i) (q-1)^i, both in closed form.
 """
 from __future__ import annotations
 
@@ -30,8 +32,7 @@ from .errors import (
     WidthTooLarge,
 )
 from .exact import ExactMatrix, q_binomial, solve_linear_exact
-from .graphs import hamming_intersection_array
-from .scheme import SchemeEigensystem, eigensystem_from_array
+from .scheme import SchemeEigensystem
 from .subsets import InnerDistribution
 
 
@@ -63,13 +64,13 @@ def _transform(f, Q: ExactMatrix, j: int) -> Fraction:
     return sum(f[i] * Q[j, i] for i in range(len(f)))
 
 
-def _finish_certificate(f: list[Fraction], t: int, sys: SchemeEigensystem) -> DualCertificate:
-    d = sys.d
+def _finish_certificate(f: tuple[Fraction, ...], t: int, Q: ExactMatrix) -> DualCertificate:
+    d = Q.nrows - 1
     norm_ok = f[0] == 1
     zero_ok = all(f[i] == 0 for i in range(1, t + 1))
     pos_ok = all(f[i] > 0 for i in range(t + 1, d + 1))
-    dual_ok = all(_transform(f, sys.Q, j) == 0 for j in range(1, d - t + 1))
-    bound = _transform(f, sys.Q, 0)
+    dual_ok = all(_transform(f, Q, j) == 0 for j in range(1, d - t + 1))
+    bound = _transform(f, Q, 0)
     return DualCertificate(
         t=t,
         f=tuple(f),
@@ -80,6 +81,15 @@ def _finish_certificate(f: list[Fraction], t: int, sys: SchemeEigensystem) -> Du
         positive_tail=pos_ok,
         dual_constraints_ok=dual_ok,
     )
+
+
+def _pinned_solution(M: ExactMatrix, t: int) -> tuple[Fraction, ...]:
+    """The x with x_0 = 1, x_1 = ... = x_t = 0 and (xM^T)_j = 0 for
+    j = 1..d-t: a square system in x_{t+1}..x_d, solved exactly."""
+    d = M.nrows - 1
+    A = ExactMatrix([[M[j, i] for i in range(t + 1, d + 1)] for j in range(1, d - t + 1)])
+    tail = solve_linear_exact(A, [-M[j, 0] for j in range(1, d - t + 1)])
+    return (Fraction(1),) + (Fraction(0),) * t + tuple(tail)
 
 
 def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
@@ -93,17 +103,14 @@ def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
     d = sys.d
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    m = d - t
-    A = ExactMatrix([[sys.Q[j, i] for i in range(t + 1, d + 1)] for j in range(1, m + 1)])
-    rhs = [-sys.Q[j, 0] for j in range(1, m + 1)]
-    tail = solve_linear_exact(A, rhs)
-    f = [Fraction(1)] + [Fraction(0)] * t + list(tail)
-    return _finish_certificate(f, t, sys)
+    return _finish_certificate(_pinned_solution(sys.Q, t), t, sys.Q)
 
 
-def hamming_eigensystem(d: int, q: int) -> SchemeEigensystem:
-    arr = hamming_intersection_array(d, q)
-    return eigensystem_from_array(arr, q ** d)
+def krawtchouk_matrix(d: int, q: int) -> ExactMatrix:
+    """Q (= P) of H(d,q) in the natural ordering:
+    Q_ij = K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i,s) C(d-i,j-s)."""
+    return ExactMatrix([[sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(d - i, j - s)
+                             for s in range(j + 1)) for j in range(d + 1)] for i in range(d + 1)])
 
 
 def mds_inner_distribution(d: int, q: int, t: int) -> tuple[Fraction, ...]:
@@ -117,20 +124,15 @@ def mds_inner_distribution(d: int, q: int, t: int) -> tuple[Fraction, ...]:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
     if q < 2:
         raise ParameterError(f"need q >= 2, got q={q}")
-    sys = hamming_eigensystem(d, q)
-    m = d - t
-    A = ExactMatrix([[sys.Q[i, j] for i in range(t + 1, d + 1)] for j in range(1, m + 1)])
-    rhs = [-sys.Q[0, j] for j in range(1, m + 1)]
-    tail = solve_linear_exact(A, rhs)
-    return tuple([Fraction(1)] + [Fraction(0)] * t + list(tail))
+    return _pinned_solution(krawtchouk_matrix(d, q).transpose(), t)
 
 
 def hamming_certificate(d: int, q: int, t: int) -> DualCertificate:
-    """f_i = e'_i / k_i from the MDS-style inner distribution."""
+    """f_i = e'_i / k_i from the MDS-style inner distribution, with
+    k_i = C(d,i) (q-1)^i."""
     eprime = mds_inner_distribution(d, q, t)
-    sys = hamming_eigensystem(d, q)
-    f = [ei / ki for ei, ki in zip(eprime, sys.k)]
-    return _finish_certificate(f, t, sys)
+    f = tuple(ei / (comb(d, i) * (q - 1) ** i) for i, ei in enumerate(eprime))
+    return _finish_certificate(f, t, krawtchouk_matrix(d, q))
 
 
 def expected_bound(family: str, params: dict, t: int):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -207,27 +208,35 @@ def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
     )
 
 
+def _scaled_ints(M: ExactMatrix) -> tuple[int, list[list[int]]]:
+    """(D, D*M) with D the lcm of M's denominators, so D*M is integral."""
+    D = lcm(*(x.denominator for row in M.rows for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in M.rows]
+
+
 def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
     """q^k_{ij} = |X|^{-1} sum_l Q_li Q_lj P_kl; nonnegative for any scheme,
-    so a negative entry is reported as a data error."""
+    so a negative entry is reported as a data error.
+
+    With E*P and D*Q integral, each entry is one integer sum divided by
+    |X| D^2 E.  The sum is symmetric in i and j, so it is formed for i <= j
+    only and mirrored."""
     d = sys.d
-    vals = []
+    E, P = _scaled_ints(sys.P)
+    D, Q = _scaled_ints(sys.Q)
+    den = sys.n * D * D * E
+    W = {(i, j): [row[i] * row[j] for row in Q] for i in range(d + 1) for j in range(i, d + 1)}
+    vals = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for kk in range(d + 1):
-        plane = []
         for i in range(d + 1):
-            row = []
-            for j in range(d + 1):
-                s = sum(
-                    sys.Q[l, i] * sys.Q[l, j] * sys.P[kk, l] for l in range(d + 1)
-                ) / sys.n
+            for j in range(i, d + 1):
+                s = Fraction(sum(map(mul, P[kk], W[i, j])), den)
                 if s < 0:
                     raise DrgError(
                         f"Krein parameter q^{kk}_{{{i},{j}}} = {s} < 0; invalid scheme data"
                     )
-                row.append(s)
-            plane.append(tuple(row))
-        vals.append(tuple(plane))
-    return KreinTensor(tuple(vals))
+                vals[kk][i][j] = vals[kk][j][i] = s
+    return KreinTensor(tuple(tuple(map(tuple, plane)) for plane in vals))
 
 
 def _ordering_passes(kt: KreinTensor, perm) -> bool:

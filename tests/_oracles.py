@@ -79,6 +79,16 @@ def quad_form(E, indices):
     return sum(E[i][j] for i in indices for j in indices)
 
 
+def krein_by_triple_sum(P, Q, n):
+    """values[k][i][j] = q^k_ij = n^{-1} sum_l Q_li Q_lj P_kl, summed in
+    Fractions entry by entry, with no sign check."""
+    r = range(len(P))
+    return [
+        [[sum(Fraction(Q[l][i]) * Q[l][j] * P[k][l] for l in r) / n for j in r] for i in r]
+        for k in r
+    ]
+
+
 # ---------------------------------------------------------------------------
 # subspaces of GF(q)^n as point sets, and X2 distances by search
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -232,3 +233,41 @@ def test_no_floats_in_reports(tmp_path, capsys):
         code, doc = run(capsys, *argv)
         assert code == 0
         walk(doc)
+
+
+# sha256 of each report (`seconds` removed, re-serialised as the CLI does) and
+# of each cache file, run from a fresh directory with `--cache cache`; they pin
+# the report and cache bytes across changes that should not alter them
+GOLDEN = [
+    (("certify", "hamming", "-d", "5", "-q", "5", "-t", "2"),
+     "3c286674f91c5830d022cdad5a2da6de2267183262360004ef3774b7ae82c8bc"),
+    (("certify", "hamming", "-d", "3", "-q", "2", "-t", "1"),
+     "d5cd080bad046745c5b55f19d91ad0d3addeeb12dc000c6816c7a332e4b526f0"),
+    (("certify", "hamming", "-d", "4", "-q", "4", "-t", "2"),
+     "da3c9da74bad29b81e6dea661423749b7393eccad90e199269c629726fd3c4e4"),
+    (("eigensystem", "hamming", "-d", "4", "-q", "4"),
+     "c0fc462a4f4849fb6c4304a5ede2fcd3220e59cd677fc6aeeafc65965172f303"),
+    (("certify", "johnson", "-v", "10", "-d", "4", "-t", "1"),
+     "931b499444622561c3eb8ee40c71fb6cbf03cfe714c7e1e0bb62792de8fb14d3"),
+    (("verify-theorem", "-q", "2", "-d", "2", "-t", "1"),
+     "af476fead5231087b71dbfff3f70ca5ad043c6983b638589fe1dff0739e41f57"),
+]
+GOLDEN_CACHE = {
+    "hamming-6e47d5805e35a24f.eig.json":
+        "deddfcc868a4837b68daa00cecb1254a5be42c5d75a76ed262e8a8b450ca62ff",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_and_caches_are_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in GOLDEN:
+        code, doc = run(capsys, *argv, "--cache", "cache")
+        assert code == 0
+        text = json.dumps(strip_time(doc), sort_keys=True, separators=(",", ":"))
+        assert _sha(text) == digest, argv
+    cache = {p.name: _sha(p.read_text()) for p in (tmp_path / "cache").iterdir()}
+    assert cache == GOLDEN_CACHE

@@ -91,7 +91,7 @@ def test_solve_random_systems_resubstitute():
             x = solve_linear_exact(A, b)
         except SingularSystem:
             continue
-        assert A.apply(x) == tuple(b)
+        assert [sum(a * xj for a, xj in zip(row, x)) for row in A.rows] == b
 
 
 def test_matrix_inverse_and_product():

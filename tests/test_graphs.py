@@ -291,8 +291,10 @@ def test_not_distance_regular_witness():
 def test_intersection_array_validation():
     from drgcert.graphs import IntersectionArray
 
-    with pytest.raises(ParameterError):
-        IntersectionArray((4,), (3,))  # k_1 = 4/3 not integral
+    with pytest.raises(ParameterError, match="integral"):
+        IntersectionArray((3, 2), (1, 4))  # k_2 = 6/4 not integral
+    with pytest.raises(ParameterError, match="c_1 = 2"):
+        IntersectionArray((2,), (2,))  # no distance-regular graph has c_1 != 1
     arr = IntersectionArray((6, 2), (1, 4))
     assert arr.valencies() == (1, 6, 3)
     assert arr.a() == (0, 3, 2)

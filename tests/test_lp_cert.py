@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from drgcert import lp_cert, scheme
 from drgcert.errors import InfeasibleCertificate, ParameterError, UnsupportedFamily, WidthTooLarge
 from drgcert.exact import ExactMatrix, solve_linear_exact
+from drgcert.graphs import hamming_intersection_array
 from drgcert.lp_cert import (
     certify_subset,
     expected_bound,
     hamming_certificate,
+    krawtchouk_matrix,
     mds_inner_distribution,
     solve_certificate,
 )
+from drgcert.scheme import eigensystem_from_array
 from drgcert.subsets import VertexSubset, inner_distribution, width_and_dual_width
 
 F = Fraction
@@ -177,11 +181,29 @@ def test_hamming_certificate_infeasible_boundary():
     assert cert2.f == (1, 0, 0, 1) and cert2.feasible and cert2.bound == 2
 
 
-@pytest.mark.parametrize("d,q,ts", [(3, 3, (1, 2)), (4, 4, (1, 2, 3)), (3, 2, (1, 2))])
-def test_routes_agree_on_hamming(d, q, ts, built):
-    _, _, _, sys_ = built("hamming", d, q)
+@pytest.mark.parametrize(
+    "d,q,ts",
+    [(3, 3, (1, 2)), (4, 4, (1, 2, 3)), (3, 2, (1, 2)),
+     (5, 5, range(1, 5)), (6, 6, range(1, 6)), (8, 8, range(1, 8))],
+)
+def test_routes_agree_on_hamming(d, q, ts):
+    sys_ = eigensystem_from_array(hamming_intersection_array(d, q), q ** d)
+    assert krawtchouk_matrix(d, q) == sys_.Q
     for t in ts:
         assert hamming_certificate(d, q, t).f == solve_certificate(sys_, t).f
+
+
+def test_mds_route_builds_no_eigensystem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MDS route must not build an eigensystem")
+
+    sys_ = eigensystem_from_array(hamming_intersection_array(5, 5), 5 ** 5)
+    solved = [solve_certificate(sys_, t) for t in range(1, 5)]
+    monkeypatch.setattr(scheme, "eigensystem_from_array", refuse)
+    monkeypatch.setattr(lp_cert, "eigensystem_from_array", refuse, raising=False)
+    for t, expected in enumerate(solved, start=1):
+        cert = hamming_certificate(5, 5, t)
+        assert cert == expected and cert.feasible and cert.bound == 5 ** (5 - t)
 
 
 # ---------------------------------------------------------------------------

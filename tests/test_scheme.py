@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -6,10 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from _oracles import adjacency_matrix, lagrange_idempotents, mat_mul, mat_rank, mat_scale
-from drgcert.errors import IrrationalEigenvalue, NotQPolynomial, ParameterError
+from _oracles import (
+    adjacency_matrix,
+    krein_by_triple_sum,
+    lagrange_idempotents,
+    mat_mul,
+    mat_rank,
+    mat_scale,
+)
+from drgcert.errors import DrgError, IrrationalEigenvalue, NotQPolynomial, ParameterError
 from drgcert.exact import ExactMatrix, q_binomial
 from drgcert.graphs import (
     IntersectionArray,
@@ -76,8 +84,8 @@ def test_eigensystem_identities(family, args, built):
     assert sys_.P * sys_.Q == ExactMatrix.identity(d + 1).scale(n)
     assert sys_.Q * sys_.P == ExactMatrix.identity(d + 1).scale(n)
     assert sys_.P.row(0) == tuple(Fraction(x) for x in sys_.k)
-    assert sys_.P.column(0) == (Fraction(1),) * (d + 1)
-    assert sys_.Q.column(0) == (Fraction(1),) * (d + 1)
+    assert sys_.P.transpose().row(0) == (Fraction(1),) * (d + 1)
+    assert sys_.Q.transpose().row(0) == (Fraction(1),) * (d + 1)
     assert tuple(int(x) for x in sys_.Q.row(0)) == sys_.m
     assert all(mj > 0 for mj in sys_.m)
     assert sum(sys_.m) == n
@@ -88,6 +96,8 @@ def test_eigensystem_identities(family, args, built):
 def test_krein_basics(family, args, built):
     _, _, _, sys_ = built(family, *args)
     kt = krein_parameters(sys_)
+    oracle = krein_by_triple_sum(sys_.P.rows, sys_.Q.rows, sys_.n)
+    assert [[list(row) for row in plane] for plane in kt.values] == oracle
     d = sys_.d
     for j in range(d + 1):
         for kk in range(d + 1):
@@ -95,6 +105,22 @@ def test_krein_basics(family, args, built):
     verdict = verify_q_polynomial(kt)
     assert verdict.natural_ok
     assert tuple(range(d + 1)) in verdict.passing
+
+
+def test_negative_krein_parameter_is_reported():
+    # swapping two columns of Q only relabels the idempotents, which permutes
+    # the tensor; swapping two rows pairs Q with the wrong distance classes.
+    # The error must name the first negative entry in (k, i, j) order.
+    sys_ = eigensystem_from_array(IntersectionArray((12, 6, 2), (1, 4, 9)), 35)  # J(7,3)
+    swapped = [sys_.Q.row(r) for r in (0, 2, 1, 3)]
+    tampered = dataclasses.replace(sys_, Q=ExactMatrix(swapped))
+    oracle = krein_by_triple_sum(sys_.P.rows, swapped, sys_.n)
+    r = range(sys_.d + 1)
+    k, i, j = next((k, i, j) for k in r for i in r for j in r if oracle[k][i][j] < 0)
+    assert (k, i, j, oracle[k][i][j]) == (0, 0, 3, -1)
+    with pytest.raises(DrgError) as exc:
+        krein_parameters(tampered)
+    assert str(exc.value) == "Krein parameter q^0_{0,3} = -1 < 0; invalid scheme data"
 
 
 def test_krein_k3_by_hand(built):
@@ -266,6 +292,7 @@ def intersection_arrays(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(intersection_arrays())
+@example(IntersectionArray((9, 8), (1, 4)))  # integral spectrum, a Krein condition fails
 def test_eigenvalues_match_sympy_charpoly(arr):
     d, a = arr.d, arr.a()
     L = sympy.zeros(d + 1, d + 1)
@@ -291,3 +318,12 @@ def test_eigenvalues_match_sympy_charpoly(arr):
     event("integral spectrum, eigensystem built")
     assert sys_.eigenvalues == tuple(sorted((int(r) for r in roots), reverse=True))
     assert sys_.P * sys_.Q == ExactMatrix.identity(d + 1).scale(n)
+    oracle = krein_by_triple_sum(sys_.P.rows, sys_.Q.rows, n)
+    if min(x for plane in oracle for row in plane for x in row) < 0:
+        event("a Krein condition fails")
+        with pytest.raises(DrgError, match="Krein parameter"):
+            krein_parameters(sys_)
+    else:
+        event("Krein conditions hold")
+        kt = krein_parameters(sys_)
+        assert [[list(row) for row in plane] for plane in kt.values] == oracle
