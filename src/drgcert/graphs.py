@@ -1,24 +1,29 @@
 """Concrete distance-regular graph families as explicit vertex/edge sets.
 
 Vertices are plain nested tuples (canonical labels, JSON-friendly); adjacency
-is stored as one Python-int bitmask per vertex.  Distances are always computed
-by breadth-first search, never by closed-form distance formulas.  The census
-keeps what BFS produces, the level masks: levels[x][k] is the bitmask of the
-vertices at distance k from x.  Threshold graphs, subset histograms, distance
-matrices and the distance-regularity check (which recovers the intersection
-array and cross-validates the construction) all read those masks directly.
+is stored as one Python-int bitmask per vertex, built in O(n * keys) from a
+few clique keys per vertex (a Johnson vertex less one element, a Grassmann
+vertex's hyperplanes): each builder proves "adjacent iff a key is shared".
+Distances are always computed by breadth-first search, never by closed-form
+distance formulas.  The census keeps what BFS produces, the level masks:
+levels[x][k] is the bitmask of the vertices at distance k from x.  Threshold
+graphs, subset histograms, distance matrices and the distance-regularity
+check (which recovers the intersection array and cross-validates every built
+graph) all read those masks directly.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
-itself is never materialized) exist only for the Grassmann and Hamming
-families and are cross-validated against BFS-extracted arrays in the test
-suite.
+itself is never materialized) exist for the Grassmann, Hamming and twisted
+Grassmann families and are cross-validated against BFS-extracted arrays in
+the test suite.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cache, reduce
 from math import comb
+from operator import or_
 
 from .errors import (
     DisconnectedGraph,
@@ -137,10 +142,6 @@ class SubspaceRep:
     def contains(self, other: "SubspaceRep") -> bool:
         return self.meet_dim(other) == other.dim
 
-    def is_inside_hyperplane(self) -> bool:
-        """True iff every vector has last coordinate zero."""
-        return all(row[-1] == 0 for row in self.rows)
-
 
 def all_subspaces(n: int, k: int, q: int):
     """Yield every k-dim subspace of GF(q)^n exactly once, as canonical RREF.
@@ -148,11 +149,6 @@ def all_subspaces(n: int, k: int, q: int):
     Enumeration is by pivot pattern plus free entries, so each subspace is
     produced directly in canonical form (no reduction step, no duplicates).
     """
-    if k == 0:
-        yield SubspaceRep(n, q, (), canonical=True)
-        return
-    if k > n:
-        return
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         free_cells = [
@@ -214,82 +210,126 @@ class Graph:
         return f"Graph({self.family}, n={self.n}, params={self.params})"
 
 
-def _assemble(family, params, items, adjacent, expected_n=None, vertex_cap=DEFAULT_VERTEX_CAP):
-    """Sort (label, obj) items, apply the pairwise rule, validate connectivity."""
-    if expected_n is not None and expected_n > vertex_cap:
-        raise TierLimitExceeded(
-            f"{family}{params} has {expected_n} vertices; cap is {vertex_cap}"
-        )
-    items = sorted(items, key=lambda t: t[0])
-    n = len(items)
-    if expected_n is not None and n != expected_n:
-        raise ParameterError(f"{family}: enumerated {n} vertices, expected {expected_n}")
-    labels = [lab for lab, _ in items]
-    objs = [obj for _, obj in items]
-    adj = [0] * n
-    for i in range(n):
-        oi = objs[i]
-        for j in range(i + 1, n):
-            if adjacent(oi, objs[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+def _check_cap(name: str, bits: int, count, vertex_cap: int) -> int:
+    """count(), refused above vertex_cap before any vertex is enumerated; as the
+    count is at least 2^bits, a huge one is refused without being formed."""
+    if bits >= vertex_cap.bit_length():
+        raise TierLimitExceeded(f"{name} has at least 2^{bits} vertices; cap is {vertex_cap}")
+    n = count()
+    if n > vertex_cap:
+        raise TierLimitExceeded(f"{name} has {n} vertices; cap is {vertex_cap}")
+    return n
+
+
+def _assemble(family, params, labels, keys, expected_n, links=None):
+    """Sort the labels, join the vertices that share a clique key, validate
+    connectivity.  keys(label) lists a vertex's clique keys; adj[i] is the OR
+    of the member masks of i's keys, less bit i.  links(label), when given,
+    lists further neighbours, joined both ways."""
+    labels = sorted(labels)
+    if len(labels) != expected_n:
+        raise ParameterError(f"{family}: enumerated {len(labels)} vertices, expected {expected_n}")
+    key_lists = list(map(keys, labels))
+    members = {}
+    for i, ks in enumerate(key_lists):
+        for key in ks:
+            members[key] = members.get(key, 0) | 1 << i
+    adj = [reduce(or_, map(members.get, ks)) & ~(1 << i) for i, ks in enumerate(key_lists)]
     graph = Graph(family, params, labels, adj)
+    for i, label in enumerate(labels if links else ()):
+        for j in map(graph.index_of, links(label)):
+            graph.adj[i] |= 1 << j
+            graph.adj[j] |= 1 << i
     _assert_connected(graph)
     return graph
 
 
 def _assert_connected(graph: Graph):
-    n = graph.n
-    seen = 1
-    frontier = 1
+    seen = frontier = 1
     while frontier:
         nxt = 0
         for v in iter_bits(frontier):
             nxt |= graph.adj[v]
         frontier = nxt & ~seen
         seen |= nxt
-    if seen != (1 << n) - 1:
+    if seen != (1 << graph.n) - 1:
         raise DisconnectedGraph(f"{graph.family} is not connected")
+
+
+@cache
+def _points(k: int, q: int) -> tuple:
+    """(p, u) for one u in each 1-dim subspace of GF(q)^k, with last nonzero entry u_p = 1."""
+    return tuple((p, head + (1,) + (0,) * (k - 1 - p))
+                 for p in range(k) for head in itertools.product(range(q), repeat=p))
+
+
+def _shear(rows, p: int, u, q: int) -> tuple:
+    """The rows R_i - u_i R_p over GF(q); row p becomes zero (u_p = 1)."""
+    return tuple([
+        tuple([(a - c * b) % q for a, b in zip(row, rows[p])]) if c else row
+        for row, c in zip(rows, u)
+    ])
+
+
+def hyperplanes(rows, q: int) -> list[tuple]:
+    """The [k]_q hyperplanes of the subspace with canonical RREF basis `rows`
+    (k rows), each as its canonical RREF basis, with no elimination.
+    Hyperplane u (from `_points`) is {c . R : c . u = 0}, with the basis
+    S_i = R_i - u_i R_p, i != p.  For pivots c_0 < ... < c_{k-1} of R, S_i
+    vanishes before c_i (S_i = R_i for i > p, and R_p vanishes before
+    c_p > c_i) and S_i[c_j] = delta_ij for j != p: S is in RREF already."""
+    return [(s := _shear(rows, p, u, q))[:p] + s[p + 1:] for p, u in _points(len(rows), q)]
+
+
+def meet_h(rows, q: int) -> tuple:
+    """x meet H for x not inside H (last coordinate 0), in canonical RREF: the
+    hyperplane of `hyperplanes` whose u is the last column of R, scaled to
+    u_p = 1, as the S_i then end in 0.  A pivot in the last column gives
+    u = (0, ..., 0, 1), and the meet drops the last row."""
+    col = [row[-1] for row in rows]
+    p = max(i for i, c in enumerate(col) if c)
+    s = _shear(rows, p, [c * pow(col[p], q - 2, q) % q for c in col], q)
+    return s[:p] + s[p + 1:]
 
 
 def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Johnson graph J(v,d): d-subsets of {1..v}, adjacent iff they share d-1
-    elements.  d > v/2 is normalized to v-d (complementation isomorphism)."""
+    elements.  d > v/2 is normalized to v-d (complementation isomorphism).
+    Clique keys: the d subsets x - {a}.  Two d-sets share d-1 elements iff
+    both contain one (d-1)-set, which is then their intersection."""
     if d <= 0 or v < d:
         raise ParameterError(f"J({v},{d}) needs 0 < d <= v")
     if d > v - d:
         d = v - d
     if d == 0:
         raise ParameterError(f"J({v},{v}) is a single vertex; refusing")
-    items = []
-    for combo in itertools.combinations(range(1, v + 1), d):
-        mask = 0
-        for x in combo:
-            mask |= 1 << x
-        items.append((combo, mask))
+    bits = max(d, v.bit_length() - 1)  # C(v,d) >= C(2d,d) >= 2^d, and C(v,d) >= v
+    expected = _check_cap(f"J({v},{d})", bits, lambda: comb(v, d), vertex_cap)
     return _assemble(
-        "johnson", {"v": v, "d": d}, items,
-        lambda a, b: (a & b).bit_count() == d - 1,
-        expected_n=comb(v, d), vertex_cap=vertex_cap,
+        "johnson", {"v": v, "d": d}, itertools.combinations(range(1, v + 1), d),
+        lambda x: [x[:i] + x[i + 1:] for i in range(d)], expected,
     )
 
 
 def build_hamming(d: int, q: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Hamming graph H(d,q): words of length d over a q-letter alphabet,
-    adjacent iff they differ in exactly one position."""
+    adjacent iff they differ in exactly one position.  Clique keys:
+    (i, w with coordinate i deleted), as two words differ in position i alone
+    iff they agree everywhere else."""
     if d < 1 or q < 2:
         raise ParameterError(f"H({d},{q}) needs d >= 1 and q >= 2")
-    items = [(w, w) for w in itertools.product(range(q), repeat=d)]
+    expected = _check_cap(f"H({d},{q})", d * (q.bit_length() - 1), lambda: q ** d, vertex_cap)
     return _assemble(
-        "hamming", {"d": d, "q": q}, items,
-        lambda a, b: sum(x != y for x, y in zip(a, b)) == 1,
-        expected_n=q ** d, vertex_cap=vertex_cap,
+        "hamming", {"d": d, "q": q}, itertools.product(range(q), repeat=d),
+        lambda w: [(i, w[:i] + w[i + 1:]) for i in range(d)], expected,
     )
 
 
 def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Grassmann graph J_q(v,d): d-dim subspaces of GF(q)^v, adjacent iff the
-    intersection has dimension d-1.  d > v/2 is normalized to v-d."""
+    intersection has dimension d-1.  d > v/2 is normalized to v-d.
+    Clique keys: the [d]_q hyperplanes of x.  Distinct d-spaces meet in
+    dimension d-1 iff both contain one (d-1)-space, then their intersection."""
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
     if d <= 0 or v < d:
@@ -298,39 +338,30 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
         d = v - d
     if d == 0:
         raise ParameterError(f"J_{q}({v},{v}) is a single vertex; refusing")
-    expected = q_binomial(v, d, q)
-    if expected > vertex_cap:
-        raise TierLimitExceeded(f"J_{q}({v},{d}) has {expected} vertices; cap is {vertex_cap}")
-    items = [(rep.rows, rep) for rep in all_subspaces(v, d, q)]
+    bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
+    expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap)
     return _assemble(
-        "grassmann", {"q": q, "v": v, "d": d}, items,
-        lambda a, b: a.meet_dim(b) == d - 1,
-        expected_n=expected, vertex_cap=vertex_cap,
+        "grassmann", {"q": q, "v": v, "d": d}, (rep.rows for rep in all_subspaces(v, d, q)),
+        lambda rows: hyperplanes(rows, q), expected,
     )
 
 
 def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Bilinear forms graph Bil_q(d,e): d x e matrices over GF(q), adjacent
-    iff the difference has rank one."""
+    iff the difference has rank one.  Clique keys: (u, M - u M_p) for each
+    (p, u) of `_points`: the member of the coset M + {u v^T} whose row p is
+    zero, so it names the coset.  M - N has rank one iff it is u v^T, v != 0,
+    for one such u."""
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
     if d < 1 or e < d:
         raise ParameterError(f"Bil_q({d},{e}) needs 1 <= d <= e")
-    expected = q ** (d * e)
-    if expected > vertex_cap:
-        raise TierLimitExceeded(f"Bil_{q}({d},{e}) has {expected} vertices; cap is {vertex_cap}")
-    items = []
-    for flat in itertools.product(range(q), repeat=d * e):
-        rows = tuple(flat[i * e:(i + 1) * e] for i in range(d))
-        items.append((rows, rows))
-
-    def adjacent(a, b):
-        diff = [[(x - y) % q for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return rank_gf(diff, q) == 1
-
+    bits = d * e * (q.bit_length() - 1)
+    expected = _check_cap(f"Bil_{q}({d},{e})", bits, lambda: q ** (d * e), vertex_cap)
+    rows = itertools.product(range(q), repeat=e)
     return _assemble(
-        "bilinear", {"q": q, "d": d, "e": e}, items, adjacent,
-        expected_n=expected, vertex_cap=vertex_cap,
+        "bilinear", {"q": q, "d": d, "e": e}, itertools.product(rows, repeat=d),
+        lambda M: [(u, _shear(M, p, u, q)) for p, u in _points(d, q)], expected,
     )
 
 
@@ -341,33 +372,29 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     last coordinate vanishes): X1 holds the (d+1)-dim subspaces not contained
     in H, X2 the (d-1)-dim subspaces of H, and x ~ y iff
     dim x + dim y - 2 dim(x meet y) = 2.  Labels carry the part tag.
+    Within a part this is meeting in a common hyperplane, so each vertex is
+    keyed by its hyperplanes (d-dim in X1, (d-2)-dim in X2, so the parts
+    share no key).  Across the parts it is x2 < x1 meet H, which has
+    dimension d: x1 links to that meet's [d]_q hyperplanes.  Containment is
+    no clique key, as two X1 vertices through one x2 may meet in x2 alone.
     """
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
     if d < 2:
         raise ParameterError(f"twisted Grassmann needs d >= 2, got d={d}")
     n_amb = 2 * d + 1
-    expected = q_binomial(n_amb, d, q)
-    if expected > vertex_cap:
-        raise TierLimitExceeded(
-            f"twisted({q},{d}) has {expected} vertices; cap is {vertex_cap}"
-        )
-    items = []
-    for rep in all_subspaces(n_amb, d + 1, q):
-        if not rep.is_inside_hyperplane():
-            items.append((("X1", rep.rows), rep))
-    n_x1 = len(items)
-    for rep in twisted_x2_vertices(q, d):
-        items.append((("X2", rep.rows), rep))
-    if n_x1 != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
+    bits = d * (d + 1) * (q.bit_length() - 1)  # [2d+1 d]_q >= q^(d(d+1))
+    expected = _check_cap(f"twisted({q},{d})", bits, lambda: q_binomial(n_amb, d, q), vertex_cap)
+    x1 = [("X1", r.rows) for r in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in r.rows)]
+    if len(x1) != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
         raise ParameterError("twisted: X1 enumeration is inconsistent")
+    x2 = [("X2", rep.rows) for rep in twisted_x2_vertices(q, d)]
 
-    def adjacent(a, b):
-        return a.dim + b.dim - 2 * a.meet_dim(b) == 2
+    def links(lab):
+        return [("X2", h) for h in hyperplanes(meet_h(lab[1], q), q)] if lab[0] == "X1" else ()
 
     return _assemble(
-        "twisted", {"q": q, "d": d}, items, adjacent,
-        expected_n=expected, vertex_cap=vertex_cap,
+        "twisted", {"q": q, "d": d}, x1 + x2, lambda lab: hyperplanes(lab[1], q), expected, links
     )
 
 

@@ -4,8 +4,9 @@ The eigenvalues of the distance-1 matrix are the roots of the characteristic
 polynomial of the (d+1) x (d+1) tridiagonal intersection matrix; for every
 in-scope family they are integers, found by integer bisection on Sturm sign
 counts and each confirmed as an exact root.  P is filled by the three-term
-recurrence of the distance polynomials, Q = |X| P^{-1}, and the Krein tensor
-certifies the Q-polynomial ordering.
+recurrence of the distance polynomials, Q by the orthogonality relations
+m_j = |X| / sum_i P_ji^2 / k_i and Q_ij = m_j P_ji / k_i (checked by
+PQ = |X| I), and the Krein tensor certifies the Q-polynomial ordering.
 """
 from __future__ import annotations
 
@@ -163,15 +164,17 @@ def eigensystem_from_array(
         prows.append(v)
     P = ExactMatrix(prows)
     assert P.row(0) == tuple(Fraction(x) for x in k)
-    Q = P.inverse().scale(n_vertices)
     m = []
-    for j in range(d + 1):
-        mj = Q[0, j]
-        if mj.denominator != 1 or mj <= 0:
+    for j, row in enumerate(prows):
+        mj = n_vertices / sum(x * x / kk for x, kk in zip(row, k))
+        if mj.denominator != 1:
             raise ParameterError(f"multiplicity m_{j} = {mj} is not a positive integer")
         m.append(int(mj))
-    if sum(m) != n_vertices:
-        raise ParameterError("multiplicities do not sum to the vertex count")
+    Q = ExactMatrix([[mj * row[i] / k[i] for mj, row in zip(m, prows)] for i in range(d + 1)])
+    (E, Pi), (D, Qi) = _scaled_ints(P), _scaled_ints(Q)
+    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * E * D
+           for r, row in enumerate(Pi) for c, col in enumerate(zip(*Qi))):
+        raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
     sys = SchemeEigensystem(
         n=n_vertices,
         d=d,

@@ -171,3 +171,83 @@ def parse_graph_cache(text):
     labels = [_tuples(json.loads(line)) for line in lines[2:2 + n]]
     edges = [tuple(map(int, line.split())) for line in lines[2 + n:]]
     return meta, labels, edges
+
+
+# ---------------------------------------------------------------------------
+# graphs by their pairwise adjacency rules
+
+
+def subspaces(q, n, k):
+    """Every k-dim subspace of GF(q)^n as a point set, each once: the spans
+    of each (k-1)-dim subspace with one vector outside it."""
+    found = {span((), q, n)}
+    for _ in range(k):
+        grown = set()
+        for sub in found:
+            covered = set(sub)
+            for v in itertools.product(range(q), repeat=n):
+                if v not in covered:
+                    bigger = frozenset(
+                        tuple((a + c * b) % q for a, b in zip(p, v)) for p in sub for c in range(q)
+                    )
+                    covered |= bigger
+                    grown.add(bigger)
+        found = grown
+    return found
+
+
+def rref_label(points):
+    """Canonical RREF basis of a subspace given as a point set: for each
+    leading position of its nonzero vectors, the vector with 1 there and 0 at
+    every other leading position."""
+    pivots = sorted({next(i for i, x in enumerate(p) if x) for p in points if any(p)})
+    return tuple(
+        next(p for p in points if all(p[c] == (c == piv) for c in pivots)) for piv in pivots
+    )
+
+
+def adjacency_by_rule(family, params):
+    """(vertices, adj) of a graph family: labels enumerated and sorted on
+    their own, and the pairwise adjacency rule tested on all n^2/2 pairs,
+    with subspaces as point sets.  adj[i] is a neighbour bitmask."""
+    if family == "johnson":
+        v, d = params["v"], min(params["d"], params["v"] - params["d"])
+        objs = {c: set(c) for c in itertools.combinations(range(1, v + 1), d)}
+        rule = lambda a, b: len(a & b) == d - 1  # noqa: E731
+    elif family == "hamming":
+        objs = {w: w for w in itertools.product(range(params["q"]), repeat=params["d"])}
+        rule = lambda a, b: sum(x != y for x, y in zip(a, b)) == 1  # noqa: E731
+    elif family == "grassmann":
+        q, v = params["q"], params["v"]
+        d = min(params["d"], v - params["d"])
+        objs = {rref_label(s): s for s in subspaces(q, v, d)}
+        rule = lambda a, b: len(a & b) == q ** (d - 1)  # noqa: E731
+    elif family == "bilinear":
+        q, d, e = params["q"], params["d"], params["e"]
+        objs = {}
+        for flat in itertools.product(range(q), repeat=d * e):
+            rows = tuple(flat[i * e:(i + 1) * e] for i in range(d))
+            objs[rows] = rows
+
+        def rule(a, b):  # the difference has rank one: its row space has q points
+            diff = [tuple((x - y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+            return len(span(diff, q, e)) == q
+    elif family == "twisted":
+        q, d = params["q"], params["d"]
+        n = 2 * d + 1
+        objs = {("X1", rref_label(s)): s for s in subspaces(q, n, d + 1) if any(p[-1] for p in s)}
+        for s in subspaces(q, n, d - 1):
+            if not any(p[-1] for p in s):
+                objs["X2", rref_label(s)] = s
+        # dim x + dim y - 2 dim(x meet y) = 2
+        rule = lambda a, b: len(a) * len(b) == q ** 2 * len(a & b) ** 2  # noqa: E731
+    else:
+        raise ValueError(family)
+    vertices = sorted(objs)
+    adj = [0] * len(vertices)
+    for i, x in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            if rule(objs[x], objs[vertices[j]]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return vertices, adj

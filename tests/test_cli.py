@@ -201,6 +201,18 @@ def test_tier_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["johnson", "-v", "200", "-d", "8"],
+    ["hamming", "-d", "12", "-q", "9"],
+    ["hamming", "-d", "40", "-q", "2"],
+    ["hamming", "-d", "3000000", "-q", "9"],
+    ["twisted", "-q", "2", "-d", "3000"],
+])
+def test_oversized_build_exits_3(tmp_path, capsys, argv):
+    assert main(["build", *argv, "--cache", str(tmp_path)]) == 3
+    assert "tier exceeded" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, doc = run(

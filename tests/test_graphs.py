@@ -1,11 +1,14 @@
 import random
+import time
 
 import networkx as nx
 import pytest
 
 from _oracles import (
+    adjacency_by_rule,
     elements,
     parse_graph_cache,
+    rref_label,
     span,
     sub_subspaces,
     x2_distance_by_search,
@@ -20,7 +23,7 @@ from drgcert.errors import (
     TierLimitExceeded,
     UnsupportedField,
 )
-from drgcert.exact import q_binomial
+from drgcert.exact import q_binomial, q_int
 from drgcert.graphs import (
     Graph,
     SubspaceRep,
@@ -35,6 +38,8 @@ from drgcert.graphs import (
     grassmann_intersection_array,
     graph_cache_text,
     hamming_intersection_array,
+    hyperplanes,
+    meet_h,
     twisted_intersection_array,
     twisted_x2_distance_counts,
     twisted_x2_vertices,
@@ -179,8 +184,97 @@ def test_twisted_small():
 def test_vertex_cap():
     with pytest.raises(TierLimitExceeded):
         build_johnson(7, 3, vertex_cap=10)
+    # huge counts must be refused before enumeration; the last five have
+    # hundreds of thousands to millions of digits and are never formed
+    start = time.perf_counter()
+    for build, args in [(build_grassmann, (2, 11, 5)), (build_johnson, (200, 8)),
+                        (build_hamming, (12, 9)), (build_hamming, (40, 2)),
+                        (build_hamming, (3_000_000, 9)),
+                        (build_johnson, (2_000_000, 1_000_000)),
+                        (build_twisted_grassmann, (2, 3000)),
+                        (build_grassmann, (2, 3000, 1000)), (build_bilinear, (2, 300, 3000))]:
+        with pytest.raises(TierLimitExceeded):
+            build(*args)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("build,args,n", [
+    (build_johnson, (7, 3), 35),
+    (build_hamming, (4, 3), 81),
+    (build_grassmann, (2, 4, 2), 35),
+    (build_bilinear, (2, 2, 2), 16),
+    (build_twisted_grassmann, (2, 2), 155),
+])
+def test_vertex_cap_is_exact(build, args, n):
+    assert build(*args, vertex_cap=n).n == n
     with pytest.raises(TierLimitExceeded):
-        build_grassmann(2, 11, 5)  # huge count must be refused before enumeration
+        build(*args, vertex_cap=n - 1)
+
+
+_BUILD = {
+    "johnson": build_johnson,
+    "hamming": build_hamming,
+    "grassmann": build_grassmann,
+    "bilinear": build_bilinear,
+    "twisted": build_twisted_grassmann,
+}
+
+
+@pytest.mark.parametrize("family,params", [
+    ("johnson", {"v": 7, "d": 3}),
+    ("johnson", {"v": 8, "d": 5}),
+    ("johnson", {"v": 10, "d": 4}),
+    ("hamming", {"d": 3, "q": 2}),
+    ("hamming", {"d": 4, "q": 3}),
+    ("hamming", {"d": 3, "q": 5}),
+    ("grassmann", {"q": 2, "v": 4, "d": 1}),
+    ("grassmann", {"q": 2, "v": 5, "d": 2}),
+    ("grassmann", {"q": 3, "v": 4, "d": 2}),
+    ("bilinear", {"q": 2, "d": 2, "e": 2}),
+    ("bilinear", {"q": 2, "d": 2, "e": 3}),
+    ("bilinear", {"q": 3, "d": 2, "e": 2}),
+    ("bilinear", {"q": 2, "d": 1, "e": 3}),
+    ("twisted", {"q": 2, "d": 2}),
+    ("twisted", {"q": 3, "d": 2}),
+])
+def test_clique_keys_match_pairwise_rule(family, params):
+    g = _BUILD[family](**params)
+    vertices, adj = adjacency_by_rule(family, params)
+    assert g.vertices == vertices
+    assert g.adj == adj
+
+
+# ---------------------------------------------------------------------------
+# clique-key helpers
+
+
+@pytest.mark.parametrize("n,k,q", [(4, 1, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)])
+def test_hyperplanes_match_sub_subspaces(n, k, q):
+    for rep in list(all_subspaces(n, k, q))[::37]:
+        found = hyperplanes(rep.rows, q)
+        assert len(found) == q_int(k, q)
+        assert len(set(found)) == len(found)
+        whole = span(rep.rows, q, n)
+        points = [span(h, q, n) for h in found]
+        assert all(pts <= whole for pts in points)
+        assert sorted(points, key=sorted) == sub_subspaces(rep.rows, q, n, k - 1)
+        # each hyperplane comes out as its own canonical RREF basis
+        assert all(rref_label(pts) == h for pts, h in zip(points, found))
+
+
+@pytest.mark.parametrize("q,rows", [
+    (2, ((1, 0, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 0, 1))),  # pivot in the last column
+    (2, ((1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1))),  # no pivot there
+    (3, ((1, 0, 2, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+    (3, ((1, 2, 0, 0, 2), (0, 0, 1, 0, 1), (0, 0, 0, 1, 0))),
+])
+def test_meet_h_on_both_rref_shapes(q, rows):
+    n = len(rows[0])
+    meet = meet_h(rows, q)
+    assert len(meet) == len(rows) - 1
+    points = span(meet, q, n)
+    assert points == frozenset(p for p in span(rows, q, n) if p[-1] == 0)
+    assert rref_label(points) == meet
 
 
 # ---------------------------------------------------------------------------
