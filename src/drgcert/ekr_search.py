@@ -5,6 +5,17 @@ edges join vertices at distance 1..d-t, so maximum t-intersecting families
 are maximum cliques of that threshold graph.  The branch-and-bound search
 enumerates every maximum clique (up to a cap), which is what uniqueness
 claims require.
+
+The search uses the verified automorphism group of the graph (see
+`graphs._automorphisms`; a threshold graph inherits it, as automorphisms
+preserve distance).  With orbits O_1, ..., O_m and representatives
+r_1, ..., r_m, root i searches the cliques through r_i that avoid
+O_1, ..., O_{i-1}, and the maxima found are then closed under the
+generators.  This is complete: let O_i be the first orbit that a maximum
+clique C meets and c a vertex of C in O_i.  Some g in the group maps c to
+r_i, and gC avoids O_1, ..., O_{i-1} as C does, so root i finds gC, and
+C = g^-1(gC) lies in the closure, since the closure of a set under the
+generators of a finite group is closed under the whole group.
 """
 from __future__ import annotations
 
@@ -24,6 +35,7 @@ from .graphs import (
     build_twisted_grassmann,
     check_distance_regular,
     distance_census,
+    orbits,
     twisted_intersection_array,
     twisted_x2_distance_counts,
     twisted_x2_vertices,
@@ -37,7 +49,8 @@ ENUM_CAP = 10_000
 
 
 def threshold_graph(G: Graph, census: DistanceCensus, t: int) -> Graph:
-    """Same vertices, adjacent iff 1 <= distance <= d - t."""
+    """Same vertices, adjacent iff 1 <= distance <= d - t.  Automorphisms
+    of G preserve distance, so G's generators carry over unchanged."""
     d = census.diameter
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
@@ -47,7 +60,8 @@ def threshold_graph(G: Graph, census: DistanceCensus, t: int) -> Graph:
         for level in row[1:d - t + 1]:
             mask |= level
         adj.append(mask)
-    return Graph(f"{G.family}-threshold", {**G.params, "t": t}, G.vertices, adj)
+    return Graph(f"{G.family}-threshold", {**G.params, "t": t}, G.vertices, adj,
+                 G.automorphisms)
 
 
 @dataclass(frozen=True)
@@ -68,10 +82,13 @@ def max_clique(
 ) -> SearchResult:
     """Exact maximum-clique size plus every maximum clique (up to enum_cap).
 
-    Branch and bound with greedy-colouring bounds.  A warm start (any known
-    clique, e.g. a descendent family) seeds the incumbent size; the hint is
-    only checked against the result, so neither can alter the optimum.  Ties
-    are never pruned: a branch dies only when it cannot even match the
+    Branch and bound with greedy-colouring bounds, rooted at the orbit
+    representatives of G.automorphisms; the maxima found are closed under
+    the generators, and enum_cap applies to the closed set (see the module
+    docstring for why this is complete).  A warm start (any known clique,
+    e.g. a descendent family) seeds the incumbent size; the hint is only
+    checked against the result, so neither can alter the optimum.  Ties are
+    never pruned: a branch dies only when it cannot even match the
     incumbent.
     """
     n = G.n
@@ -116,6 +133,7 @@ def max_clique(
             size = len(clique)
             if size > state["best"]:
                 state["best"] = size
+                state["truncated"] = False
                 found.clear()
                 found.append(tuple(clique))
             elif size == state["best"]:
@@ -137,10 +155,28 @@ def max_clique(
     old_limit = _sys.getrecursionlimit()
     _sys.setrecursionlimit(max(old_limit, n + 500))
     try:
-        expand([], (1 << n) - 1)
+        done = 0
+        for orbit in orbits(G):
+            r = (orbit & -orbit).bit_length() - 1
+            expand([r], adj[r] & ~done)
+            done |= orbit
     finally:
         _sys.setrecursionlimit(old_limit)
 
+    # close under the generators, breadth first from the sorted maxima
+    closed = sorted(tuple(sorted(f)) for f in found)
+    seen = set(closed)
+    for clique in closed:
+        if len(closed) > enum_cap:
+            break
+        for perm in G.automorphisms:
+            image = tuple(sorted(perm[v] for v in clique))
+            if image not in seen:
+                seen.add(image)
+                closed.append(image)
+    if len(closed) > enum_cap:
+        state["truncated"] = True
+        del closed[enum_cap:]
     seconds = time.perf_counter() - start
     optimum = state["best"]
     if upper_bound_hint is not None and optimum > upper_bound_hint:
@@ -148,10 +184,9 @@ def max_clique(
             f"search found a clique of size {optimum} above the certified bound "
             f"{upper_bound_hint}; this is a bug"
         )
-    families = tuple(sorted(tuple(sorted(f)) for f in found))
     return SearchResult(
         optimum=optimum,
-        families=families,
+        families=tuple(sorted(closed)),
         nodes=state["nodes"],
         seconds=seconds,
         truncated=state["truncated"],

@@ -11,6 +11,15 @@ graphs, subset histograms, distance matrices and the distance-regularity
 check (which recovers the intersection array and cross-validates every built
 graph) all read those masks directly.
 
+Each builder also names a few label maps that generate a group of
+automorphisms (Sym(v) for Johnson, GL(v,q) for Grassmann, ...).  None is
+trusted: `_assemble` turns each into an index permutation and checks that it
+is a bijection preserving every adjacency mask, in O(n * k).  Their orbits
+(one per family, X1 and X2 for the twisted graph) let the distance-regularity
+check take its sources among the orbit representatives only, since an
+automorphism g gives the counts at (gx, gy) the values at (x, y), and let
+the clique search in `ekr_search` root at those representatives.
+
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
 Grassmann families and are cross-validated against BFS-extracted arrays in
@@ -27,6 +36,7 @@ from operator import or_
 
 from .errors import (
     DisconnectedGraph,
+    DrgError,
     DistanceUndetermined,
     NotDistanceRegular,
     ParameterError,
@@ -173,16 +183,21 @@ def all_subspaces(n: int, k: int, q: int):
 class Graph:
     """Finite simple connected graph with canonical vertex labels.
 
-    adj[i] is an int bitmask of the neighbours of vertex i.
+    adj[i] is an int bitmask of the neighbours of vertex i.  automorphisms
+    holds index permutations that generate a group of automorphisms; the
+    caller vouches for them (the builders verify theirs in `_assemble`), and
+    a hand-built graph has the trivial group.
     """
 
-    __slots__ = ("family", "params", "vertices", "adj", "_index")
+    __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "_index")
 
-    def __init__(self, family: str, params: dict, vertices: list, adj: list[int]):
+    def __init__(self, family: str, params: dict, vertices: list, adj: list[int],
+                 automorphisms: tuple = ()):
         self.family = family
         self.params = dict(params)
         self.vertices = list(vertices)
         self.adj = list(adj)
+        self.automorphisms = automorphisms
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ParameterError("duplicate vertex labels")
@@ -210,22 +225,27 @@ class Graph:
         return f"Graph({self.family}, n={self.n}, params={self.params})"
 
 
-def _check_cap(name: str, bits: int, count, vertex_cap: int) -> int:
+def _check_cap(name: str, bits: int, count, vertex_cap: int, prime: int | None = None) -> int:
     """count(), refused above vertex_cap before any vertex is enumerated; as the
-    count is at least 2^bits, a huge one is refused without being formed."""
+    count is at least 2^bits, a huge one is refused without being formed.
+    A field order `prime` is tested between the two, after the count-free
+    refusal, since trial division of a huge q would not finish."""
     if bits >= vertex_cap.bit_length():
         raise TierLimitExceeded(f"{name} has at least 2^{bits} vertices; cap is {vertex_cap}")
+    if prime is not None and not is_prime(prime):
+        raise UnsupportedField(f"q={prime} is not prime")
     n = count()
     if n > vertex_cap:
         raise TierLimitExceeded(f"{name} has {n} vertices; cap is {vertex_cap}")
     return n
 
 
-def _assemble(family, params, labels, keys, expected_n, links=None):
+def _assemble(family, params, labels, keys, expected_n, generators, links=None):
     """Sort the labels, join the vertices that share a clique key, validate
-    connectivity.  keys(label) lists a vertex's clique keys; adj[i] is the OR
-    of the member masks of i's keys, less bit i.  links(label), when given,
-    lists further neighbours, joined both ways."""
+    connectivity, verify the automorphism generators.  keys(label) lists a
+    vertex's clique keys; adj[i] is the OR of the member masks of i's keys,
+    less bit i.  links(label), when given, lists further neighbours, joined
+    both ways.  generators are label maps, each checked by `_automorphisms`."""
     labels = sorted(labels)
     if len(labels) != expected_n:
         raise ParameterError(f"{family}: enumerated {len(labels)} vertices, expected {expected_n}")
@@ -241,7 +261,54 @@ def _assemble(family, params, labels, keys, expected_n, links=None):
             graph.adj[i] |= 1 << j
             graph.adj[j] |= 1 << i
     _assert_connected(graph)
+    graph.automorphisms = _automorphisms(graph, generators)
     return graph
+
+
+def _automorphisms(graph: Graph, label_maps) -> tuple:
+    """Each label map g as the index permutation p with p[x] = index_of(g(x)),
+    verified exactly: p must be a bijection and adj[p[x]] = p(adj[x]) for
+    every x, which is O(n * k) per map.  Raises DrgError otherwise."""
+    perms = []
+    for g in label_maps:
+        perm = tuple(graph._index.get(g(label)) for label in graph.vertices)
+        if None in perm or len(set(perm)) != graph.n:
+            raise DrgError(f"{graph.family}: a generator is not a bijection of the vertices")
+        perms.append(perm)
+    bits = [[1 << j for j in perm] for perm in perms]
+    for x, mask in enumerate(graph.adj):
+        ys = list(iter_bits(mask))
+        for perm, bit in zip(perms, bits):
+            if graph.adj[perm[x]] != sum(map(bit.__getitem__, ys)):
+                raise DrgError(
+                    f"{graph.family}: a generator does not preserve the edges "
+                    f"at {graph.vertices[x]!r}"
+                )
+    return tuple(perms)
+
+
+def orbits(G: Graph) -> list[int]:
+    """The vertex orbits of the group that G.automorphisms generates, as
+    bitmasks ordered by their least vertex, which is the orbit's
+    representative.  A finite group's orbits are closures under the
+    generators alone."""
+    orbit_of = [-1] * G.n
+    out = []
+    for r in range(G.n):
+        if orbit_of[r] >= 0:
+            continue
+        orbit_of[r] = len(out)
+        mask, stack = 1 << r, [r]
+        while stack:
+            x = stack.pop()
+            for perm in G.automorphisms:
+                y = perm[x]
+                if orbit_of[y] < 0:
+                    orbit_of[y] = len(out)
+                    mask |= 1 << y
+                    stack.append(y)
+        out.append(mask)
+    return out
 
 
 def _assert_connected(graph: Graph):
@@ -292,11 +359,48 @@ def meet_h(rows, q: int) -> tuple:
     return s[:p] + s[p + 1:]
 
 
+def _primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of GF(q), q prime."""
+    m, factors, f = q - 1, [], 2
+    while f * f <= m:
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    factors += [m] if m > 1 else []
+    return next(w for w in range(2, q) if all(pow(w, (q - 1) // f, q) != 1 for f in factors))
+
+
+def _elementary(q: int, m: int) -> list:
+    """Maps of row vectors over GF(q) that fix every coordinate after the
+    first m and generate GL(m,q) on the first m: the cycle of those
+    coordinates, x_1 <-> x_2, x_1 += x_2 and, for q > 2, x_1 *= w for a
+    primitive root w.  The cycle and the swap give every permutation matrix,
+    conjugates of x_1 += x_2 every transvection (hence SL), and w the
+    determinants."""
+    maps = [
+        lambda x: x[m - 1:m] + x[:m - 1] + x[m:],
+        lambda x: (x[1], x[0]) + x[2:],
+        lambda x: ((x[0] + x[1]) % q,) + x[1:],
+    ]
+    if q > 2:
+        w = _primitive_root(q)
+        maps.append(lambda x: (x[0] * w % q,) + x[1:])
+    return maps
+
+
+def _on_subspaces(f, q: int):
+    """A linear map f of row vectors, acting on canonical RREF bases."""
+    return lambda rows: rref_gf([f(r) for r in rows], q)[0]
+
+
 def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Johnson graph J(v,d): d-subsets of {1..v}, adjacent iff they share d-1
     elements.  d > v/2 is normalized to v-d (complementation isomorphism).
     Clique keys: the d subsets x - {a}.  Two d-sets share d-1 elements iff
-    both contain one (d-1)-set, which is then their intersection."""
+    both contain one (d-1)-set, which is then their intersection.
+    Automorphisms: (1 2) and (1 ... v), which generate Sym(v)."""
     if d <= 0 or v < d:
         raise ParameterError(f"J({v},{d}) needs 0 < d <= v")
     if d > v - d:
@@ -305,9 +409,12 @@ def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph
         raise ParameterError(f"J({v},{v}) is a single vertex; refusing")
     bits = max(d, v.bit_length() - 1)  # C(v,d) >= C(2d,d) >= 2^d, and C(v,d) >= v
     expected = _check_cap(f"J({v},{d})", bits, lambda: comb(v, d), vertex_cap)
+    swap = {1: 2, 2: 1}
     return _assemble(
         "johnson", {"v": v, "d": d}, itertools.combinations(range(1, v + 1), d),
         lambda x: [x[:i] + x[i + 1:] for i in range(d)], expected,
+        [lambda x: tuple(sorted(swap.get(a, a) for a in x)),
+         lambda x: tuple(sorted(a % v + 1 for a in x))],
     )
 
 
@@ -315,13 +422,15 @@ def build_hamming(d: int, q: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph
     """Hamming graph H(d,q): words of length d over a q-letter alphabet,
     adjacent iff they differ in exactly one position.  Clique keys:
     (i, w with coordinate i deleted), as two words differ in position i alone
-    iff they agree everywhere else."""
+    iff they agree everywhere else.  Automorphisms: the coordinate cycle and
+    +1 in coordinate 0; conjugates of the latter give every translation."""
     if d < 1 or q < 2:
         raise ParameterError(f"H({d},{q}) needs d >= 1 and q >= 2")
     expected = _check_cap(f"H({d},{q})", d * (q.bit_length() - 1), lambda: q ** d, vertex_cap)
     return _assemble(
         "hamming", {"d": d, "q": q}, itertools.product(range(q), repeat=d),
         lambda w: [(i, w[:i] + w[i + 1:]) for i in range(d)], expected,
+        [lambda w: w[1:] + w[:1], lambda w: ((w[0] + 1) % q,) + w[1:]],
     )
 
 
@@ -329,9 +438,8 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     """Grassmann graph J_q(v,d): d-dim subspaces of GF(q)^v, adjacent iff the
     intersection has dimension d-1.  d > v/2 is normalized to v-d.
     Clique keys: the [d]_q hyperplanes of x.  Distinct d-spaces meet in
-    dimension d-1 iff both contain one (d-1)-space, then their intersection."""
-    if not is_prime(q):
-        raise UnsupportedField(f"q={q} is not prime")
+    dimension d-1 iff both contain one (d-1)-space, then their intersection.
+    Automorphisms: `_elementary(q, v)`, which generates GL(v,q)."""
     if d <= 0 or v < d:
         raise ParameterError(f"J_q({v},{d}) needs 0 < d <= v")
     if d > v - d:
@@ -339,10 +447,11 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     if d == 0:
         raise ParameterError(f"J_{q}({v},{v}) is a single vertex; refusing")
     bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
-    expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap)
+    expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap, q)
     return _assemble(
         "grassmann", {"q": q, "v": v, "d": d}, (rep.rows for rep in all_subspaces(v, d, q)),
         lambda rows: hyperplanes(rows, q), expected,
+        [_on_subspaces(f, q) for f in _elementary(q, v)],
     )
 
 
@@ -351,17 +460,22 @@ def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP)
     iff the difference has rank one.  Clique keys: (u, M - u M_p) for each
     (p, u) of `_points`: the member of the coset M + {u v^T} whose row p is
     zero, so it names the coset.  M - N has rank one iff it is u v^T, v != 0,
-    for one such u."""
-    if not is_prime(q):
-        raise UnsupportedField(f"q={q} is not prime")
+    for one such u.  Automorphisms: + E_11, the column cycle and (d > 1) the
+    row cycle; conjugates of the first give every translation."""
     if d < 1 or e < d:
         raise ParameterError(f"Bil_q({d},{e}) needs 1 <= d <= e")
     bits = d * e * (q.bit_length() - 1)
-    expected = _check_cap(f"Bil_{q}({d},{e})", bits, lambda: q ** (d * e), vertex_cap)
+    expected = _check_cap(f"Bil_{q}({d},{e})", bits, lambda: q ** (d * e), vertex_cap, q)
     rows = itertools.product(range(q), repeat=e)
+    generators = [
+        lambda M: (((M[0][0] + 1) % q,) + M[0][1:],) + M[1:],
+        lambda M: tuple(r[1:] + r[:1] for r in M),
+    ]
+    if d > 1:
+        generators.append(lambda M: M[1:] + M[:1])
     return _assemble(
         "bilinear", {"q": q, "d": d, "e": e}, itertools.product(rows, repeat=d),
-        lambda M: [(u, _shear(M, p, u, q)) for p, u in _points(d, q)], expected,
+        lambda M: [(u, _shear(M, p, u, q)) for p, u in _points(d, q)], expected, generators,
     )
 
 
@@ -377,14 +491,21 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     share no key).  Across the parts it is x2 < x1 meet H, which has
     dimension d: x1 links to that meet's [d]_q hyperplanes.  Containment is
     no clique key, as two X1 vertices through one x2 may meet in x2 alone.
+
+    Automorphisms: `_elementary(q, 2d)` on the first 2d coordinates and the
+    shear x_1 += x_{2d+1}, all of which fix H and so each part.  They are
+    transitive on each part: GL(2d,q) on H moves any (d-1)- or d-space of H
+    onto any other, and an X1 vertex is a d-space of H plus a vector with
+    last coordinate 1, which the conjugates x -> x + x_{2d+1} h (h in H) of
+    the shear move onto any other such vector.
     """
-    if not is_prime(q):
-        raise UnsupportedField(f"q={q} is not prime")
     if d < 2:
         raise ParameterError(f"twisted Grassmann needs d >= 2, got d={d}")
     n_amb = 2 * d + 1
     bits = d * (d + 1) * (q.bit_length() - 1)  # [2d+1 d]_q >= q^(d(d+1))
-    expected = _check_cap(f"twisted({q},{d})", bits, lambda: q_binomial(n_amb, d, q), vertex_cap)
+    expected = _check_cap(
+        f"twisted({q},{d})", bits, lambda: q_binomial(n_amb, d, q), vertex_cap, q
+    )
     x1 = [("X1", r.rows) for r in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in r.rows)]
     if len(x1) != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
         raise ParameterError("twisted: X1 enumeration is inconsistent")
@@ -393,8 +514,13 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     def links(lab):
         return [("X2", h) for h in hyperplanes(meet_h(lab[1], q), q)] if lab[0] == "X1" else ()
 
+    maps = _elementary(q, 2 * d) + [lambda x: ((x[0] + x[-1]) % q,) + x[1:]]
+    generators = [
+        lambda lab, g=_on_subspaces(f, q): (lab[0], g(lab[1])) for f in maps
+    ]
     return _assemble(
-        "twisted", {"q": q, "d": d}, x1 + x2, lambda lab: hyperplanes(lab[1], q), expected, links
+        "twisted", {"q": q, "d": d}, x1 + x2, lambda lab: hyperplanes(lab[1], q), expected,
+        generators, links,
     )
 
 
@@ -504,13 +630,19 @@ def check_distance_regular(G: Graph, census: DistanceCensus) -> IntersectionArra
     """Verify that (c_i, a_i, b_i) are pair-independent and return the array.
 
     Every neighbour of y at distance k from x lies at distance k-1, k or k+1
-    from x, so a_k = deg(y) - c_k - b_k needs no third popcount.  Raises
-    NotDistanceRegular with a witness pair on the first mismatch.
+    from x, so a_k = deg(y) - c_k - b_k needs no third popcount.  x runs over
+    the orbit representatives of G.automorphisms only, y over every vertex:
+    an automorphism g maps the levels of x onto those of gx, so the counts
+    at (x, y) equal those at (gx, gy), and every pair is (gx, gy) for a
+    representative x.  Raises NotDistanceRegular with a witness pair on the
+    first mismatch.
     """
     dmax = census.diameter
     degree = [mask.bit_count() for mask in G.adj]
     triple = [None] * (dmax + 1)
-    for x, row in enumerate(census.levels):
+    for orbit in orbits(G):
+        x = (orbit & -orbit).bit_length() - 1
+        row = census.levels[x]
         for k in range(dmax + 1):
             below = row[k - 1] if k > 0 else 0
             above = row[k + 1] if k < dmax else 0

@@ -173,6 +173,12 @@ def test_verify_theorem_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_theorem_q3_cli(tmp_path, capsys):
+    code, doc = run(capsys, "verify-theorem", "-q", "3", "-d", "2", "-t", "1",
+                    "--vertex-cap", "2000", "--cache", str(tmp_path))
+    assert code == 0 and doc["verdict"] == "PASS" and doc["n"] == 1210
+
+
 def test_selftest(tmp_path, capsys):
     code, doc = run(capsys, "selftest", "--seed", "1", "--cache", str(tmp_path))
     assert code == 0
@@ -207,6 +213,7 @@ def test_tier_exit_code(tmp_path, capsys):
     ["hamming", "-d", "40", "-q", "2"],
     ["hamming", "-d", "3000000", "-q", "9"],
     ["twisted", "-q", "2", "-d", "3000"],
+    ["grassmann", "-q", "2305843009213693951", "-v", "4", "-d", "2"],
 ])
 def test_oversized_build_exits_3(tmp_path, capsys, argv):
     assert main(["build", *argv, "--cache", str(tmp_path)]) == 3
@@ -262,7 +269,7 @@ GOLDEN = [
     (("certify", "johnson", "-v", "10", "-d", "4", "-t", "1"),
      "931b499444622561c3eb8ee40c71fb6cbf03cfe714c7e1e0bb62792de8fb14d3"),
     (("verify-theorem", "-q", "2", "-d", "2", "-t", "1"),
-     "af476fead5231087b71dbfff3f70ca5ad043c6983b638589fe1dff0739e41f57"),
+     "ab0aa7fe67e235dd2b72a56afc01880a0172477a1d77944c212aea0e2ba328b4"),
 ]
 GOLDEN_CACHE = {
     "hamming-6e47d5805e35a24f.eig.json":

@@ -1,5 +1,7 @@
 import itertools
+from math import comb
 
+import networkx as nx
 import pytest
 
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
@@ -9,6 +11,7 @@ from drgcert.graphs import (
     build_hamming,
     build_johnson,
     distance_census,
+    iter_bits,
     twisted_intersection_array,
 )
 from drgcert.ekr_search import (
@@ -83,6 +86,58 @@ def test_enumeration_cap_truncates(built):
     res = max_clique(thr, enum_cap=5)
     assert res.optimum == 5
     assert len(res.families) == 5 and res.truncated
+    # the cap applies to the closed set, in a fixed order
+    assert max_clique(thr, enum_cap=5).families == res.families
+    assert set(res.families) < set(max_clique(thr).families)
+    assert not max_clique(thr, enum_cap=21).truncated
+
+
+def test_truncation_is_forgotten_when_the_optimum_grows():
+    # two triangles through vertex 0 fill the cap before the K4 on 5..8
+    adj = [0] * 9
+    for clique in [(0, 1, 2), (0, 3, 4), (5, 6, 7, 8)]:
+        for i, j in itertools.combinations(clique, 2):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    res = max_clique(Graph("two-triangles-and-k4", {}, list(range(9)), adj), enum_cap=1)
+    assert res.optimum == 4 and res.families == ((5, 6, 7, 8),) and not res.truncated
+
+
+def nx_maximum_cliques(graph):
+    G = nx.Graph()
+    G.add_nodes_from(range(graph.n))
+    G.add_edges_from((i, j) for i in range(graph.n) for j in iter_bits(graph.adj[i]) if i < j)
+    cliques = [frozenset(c) for c in nx.find_cliques(G)]
+    best = max(map(len, cliques))
+    return best, {c for c in cliques if len(c) == best}
+
+
+@pytest.mark.parametrize("family,args", [
+    ("johnson", (7, 3)),
+    ("hamming", (4, 3)),
+    ("grassmann", (2, 5, 2)),
+    ("bilinear", (2, 2, 3)),
+    ("twisted", (2, 2)),
+])
+def test_rooted_search_matches_networkx_cliques(family, args, built):
+    g, census, _, _ = built(family, *args)
+    for t in range(1, census.diameter):
+        thr = threshold_graph(g, census, t)
+        best, maxima = nx_maximum_cliques(thr)
+        res = max_clique(thr)
+        assert res.optimum == best and not res.truncated
+        assert {frozenset(f) for f in res.families} == maxima
+
+
+@pytest.mark.parametrize("v", [10, 11])
+def test_rooted_search_finds_the_stars_of_j_v4(v, built):
+    g, census, _, _ = built("johnson", v, 4)
+    res = max_clique(threshold_graph(g, census, 1))
+    stars = {
+        frozenset(i for i, lab in enumerate(g.vertices) if a in lab) for a in range(1, v + 1)
+    }
+    assert res.optimum == comb(v - 1, 3) and not res.truncated
+    assert {frozenset(f) for f in res.families} == stars
 
 
 def test_hint_and_warm_start_do_not_change_results(built):
@@ -244,6 +299,14 @@ def test_verify_theorem_221():
     assert report.bound == report.expected == report.optimum == 15
     assert report.n_maximizers == 1 and report.maximizers_match
     assert not report.truncated
+
+
+def test_verify_theorem_321():
+    # the q = 3 case of the theorem, on the 1,210-vertex twisted graph
+    report = verify_theorem(3, 2, 1, search_cap=2000)
+    assert report.passed and report.n == 1210
+    assert report.bound == report.expected == report.optimum == 40
+    assert report.n_maximizers == 1 and report.maximizers_match and not report.truncated
 
 
 def test_verify_theorem_parameter_errors():

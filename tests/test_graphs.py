@@ -14,10 +14,12 @@ from _oracles import (
     x2_distance_by_search,
     x2_distance_counts_by_search,
 )
+from drgcert import graphs
 from drgcert.ekr_search import threshold_graph
 from drgcert.errors import (
     DisconnectedGraph,
     DistanceUndetermined,
+    DrgError,
     NotDistanceRegular,
     ParameterError,
     TierLimitExceeded,
@@ -40,6 +42,7 @@ from drgcert.graphs import (
     hamming_intersection_array,
     hyperplanes,
     meet_h,
+    orbits,
     twisted_intersection_array,
     twisted_x2_distance_counts,
     twisted_x2_vertices,
@@ -192,7 +195,10 @@ def test_vertex_cap():
                         (build_hamming, (3_000_000, 9)),
                         (build_johnson, (2_000_000, 1_000_000)),
                         (build_twisted_grassmann, (2, 3000)),
-                        (build_grassmann, (2, 3000, 1000)), (build_bilinear, (2, 300, 3000))]:
+                        (build_grassmann, (2, 3000, 1000)), (build_bilinear, (2, 300, 3000)),
+                        # a huge q is refused before trial division tests it
+                        (build_grassmann, (2**61 - 1, 4, 2)), (build_bilinear, (2**61 - 1, 2, 2)),
+                        (build_twisted_grassmann, (2**61 - 1, 2))]:
         with pytest.raises(TierLimitExceeded):
             build(*args)
     assert time.perf_counter() - start < 1.0
@@ -242,6 +248,63 @@ def test_clique_keys_match_pairwise_rule(family, params):
     vertices, adj = adjacency_by_rule(family, params)
     assert g.vertices == vertices
     assert g.adj == adj
+
+
+# ---------------------------------------------------------------------------
+# automorphism generators
+
+
+def edge_set(graph):
+    return {(i, j) for i, mask in enumerate(graph.adj) for j in range(graph.n) if mask >> j & 1}
+
+
+@pytest.mark.parametrize("family,args", [
+    ("johnson", (5, 2)),
+    ("johnson", (7, 3)),
+    ("johnson", (8, 4)),
+    ("hamming", (3, 2)),
+    ("hamming", (4, 3)),
+    ("hamming", (2, 5)),
+    ("grassmann", (2, 4, 2)),
+    ("grassmann", (3, 4, 2)),
+    ("grassmann", (2, 5, 2)),
+    ("grassmann", (5, 3, 1)),
+    ("bilinear", (2, 2, 2)),
+    ("bilinear", (2, 2, 3)),
+    ("bilinear", (3, 2, 2)),
+    ("bilinear", (2, 1, 3)),
+    ("twisted", (2, 2)),
+    ("twisted", (3, 2)),
+])
+def test_generators_are_automorphisms_with_expected_orbits(family, args, built):
+    g, census, _, _ = built(family, *args)
+    assert len(g.automorphisms) >= 2
+    thresholds = [threshold_graph(g, census, t) for t in range(1, census.diameter)]
+    for graph in [g] + thresholds:
+        assert graph.automorphisms == g.automorphisms
+        edges = edge_set(graph)
+        for perm in g.automorphisms:
+            assert sorted(perm) == list(range(g.n))
+            assert {(perm[i], perm[j]) for i, j in edges} == edges
+    # one orbit; the twisted graph's are its parts X1 and X2, in label order
+    parts = sorted({lab[0] for lab in g.vertices}) if family == "twisted" else [None]
+    assert orbits(g) == [
+        sum(1 << i for i, lab in enumerate(g.vertices) if part in (None, lab[0]))
+        for part in parts
+    ]
+
+
+def test_tampered_generators_are_refused():
+    g = build_johnson(5, 2)
+    swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
+    with pytest.raises(DrgError, match="does not preserve the edges"):
+        graphs._automorphisms(g, [lambda x: swap.get(x, x)])
+    with pytest.raises(DrgError, match="not a bijection"):
+        graphs._automorphisms(g, [lambda x: (1, 2)])
+    with pytest.raises(DrgError, match="not a bijection"):
+        graphs._automorphisms(g, [lambda x: x + (6,)])
+    hand_built = Graph("k3", {}, [0, 1, 2], [6, 5, 3])
+    assert hand_built.automorphisms == () and orbits(hand_built) == [1, 2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +443,14 @@ def test_not_distance_regular_witness():
         check_distance_regular(prism, distance_census(prism))
     assert err.value.witness == (0, 3)
     assert "sees (1, 0, 2), expected (1, 1, 1)" in str(err.value)
+    # with its rotation and triangle swap the prism has one orbit, so only
+    # vertex 0 is a source, and the witness is the same
+    turn_and_swap = ((1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2))
+    prism = Graph("prism", {}, list(range(6)), adj, turn_and_swap)
+    assert orbits(prism) == [0b111111]
+    with pytest.raises(NotDistanceRegular) as err:
+        check_distance_regular(prism, distance_census(prism))
+    assert err.value.witness == (0, 3)
 
 
 def test_intersection_array_validation():
