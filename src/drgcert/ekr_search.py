@@ -30,6 +30,7 @@ from .graphs import (
     DistanceCensus,
     Graph,
     SubspaceRep,
+    _check_cap,
     all_subspaces,
     build_grassmann,
     build_twisted_grassmann,
@@ -284,17 +285,13 @@ def verify_theorem(
     """Build both graphs, compare structure constants and Q, certify the
     bound, search exhaustively, and compare maximizers with the enumerated
     descendent families."""
-    if not is_prime(q):
-        raise UnsupportedField(f"q={q} is not prime")
     if d < 2:
         raise ParameterError(f"need d >= 2, got d={d}")
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    n = q_binomial(2 * d + 1, d, q)
-    if n > search_cap:
-        raise TierLimitExceeded(
-            f"twisted({q},{d}) has {n} vertices; exhaustive search cap is {search_cap}"
-        )
+    # [2d+1, d]_q >= q^(d(d+1)): a huge q is refused before trial division
+    n = _check_cap(f"twisted({q},{d})", d * (d + 1) * (q.bit_length() - 1),
+                   lambda: q_binomial(2 * d + 1, d, q), search_cap, prime=q)
     twisted = build_twisted_grassmann(q, d)
     ordinary = build_grassmann(q, 2 * d + 1, d)
     census_tw = distance_census(twisted)

@@ -4,8 +4,9 @@ Vertices are plain nested tuples (canonical labels, JSON-friendly); adjacency
 is stored as one Python-int bitmask per vertex, built in O(n * keys) from a
 few clique keys per vertex (a Johnson vertex less one element, a Grassmann
 vertex's hyperplanes): each builder proves "adjacent iff a key is shared".
-Distances are always computed by breadth-first search, never by closed-form
-distance formulas.  The census keeps what BFS produces, the level masks:
+Distances are always computed from the graph itself, by a breadth-first ball
+recurrence run from every vertex at once, never by closed-form distance
+formulas.  The census keeps the level masks it produces:
 levels[x][k] is the bitmask of the vertices at distance k from x.  Threshold
 graphs, subset histograms, distance matrices and the distance-regularity
 check (which recovers the intersection array and cross-validates every built
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import or_
+from operator import or_, xor
 
 from .errors import (
     DisconnectedGraph,
@@ -241,8 +243,9 @@ def _check_cap(name: str, bits: int, count, vertex_cap: int, prime: int | None =
 
 
 def _assemble(family, params, labels, keys, expected_n, generators, links=None):
-    """Sort the labels, join the vertices that share a clique key, validate
-    connectivity, verify the automorphism generators.  keys(label) lists a
+    """Sort the labels, join the vertices that share a clique key, verify the
+    automorphism generators (connectivity is checked by `distance_census`,
+    which every graph goes through before use).  keys(label) lists a
     vertex's clique keys; adj[i] is the OR of the member masks of i's keys,
     less bit i.  links(label), when given, lists further neighbours, joined
     both ways.  generators are label maps, each checked by `_automorphisms`."""
@@ -260,7 +263,6 @@ def _assemble(family, params, labels, keys, expected_n, generators, links=None):
         for j in map(graph.index_of, links(label)):
             graph.adj[i] |= 1 << j
             graph.adj[j] |= 1 << i
-    _assert_connected(graph)
     graph.automorphisms = _automorphisms(graph, generators)
     return graph
 
@@ -309,18 +311,6 @@ def orbits(G: Graph) -> list[int]:
                     stack.append(y)
         out.append(mask)
     return out
-
-
-def _assert_connected(graph: Graph):
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= graph.adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    if seen != (1 << graph.n) - 1:
-        raise DisconnectedGraph(f"{graph.family} is not connected")
 
 
 @cache
@@ -556,26 +546,38 @@ class DistanceCensus:
 
 
 def distance_census(G: Graph) -> DistanceCensus:
-    """Exact graph distances by BFS from every vertex."""
-    full = (1 << G.n) - 1
-    levels = []
-    for s in range(G.n):
-        seen = frontier = 1 << s
-        row = []
-        while frontier:
-            row.append(frontier)
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= G.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != full:
-            raise DisconnectedGraph(f"vertex {s} does not reach every vertex")
-        levels.append(row)
-    diameter = max(len(row) for row in levels) - 1
-    for row in levels:
-        row.extend([0] * (diameter + 1 - len(row)))
-    return DistanceCensus(levels, diameter)
+    """Exact graph distances from every vertex at once, by the ball recurrence.
+
+    B_k[x] is the mask of the vertices within distance k of x: B_0[x] = {x},
+    B_1[x] = {x} | adj[x], and for k >= 1
+
+        B_{k+1}[x] = B_k[x] | OR of B_k[y] over the neighbours y of x.
+
+    Proof: a vertex within k of a neighbour of x is within k+1 of x, so the
+    right side lies in B_{k+1}[x].  Conversely, let d(x, z) <= k+1.  Either
+    d(x, z) <= k, or d(x, z) = k+1 >= 1 and the neighbour y of x on a
+    geodesic from x to z has d(y, z) = k.  Level k is B_k ^ B_{k-1}.
+
+    Each round is n reductions over stored neighbour lists, run in C, and
+    the balls only grow.  The rounds stop when every ball is full, after
+    diameter rounds.  A round that changes no ball before then has reached
+    the components, and DisconnectedGraph is raised.
+    """
+    n = G.n
+    full = (1 << n) - 1
+    ball = [1 << x for x in range(n)]
+    rounds = [ball]
+    if n > 1:  # B_1 needs no reductions; K1 stops at B_0
+        ball = list(map(or_, ball, G.adj))
+        rounds.append(G.adj)
+    nbrs = [array("I", iter_bits(mask)) for mask in G.adj]
+    while ball.count(full) < n:
+        nxt = [reduce(or_, map(ball.__getitem__, nb), b) for nb, b in zip(nbrs, ball)]
+        if nxt == ball:
+            raise DisconnectedGraph(f"{G.family} is not connected")
+        rounds.append(list(map(xor, nxt, ball)))
+        ball = nxt
+    return DistanceCensus([list(row) for row in zip(*rounds)], len(rounds) - 1)
 
 
 @dataclass(frozen=True)

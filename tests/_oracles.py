@@ -251,3 +251,40 @@ def adjacency_by_rule(family, params):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return vertices, adj
+
+
+# ---------------------------------------------------------------------------
+# distances by breadth-first search from each source
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def census_by_bfs(adj):
+    """(levels, diameter) of the graph with neighbour masks adj, by one BFS
+    per source: levels[s][k] is the mask of the vertices at distance k from
+    s, padded with zeros up to the diameter.  ValueError if disconnected."""
+    n = len(adj)
+    full = (1 << n) - 1
+    levels = []
+    for s in range(n):
+        seen = frontier = 1 << s
+        row = []
+        while frontier:
+            row.append(frontier)
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen != full:
+            raise ValueError(f"vertex {s} does not reach every vertex")
+        levels.append(row)
+    diameter = max(len(row) for row in levels) - 1
+    for row in levels:
+        row.extend([0] * (diameter + 1 - len(row)))
+    return levels, diameter

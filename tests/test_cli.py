@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,14 @@ def test_tier_exit_code(tmp_path, capsys):
 ])
 def test_oversized_build_exits_3(tmp_path, capsys, argv):
     assert main(["build", *argv, "--cache", str(tmp_path)]) == 3
+    assert "tier exceeded" in capsys.readouterr().err
+
+
+def test_verify_theorem_huge_q_exits_3_at_once(capsys):
+    # refused by the count-free bound, before trial division of q
+    start = time.perf_counter()
+    assert main(["verify-theorem", "-q", "2305843009213693951", "-d", "2", "-t", "1"]) == 3
+    assert time.perf_counter() - start < 1
     assert "tier exceeded" in capsys.readouterr().err
 
 

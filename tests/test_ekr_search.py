@@ -317,7 +317,7 @@ def test_verify_theorem_parameter_errors():
     with pytest.raises(ParameterError):
         verify_theorem(2, 1, 1)
     with pytest.raises(UnsupportedField):
-        verify_theorem(9, 2, 1)
+        verify_theorem(9, 2, 1, search_cap=10**6)  # below the cap, so q is tested
 
 
 def test_verify_theorem_tier_refusals():

@@ -3,9 +3,11 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from _oracles import (
     adjacency_by_rule,
+    census_by_bfs,
     elements,
     parse_graph_cache,
     rref_label,
@@ -388,9 +390,73 @@ def test_census_trivia():
 
 
 def test_census_disconnected():
-    bad = Graph("pair", {}, ["a", "b", "c", "d"], [2, 1, 8, 4])
-    with pytest.raises(DisconnectedGraph):
-        distance_census(bad)
+    for adj in (
+        [2, 1, 8, 4],  # two components, K2 + K2
+        [2, 1, 0],  # K2 and an isolated vertex
+        [0, 0],  # two isolated vertices
+        [6, 5, 3, 0],  # a triangle and an isolated vertex
+    ):
+        bad = Graph("bad", {}, list(range(len(adj))), adj)
+        with pytest.raises(DisconnectedGraph):
+            distance_census(bad)
+        with pytest.raises(ValueError):
+            census_by_bfs(adj)
+
+
+@pytest.mark.parametrize(
+    "family,args",
+    [
+        ("johnson", (7, 3)),
+        ("johnson", (12, 4)),
+        ("hamming", (5, 4)),
+        ("grassmann", (2, 5, 2)),
+        ("bilinear", (2, 2, 3)),
+        ("twisted", (2, 2)),
+        ("twisted", (3, 2)),
+    ],
+)
+def test_census_matches_bfs_oracle(family, args, built):
+    g, census, _, _ = built(family, *args)
+    assert (census.levels, census.diameter) == census_by_bfs(g.adj)
+
+
+@pytest.mark.parametrize(
+    "name,adj,levels",
+    [
+        ("K1", [0], [[1]]),
+        # P4: the ends have eccentricity 3, the middle vertices 2
+        ("P4", [2, 5, 10, 4], [
+            [0b0001, 0b0010, 0b0100, 0b1000],
+            [0b0010, 0b0101, 0b1000, 0],
+            [0b0100, 0b1010, 0b0001, 0],
+            [0b1000, 0b0100, 0b0010, 0b0001],
+        ]),
+    ],
+)
+def test_census_small_graphs(name, adj, levels):
+    census = distance_census(Graph(name, {}, list(range(len(adj))), adj))
+    assert census.levels == levels and census.diameter == len(levels[0]) - 1
+    assert (levels, census.diameter) == census_by_bfs(adj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 14), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_census_matches_networkx_on_random_graphs(n, p, seed):
+    G = nx.gnp_random_graph(n, p, seed=seed)
+    adj = [sum(1 << j for j in G[i]) for i in range(n)]
+    graph = Graph("gnp", {}, list(range(n)), adj)
+    if not nx.is_connected(G):
+        event("disconnected")
+        with pytest.raises(DisconnectedGraph):
+            distance_census(graph)
+        return
+    census = distance_census(graph)
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    assert census.diameter == nx.diameter(G)
+    assert census.levels == [
+        [sum(1 << j for j in range(n) if dist[i][j] == k) for k in range(census.diameter + 1)]
+        for i in range(n)
+    ]
 
 
 @pytest.mark.parametrize(
