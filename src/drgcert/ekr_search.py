@@ -24,9 +24,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
-from .exact import is_prime, q_binomial
+from .errors import DrgError, ParameterError, TierLimitExceeded
+from .exact import q_binomial
 from .graphs import (
+    DEFAULT_VERTEX_CAP,
     DistanceCensus,
     Graph,
     SubspaceRep,
@@ -215,11 +216,12 @@ class DescendentFamily:
 
 def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFamily]:
     """One family per (t-1)-dim subspace u of H; each is checked against its
-    predicted size."""
-    if not is_prime(q):
-        raise UnsupportedField(f"q={q} is not prime")
+    predicted size.  The X2 pool, [2d, d-1]_q >= q^((d-1)(d+1)) subspaces,
+    is refused above the default vertex cap before it is enumerated."""
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
+    _check_cap(f"X2 of twisted({q},{d})", (d - 1) * (d + 1) * (q.bit_length() - 1),
+               lambda: q_binomial(2 * d, d - 1, q), DEFAULT_VERTEX_CAP, prime=q)
     pool = twisted_x2_vertices(q, d)
     n_amb = 2 * d + 1
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
@@ -289,7 +291,7 @@ def verify_theorem(
         raise ParameterError(f"need d >= 2, got d={d}")
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    # [2d+1, d]_q >= q^(d(d+1)): a huge q is refused before trial division
+    # [2d+1, d]_q >= q^(d(d+1)): a huge q is refused before the primality test
     n = _check_cap(f"twisted({q},{d})", d * (d + 1) * (q.bit_length() - 1),
                    lambda: q_binomial(2 * d + 1, d, q), search_cap, prime=q)
     twisted = build_twisted_grassmann(q, d)

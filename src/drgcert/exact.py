@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ParameterError, SingularSystem
+from .errors import ParameterError, SingularSystem, TierLimitExceeded
 
 Scalar = int | Fraction
 
@@ -169,14 +169,27 @@ def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, .
 # prime fields
 
 
+#: the first 13 primes: as Miller-Rabin bases they decide every p below
+#: psi_13 (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < 3.3 * 10^24.  A larger p
+    with no factor among the bases raises TierLimitExceeded: no finite base
+    set is proven there."""
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    if any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    if p >= _MR_EXACT_BELOW:
+        raise TierLimitExceeded(f"primality of {p} is not decided above 3.3*10^24")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s r with r odd
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and p - 1 not in (pow(x, 2 ** i, p) for i in range(s)):
             return False
-        f += 1
     return True
 
 

@@ -231,7 +231,7 @@ def _check_cap(name: str, bits: int, count, vertex_cap: int, prime: int | None =
     """count(), refused above vertex_cap before any vertex is enumerated; as the
     count is at least 2^bits, a huge one is refused without being formed.
     A field order `prime` is tested between the two, after the count-free
-    refusal, since trial division of a huge q would not finish."""
+    refusal, which also spares `is_prime` a q it cannot decide."""
     if bits >= vertex_cap.bit_length():
         raise TierLimitExceeded(f"{name} has at least 2^{bits} vertices; cap is {vertex_cap}")
     if prime is not None and not is_prime(prime):
@@ -774,7 +774,8 @@ def _tuplify(x):
 def graph_cache_text(G: Graph) -> str:
     """Versioned text format: magic line, JSON metadata, one canonical label
     per vertex, one 'i j' line per edge (i < j, ascending).  Byte-identical
-    for identical parameters."""
+    for identical parameters.  The edge lines are joined one vertex at a
+    time, so no string per edge outlives its vertex."""
     meta = {
         "edges": G.edge_count(),
         "family": G.family,
@@ -785,6 +786,6 @@ def graph_cache_text(G: Graph) -> str:
     lines.extend(_label_json(v) for v in G.vertices)
     for i in range(G.n):
         higher = G.adj[i] >> (i + 1) << (i + 1)
-        for j in iter_bits(higher):
-            lines.append(f"{i} {j}")
+        if higher:
+            lines.append("\n".join(f"{i} {j}" for j in iter_bits(higher)))
     return "\n".join(lines) + "\n"

@@ -7,6 +7,9 @@ counts and each confirmed as an exact root.  P is filled by the three-term
 recurrence of the distance polynomials, Q by the orthogonality relations
 m_j = |X| / sum_i P_ji^2 / k_i and Q_ij = m_j P_ji / k_i (checked by
 PQ = |X| I), and the Krein tensor certifies the Q-polynomial ordering.
+The full-matrix tier (up to FULL_MATRIX_CAP vertices) builds the E_i
+explicitly and checks their product and Krein identities on one row per
+orbit of the graph's verified automorphisms.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .errors import (
     TierLimitExceeded,
 )
 from .exact import ExactMatrix, format_fraction
-from .graphs import DistanceCensus, Graph, IntersectionArray
+from .graphs import DistanceCensus, Graph, IntersectionArray, orbits
 
 FULL_MATRIX_CAP = 1_000
 
@@ -307,6 +310,16 @@ def materialize_idempotents(
     Verifies, exactly in integer arithmetic: each E_i is idempotent, distinct
     idempotents are orthogonal, the E_i sum to the identity, and E_0 is the
     normalized all-ones matrix.
+
+    The products are checked on the rows R of the orbit representatives of
+    G.automorphisms only, in O(|R| n^2) each.  Every g in the group the
+    verified generators generate is an automorphism, so it preserves
+    distance: with P_g its permutation matrix, P_g A_l P_g^T = A_l for each
+    distance matrix A_l, and so for each M_i = sum_l c_il A_l, each product
+    M_i M_j and each entrywise product M_i o M_j.  Any X among these then
+    has X[gx, gy] = X[x, y], so an identity X = Y that holds on row x holds
+    on row gx, and every row is gx for some representative x.  A hand-built
+    graph has the trivial group, and then R is every row.
     """
     mats = materialize_distance_matrices(G, census, cap)
     n = G.n
@@ -324,12 +337,12 @@ def materialize_idempotents(
     peak = max(int(np.abs(M).max()) for M, _ in out)
     if n * peak * peak >= 2 ** 62:
         raise TierLimitExceeded("idempotent entries too large for int64 verification")
+    reps = [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]
     for i, (Mi, Di) in enumerate(out):
-        prod = Mi @ Mi
-        if not np.array_equal(prod, Di * Mi):
+        if not np.array_equal(Mi[reps] @ Mi, Di * Mi[reps]):
             raise DrgError(f"E_{i} is not idempotent")
         for j in range(i + 1, d + 1):
-            if np.any(out[j][0] @ Mi):
+            if np.any(out[j][0][reps] @ Mi):
                 raise DrgError(f"E_{i} E_{j} != 0")
     total = lcm(*(D for _, D in out))
     acc = np.zeros((n, n), dtype=np.int64)
@@ -351,14 +364,16 @@ def krein_cross_check(
     cap: int = FULL_MATRIX_CAP,
 ) -> None:
     """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k on the
-    materialized matrices.  Raises on any mismatch."""
+    materialized matrices, on the rows of the orbit representatives (enough
+    by the argument in `materialize_idempotents`).  Raises on any mismatch."""
     if kt is None:
         kt = krein_parameters(sys)
     mats = materialize_idempotents(G, census, sys, cap)
     d = sys.d
     n = sys.n
+    reps = [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]
     # object dtype keeps the elementwise arithmetic in exact Python ints
-    big = [M.astype(object) for M, _ in mats]
+    big = [M[reps].astype(object) for M, _ in mats]
     for i in range(d + 1):
         Mi, Di = big[i], mats[i][1]
         for j in range(i, d + 1):
@@ -366,7 +381,7 @@ def krein_cross_check(
             coeffs = [kt.q(kk, i, j) / (n * mats[kk][1]) for kk in range(d + 1)]
             den = lcm(Di * Dj, *(c.denominator for c in coeffs))
             lhs = (den // (Di * Dj)) * (Mi * Mj)
-            rhs = np.zeros((n, n), dtype=object)
+            rhs = np.zeros((len(reps), n), dtype=object)
             for kk in range(d + 1):
                 c = coeffs[kk] * den
                 assert c.denominator == 1

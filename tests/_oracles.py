@@ -1,13 +1,16 @@
 """Independent oracle helpers for the tests.
 
 Deliberately shares no code with the package: plain list-of-list Fraction
-matrices, Lagrange interpolation in the adjacency matrix, and subspaces of
-GF(q)^n as explicit point sets.  Slow but obviously correct; used on small
-inputs only.
+matrices, Lagrange interpolation in the adjacency matrix, subspaces of
+GF(q)^n as explicit point sets, and the full-matrix idempotent checks on
+every row.  Slow but obviously correct; used on small inputs only.
 """
 import itertools
 import json
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 
 def mat_from_int(rows):
@@ -87,6 +90,50 @@ def krein_by_triple_sum(P, Q, n):
         [[sum(Fraction(Q[l][i]) * Q[l][j] * P[k][l] for l in r) / n for j in r] for i in r]
         for k in r
     ]
+
+
+def full_matrix_failure(levels, Q, krein, rows=None):
+    """The full-matrix identities checked on the given rows (every row by
+    default): (mats, message), with mats the list of (M_i, D_i), E_i = M_i/D_i
+    = sum_l Q_li A_l / |X| built from the level masks, and message the first
+    failure in the order and wording of the package's checks, or None.
+
+    Q is a list of rows of Fractions and krein[k][i][j] = q^k_ij."""
+    n, d = len(levels), len(Q) - 1
+    A = [np.array([[mask >> y & 1 for y in range(n)] for mask in (row[l] for row in levels)],
+                  dtype=np.int64) for l in range(d + 1)]
+    mats = []
+    for i in range(d + 1):
+        scale = lcm(*(Fraction(Q[l][i]).denominator for l in range(d + 1)))
+        M = sum(int(Fraction(Q[l][i]) * scale) * A[l] for l in range(d + 1))
+        mats.append((M, n * scale))
+    R = list(range(n)) if rows is None else list(rows)
+    peak = max(int(np.abs(M).max()) for M, _ in mats)
+    if n * peak * peak >= 2 ** 62:
+        return mats, "idempotent entries too large for int64 verification"
+    for i, (Mi, Di) in enumerate(mats):
+        prod = Mi @ Mi
+        if not np.array_equal(prod[R], Di * Mi[R]):
+            return mats, f"E_{i} is not idempotent"
+        for j in range(i + 1, d + 1):
+            if np.any((mats[j][0] @ Mi)[R]):
+                return mats, f"E_{i} E_{j} != 0"
+    total = lcm(*(D for _, D in mats))
+    if not np.array_equal(sum((total // D) * M for M, D in mats), total * np.eye(n, dtype=np.int64)):
+        return mats, "idempotents do not sum to the identity"
+    if not np.all(mats[0][0] * n == mats[0][1]):
+        return mats, "E_0 is not |X|^{-1} J"
+    big = [M[R].astype(object) for M, _ in mats]
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            Di, Dj = mats[i][1], mats[j][1]
+            coeffs = [Fraction(krein[k][i][j]) / (n * mats[k][1]) for k in range(d + 1)]
+            den = lcm(Di * Dj, *(c.denominator for c in coeffs))
+            lhs = (den // (Di * Dj)) * (big[i] * big[j])
+            rhs = sum(int(coeffs[k] * den) * big[k] for k in range(d + 1))
+            if not np.array_equal(lhs, rhs):
+                return mats, f"Krein expansion of E_{i} o E_{j} fails entrywise"
+    return mats, None
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,11 @@ def test_descendent_family_errors():
         enumerate_descendent_families(2, 3, 3)
     with pytest.raises(UnsupportedField):
         enumerate_descendent_families(4, 2, 1)
+    # the X2 pool is refused before it is enumerated
+    with pytest.raises(TierLimitExceeded):
+        enumerate_descendent_families(2**61 - 1, 2, 1)
+    with pytest.raises(TierLimitExceeded):
+        enumerate_descendent_families(5, 3, 1)
 
 
 def test_verify_descendent_family_parameter_tier():

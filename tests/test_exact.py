@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
 from _oracles import mat_eye, mat_from_int, mat_rank
-from drgcert.errors import ParameterError, SingularSystem
+from drgcert.errors import ParameterError, SingularSystem, TierLimitExceeded
 from drgcert.exact import (
     ExactMatrix,
     format_fraction,
@@ -169,6 +171,39 @@ def test_prime_field():
     with pytest.raises(ParameterError):
         rref_gf([[1, 1]], 6)
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (Jaeschke 1993; Sorenson and Webster 2015): the distinct values for k = 1..12
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051, 318665857834031151167461)
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_sympy():
+    assert [p for p in range(-3, 30000) if is_prime(p)] == list(sympy.primerange(30000))
+    # Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1)
+    carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 3000)
+                  if all(sympy.isprime(f * k + 1) for f in (6, 12, 18))]
+    assert len(carmichael) > 50 and carmichael[0] == 1729
+    for n in carmichael + [561, 1105, 2465, 2821, 6601, 8911] + list(STRONG_PSEUDOPRIMES):
+        assert not sympy.isprime(n) and not is_prime(n), n
+    for p in (2**31 - 1, 2**61 - 1, sympy.prevprime(PSI_13), sympy.nextprime(3825123056546413051)):
+        assert is_prime(p), p
+
+
+@given(st.integers(min_value=0, max_value=PSI_13 - 1))
+def test_is_prime_matches_sympy_below_the_proven_bound(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_refuses_above_the_proven_bound():
+    # psi_13 passes all 13 bases; at and above it no answer is given,
+    # except where a base divides
+    for n in (PSI_13, 2**89 - 1, sympy.nextprime(PSI_13)):
+        with pytest.raises(TierLimitExceeded):
+            is_prime(n)
+    assert not is_prime(2**100) and not is_prime(3 * PSI_13)
 
 
 def test_fraction_strings():

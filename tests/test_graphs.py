@@ -198,7 +198,7 @@ def test_vertex_cap():
                         (build_johnson, (2_000_000, 1_000_000)),
                         (build_twisted_grassmann, (2, 3000)),
                         (build_grassmann, (2, 3000, 1000)), (build_bilinear, (2, 300, 3000)),
-                        # a huge q is refused before trial division tests it
+                        # a huge q is refused before its primality is tested
                         (build_grassmann, (2**61 - 1, 4, 2)), (build_bilinear, (2**61 - 1, 2, 2)),
                         (build_twisted_grassmann, (2**61 - 1, 2))]:
         with pytest.raises(TierLimitExceeded):
@@ -584,6 +584,19 @@ def test_hamming_closed_form_array(built):
 def test_twisted_closed_form_array(built):
     _, _, arr, _ = built("twisted", 2, 2)
     assert twisted_intersection_array(2, 2) == arr
+
+
+def test_closed_form_arrays_take_a_huge_prime_q():
+    q = 2**61 - 1
+    start = time.perf_counter()
+    arr = grassmann_intersection_array(q, 4, 2)
+    assert time.perf_counter() - start < 1
+    assert arr.vertex_count() == q_binomial(4, 2, q)
+    assert twisted_intersection_array(q, 2) == grassmann_intersection_array(q, 5, 2)
+    with pytest.raises(UnsupportedField):
+        grassmann_intersection_array(2**61 + 1, 4, 2)  # divisible by 3
+    with pytest.raises(TierLimitExceeded):
+        grassmann_intersection_array(2**89 - 1, 4, 2)  # prime, above the proven bound
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from _oracles import (
     adjacency_matrix,
+    census_by_bfs,
+    full_matrix_failure,
     krein_by_triple_sum,
     lagrange_idempotents,
     mat_mul,
@@ -20,6 +22,8 @@ from _oracles import (
 from drgcert.errors import DrgError, IrrationalEigenvalue, NotQPolynomial, ParameterError
 from drgcert.exact import ExactMatrix, q_binomial
 from drgcert.graphs import (
+    DistanceCensus,
+    Graph,
     IntersectionArray,
     build_hamming,
     distance_census,
@@ -164,10 +168,116 @@ def test_idempotent_ranks_are_multiplicities(built):
     assert sum(ranks) == g.n
 
 
-@pytest.mark.parametrize("family,args", SMALL + [("twisted", (2, 2)), ("grassmann", (2, 5, 2))])
+FULL_TIER = SMALL + [("twisted", (2, 2)), ("grassmann", (2, 5, 2))]
+
+
+@pytest.mark.parametrize("family,args", FULL_TIER)
 def test_krein_cross_check(family, args, built):
     g, census, arr, sys_ = built(family, *args)
     krein_cross_check(g, census, sys_)
+
+
+def _hand_built(g):
+    """g with the trivial group, so the full-matrix tier checks every row."""
+    copy = Graph(g.family, g.params, g.vertices, g.adj)
+    assert copy.automorphisms == ()
+    return copy
+
+
+def _full_tier_verdict(g, census, sys_, kt):
+    """(mats, None) when the full-matrix tier passes, (None, message) when it
+    raises."""
+    try:
+        mats = materialize_idempotents(g, census, sys_)
+        krein_cross_check(g, census, sys_, kt)
+    except DrgError as exc:
+        return None, str(exc)
+    return mats, None
+
+
+def _oracle(census_levels, sys_, kt, rows=None):
+    Q = [list(row) for row in sys_.Q.rows]
+    return full_matrix_failure(census_levels, Q, kt.values, rows)
+
+
+@pytest.mark.parametrize("family,args", FULL_TIER)
+def test_full_matrix_tier_matches_all_rows_oracle(family, args, built):
+    # the oracle builds its distance matrices from its own BFS and checks
+    # every row; the package checks one row per orbit (two for twisted)
+    g, census, _, sys_ = built(family, *args)
+    kt = krein_parameters(sys_)
+    levels, _ = census_by_bfs(g.adj)
+    want, message = _oracle(levels, sys_, kt)
+    assert message is None
+    for graph in (g, _hand_built(g)):
+        mats, verdict = _full_tier_verdict(graph, census, sys_, kt)
+        assert verdict is None
+        assert [D for _, D in mats] == [D for _, D in want]
+        assert all(np.array_equal(M, W) for (M, _), (W, _) in zip(mats, want))
+
+
+@pytest.mark.parametrize("family,args", [
+    ("johnson", (7, 3)), ("twisted", (2, 2)), ("hamming", (3, 3)), ("grassmann", (2, 5, 2)),
+])
+def test_full_matrix_tier_refuses_swapped_q_rows(family, args, built):
+    g, census, _, sys_ = built(family, *args)
+    kt = krein_parameters(sys_)
+    rows = list(sys_.Q.rows)
+    rows[1], rows[2] = rows[2], rows[1]
+    tampered = dataclasses.replace(sys_, Q=ExactMatrix(rows))
+    assert _oracle(census_by_bfs(g.adj)[0], tampered, kt)[1] == "E_0 E_1 != 0"
+    for graph in (g, _hand_built(g)):
+        assert _full_tier_verdict(graph, census, tampered, kt) == (None, "E_0 E_1 != 0")
+
+
+@pytest.mark.parametrize("family,args", FULL_TIER)
+def test_full_matrix_tier_refuses_a_wrong_krein_parameter(family, args, built):
+    g, census, _, sys_ = built(family, *args)
+    values = [[list(row) for row in plane] for plane in krein_parameters(sys_).values]
+    values[1][1][1] += 1
+    kt = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in values))
+    message = "Krein expansion of E_1 o E_1 fails entrywise"
+    assert _oracle(census_by_bfs(g.adj)[0], sys_, kt)[1] == message
+    for graph in (g, _hand_built(g)):
+        assert _full_tier_verdict(graph, census, sys_, kt) == (None, message)
+
+
+def _switch_unseen_from_row_0(census):
+    """A copy of the census with the distance classes l of (x1, y1), (x2, y2)
+    and l' of (x1, y2), (x2, y1) exchanged, where x1, x2 share a level of
+    vertex 0 and so do y1, y2.  Every row keeps its class sizes, and row 0 of
+    every product of the tampered matrices is unchanged, so only a check of
+    another row can see the switch."""
+    n = len(census.levels)
+    dist = [[census.d(x, y) for y in range(n)] for x in range(n)]
+    for x1, x2, y1, y2 in itertools.permutations(range(1, n), 4):
+        if (dist[0][x1] == dist[0][x2] and dist[0][y1] == dist[0][y2]
+                and dist[x1][y1] == dist[x2][y2] != dist[x1][y2] == dist[x2][y1]):
+            levels = [list(row) for row in census.levels]
+            for (x, y), (old, new) in [
+                ((x1, y1), (dist[x1][y1], dist[x1][y2])),
+                ((x2, y2), (dist[x1][y1], dist[x1][y2])),
+                ((x1, y2), (dist[x1][y2], dist[x1][y1])),
+                ((x2, y1), (dist[x1][y2], dist[x1][y1])),
+            ]:
+                for a, b in ((x, y), (y, x)):
+                    levels[a][old] ^= 1 << b
+                    levels[a][new] ^= 1 << b
+            return DistanceCensus(levels, census.diameter)
+    raise AssertionError("no switch found")
+
+
+@pytest.mark.parametrize("family,args", [("johnson", (5, 2)), ("johnson", (7, 3))])
+def test_trivial_group_checks_every_row(family, args, built):
+    # with the trivial group every vertex is a representative, so a switch
+    # that row 0 cannot see is still refused, with the all-rows verdict
+    g, census, _, sys_ = built(family, *args)
+    kt = krein_parameters(sys_)
+    switched = _switch_unseen_from_row_0(census)
+    assert _oracle(switched.levels, sys_, kt, rows=[0])[1] is None
+    _, message = _oracle(switched.levels, sys_, kt)
+    assert message is not None
+    assert _full_tier_verdict(_hand_built(g), switched, sys_, kt) == (None, message)
 
 
 def test_twisted_and_grassmann_share_eigensystem(built):
