@@ -4,6 +4,7 @@ from math import comb
 import networkx as nx
 import pytest
 
+from _oracles import span
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
 from drgcert.exact import q_binomial
 from drgcert.graphs import (
@@ -13,6 +14,7 @@ from drgcert.graphs import (
     distance_census,
     iter_bits,
     twisted_intersection_array,
+    twisted_x2_distance_counts,
 )
 from drgcert.ekr_search import (
     enumerate_descendent_families,
@@ -281,6 +283,25 @@ def test_verify_descendent_family_graph_tier_agrees(built):
         for j in idx:
             expected[census.d(i, j)] += 1
     assert counts == expected
+
+
+def test_large_q_x2_family_is_tight():
+    # GF(7)^5 has 16,807 points, more than any ambient-space bitmask should
+    # span; the 400 members are the lines of H = GF(7)^4
+    q, d, t = 7, 2, 1
+    (fam,) = enumerate_descendent_families(q, d, t)
+    assert fam.size == 400 == q_binomial(4, 1, q)
+    wr, cr = verify_descendent_family(fam, q, d, t)
+    assert (wr.width, wr.dual_width, wr.descendent) == (1, 1, True)
+    assert cr.verdict == "tight" and cr.size == 400 == cr.bound
+    # oracle: two lines are equal (distance 0) or meet in the zero vector
+    # alone, which is the adjacency rule (distance 1)
+    points = [span(label[1], q, 2 * d + 1) for label in fam.labels()]
+    expected = [0] * (d + 1)
+    for x in points:
+        for y in points:
+            expected[{q: 0, 1: 1}[len(x & y)]] += 1
+    assert twisted_x2_distance_counts(list(fam.members), q, d) == expected
 
 
 def test_whole_x2_is_descendent_at_t1_parameter_tier():
