@@ -108,7 +108,7 @@ def _cache_write(path: Path, content: str) -> None:
     cache file that a later run would report as differing.
     """
     if path.exists():
-        if path.read_text(encoding="ascii") != content:
+        if path.read_bytes() != content.encode("ascii"):
             raise DrgError(f"cache file {path} differs from a fresh computation")
         return
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,6 @@ from .graphs import (
     DEFAULT_VERTEX_CAP,
     DistanceCensus,
     Graph,
-    SubspaceRep,
     _check_cap,
     all_subspaces,
     build_grassmann,
@@ -40,7 +39,6 @@ from .graphs import (
     orbits,
     twisted_intersection_array,
     twisted_x2_distance_counts,
-    twisted_x2_vertices,
 )
 from .lp_cert import certify_subset, expected_bound, solve_certificate
 from .scheme import eigensystem_from_array
@@ -201,39 +199,77 @@ def max_clique(
 
 @dataclass(frozen=True)
 class DescendentFamily:
-    """Y = {x in X2 : u <= x} for a (t-1)-dim subspace u of the hyperplane."""
+    """Y = {x in X2 : u <= x} for a (t-1)-dim subspace u of the hyperplane;
+    u and each member are canonical RREF bases in GF(q)^(2d+1)."""
 
-    u: SubspaceRep
-    members: tuple[SubspaceRep, ...]
+    u: tuple
+    members: tuple[tuple, ...]
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def labels(self) -> list:
-        return [("X2", rep.rows) for rep in self.members]
+        return [("X2", rows) for rows in self.members]
+
+
+def _spread(row, cols, n: int) -> tuple:
+    """The length-n vector with row's entries at cols and 0 elsewhere."""
+    out = [0] * n
+    for j, x in zip(cols, row):
+        out[j] = x
+    return tuple(out)
 
 
 def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFamily]:
-    """One family per (t-1)-dim subspace u of H; each is checked against its
-    predicted size.  The X2 pool, [2d, d-1]_q >= q^((d-1)(d+1)) subspaces,
-    is refused above the default vertex cap before it is enumerated."""
+    """One family per (t-1)-dim subspace u of H = GF(q)^(2d), in
+    `all_subspaces` order, its members sorted and counted.  The X2 pool,
+    [2d, d-1]_q >= q^((d-1)(d+1)) subspaces, is refused above the default
+    vertex cap first.
+
+    The members are built through u.  Let U be the pivot columns of u (the
+    first 1 of each canonical row) and C the span of the e_j, j not in U.
+    u is the identity on U, so u meets C in 0 and H = u + C.  For
+    u <= x <= H the modular law gives x = u + (x meet C), so w -> u + w is
+    a bijection from the (d-t)-spaces w of C (`all_subspaces` of
+    GF(q)^(2d-t+1) spread onto the columns off U) onto the (d-1)-spaces
+    through u.  Its canonical basis needs no elimination: reduce each row r
+    of u to r - sum r[p] w_p over the pivots p of w, w_p the row with pivot
+    p, which vanishes at w's other pivots.  w vanishes on U, so r keeps its
+    entries there and gains none before its own pivot (below it r[p] = 0,
+    above it w_p vanishes before p).  The rows of u now vanish at w's
+    pivots and those of w on U, so both, sorted by pivot, are the RREF.
+    """
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
     _check_cap(f"X2 of twisted({q},{d})", (d - 1) * (d + 1) * (q.bit_length() - 1),
                lambda: q_binomial(2 * d, d - 1, q), DEFAULT_VERTEX_CAP, prime=q)
-    pool = twisted_x2_vertices(q, d)
-    n_amb = 2 * d + 1
+    n = 2 * d
+    ws = list(all_subspaces(n - t + 1, d - t, q))
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
     families = []
-    for urep in all_subspaces(2 * d, t - 1, q):
-        u = SubspaceRep(n_amb, q, tuple(row + (0,) for row in urep.rows), canonical=True)
-        members = tuple(x for x in pool if x.contains(u))
+    for u in all_subspaces(n, t - 1, q):
+        upiv = [row.index(1) for row in u]
+        free = [j for j in range(n) if j not in upiv]
+        members = []
+        for w in ws:
+            w = [_spread(row, free, n) for row in w]
+            wpiv = [row.index(1) for row in w]
+            reduced = []
+            for r in u:
+                for p, wp in zip(wpiv, w):
+                    c = r[p]
+                    if c:
+                        r = tuple((a - c * b) % q for a, b in zip(r, wp))
+                reduced.append(r)
+            basis = sorted(zip(upiv + wpiv, reduced + w))
+            members.append(tuple(row + (0,) for _, row in basis))
         if len(members) != expected_members:
             raise DrgError(
-                f"family of u={u.rows} has {len(members)} members, expected {expected_members}"
+                f"family of u={u} has {len(members)} members, expected {expected_members}"
             )
-        families.append(DescendentFamily(u=u, members=members))
+        families.append(DescendentFamily(u=tuple(row + (0,) for row in u),
+                                         members=tuple(sorted(members))))
     if len(families) != q_binomial(2 * d, t - 1, q):
         raise DrgError("descendent family count mismatch")
     return families

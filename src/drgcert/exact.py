@@ -224,7 +224,3 @@ def rref_gf(rows: Sequence[Sequence[int]], p: int):
         if rank == len(work):
             break
     return tuple(tuple(r) for r in work[:rank]), rank
-
-
-def rank_gf(rows: Sequence[Sequence[int]], p: int) -> int:
-    return rref_gf(rows, p)[1]

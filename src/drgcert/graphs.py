@@ -21,16 +21,21 @@ check take its sources among the orbit representatives only, since an
 automorphism g gives the counts at (gx, gy) the values at (x, y), and let
 the clique search in `ekr_search` root at those representatives.
 
+A subspace of GF(q)^n is a plain tuple, its canonical RREF basis, which is
+also its vertex label.
+
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
 Grassmann families and are cross-validated against BFS-extracted arrays in
-the test suite.
+the test suite.  On that tier `twisted_x2_distance_counts` gives the
+distance histogram of a set of X2 vertices by a proved rule, for every q.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
@@ -45,12 +50,9 @@ from .errors import (
     TierLimitExceeded,
     UnsupportedField,
 )
-from .exact import is_prime, q_binomial, q_int, rank_gf, rref_gf
+from .exact import is_prime, q_binomial, q_int, rref_gf
 
 DEFAULT_VERTEX_CAP = 20_000
-
-#: point-set bitmasks are kept only while q^n stays below this
-_MASK_LIMIT = 1 << 14
 
 
 def iter_bits(mask: int):
@@ -65,98 +67,9 @@ def iter_bits(mask: int):
 # subspaces of GF(q)^n
 
 
-class SubspaceRep:
-    """A subspace of GF(q)^n, stored as its unique RREF basis (no zero rows).
-
-    Two SubspaceReps compare equal iff they are the same subspace.  For small
-    q^n a bitmask over all q^n point codes is cached, which turns intersection
-    dimension into one AND plus a popcount.
-    """
-
-    __slots__ = ("n", "q", "rows", "_mask")
-
-    def __init__(self, n: int, q: int, rows, canonical: bool = False):
-        self.n = n
-        self.q = q
-        if canonical:
-            self.rows = tuple(tuple(r) for r in rows)
-        else:
-            self.rows, _ = rref_gf(rows, q)
-        self._mask = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubspaceRep)
-            and self.n == other.n
-            and self.q == other.q
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.q, self.rows))
-
-    def __lt__(self, other):
-        return self.rows < other.rows
-
-    def __repr__(self):
-        return f"SubspaceRep(n={self.n}, q={self.q}, rows={self.rows})"
-
-    def _encode(self, vec) -> int:
-        code = 0
-        for i, x in enumerate(vec):
-            code += x * self.q ** i
-        return code
-
-    def point_mask(self) -> int:
-        """Bitmask with bit set at the code of every vector of the subspace."""
-        if self._mask is not None:
-            return self._mask
-        if self.q ** self.n > _MASK_LIMIT:
-            raise TierLimitExceeded(f"point mask over GF({self.q})^{self.n} too large")
-        if self.q == 2:
-            pts = {0}
-            for row in self.rows:
-                r = self._encode(row)
-                pts |= {x ^ r for x in pts}
-            mask = 0
-            for x in pts:
-                mask |= 1 << x
-        else:
-            mask = 0
-            for coeffs in itertools.product(range(self.q), repeat=self.dim):
-                vec = [0] * self.n
-                for ci, row in zip(coeffs, self.rows):
-                    if ci:
-                        for j, x in enumerate(row):
-                            vec[j] = (vec[j] + ci * x) % self.q
-                mask |= 1 << self._encode(vec)
-        self._mask = mask
-        return mask
-
-    def meet_dim(self, other: "SubspaceRep") -> int:
-        """Dimension of the intersection with another subspace."""
-        if self.q ** self.n <= _MASK_LIMIT:
-            common = (self.point_mask() & other.point_mask()).bit_count()
-            dim = 0
-            size = 1
-            while size < common:
-                size *= self.q
-                dim += 1
-            assert size == common
-            return dim
-        joined = rank_gf(self.rows + other.rows, self.q)
-        return self.dim + other.dim - joined
-
-    def contains(self, other: "SubspaceRep") -> bool:
-        return self.meet_dim(other) == other.dim
-
-
 def all_subspaces(n: int, k: int, q: int):
-    """Yield every k-dim subspace of GF(q)^n exactly once, as canonical RREF.
+    """Yield every k-dim subspace of GF(q)^n exactly once, as its canonical
+    RREF basis: a tuple of k row tuples.
 
     Enumeration is by pivot pattern plus free entries, so each subspace is
     produced directly in canonical form (no reduction step, no duplicates).
@@ -175,7 +88,7 @@ def all_subspaces(n: int, k: int, q: int):
                 rows[i][p] = 1
             for (i, j), v in zip(free_cells, values):
                 rows[i][j] = v
-            yield SubspaceRep(n, q, tuple(tuple(r) for r in rows), canonical=True)
+            yield tuple(tuple(r) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +352,7 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
     expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap, q)
     return _assemble(
-        "grassmann", {"q": q, "v": v, "d": d}, (rep.rows for rep in all_subspaces(v, d, q)),
+        "grassmann", {"q": q, "v": v, "d": d}, all_subspaces(v, d, q),
         lambda rows: hyperplanes(rows, q), expected,
         [_on_subspaces(f, q) for f in _elementary(q, v)],
     )
@@ -496,10 +409,10 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     expected = _check_cap(
         f"twisted({q},{d})", bits, lambda: q_binomial(n_amb, d, q), vertex_cap, q
     )
-    x1 = [("X1", r.rows) for r in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in r.rows)]
+    x1 = [("X1", rows) for rows in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in rows)]
     if len(x1) != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
         raise ParameterError("twisted: X1 enumeration is inconsistent")
-    x2 = [("X2", rep.rows) for rep in twisted_x2_vertices(q, d)]
+    x2 = [("X2", rows) for rows in twisted_x2_vertices(q, d)]
 
     def links(lab):
         return [("X2", h) for h in hyperplanes(meet_h(lab[1], q), q)] if lab[0] == "X1" else ()
@@ -514,16 +427,11 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     )
 
 
-def twisted_x2_vertices(q: int, d: int) -> list[SubspaceRep]:
-    """The X2 part of the twisted graph: (d-1)-dim subspaces of the fixed
-    hyperplane, embedded in GF(q)^(2d+1) with trailing zero coordinate."""
-    n_amb = 2 * d + 1
-    reps = []
-    for rep in all_subspaces(2 * d, d - 1, q):
-        rows = tuple(row + (0,) for row in rep.rows)
-        reps.append(SubspaceRep(n_amb, q, rows, canonical=True))
-    reps.sort()
-    return reps
+def twisted_x2_vertices(q: int, d: int) -> list[tuple]:
+    """The X2 part of the twisted graph, sorted: the (d-1)-dim subspaces of
+    the fixed hyperplane, embedded in GF(q)^(2d+1) with trailing zero
+    coordinate."""
+    return sorted(tuple(row + (0,) for row in rows) for rows in all_subspaces(2 * d, d - 1, q))
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +619,11 @@ def twisted_intersection_array(q: int, d: int) -> IntersectionArray:
 # twisted X2 distances without the full graph
 
 
-def twisted_x2_distance(x: SubspaceRep, y: SubspaceRep) -> int:
-    """Distance in the twisted graph between two X2 vertices, from the
-    adjacency rule alone (the graph is never materialized).
+def twisted_x2_distance_counts(members: list[tuple], q: int, d: int) -> list[int]:
+    """Histogram of ordered-pair distances within a list of X2 vertices
+    (canonical RREF bases of (d-1)-dim subspaces of H), over the twisted
+    graph of diameter d, from the adjacency rule alone (the graph is never
+    materialized).
 
     Let g = dim x - dim(x meet y), the distance of x and y in the Grassmann
     graph J_q(2d, d-1) that X2 induces (x ~ y iff they meet in dimension d-2,
@@ -732,25 +642,32 @@ def twisted_x2_distance(x: SubspaceRep, y: SubspaceRep) -> int:
     (At g = 2, x + y has dimension d+1 and lies inside H, so it is no X1
     vertex; the common neighbours are all in X2.)  Distances of 3 and more
     depend on paths through X1, so they raise DistanceUndetermined.
+
+    x meet y has q^dim(x meet y) vectors: with one bit per point that some
+    member contains, it is one AND plus a popcount, for every q.
     """
-    if x == y:
-        return 0
-    gap = x.dim - x.meet_dim(y)
-    if gap <= 2:
-        return gap
-    raise DistanceUndetermined(
-        "pair is at distance >= 3; materialize the graph for an exact value"
-    )
-
-
-def twisted_x2_distance_counts(members: list[SubspaceRep], q: int, d: int) -> list[int]:
-    """Histogram of ordered-pair distances within a set of X2 vertices, over
-    the twisted graph of diameter d, without materializing it."""
+    zero = (0,) * (2 * d + 1)
+    index = {}
+    masks = []
+    for rows in members:
+        points = [zero]
+        for row in rows:
+            points = [tuple((a + c * b) % q for a, b in zip(p, row))
+                      for p in points for c in range(q)]
+        masks.append(reduce(or_, (1 << index.setdefault(p, len(index)) for p in points)))
+    common = Counter()
+    for i, x in enumerate(masks):
+        common.update(map(int.bit_count, map(x.__and__, masks[i + 1:])))
+    meet_dim = {q ** k: k for k in range(d)}
     counts = [0] * (d + 1)
     counts[0] = len(members)
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            counts[twisted_x2_distance(x, y)] += 2
+    for size, pairs in common.items():
+        gap = d - 1 - meet_dim[size]
+        if gap > 2:
+            raise DistanceUndetermined(
+                "pair is at distance >= 3; materialize the graph for an exact value"
+            )
+        counts[gap] += 2 * pairs
     return counts
 
 

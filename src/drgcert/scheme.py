@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import lcm
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     IrrationalEigenvalue,
@@ -32,6 +31,9 @@ from .errors import (
 )
 from .exact import ExactMatrix, format_fraction
 from .graphs import DistanceCensus, Graph, IntersectionArray, orbits
+
+if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI command uses
+    import numpy as np
 
 FULL_MATRIX_CAP = 1_000
 
@@ -290,6 +292,8 @@ def materialize_distance_matrices(
 ) -> list[np.ndarray]:
     """Explicit 0/1 distance matrices A_0..A_d as int64 arrays; row x of A_k
     is the level mask levels[x][k] unpacked."""
+    import numpy as np
+
     n = G.n
     if n > cap:
         raise TierLimitExceeded(f"{n} vertices exceeds the full-matrix cap {cap}")
@@ -321,6 +325,8 @@ def materialize_idempotents(
     on row gx, and every row is gx for some representative x.  A hand-built
     graph has the trivial group, and then R is every row.
     """
+    import numpy as np
+
     mats = materialize_distance_matrices(G, census, cap)
     n = G.n
     d = sys.d
@@ -366,6 +372,8 @@ def krein_cross_check(
     """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k on the
     materialized matrices, on the rows of the orbit representatives (enough
     by the argument in `materialize_idempotents`).  Raises on any mismatch."""
+    import numpy as np
+
     if kt is None:
         kt = krein_parameters(sys)
     mats = materialize_idempotents(G, census, sys, cap)

@@ -131,6 +131,8 @@ def load_subset(path, graph: Graph) -> VertexSubset:
     with open(path, encoding="ascii") as fh:
         try:
             labels = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not an ASCII file ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(labels, list) or not labels:

@@ -300,6 +300,27 @@ def adjacency_by_rule(family, params):
     return vertices, adj
 
 
+def descendent_families_by_filter(q, d, t):
+    """(u, members) for each (t-1)-dim subspace u of H = GF(q)^(2d), the
+    members every (d-1)-dim subspace of H that contains u, found by testing
+    the whole pool against each u on point sets.  Both are canonical RREF
+    bases with a zero last coordinate appended, as X2 labels are.  The u
+    come in order of their pivot columns, then of their rows (the order of
+    enumeration by pivot pattern and free entries), the members sorted."""
+    def label(points):
+        return tuple(row + (0,) for row in rref_label(points))
+
+    def order(u):
+        rows = rref_label(u)
+        return [next(i for i, x in enumerate(row) if x) for row in rows], rows
+
+    pool = sorted((label(x), x) for x in subspaces(q, 2 * d, d - 1))
+    return [
+        (label(u), [lab for lab, x in pool if u <= x])
+        for u in sorted(subspaces(q, 2 * d, t - 1), key=order)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # distances by breadth-first search from each source
 

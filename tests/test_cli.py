@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import drgcert
 from drgcert.cli import main
 from drgcert.graphs import build_twisted_grassmann
 
@@ -55,6 +59,35 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     code, doc = run(capsys, *argv)
     assert code == 0
     assert [p.name for p in tmp_path.iterdir()] == [Path(doc["cache_file"]).name]
+
+
+def test_non_ascii_cache_file_differs(tmp_path, capsys):
+    argv = ("build", "johnson", "-v", "5", "-d", "2", "--cache", str(tmp_path))
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    cache = Path(doc["cache_file"])
+    cache.write_bytes(cache.read_bytes() + b"\xff")
+    assert main(list(argv)) == 2
+    assert "differs from a fresh computation" in capsys.readouterr().err
+
+
+def test_non_ascii_subset_file_is_a_usage_error(tmp_path, capsys):
+    subset = tmp_path / "subset.json"
+    subset.write_bytes(b"[[1, 2], [1, 3]]\xff")
+    code = main(["widths", "johnson", "-v", "5", "-d", "2",
+                 "--subset", str(subset), "--cache", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the full-matrix tier imports numpy, and no command reaches it
+    src = str(Path(drgcert.__file__).resolve().parents[1])
+    script = "import sys, drgcert.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_build_twisted_and_grassmann(tmp_path, capsys):

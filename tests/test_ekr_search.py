@@ -4,7 +4,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from _oracles import span
+from _oracles import descendent_families_by_filter, span
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
 from drgcert.exact import q_binomial
 from drgcert.graphs import (
@@ -222,7 +222,7 @@ def test_descendent_families_221(built):
     fams = enumerate_descendent_families(2, 2, 1)
     assert len(fams) == 1
     fam = fams[0]
-    assert fam.u.dim == 0 and fam.size == 15
+    assert fam.u == () and fam.size == 15
     g, _, _, _ = built("twisted", 2, 2)
     x2_labels = {lab for lab in g.vertices if lab[0] == "X2"}
     assert set(fam.labels()) == x2_labels
@@ -233,16 +233,26 @@ def test_descendent_families_232():
     # oracle: count the 1-dim subspaces of GF(2)^6 directly
     assert len(fams) == 63 == 2 ** 6 - 1 == q_binomial(6, 1, 2)
     assert all(f.size == 31 for f in fams)
-    assert all(f.u.dim == 1 for f in fams)
+    assert all(len(f.u) == 1 for f in fams)
     # membership oracle on the first family: planes of H containing u
     fam = fams[0]
-    assert all(x.contains(fam.u) for x in fam.members)
+    assert all(span(fam.u, 2, 7) <= span(x, 2, 7) for x in fam.members)
 
 
 def test_descendent_families_231():
     fams = enumerate_descendent_families(2, 3, 1)
     assert len(fams) == 1
     assert fams[0].size == 651 == q_binomial(6, 2, 2)
+
+
+@pytest.mark.parametrize("q,d,t", [
+    (2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1), (5, 2, 1), (7, 2, 1),
+])
+def test_descendent_families_match_pool_filter(q, d, t):
+    # same u in the same order, same members in the same order, as the
+    # whole X2 pool filtered by containment of u on point sets
+    found = [(f.u, list(f.members)) for f in enumerate_descendent_families(q, d, t)]
+    assert found == descendent_families_by_filter(q, d, t)
 
 
 def test_descendent_family_errors():

@@ -14,7 +14,6 @@ from drgcert.exact import (
     is_prime,
     q_binomial,
     q_int,
-    rank_gf,
     rref_gf,
     solve_linear_exact,
 )
@@ -158,10 +157,10 @@ def test_rref_random_properties(p):
 
 
 def test_rank_gf():
-    assert rank_gf([[1, 1], [1, 1]], 2) == 1
+    assert rref_gf([[1, 1], [1, 1]], 2)[1] == 1
     # (2,1) = 2*(1,2) over GF(3), so rank 1; (2,2) is independent
-    assert rank_gf([[1, 2], [2, 1]], 3) == 1
-    assert rank_gf([[1, 2], [2, 2]], 3) == 2
+    assert rref_gf([[1, 2], [2, 1]], 3)[1] == 1
+    assert rref_gf([[1, 2], [2, 2]], 3)[1] == 2
 
 
 def test_prime_field():

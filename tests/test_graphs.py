@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -30,7 +31,6 @@ from drgcert.errors import (
 from drgcert.exact import q_binomial, q_int
 from drgcert.graphs import (
     Graph,
-    SubspaceRep,
     all_subspaces,
     build_bilinear,
     build_grassmann,
@@ -64,22 +64,12 @@ def is_complete(graph):
 
 @pytest.mark.parametrize("n,k,q", [(4, 1, 2), (4, 2, 2), (5, 2, 2), (3, 1, 3), (4, 2, 3)])
 def test_subspace_enumeration_count(n, k, q):
-    reps = list(all_subspaces(n, k, q))
-    assert len(reps) == q_binomial(n, k, q)
-    assert len(set(reps)) == len(reps)
-    for rep in reps[:20]:
-        assert rep.dim == k
-
-
-def test_meet_dim_mask_and_rank_agree():
-    # mask-based meet vs stacked-rank computation
-    from drgcert.exact import rank_gf
-
-    reps = list(all_subspaces(5, 2, 2))
-    for a in reps[::31]:
-        for b in reps[::17]:
-            expected = a.dim + b.dim - rank_gf(a.rows + b.rows, 2)
-            assert a.meet_dim(b) == expected
+    bases = list(all_subspaces(n, k, q))
+    assert len(bases) == q_binomial(n, k, q)
+    assert len(set(bases)) == len(bases)
+    for rows in bases[:20]:
+        assert len(rows) == k
+        assert rref_label(span(rows, q, n)) == rows
 
 
 def test_sub_subspaces():
@@ -172,13 +162,11 @@ def test_twisted_small():
     # X2 is a clique: distinct 1-dim subspaces meet in 0
     assert all(g.is_edge(i, j) for i in x2 for j in x2 if i < j)
     # X1-X2 adjacency is containment
-    reps = {
-        i: SubspaceRep(5, 2, lab[1], canonical=True) for i, lab in enumerate(g.vertices)
-    }
+    points = [span(lab[1], 2, 5) for lab in g.vertices]
     x1 = [i for i, lab in enumerate(g.vertices) if lab[0] == "X1"]
     for i in x1[::7]:
         for j in x2:
-            assert g.is_edge(i, j) == reps[i].contains(reps[j])
+            assert g.is_edge(i, j) == (points[j] <= points[i])
     assert distance_census(g).diameter == 2
     with pytest.raises(ParameterError):
         build_twisted_grassmann(2, 1)
@@ -315,14 +303,14 @@ def test_tampered_generators_are_refused():
 
 @pytest.mark.parametrize("n,k,q", [(4, 1, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)])
 def test_hyperplanes_match_sub_subspaces(n, k, q):
-    for rep in list(all_subspaces(n, k, q))[::37]:
-        found = hyperplanes(rep.rows, q)
+    for rows in list(all_subspaces(n, k, q))[::37]:
+        found = hyperplanes(rows, q)
         assert len(found) == q_int(k, q)
         assert len(set(found)) == len(found)
-        whole = span(rep.rows, q, n)
+        whole = span(rows, q, n)
         points = [span(h, q, n) for h in found]
         assert all(pts <= whole for pts in points)
-        assert sorted(points, key=sorted) == sub_subspaces(rep.rows, q, n, k - 1)
+        assert sorted(points, key=sorted) == sub_subspaces(rows, q, n, k - 1)
         # each hyperplane comes out as its own canonical RREF basis
         assert all(rref_label(pts) == h for pts, h in zip(points, found))
 
@@ -612,7 +600,7 @@ def test_x2_distance_counts_match_full_graph(built):
     g, census, _, _ = built("twisted", 2, 2)
     pool = twisted_x2_vertices(2, 2)
     counts = twisted_x2_distance_counts(pool, 2, 2)
-    idx = [g.index_of(("X2", rep.rows)) for rep in pool]
+    idx = [g.index_of(("X2", rows)) for rows in pool]
     expected = [0] * (census.diameter + 1)
     for i in idx:
         for j in idx:
@@ -624,7 +612,7 @@ def test_x2_distance_two_pairs():
     # at d=3 two disjoint planes of H are at distance exactly 2
     pool = twisted_x2_vertices(2, 3)
     x = pool[0]
-    y = next(p for p in pool if p.meet_dim(x) == 0)
+    y = next(p for p in pool if len(span(p, 2, 7) & span(x, 2, 7)) == 1)
     counts = twisted_x2_distance_counts([x, y], 2, 3)
     assert counts == [2, 0, 2, 0]
 
@@ -633,8 +621,27 @@ def test_x2_distance_two_pairs():
 def test_x2_distance_counts_match_search_oracle(q):
     members = random.Random(40 + q).sample(twisted_x2_vertices(q, 3), 40)
     counts = twisted_x2_distance_counts(members, q, 3)
-    assert counts == x2_distance_counts_by_search([m.rows for m in members], q, 3)
+    assert counts == x2_distance_counts_by_search(members, q, 3)
     assert counts[2] > 0
+
+
+def test_x2_meet_dims_match_point_sets():
+    # planes of H = GF(q)^6 spanned by two of eight random vectors, so that
+    # many pairs share a line; at q = 5, GF(q)^7 has 78,125 points.  The
+    # distance of a pair is 2 - log_q |x meet y|
+    for q in (2, 5):
+        rng = random.Random(q)
+        vectors = [[rng.randrange(q) for _ in range(6)] for _ in range(8)]
+        planes = {span(pair, q, 6) for pair in itertools.combinations(vectors, 2)}
+        members = sorted(tuple(row + (0,) for row in rref_label(pts))
+                         for pts in planes if len(pts) == q * q)
+        points = [span(rows, q, 7) for rows in members]
+        expected = [0] * 4
+        for x in points:
+            for y in points:
+                expected[{q * q: 0, q: 1, 1: 2}[len(x & y)]] += 1
+        assert expected[1] and expected[2]
+        assert twisted_x2_distance_counts(members, q, 3) == expected
 
 
 def test_x2_distance_beyond_two_is_undetermined():
@@ -642,9 +649,9 @@ def test_x2_distance_beyond_two_is_undetermined():
     def unit(i):
         return tuple(int(j == i) for j in range(9))
 
-    x = SubspaceRep(9, 2, (unit(0), unit(1), unit(2)), canonical=True)
-    y = SubspaceRep(9, 2, (unit(3), unit(4), unit(5)), canonical=True)
-    assert x2_distance_by_search(x.rows, y.rows, 2) is None
+    x = (unit(0), unit(1), unit(2))
+    y = (unit(3), unit(4), unit(5))
+    assert x2_distance_by_search(x, y, 2) is None
     with pytest.raises(DistanceUndetermined):
         twisted_x2_distance_counts([x, y], 2, 4)
 
