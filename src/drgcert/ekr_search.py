@@ -7,7 +7,7 @@ enumerates every maximum clique (up to a cap), which is what uniqueness
 claims require.
 
 The search uses the verified automorphism group of the graph (see
-`graphs._automorphisms`; a threshold graph inherits it, as automorphisms
+`graphs._assemble`; a threshold graph inherits it, as automorphisms
 preserve distance).  With orbits O_1, ..., O_m and representatives
 r_1, ..., r_m, root i searches the cliques through r_i that avoid
 O_1, ..., O_{i-1}, and the maxima found are then closed under the
@@ -32,7 +32,6 @@ from .graphs import (
     Graph,
     _check_cap,
     all_subspaces,
-    build_grassmann,
     build_twisted_grassmann,
     check_distance_regular,
     distance_census,
@@ -320,9 +319,10 @@ def verify_theorem(
     search_cap: int = EXHAUSTIVE_CAP,
     enum_cap: int = ENUM_CAP,
 ) -> TheoremReport:
-    """Build both graphs, compare structure constants and Q, certify the
-    bound, search exhaustively, and compare maximizers with the enumerated
-    descendent families."""
+    """Build the twisted graph, compare its BFS array and its P and Q with
+    the closed-form array of J_q(2d+1,d) and that array's eigensystem,
+    certify the bound, search exhaustively, and compare maximizers with the
+    enumerated descendent families."""
     if d < 2:
         raise ParameterError(f"need d >= 2, got d={d}")
     if not 0 < t < d:
@@ -331,11 +331,9 @@ def verify_theorem(
     n = _check_cap(f"twisted({q},{d})", d * (d + 1) * (q.bit_length() - 1),
                    lambda: q_binomial(2 * d + 1, d, q), search_cap, prime=q)
     twisted = build_twisted_grassmann(q, d)
-    ordinary = build_grassmann(q, 2 * d + 1, d)
     census_tw = distance_census(twisted)
-    census_gr = distance_census(ordinary)
     arr_tw = check_distance_regular(twisted, census_tw)
-    arr_gr = check_distance_regular(ordinary, census_gr)
+    arr_gr = twisted_intersection_array(q, d)
     arrays_match = arr_tw == arr_gr
     sys_tw = eigensystem_from_array(arr_tw, n)
     sys_gr = eigensystem_from_array(arr_gr, n)

@@ -15,7 +15,8 @@ graph) all read those masks directly.
 Each builder also names a few label maps that generate a group of
 automorphisms (Sym(v) for Johnson, GL(v,q) for Grassmann, ...).  None is
 trusted: `_assemble` turns each into an index permutation and checks that it
-is a bijection preserving every adjacency mask, in O(n * k).  Their orbits
+is a bijection mapping each clique key's member set onto a key's member set
+(and each extra link onto a link), in O(sum of key sizes).  Their orbits
 (one per family, X1 and X2 for the twisted graph) let the distance-regularity
 check take its sources among the orbit representatives only, since an
 automorphism g gives the counts at (gx, gy) the values at (x, y), and let
@@ -100,8 +101,8 @@ class Graph:
 
     adj[i] is an int bitmask of the neighbours of vertex i.  automorphisms
     holds index permutations that generate a group of automorphisms; the
-    caller vouches for them (the builders verify theirs in `_assemble`), and
-    a hand-built graph has the trivial group.
+    caller vouches for them (the builders verify theirs on their clique keys
+    in `_assemble`), and a hand-built graph has the trivial group.
     """
 
     __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "_index")
@@ -161,7 +162,19 @@ def _assemble(family, params, labels, keys, expected_n, generators, links=None):
     which every graph goes through before use).  keys(label) lists a
     vertex's clique keys; adj[i] is the OR of the member masks of i's keys,
     less bit i.  links(label), when given, lists further neighbours, joined
-    both ways.  generators are label maps, each checked by `_automorphisms`."""
+    both ways.
+
+    Each generator, a label map g, becomes the index permutation p with
+    p[x] = index_of(g(x)).  p must be a bijection that maps every key member
+    set onto a key member set and every link pair onto a link pair
+    (unordered), in O(sum of key sizes + links) per map; DrgError otherwise.
+    This proves p an automorphism.  The family F of member sets is finite
+    and p is injective, so p maps F into F injectively, hence onto F, and
+    p^-1 maps F into F as well; the same holds for the link pairs L.  x ~ y
+    iff {x, y} lies in a set of F or is in L, so x ~ y iff p(x) ~ p(y).  The
+    test is sufficient, not necessary: an automorphism may move a member set
+    onto a clique that is no key's.  Every builder's generators act on the
+    keys themselves, so they pass."""
     labels = sorted(labels)
     if len(labels) != expected_n:
         raise ParameterError(f"{family}: enumerated {len(labels)} vertices, expected {expected_n}")
@@ -172,34 +185,27 @@ def _assemble(family, params, labels, keys, expected_n, generators, links=None):
             members[key] = members.get(key, 0) | 1 << i
     adj = [reduce(or_, map(members.get, ks)) & ~(1 << i) for i, ks in enumerate(key_lists)]
     graph = Graph(family, params, labels, adj)
+    pairs = set()
     for i, label in enumerate(labels if links else ()):
         for j in map(graph.index_of, links(label)):
             graph.adj[i] |= 1 << j
             graph.adj[j] |= 1 << i
-    graph.automorphisms = _automorphisms(graph, generators)
-    return graph
-
-
-def _automorphisms(graph: Graph, label_maps) -> tuple:
-    """Each label map g as the index permutation p with p[x] = index_of(g(x)),
-    verified exactly: p must be a bijection and adj[p[x]] = p(adj[x]) for
-    every x, which is O(n * k) per map.  Raises DrgError otherwise."""
+            pairs.add(frozenset((i, j)))
+    sets = {frozenset(iter_bits(mask)) for mask in members.values()}
     perms = []
-    for g in label_maps:
-        perm = tuple(graph._index.get(g(label)) for label in graph.vertices)
+    for g in generators:
+        perm = tuple(graph._index.get(g(label)) for label in labels)
         if None in perm or len(set(perm)) != graph.n:
-            raise DrgError(f"{graph.family}: a generator is not a bijection of the vertices")
+            raise DrgError(f"{family}: a generator is not a bijection of the vertices")
+        for pool in (sets, pairs):
+            for s in pool:
+                if frozenset(map(perm.__getitem__, s)) not in pool:
+                    raise DrgError(
+                        f"{family}: a generator does not preserve the edges at {labels[min(s)]!r}"
+                    )
         perms.append(perm)
-    bits = [[1 << j for j in perm] for perm in perms]
-    for x, mask in enumerate(graph.adj):
-        ys = list(iter_bits(mask))
-        for perm, bit in zip(perms, bits):
-            if graph.adj[perm[x]] != sum(map(bit.__getitem__, ys)):
-                raise DrgError(
-                    f"{graph.family}: a generator does not preserve the edges "
-                    f"at {graph.vertices[x]!r}"
-                )
-    return tuple(perms)
+    graph.automorphisms = tuple(perms)
+    return graph
 
 
 def orbits(G: Graph) -> list[int]:

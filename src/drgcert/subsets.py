@@ -40,9 +40,6 @@ class VertexSubset:
     def size(self) -> int:
         return len(self.indices)
 
-    def labels(self) -> list:
-        return [self.graph.vertices[i] for i in self.indices]
-
 
 @dataclass(frozen=True)
 class InnerDistribution:

@@ -356,3 +356,16 @@ def census_by_bfs(adj):
     for row in levels:
         row.extend([0] * (diameter + 1 - len(row)))
     return levels, diameter
+
+
+# ---------------------------------------------------------------------------
+# automorphisms on the adjacency masks
+
+
+def is_automorphism(adj, perm):
+    """perm is a bijection of range(len(adj)) with adj[perm[x]] equal to the
+    image of adj[x] for every x: the check on every adjacency mask."""
+    if sorted(perm) != list(range(len(adj))):
+        return False
+    return all(adj[perm[x]] == sum(1 << perm[y] for y in _bits(mask))
+               for x, mask in enumerate(adj))

@@ -5,10 +5,12 @@ import networkx as nx
 import pytest
 
 from _oracles import descendent_families_by_filter, span
+from drgcert import ekr_search, graphs
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
 from drgcert.exact import q_binomial
 from drgcert.graphs import (
     Graph,
+    IntersectionArray,
     build_hamming,
     build_johnson,
     distance_census,
@@ -335,6 +337,25 @@ def test_verify_theorem_221():
     assert report.bound == report.expected == report.optimum == 15
     assert report.n_maximizers == 1 and report.maximizers_match
     assert not report.truncated
+
+
+def test_verify_theorem_builds_no_grassmann_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_theorem built J_q(2d+1,d)")
+
+    monkeypatch.setattr(graphs, "build_grassmann", refuse)
+    monkeypatch.setattr(ekr_search, "build_grassmann", refuse, raising=False)
+    assert verify_theorem(2, 2, 1).passed
+
+
+def test_verify_theorem_refuses_a_wrong_closed_form_array(monkeypatch):
+    # K_155 has as many vertices as twisted(2,2), and a valid eigensystem
+    monkeypatch.setattr(ekr_search, "twisted_intersection_array",
+                        lambda q, d: IntersectionArray((154,), (1,)))
+    report = verify_theorem(2, 2, 1)
+    assert not report.arrays_match and not report.q_matrices_match
+    assert not report.passed
+    assert report.certificate_feasible and report.maximizers_match
 
 
 def test_verify_theorem_321():

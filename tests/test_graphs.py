@@ -10,6 +10,7 @@ from _oracles import (
     adjacency_by_rule,
     census_by_bfs,
     elements,
+    is_automorphism,
     parse_graph_cache,
     rref_label,
     span,
@@ -244,10 +245,6 @@ def test_clique_keys_match_pairwise_rule(family, params):
 # automorphism generators
 
 
-def edge_set(graph):
-    return {(i, j) for i, mask in enumerate(graph.adj) for j in range(graph.n) if mask >> j & 1}
-
-
 @pytest.mark.parametrize("family,args", [
     ("johnson", (5, 2)),
     ("johnson", (7, 3)),
@@ -272,10 +269,8 @@ def test_generators_are_automorphisms_with_expected_orbits(family, args, built):
     thresholds = [threshold_graph(g, census, t) for t in range(1, census.diameter)]
     for graph in [g] + thresholds:
         assert graph.automorphisms == g.automorphisms
-        edges = edge_set(graph)
         for perm in g.automorphisms:
-            assert sorted(perm) == list(range(g.n))
-            assert {(perm[i], perm[j]) for i, j in edges} == edges
+            assert is_automorphism(graph.adj, perm)
     # one orbit; the twisted graph's are its parts X1 and X2, in label order
     parts = sorted({lab[0] for lab in g.vertices}) if family == "twisted" else [None]
     assert orbits(g) == [
@@ -285,16 +280,40 @@ def test_generators_are_automorphisms_with_expected_orbits(family, args, built):
 
 
 def test_tampered_generators_are_refused():
-    g = build_johnson(5, 2)
+    def johnson52(generator):
+        return graphs._assemble(
+            "johnson", {"v": 5, "d": 2}, itertools.combinations(range(1, 6), 2),
+            lambda x: [x[:1], x[1:]], 10, [generator],
+        )
+
+    assert johnson52(lambda x: x).automorphisms == (tuple(range(10)),)
     swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
     with pytest.raises(DrgError, match="does not preserve the edges"):
-        graphs._automorphisms(g, [lambda x: swap.get(x, x)])
+        johnson52(lambda x: swap.get(x, x))
     with pytest.raises(DrgError, match="not a bijection"):
-        graphs._automorphisms(g, [lambda x: (1, 2)])
+        johnson52(lambda x: (1, 2))
     with pytest.raises(DrgError, match="not a bijection"):
-        graphs._automorphisms(g, [lambda x: x + (6,)])
+        johnson52(lambda x: x + (6,))
     hand_built = Graph("k3", {}, [0, 1, 2], [6, 5, 3])
     assert hand_built.automorphisms == () and orbits(hand_built) == [1, 2, 4]
+
+
+def test_generators_must_map_link_pairs_onto_link_pairs():
+    # the path 0-1-2-3 from the keys {0,1}, {2,3} and the link 1-2
+    def path(generator):
+        return graphs._assemble(
+            "path", {}, range(4), lambda x: ["low" if x < 2 else "high"], 4,
+            [generator], lambda x: [2] if x == 1 else [],
+        )
+
+    reflection = path(lambda x: 3 - x)
+    assert reflection.adj == [0b10, 0b101, 0b1010, 0b100]
+    assert reflection.automorphisms == ((3, 2, 1, 0),)
+    assert is_automorphism(reflection.adj, (3, 2, 1, 0))
+    # 0 <-> 1 keeps both key member sets but moves the link 1-2 onto 0-2
+    assert not is_automorphism(reflection.adj, (1, 0, 2, 3))
+    with pytest.raises(DrgError, match="does not preserve the edges at 1"):
+        path(lambda x: {0: 1, 1: 0}.get(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +574,7 @@ def test_twisted_matches_grassmann_array(built):
 
 
 def test_grassmann_closed_form_array(built):
-    for args in [(2, 4, 2), (2, 5, 2)]:
+    for args in [(2, 4, 2), (2, 5, 2), (3, 5, 2)]:
         _, _, arr, _ = built("grassmann", *args)
         assert grassmann_intersection_array(*args) == arr
     arr73 = grassmann_intersection_array(2, 7, 3)
