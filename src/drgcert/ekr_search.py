@@ -319,10 +319,10 @@ def verify_theorem(
     search_cap: int = EXHAUSTIVE_CAP,
     enum_cap: int = ENUM_CAP,
 ) -> TheoremReport:
-    """Build the twisted graph, compare its BFS array and its P and Q with
-    the closed-form array of J_q(2d+1,d) and that array's eigensystem,
-    certify the bound, search exhaustively, and compare maximizers with the
-    enumerated descendent families."""
+    """Build the twisted graph, compare its BFS array with the closed-form
+    array of J_q(2d+1,d) (which also settles P and Q), certify the bound,
+    search exhaustively, and compare maximizers with the enumerated
+    descendent families."""
     if d < 2:
         raise ParameterError(f"need d >= 2, got d={d}")
     if not 0 < t < d:
@@ -336,8 +336,6 @@ def verify_theorem(
     arr_gr = twisted_intersection_array(q, d)
     arrays_match = arr_tw == arr_gr
     sys_tw = eigensystem_from_array(arr_tw, n)
-    sys_gr = eigensystem_from_array(arr_gr, n)
-    q_match = sys_tw.Q == sys_gr.Q and sys_tw.P == sys_gr.P
     cert = solve_certificate(sys_tw, t)
     expected, _ = expected_bound("twisted", {"q": q, "d": d}, t)
     families = enumerate_descendent_families(q, d, t)
@@ -355,7 +353,6 @@ def verify_theorem(
     )
     passed = (
         arrays_match
-        and q_match
         and cert.feasible
         and cert.bound == expected
         and result.optimum == expected
@@ -365,7 +362,8 @@ def verify_theorem(
         q=q, d=d, t=t, n=n,
         passed=passed,
         arrays_match=arrays_match,
-        q_matrices_match=q_match,
+        # P and Q are a function of the array, and P gives the array back
+        q_matrices_match=arrays_match,
         certificate_feasible=cert.feasible,
         bound=cert.bound,
         expected=expected,

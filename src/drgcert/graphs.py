@@ -4,8 +4,10 @@ Vertices are plain nested tuples (canonical labels, JSON-friendly); adjacency
 is stored as one Python-int bitmask per vertex, built in O(n * keys) from a
 few clique keys per vertex (a Johnson vertex less one element, a Grassmann
 vertex's hyperplanes): each builder proves "adjacent iff a key is shared".
-Distances are always computed from the graph itself, by a breadth-first ball
-recurrence run from every vertex at once, never by closed-form distance
+The vertices that share a key form a clique, and the graph keeps these
+cliques (`Graph.cliques`), which cover every edge.  Distances are always
+computed from the graph itself, by a breadth-first ball recurrence run from
+every vertex at once over that clique cover, never by closed-form distance
 formulas.  The census keeps the level masks it produces:
 levels[x][k] is the bitmask of the vertices at distance k from x.  Threshold
 graphs, subset histograms, distance matrices and the distance-regularity
@@ -15,8 +17,8 @@ graph) all read those masks directly.
 Each builder also names a few label maps that generate a group of
 automorphisms (Sym(v) for Johnson, GL(v,q) for Grassmann, ...).  None is
 trusted: `_assemble` turns each into an index permutation and checks that it
-is a bijection mapping each clique key's member set onto a key's member set
-(and each extra link onto a link), in O(sum of key sizes).  Their orbits
+is a bijection mapping each clique's member set onto a clique's member set,
+in O(sum of clique sizes).  Their orbits
 (one per family, X1 and X2 for the twisted graph) let the distance-regularity
 check take its sources among the orbit representatives only, since an
 automorphism g gives the counts at (gx, gy) the values at (x, y), and let
@@ -36,11 +38,11 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import or_, xor
+from operator import or_
 
 from .errors import (
     DisconnectedGraph,
@@ -101,19 +103,23 @@ class Graph:
 
     adj[i] is an int bitmask of the neighbours of vertex i.  automorphisms
     holds index permutations that generate a group of automorphisms; the
-    caller vouches for them (the builders verify theirs on their clique keys
-    in `_assemble`), and a hand-built graph has the trivial group.
+    caller vouches for them (the builders verify theirs on their cliques in
+    `_assemble`), and a hand-built graph has the trivial group.  cliques,
+    when known, lists non-empty cliques of the graph as index arrays that
+    together cover every edge; the builders keep the ones their edges come
+    from, and a graph without a cover has None.
     """
 
-    __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "_index")
+    __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "cliques", "_index")
 
     def __init__(self, family: str, params: dict, vertices: list, adj: list[int],
-                 automorphisms: tuple = ()):
+                 automorphisms: tuple = (), cliques: list[array] | None = None):
         self.family = family
         self.params = dict(params)
         self.vertices = list(vertices)
         self.adj = list(adj)
         self.automorphisms = automorphisms
+        self.cliques = cliques
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ParameterError("duplicate vertex labels")
@@ -156,53 +162,63 @@ def _check_cap(name: str, bits: int, count, vertex_cap: int, prime: int | None =
     return n
 
 
+def _through(n: int, cliques) -> list[array]:
+    """through[x]: the indices of the cliques that contain vertex x."""
+    through = [array("I") for _ in range(n)]
+    for c, members in enumerate(cliques):
+        for x in members:
+            through[x].append(c)
+    return through
+
+
 def _assemble(family, params, labels, keys, expected_n, generators, links=None):
-    """Sort the labels, join the vertices that share a clique key, verify the
+    """Sort the labels, join the vertices of each clique, verify the
     automorphism generators (connectivity is checked by `distance_census`,
     which every graph goes through before use).  keys(label) lists a
-    vertex's clique keys; adj[i] is the OR of the member masks of i's keys,
-    less bit i.  links(label), when given, lists further neighbours, joined
-    both ways.
+    vertex's clique keys, and the vertices that share a key form one
+    clique.  links(label), when given and not empty, lists further
+    neighbours of label, which together with label form one more clique.
+    adj[i] is the OR of the masks of the cliques through i, less bit i, and
+    the cliques are kept on the graph as its cover.
 
     Each generator, a label map g, becomes the index permutation p with
-    p[x] = index_of(g(x)).  p must be a bijection that maps every key member
-    set onto a key member set and every link pair onto a link pair
-    (unordered), in O(sum of key sizes + links) per map; DrgError otherwise.
-    This proves p an automorphism.  The family F of member sets is finite
-    and p is injective, so p maps F into F injectively, hence onto F, and
-    p^-1 maps F into F as well; the same holds for the link pairs L.  x ~ y
-    iff {x, y} lies in a set of F or is in L, so x ~ y iff p(x) ~ p(y).  The
-    test is sufficient, not necessary: an automorphism may move a member set
-    onto a clique that is no key's.  Every builder's generators act on the
-    keys themselves, so they pass."""
+    p[x] = index_of(g(x)).  p must be a bijection that maps every clique's
+    member set onto a clique's member set, in O(sum of clique sizes) per
+    map; DrgError otherwise.  This proves p an automorphism.  The family F
+    of member sets is finite and p is injective, so p maps F into F
+    injectively, hence onto F, and p^-1 maps F into F as well.  x ~ y iff
+    {x, y} lies in a set of F, so x ~ y iff p(x) ~ p(y).  The test is
+    sufficient, not necessary: an automorphism may move a member set onto a
+    clique that is not in F.  Every builder's generators act on the keys
+    and links themselves, so they pass."""
     labels = sorted(labels)
     if len(labels) != expected_n:
         raise ParameterError(f"{family}: enumerated {len(labels)} vertices, expected {expected_n}")
-    key_lists = list(map(keys, labels))
-    members = {}
-    for i, ks in enumerate(key_lists):
-        for key in ks:
-            members[key] = members.get(key, 0) | 1 << i
-    adj = [reduce(or_, map(members.get, ks)) & ~(1 << i) for i, ks in enumerate(key_lists)]
-    graph = Graph(family, params, labels, adj)
-    pairs = set()
+    graph = Graph(family, params, labels, [])
+    members = defaultdict(lambda: array("I"))
+    for i, label in enumerate(labels):
+        for key in keys(label):
+            members[key].append(i)
+    cliques = list(members.values())
     for i, label in enumerate(labels if links else ()):
-        for j in map(graph.index_of, links(label)):
-            graph.adj[i] |= 1 << j
-            graph.adj[j] |= 1 << i
-            pairs.add(frozenset((i, j)))
-    sets = {frozenset(iter_bits(mask)) for mask in members.values()}
+        linked = links(label)
+        if linked:
+            cliques.append(array("I", [i, *map(graph.index_of, linked)]))
+    masks = [reduce(or_, map((1).__lshift__, c)) for c in cliques]
+    graph.adj = [reduce(or_, map(masks.__getitem__, cs), 0) & ~(1 << i)
+                 for i, cs in enumerate(_through(graph.n, cliques))]
+    graph.cliques = cliques
+    sets = set(map(frozenset, cliques))
     perms = []
     for g in generators:
         perm = tuple(graph._index.get(g(label)) for label in labels)
         if None in perm or len(set(perm)) != graph.n:
             raise DrgError(f"{family}: a generator is not a bijection of the vertices")
-        for pool in (sets, pairs):
-            for s in pool:
-                if frozenset(map(perm.__getitem__, s)) not in pool:
-                    raise DrgError(
-                        f"{family}: a generator does not preserve the edges at {labels[min(s)]!r}"
-                    )
+        for s in sets:
+            if frozenset(map(perm.__getitem__, s)) not in sets:
+                raise DrgError(
+                    f"{family}: a generator does not preserve the edges at {labels[min(s)]!r}"
+                )
         perms.append(perm)
     graph.automorphisms = tuple(perms)
     return graph
@@ -400,6 +416,10 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     share no key).  Across the parts it is x2 < x1 meet H, which has
     dimension d: x1 links to that meet's [d]_q hyperplanes.  Containment is
     no clique key, as two X1 vertices through one x2 may meet in x2 alone.
+    The link {x1} u hyperplanes(x1 meet H) is a clique: each hyperplane h
+    lies in x1, so (d+1) + (d-1) - 2(d-1) = 2, and two distinct hyperplanes
+    of one d-space span it, so they meet in dimension 2(d-1) - d = d-2, and
+    (d-1) + (d-1) - 2(d-2) = 2.
 
     Automorphisms: `_elementary(q, 2d)` on the first 2d coordinates and the
     shear x_1 += x_{2d+1}, all of which fix H and so each part.  They are
@@ -472,8 +492,21 @@ def distance_census(G: Graph) -> DistanceCensus:
     d(x, z) <= k, or d(x, z) = k+1 >= 1 and the neighbour y of x on a
     geodesic from x to z has d(y, z) = k.  Level k is B_k ^ B_{k-1}.
 
-    Each round is n reductions over stored neighbour lists, run in C, and
-    the balls only grow.  The rounds stop when every ball is full, after
+    The neighbours are read off the clique cover G.cliques (a graph without
+    one takes its edges as 2-cliques): with U_k[C] the OR of B_k[y] over
+    the members y of C,
+
+        B_{k+1}[x] = B_k[x] | OR of U_k[C] over the cliques C through x.
+
+    Proof: every member of a clique through x is x or a neighbour of x, so
+    each such U_k[C] lies in the right side above; and every neighbour y of
+    x shares a clique C with x, as the cliques cover the edges, so B_k[y]
+    lies in U_k[C].  Each round is then 2 * (sum of clique sizes) ORs, run
+    in C by reductions over stored index arrays, against the sum of the
+    degrees over neighbour lists.  Once the unions hold every B_k, the balls
+    grow in place, so a round keeps one list of balls, not two.
+
+    The balls only grow.  The rounds stop when every ball is full, after
     diameter rounds.  A round that changes no ball before then has reached
     the components, and DisconnectedGraph is raised.
     """
@@ -484,13 +517,21 @@ def distance_census(G: Graph) -> DistanceCensus:
     if n > 1:  # B_1 needs no reductions; K1 stops at B_0
         ball = list(map(or_, ball, G.adj))
         rounds.append(G.adj)
-    nbrs = [array("I", iter_bits(mask)) for mask in G.adj]
+    cliques = G.cliques
+    if cliques is None:
+        cliques = [array("I", (x, y)) for x, mask in enumerate(G.adj)
+                   for y in iter_bits(mask >> x << x)]
+    through = _through(n, cliques)
     while ball.count(full) < n:
-        nxt = [reduce(or_, map(ball.__getitem__, nb), b) for nb, b in zip(nbrs, ball)]
-        if nxt == ball:
+        union = [reduce(or_, map(ball.__getitem__, c)) for c in cliques]
+        level = [0] * n
+        for x, cs in enumerate(through):
+            grown = reduce(or_, map(union.__getitem__, cs), ball[x])
+            level[x] = grown ^ ball[x]
+            ball[x] = grown
+        if not any(level):
             raise DisconnectedGraph(f"{G.family} is not connected")
-        rounds.append(list(map(xor, nxt, ball)))
-        ball = nxt
+        rounds.append(level)
     return DistanceCensus([list(row) for row in zip(*rounds)], len(rounds) - 1)
 
 

@@ -358,6 +358,19 @@ def census_by_bfs(adj):
     return levels, diameter
 
 
+def is_clique_cover(adj, cliques):
+    """Every member set in cliques is a clique of the graph with neighbour
+    masks adj, and every edge lies in one of them."""
+    covered = [1 << x for x in range(len(adj))]
+    for members in cliques:
+        mask = sum(1 << x for x in set(members))
+        for x in members:
+            if mask & ~(adj[x] | 1 << x):
+                return False
+            covered[x] |= mask
+    return all(adj[x] & ~covered[x] == 0 for x in range(len(adj)))
+
+
 # ---------------------------------------------------------------------------
 # automorphisms on the adjacency masks
 

@@ -11,6 +11,7 @@ from _oracles import (
     census_by_bfs,
     elements,
     is_automorphism,
+    is_clique_cover,
     parse_graph_cache,
     rref_label,
     span,
@@ -425,6 +426,48 @@ def test_census_disconnected():
 def test_census_matches_bfs_oracle(family, args, built):
     g, census, _, _ = built(family, *args)
     assert (census.levels, census.diameter) == census_by_bfs(g.adj)
+
+
+@pytest.mark.parametrize(
+    "family,args",
+    [
+        ("johnson", (7, 3)),
+        ("johnson", (12, 4)),
+        ("hamming", (5, 4)),
+        ("grassmann", (2, 5, 2)),
+        ("bilinear", (2, 2, 3)),
+        ("twisted", (2, 2)),
+        ("twisted", (3, 2)),
+    ],
+)
+def test_builder_cliques_cover_the_edges(family, args, built):
+    g = built(family, *args)[0]
+    assert g.cliques and is_clique_cover(g.adj, g.cliques)
+
+
+def test_census_needs_the_whole_cover():
+    # In H(3,3) a word two steps from x is reached through two of x's three
+    # cliques, so no single dropped clique shows; dropping two of them does.
+    g = build_hamming(3, 3)
+    oracle = census_by_bfs(g.adj)
+    census = distance_census(g)
+    assert (census.levels, census.diameter) == oracle
+    through_0 = [c for c in g.cliques if 0 in c]
+    cut = [c for c in g.cliques if c not in through_0[1:]]
+    assert len(cut) == len(g.cliques) - 2 and not is_clique_cover(g.adj, cut)
+    census = distance_census(Graph(g.family, g.params, g.vertices, g.adj, cliques=cut))
+    assert (census.levels, census.diameter) != oracle
+    # the path 0-1-2-3 without its link clique {1, 2}: the rounds never
+    # cross from 1 to 2, though adj (and so B_1) still has the edge
+    path = graphs._assemble(
+        "path", {}, range(4), lambda x: ["low" if x < 2 else "high"], 4, [],
+        lambda x: [2] if x == 1 else [],
+    )
+    assert [list(c) for c in path.cliques] == [[0, 1], [2, 3], [1, 2]]
+    assert distance_census(path).levels == census_by_bfs(path.adj)[0]
+    path.cliques = path.cliques[:2]
+    with pytest.raises(DisconnectedGraph):
+        distance_census(path)
 
 
 @pytest.mark.parametrize(
