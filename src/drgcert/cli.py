@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 tier exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -383,7 +384,10 @@ def _add_common(p, with_family=True, with_t=False, with_subset=False,
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after: a
+    parse keeps no state in it, and each build costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="drgcert",
         description="Exact scheme eigensystems, dual certificates, and "

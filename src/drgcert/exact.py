@@ -2,21 +2,27 @@
 reduction.
 
 Every quantity in this package is an int or a fractions.Fraction; nothing is
-ever rounded.  Matrices are small (at most (d+1) x (d+1) for scheme work), so
-plain Gaussian elimination over Q is entirely adequate.
+ever rounded.  Rational systems are solved by fraction-free Gauss-Jordan
+elimination (Bareiss 1968) over integers: each row is cleared of
+denominators once, every intermediate value is an integer, and rationals
+are formed only for the final solution.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .errors import ParameterError, SingularSystem, TierLimitExceeded
+from .errors import DrgError, ParameterError, SingularSystem, TierLimitExceeded
 
 Scalar = int | Fraction
 
 
 def as_fraction(x) -> Fraction:
     """Coerce an exact value to Fraction.  Floats are rejected outright."""
+    if type(x) is Fraction:  # immutable, so shared rather than copied
+        return x
     if isinstance(x, float):
         raise TypeError("refusing float %r; this library is exact" % (x,))
     return Fraction(x)
@@ -54,12 +60,20 @@ def q_binomial(m: int, n: int, q: int) -> int:
     for i in range(n):
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise DrgError(f"q_binomial({m},{n},{q}): {num}/{den} is not an integer")
     return num // den
 
 
 # ---------------------------------------------------------------------------
 # dense exact linear algebra over Q
+
+
+def scaled_ints(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
+    """(D, D*rows) with D the lcm of the entries' denominators, so D*rows is
+    integral."""
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in rows]
 
 
 class ExactMatrix:
@@ -120,39 +134,84 @@ class ExactMatrix:
         return ExactMatrix([[c * x for x in row] for row in self.rows])
 
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; raises SingularSystem if rank-deficient."""
+        """Inverse by `_gauss_jordan`; raises SingularSystem if rank-deficient."""
         n = self.nrows
         if n != self.ncols:
             raise ParameterError("inverse of a non-square matrix")
-        aug = [list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return ExactMatrix(_gauss_jordan(aug))
+        aug = [self.rows[i] + tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return ExactMatrix(_gauss_jordan(aug, n))
 
 
-def _gauss_jordan(aug: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduce the augmented matrix [A | B], A square, in place to
-    [I | A^{-1} B] over Q and return A^{-1} B; raises SingularSystem when A
-    is singular."""
-    n = len(aug)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _eliminate(M: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination of the integer matrix
+    M = [A | B], A n x n, in place; returns p_n = +-det A and leaves
+    M = [p_n I | p_n A^{-1} B].  Raises SingularSystem when A is singular.
+
+    Step k picks a row r >= k with M[r][k] != 0, swaps it into row k, and
+    sets row_i <- (p_{k+1} row_i - M[i][k] row_k) / p_k for every i != k,
+    where p_{k+1} = M[k][k] and p_0 = 1.  Every division is exact.  Write
+    A (rows permuted by the swaps so far) as [[S, R], [U, T]] with S its
+    leading k x k block and p_k = det S.  Ordinary Gauss-Jordan turns [A | B]
+    after k steps into G_k = [[I, S^{-1} R], [0, T - U S^{-1} R]] (B's columns
+    being part of R and T); the claim is that M = p_k G_k.  Both blocks of
+    p_k G_k are integral: p_k S^{-1} = adj S, and
+    p_k (T - U S^{-1} R) = p_k T - U adj(S) R.  The pivot M[k][k] is p_k
+    times the top-left entry of the Schur complement T - U S^{-1} R, which is
+    det S_{k+1} / det S_k, so it is p_{k+1}.  Gauss-Jordan step k maps
+    g_ij to g_ij - g_ik g_kj / g_kk for i != k, and row k to g_kj / g_kk.
+    With M = p_k G_k and g_kk = p_{k+1} / p_k, the update above gives
+    (p_{k+1} p_k g_ij - p_k^2 g_ik g_kj) / p_k = p_{k+1} (g_ij - g_ik g_kj / g_kk),
+    and row k, left as it is, equals p_{k+1} g_kj / g_kk; so M = p_{k+1} G_{k+1},
+    an integer matrix, and the quotient is exact.  A swap among rows >= k
+    only permutes the rows of U and T, so the claim holds for the permuted A.
+    When column k is zero in rows >= k, the Schur complement has a zero
+    column and A is singular.
+    """
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
-            raise SingularSystem(f"singular at column {col}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            raise SingularSystem(f"singular at column {k}")
+        M[k], M[piv] = M[piv], M[k]
+        rowk = M[k]
+        p = rowk[k]
+        for i in range(n):
+            if i != k:
+                row = M[i]
+                a = row[k]
+                if a:
+                    M[i] = [(p * x - a * y) // prev for x, y in zip(row, rowk)]
+                elif p != prev:
+                    M[i] = [p * x // prev for x in row]
+        prev = p
+    return prev
+
+
+def _gauss_jordan(aug: Sequence[Sequence[Scalar]], n: int) -> list[list[Fraction]]:
+    """A^{-1} B for the augmented matrix [A | B], A n x n, over Q; raises
+    SingularSystem when A is singular.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves A^{-1} B unchanged, and reduced by `_eliminate`.  The integer
+    result is re-substituted, A' X = det B' with A', B' the scaled rows,
+    before the rationals X / det are formed; a mismatch raises DrgError.
+    """
+    rows = [scaled_ints((r,))[1][0] for r in aug]
+    M = [list(r) for r in rows]
+    det = _eliminate(M, n)
+    X = [r[n:] for r in M]
+    for r in rows:
+        for c, b in enumerate(r[n:]):
+            if sum(map(mul, r[:n], (x[c] for x in X))) != det * b:
+                raise DrgError("exact solve failed re-substitution")
+    return [[Fraction(x, det) for x in r] for r in X]
 
 
 def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Solve Ax = b exactly for square nonsingular A.
 
-    Raises SingularSystem when A has no unique solution.  The result is
-    re-substituted before returning; an inexact solve is impossible by
-    construction, so the check is a plain assert.
+    Raises SingularSystem when A has no unique solution, and DrgError when
+    the solution fails re-substitution.
     """
     n = A.nrows
     if n != A.ncols:
@@ -160,9 +219,7 @@ def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, .
     if len(b) != n:
         raise ParameterError("right-hand side has wrong length")
     rhs = [as_fraction(x) for x in b]
-    x = [row[0] for row in _gauss_jordan([list(r) + [v] for r, v in zip(A.rows, rhs)])]
-    assert all(sum(A.rows[i][j] * x[j] for j in range(n)) == rhs[i] for i in range(n))
-    return tuple(x)
+    return tuple(row[0] for row in _gauss_jordan([r + (v,) for r, v in zip(A.rows, rhs)], n))
 
 
 # ---------------------------------------------------------------------------

@@ -639,7 +639,8 @@ def grassmann_intersection_array(q: int, v: int, d: int) -> IntersectionArray:
     )
     c = tuple(q_int(i, q) ** 2 for i in range(1, d + 1))
     arr = IntersectionArray(b, c)
-    assert arr.vertex_count() == q_binomial(v, d, q)
+    if arr.vertex_count() != q_binomial(v, d, q):
+        raise DrgError(f"J_{q}({v},{d}) array counts {arr.vertex_count()} vertices")
     return arr
 
 
@@ -650,7 +651,8 @@ def hamming_intersection_array(d: int, q: int) -> IntersectionArray:
     b = tuple((d - i) * (q - 1) for i in range(d))
     c = tuple(range(1, d + 1))
     arr = IntersectionArray(b, c)
-    assert arr.vertex_count() == q ** d
+    if arr.vertex_count() != q ** d:
+        raise DrgError(f"H({d},{q}) array counts {arr.vertex_count()} vertices")
     return arr
 
 

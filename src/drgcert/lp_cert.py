@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .errors import (
     InfeasibleCertificate,
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedFamily,
     WidthTooLarge,
 )
-from .exact import ExactMatrix, q_binomial, solve_linear_exact
+from .exact import ExactMatrix, q_binomial, scaled_ints, solve_linear_exact
 from .scheme import SchemeEigensystem
 from .subsets import InnerDistribution
 
@@ -59,22 +60,22 @@ class CertReport:
     slack_terms: tuple[Fraction, ...]  # (eQ)_j * f_j
 
 
-def _transform(f, Q: ExactMatrix, j: int) -> Fraction:
-    """(fQ^T)_j = sum_i f_i Q_ji."""
-    return sum(f[i] * Q[j, i] for i in range(len(f)))
-
-
 def _finish_certificate(f: tuple[Fraction, ...], t: int, Q: ExactMatrix) -> DualCertificate:
+    """Feasibility of f and its bound (fQ^T)_0.  With F f and D Q integral
+    (F, D the lcms of their denominators), (fQ^T)_j is the integer sum
+    sum_i (F f_i)(D Q_ji) over F D, so the dual constraints are integer
+    tests and the bound is the one Fraction formed."""
     d = Q.nrows - 1
-    norm_ok = f[0] == 1
-    zero_ok = all(f[i] == 0 for i in range(1, t + 1))
-    pos_ok = all(f[i] > 0 for i in range(t + 1, d + 1))
-    dual_ok = all(_transform(f, Q, j) == 0 for j in range(1, d - t + 1))
-    bound = _transform(f, Q, 0)
+    F, (fi,) = scaled_ints((f,))
+    D, Qi = scaled_ints(Q.rows)
+    norm_ok = fi[0] == F
+    zero_ok = not any(fi[1:t + 1])
+    pos_ok = all(x > 0 for x in fi[t + 1:])
+    dual_ok = not any(sum(map(mul, fi, Qi[j])) for j in range(1, d - t + 1))
     return DualCertificate(
         t=t,
         f=tuple(f),
-        bound=bound,
+        bound=Fraction(sum(map(mul, fi, Qi[0])), F * D),
         feasible=norm_ok and zero_ok and pos_ok and dual_ok,
         normalization_ok=norm_ok,
         zero_block_ok=zero_ok,

@@ -17,7 +17,6 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -29,7 +28,7 @@ from .errors import (
     ParameterError,
     TierLimitExceeded,
 )
-from .exact import ExactMatrix, format_fraction
+from .exact import ExactMatrix, format_fraction, scaled_ints
 from .graphs import DistanceCensus, Graph, IntersectionArray, orbits
 
 if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI command uses
@@ -37,7 +36,9 @@ if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI co
 
 FULL_MATRIX_CAP = 1_000
 
-#: ordering searches are brute force over (d)! candidates, so small d only
+#: above this d only the natural ordering is tried and reported, so that the
+#: reports' passing_orderings keep their contract (the construction itself
+#: is polynomial in d)
 _ORDERING_SEARCH_MAX_D = 6
 
 
@@ -150,7 +151,7 @@ def eigensystem_from_array(
 
     Raises IrrationalEigenvalue when the characteristic polynomial has fewer
     than d+1 integer roots, and NotQPolynomial when no idempotent ordering is
-    Q-polynomial (searched exhaustively for d <= 6, descending first).
+    Q-polynomial (all of them constructed for d <= 6, descending first).
     """
     k = arr.valencies()
     if sum(k) != n_vertices:
@@ -168,7 +169,8 @@ def eigensystem_from_array(
             v.append(nxt)
         prows.append(v)
     P = ExactMatrix(prows)
-    assert P.row(0) == tuple(Fraction(x) for x in k)
+    if P.row(0) != k:
+        raise DrgError(f"P row 0 is {P.row(0)}, not the valencies {k}")
     m = []
     for j, row in enumerate(prows):
         mj = n_vertices / sum(x * x / kk for x, kk in zip(row, k))
@@ -176,7 +178,7 @@ def eigensystem_from_array(
             raise ParameterError(f"multiplicity m_{j} = {mj} is not a positive integer")
         m.append(int(mj))
     Q = ExactMatrix([[mj * row[i] / k[i] for mj, row in zip(m, prows)] for i in range(d + 1)])
-    (E, Pi), (D, Qi) = _scaled_ints(P), _scaled_ints(Q)
+    (E, Pi), (D, Qi) = scaled_ints(P.rows), scaled_ints(Q.rows)
     if any(sum(map(mul, row, col)) != (r == c) * n_vertices * E * D
            for r, row in enumerate(Pi) for c, col in enumerate(zip(*Qi))):
         raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
@@ -216,12 +218,6 @@ def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
     )
 
 
-def _scaled_ints(M: ExactMatrix) -> tuple[int, list[list[int]]]:
-    """(D, D*M) with D the lcm of M's denominators, so D*M is integral."""
-    D = lcm(*(x.denominator for row in M.rows for x in row))
-    return D, [[x.numerator * (D // x.denominator) for x in row] for row in M.rows]
-
-
 def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
     """q^k_{ij} = |X|^{-1} sum_l Q_li Q_lj P_kl; nonnegative for any scheme,
     so a negative entry is reported as a data error.
@@ -230,20 +226,21 @@ def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
     |X| D^2 E.  The sum is symmetric in i and j, so it is formed for i <= j
     only and mirrored."""
     d = sys.d
-    E, P = _scaled_ints(sys.P)
-    D, Q = _scaled_ints(sys.Q)
+    E, P = scaled_ints(sys.P.rows)
+    D, Q = scaled_ints(sys.Q.rows)
     den = sys.n * D * D * E
     W = {(i, j): [row[i] * row[j] for row in Q] for i in range(d + 1) for j in range(i, d + 1)}
     vals = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for kk in range(d + 1):
         for i in range(d + 1):
             for j in range(i, d + 1):
-                s = Fraction(sum(map(mul, P[kk], W[i, j])), den)
+                s = sum(map(mul, P[kk], W[i, j]))
                 if s < 0:
                     raise DrgError(
-                        f"Krein parameter q^{kk}_{{{i},{j}}} = {s} < 0; invalid scheme data"
+                        f"Krein parameter q^{kk}_{{{i},{j}}} = {Fraction(s, den)} < 0;"
+                        " invalid scheme data"
                     )
-                vals[kk][i][j] = vals[kk][j][i] = s
+                vals[kk][i][j] = vals[kk][j][i] = Fraction(s, den)
     return KreinTensor(tuple(tuple(map(tuple, plane)) for plane in vals))
 
 
@@ -260,20 +257,43 @@ def _ordering_passes(kt: KreinTensor, perm) -> bool:
     return True
 
 
+def _walk(kt: KreinTensor, j: int) -> tuple[int, ...] | None:
+    """The ordering 0, j, ... that steps from each E_c to the one unvisited
+    E_b with q^b_{j,c} != 0; None when some step has no such b or several."""
+    d = kt.d
+    perm = [0, j]
+    while len(perm) <= d:
+        nxt = [b for b in range(d + 1) if b not in perm and kt.q(b, j, perm[-1]) != 0]
+        if len(nxt) != 1:
+            return None
+        perm.append(nxt[0])
+    return tuple(perm)
+
+
 def verify_q_polynomial(kt: KreinTensor) -> QPolynomialVerdict:
-    """Check tridiagonality of q^k_{1i}; for d <= 6, also search every
-    ordering that fixes E_0 (needed when the natural ordering fails)."""
+    """Check tridiagonality of q^k_{1i}; for d <= 6, also find every
+    ordering that fixes E_0 (needed when the natural ordering fails).
+
+    The orderings are constructed, not searched.  Let perm pass with
+    perm[1] = j.  By `_ordering_passes`, for each position i < d the b != perm[i]
+    with q^b_{j,perm[i]} != 0 are exactly perm[i-1] (when i > 0) and perm[i+1].
+    perm[i-1] is among perm[0..i] and perm[i+1] is not, so perm[i+1] is the
+    one b outside perm[0..i] with q^b_{j,perm[i]} != 0: the walk `_walk(kt, j)`
+    takes that step, and by induction on i it returns perm.  So each j gives
+    at most one passing ordering, the walk from j, and confirming each walk
+    with `_ordering_passes` (the walk reads only the unvisited entries) finds
+    them all.  Orderings with a smaller perm[1] come first in the
+    lexicographic order of `itertools.permutations`, so ascending j lists
+    them in that order.
+    """
     d = kt.d
     natural = tuple(range(d + 1))
-    natural_ok = _ordering_passes(kt, natural)
     if d <= _ORDERING_SEARCH_MAX_D:
-        passing = tuple(
-            (0,) + p
-            for p in permutations(range(1, d + 1))
-            if _ordering_passes(kt, (0,) + p)
-        )
-    elif natural_ok:
-        passing = (natural,)
+        walks = (_walk(kt, j) for j in range(1, d + 1))
+        passing = tuple(p for p in walks if p is not None and _ordering_passes(kt, p))
+        natural_ok = natural in passing
+    elif _ordering_passes(kt, natural):
+        natural_ok, passing = True, (natural,)
     else:
         raise NotQPolynomial(
             f"natural ordering fails and d={d} exceeds the ordering search cap"
@@ -337,7 +357,8 @@ def materialize_idempotents(
         M = np.zeros((n, n), dtype=np.int64)
         for j in range(d + 1):
             coeff = col[j] * scale
-            assert coeff.denominator == 1
+            if coeff.denominator != 1:
+                raise DrgError(f"E_{i} coefficient {coeff} is not an integer")
             M += int(coeff) * mats[j]
         out.append((M, n * scale))
     peak = max(int(np.abs(M).max()) for M, _ in out)
@@ -392,7 +413,8 @@ def krein_cross_check(
             rhs = np.zeros((len(reps), n), dtype=object)
             for kk in range(d + 1):
                 c = coeffs[kk] * den
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise DrgError(f"Krein coefficient {c} of E_{kk} is not an integer")
                 rhs += int(c) * big[kk]
             if not np.array_equal(lhs, rhs):
                 raise DrgError(f"Krein expansion of E_{i} o E_{j} fails entrywise")

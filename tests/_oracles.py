@@ -8,7 +8,7 @@ every row.  Slow but obviously correct; used on small inputs only.
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -134,6 +134,88 @@ def full_matrix_failure(levels, Q, krein, rows=None):
             if not np.array_equal(lhs, rhs):
                 return mats, f"Krein expansion of E_{i} o E_{j} fails entrywise"
     return mats, None
+
+
+# ---------------------------------------------------------------------------
+# Q-polynomial orderings by search, and certificates by Fraction elimination
+
+
+def orderings_by_search(krein):
+    """Every ordering (0, ...) of the idempotents under which, with
+    j = order[1], q^{order[k]}_{j,order[i]} is nonzero for |k - i| = 1 and
+    zero for |k - i| > 1: all (d)! candidates, in lexicographic order.
+    krein[k][i][j] = q^k_ij."""
+    d = len(krein) - 1
+
+    def passes(order):
+        return all((krein[order[k]][order[1]][order[i]] != 0) == (abs(k - i) == 1)
+                   for i in range(d + 1) for k in range(d + 1) if k != i)
+
+    return tuple((0,) + p for p in itertools.permutations(range(1, d + 1)) if passes((0,) + p))
+
+
+def solve_by_fractions(A, b):
+    """x with Ax = b by Gauss-Jordan over Fractions; None when A is singular."""
+    n = len(A)
+    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+def _pinned_by_fractions(M, t):
+    """x with x_0 = 1, x_1..x_t = 0 and sum_i x_i M[j][i] = 0, j = 1..d-t."""
+    d = len(M) - 1
+    A = [[M[j][i] for i in range(t + 1, d + 1)] for j in range(1, d - t + 1)]
+    tail = solve_by_fractions(A, [-M[j][0] for j in range(1, d - t + 1)])
+    return [Fraction(1)] + [Fraction(0)] * t + tail
+
+
+def _certificate_fields(f, t, Q):
+    d = len(Q) - 1
+    transform = [sum(Fraction(f[i]) * Q[j][i] for i in range(d + 1)) for j in range(d + 1)]
+    fields = {
+        "t": t,
+        "f": tuple(f),
+        "bound": transform[0],
+        "normalization_ok": f[0] == 1,
+        "zero_block_ok": all(x == 0 for x in f[1:t + 1]),
+        "positive_tail": all(x > 0 for x in f[t + 1:]),
+        "dual_constraints_ok": all(x == 0 for x in transform[1:d - t + 1]),
+    }
+    fields["feasible"] = (fields["normalization_ok"] and fields["zero_block_ok"]
+                          and fields["positive_tail"] and fields["dual_constraints_ok"])
+    return fields
+
+
+def certificate_by_fractions(Q, t):
+    """The dual certificate's fields for threshold t from the rows of Q: f
+    pinned by (fQ^T)_j = 0, j = 1..d-t, solved by Gauss-Jordan over
+    Fractions."""
+    return _certificate_fields(_pinned_by_fractions(Q, t), t, Q)
+
+
+def hamming_certificate_by_fractions(d, q, t):
+    """The MDS-route certificate of H(d,q): K[i][j] = K_j(i) is the z^j
+    coefficient of (1 + (q-1) z)^(d-i) (1 - z)^i, e' is pinned by
+    (e'K)_j = 0, j = 1..d-t, and f_i = e'_i / (C(d,i) (q-1)^i)."""
+    K = []
+    for i in range(d + 1):
+        poly = [1]
+        for a, b in [(1, q - 1)] * (d - i) + [(1, -1)] * i:  # poly *= a + b z
+            poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+        K.append(poly)
+    eprime = _pinned_by_fractions([list(col) for col in zip(*K)], t)
+    valency = [comb(d, i) * (q - 1) ** i for i in range(d + 1)]
+    return _certificate_fields([e / k for e, k in zip(eprime, valency)], t, K)
 
 
 # ---------------------------------------------------------------------------

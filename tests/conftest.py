@@ -1,5 +1,8 @@
 import pytest
 
+from _oracles import orderings_by_search
+from drgcert import scheme
+from drgcert.errors import NotQPolynomial
 from drgcert.graphs import (
     build_bilinear,
     build_grassmann,
@@ -37,3 +40,27 @@ def built():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session", autouse=True)
+def orderings_checked_by_search():
+    """Every Krein tensor with d <= 6 that the package checks during the
+    tests is also searched over all (d)! orderings by the oracle: the
+    constructed orderings, and whether the natural one passes, must match."""
+    real = scheme.verify_q_polynomial
+
+    def checked(kt):
+        found = orderings_by_search(kt.values) if kt.d <= 6 else None
+        try:
+            verdict = real(kt)
+        except NotQPolynomial:
+            assert not found
+            raise
+        if found is not None:
+            assert verdict.passing == found
+            assert verdict.natural_ok == (tuple(range(kt.d + 1)) in found)
+        return verdict
+
+    scheme.verify_q_polynomial = checked
+    yield
+    scheme.verify_q_polynomial = real

@@ -332,3 +332,39 @@ def test_reports_and_caches_are_byte_identical(tmp_path, capsys, monkeypatch):
         assert _sha(text) == digest, argv
     cache = {p.name: _sha(p.read_text()) for p in (tmp_path / "cache").iterdir()}
     assert cache == GOLDEN_CACHE
+
+
+def test_shared_parser_gives_fresh_process_reports(tmp_path, capsys, monkeypatch):
+    # main() reuses one parser per process; a sequence of calls in one
+    # process, with a usage error between two good ones, prints the same
+    # reports as each call run alone in a new interpreter
+    from drgcert.cli import build_parser
+
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(shared)
+    build_parser.cache_clear()
+    calls = [
+        ("eigensystem", "hamming", "-d", "3", "-q", "3"),
+        ("certify", "johnson", "-v", "7", "-d", "3"),  # missing -t
+        ("certify", "johnson", "-v", "7", "-d", "3", "-t", "1", "--seed", "4"),
+        ("build", "--family", "hamming", "-d", "2", "-q", "2"),
+        ("selftest",),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(drgcert.__file__).resolve().parents[1])}
+    codes = []
+    for argv in calls:
+        argv = (*argv, "--cache", "cache")
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "drgcert.cli", *argv], cwd=fresh,
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (code, err) == (alone.returncode, alone.stderr), argv
+        codes.append(code)
+        if code:
+            assert not out and not alone.stdout
+        else:
+            assert strip_time(json.loads(out)) == strip_time(json.loads(alone.stdout)), argv
+    assert codes == [0, 1, 0, 0, 0]
+    assert build_parser.cache_info().misses == 1

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from _oracles import mat_eye, mat_from_int, mat_rank
-from drgcert.errors import ParameterError, SingularSystem, TierLimitExceeded
+from drgcert import exact
+from drgcert.errors import DrgError, ParameterError, SingularSystem, TierLimitExceeded
 from drgcert.exact import (
     ExactMatrix,
     format_fraction,
@@ -102,6 +103,64 @@ def test_matrix_inverse_and_product():
     assert inv * A == ExactMatrix.identity(2)
     with pytest.raises(SingularSystem):
         ExactMatrix([[1, 2], [2, 4]]).inverse()
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b) with A n x n, n <= 5; about half have a row of A that is a
+    rational combination of the others, so A is singular."""
+    n = draw(st.integers(1, 5))
+    A = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        coeffs = [draw(rationals) for _ in range(n)]
+        A[r] = [sum((c * row[j] for i, (c, row) in enumerate(zip(coeffs, A)) if i != r),
+                    Fraction(0)) for j in range(n)]
+    return A, [draw(rationals) for _ in range(n)]
+
+
+def _from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@given(rational_systems())
+def test_solve_and_inverse_match_sympy(system):
+    A, b = system
+    n = len(A)
+    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in A])
+    singular = M.rank() < n
+    event("singular" if singular else "nonsingular")
+    if singular:
+        with pytest.raises(SingularSystem):
+            solve_linear_exact(ExactMatrix(A), b)
+        with pytest.raises(SingularSystem):
+            ExactMatrix(A).inverse()
+        return
+    x = M.LUsolve(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b]))
+    assert solve_linear_exact(ExactMatrix(A), b) == tuple(_from_sympy(v) for v in x)
+    inv = M.inv()
+    assert ExactMatrix(A).inverse() == ExactMatrix(
+        [[_from_sympy(inv[i, j]) for j in range(n)] for i in range(n)])
+
+
+def test_wrong_numerator_fails_resubstitution(monkeypatch):
+    # an elimination that gets one numerator wrong must not return a solution
+    real = exact._eliminate
+
+    def off_by_one(M, n):
+        det = real(M, n)
+        M[n - 1][n] += 1
+        return det
+
+    monkeypatch.setattr(exact, "_eliminate", off_by_one)
+    A = ExactMatrix([[2, 1], [Fraction(1, 3), 3]])
+    for solve in (lambda: solve_linear_exact(A, [1, 2]), A.inverse):
+        with pytest.raises(DrgError) as exc:
+            solve()
+        assert exc.type is DrgError and "re-substitution" in str(exc.value)
 
 
 def test_matrix_rejects_floats_and_ragged():

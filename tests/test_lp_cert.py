@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from _oracles import certificate_by_fractions, hamming_certificate_by_fractions
 from drgcert import lp_cert, scheme
 from drgcert.errors import InfeasibleCertificate, ParameterError, UnsupportedFamily, WidthTooLarge
 from drgcert.exact import ExactMatrix, solve_linear_exact
-from drgcert.graphs import hamming_intersection_array
+from drgcert.graphs import (
+    grassmann_intersection_array,
+    hamming_intersection_array,
+    twisted_intersection_array,
+)
 from drgcert.lp_cert import (
     certify_subset,
     expected_bound,
@@ -132,6 +138,30 @@ def test_solution_independent_of_equation_order(built):
         shuffled = ExactMatrix([[rows[p][c] for c in colperm] for p in perm])
         sol = solve_linear_exact(shuffled, [rhs[p] for p in perm])
         assert tuple(sol[colperm.index(c)] for c in range(m)) == base
+
+
+@pytest.mark.parametrize("arr", [
+    *(pytest.param(hamming_intersection_array(d, d), id=f"H({d},{d})")
+      for d in (4, 5, 6, 7, 8, 10)),
+    *(pytest.param(grassmann_intersection_array(q, v, d), id=f"J_{q}({v},{d})")
+      for q, v, d in [(2, 16, 8), (3, 12, 6), (5, 8, 4), (3, 10, 5)]),
+    *(pytest.param(twisted_intersection_array(q, d), id=f"twisted({q},{d})")
+      for q, d in [(2, 6), (3, 3), (2, 3), (5, 2)]),
+])
+def test_certificates_match_fraction_elimination(arr):
+    # every array the parameter tier certifies, every t: each field equals
+    # the one from Gauss-Jordan over Fractions
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    Q = [list(row) for row in sys_.Q.rows]
+    for t in range(1, arr.d):
+        assert dataclasses.asdict(solve_certificate(sys_, t)) == certificate_by_fractions(Q, t)
+
+
+@pytest.mark.parametrize("d,q", [(3, 2), (5, 5), (6, 6), (8, 8)])
+def test_mds_certificates_match_fraction_elimination(d, q):
+    for t in range(1, d):
+        assert (dataclasses.asdict(hamming_certificate(d, q, t))
+                == hamming_certificate_by_fractions(d, q, t))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from _oracles import (
     mat_mul,
     mat_rank,
     mat_scale,
+    orderings_by_search,
 )
+from drgcert import scheme
 from drgcert.errors import DrgError, IrrationalEigenvalue, NotQPolynomial, ParameterError
 from drgcert.exact import ExactMatrix, q_binomial
 from drgcert.graphs import (
@@ -306,7 +308,7 @@ def test_vertex_count_mismatch():
 
 def test_not_q_polynomial_tensor():
     # synthetic tensor with every q^k_{1i}, k = i +- 1, equal to zero: no
-    # ordering can pass, searched (d = 2) or past the search cap (d = 7)
+    # ordering can pass, constructed (d = 2) or past the search cap (d = 7)
     for d in (2, 7):
         vals = tuple(
             tuple(
@@ -317,6 +319,46 @@ def test_not_q_polynomial_tensor():
         )
         with pytest.raises(NotQPolynomial):
             verify_q_polynomial(KreinTensor(vals))
+
+
+def _relabelled(kt, s):
+    r = range(kt.d + 1)
+    return tuple(tuple(tuple(kt.q(s[k], s[i], s[j]) for j in r) for i in r) for k in r)
+
+
+@pytest.mark.parametrize("arr,n", [
+    (IntersectionArray((12, 6, 2), (1, 4, 9)), 35),  # J(7,3)
+    (IntersectionArray((4, 3, 3), (1, 1, 2)), 35),  # O_4
+    (hamming_intersection_array(4, 2), 16),
+])
+def test_constructed_orderings_match_search_under_relabelling(arr, n):
+    # relabelling E_1..E_d moves the Q-polynomial orderings; the construction
+    # must follow them under every labelling, as the (d)! search does
+    kt = krein_parameters(eigensystem_from_array(arr, n, check_q_polynomial=False))
+    seen = set()
+    for perm in itertools.permutations(range(1, kt.d + 1)):
+        vals = _relabelled(kt, (0,) + perm)
+        found = orderings_by_search(vals)
+        assert found and verify_q_polynomial(KreinTensor(vals)).passing == found
+        seen.add(len(found))
+    assert seen == ({2} if arr.d == 4 else {1})
+
+
+def test_walk_that_completes_is_still_confirmed():
+    # d = 2: from E_1 the walk steps to E_2 and completes (0, 1, 2), which
+    # only reads q^2_{1,1}; but q^0_{1,2} != 0 puts E_0 next to E_2, so the
+    # ordering fails, and the walk from E_2 stalls (q^1_{2,2} = 0)
+    q = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for k in range(3):
+        q[k][0][k] = q[k][k][0] = Fraction(1)
+    for k, i, j in [(0, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 1), (0, 1, 2)]:
+        q[k][i][j] = Fraction(1)
+    kt = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in q))
+    assert scheme._walk(kt, 1) == (0, 1, 2)
+    assert scheme._walk(kt, 2) is None
+    assert orderings_by_search(kt.values) == ()
+    with pytest.raises(NotQPolynomial):
+        verify_q_polynomial(kt)
 
 
 def test_natural_ordering_beyond_search_cap():
