@@ -25,7 +25,11 @@ automorphism g gives the counts at (gx, gy) the values at (x, y), and let
 the clique search in `ekr_search` root at those representatives.
 
 A subspace of GF(q)^n is a plain tuple, its canonical RREF basis, which is
-also its vertex label.
+also its vertex label.  A subspace builder also gives each vertex its set
+of points (the 1-dim subspaces in it) as an int mask, once: its clique keys
+are the masks of its hyperplanes, and a generator's image of it is the
+vertex whose mask is the image of its mask under the generator's
+permutation of the points, found with no row reduction per vertex.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
@@ -42,7 +46,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import or_
+from operator import mul, or_
 
 from .errors import (
     DisconnectedGraph,
@@ -171,15 +175,13 @@ def _through(n: int, cliques) -> list[array]:
     return through
 
 
-def _assemble(family, params, labels, keys, expected_n, generators, links=None):
+def _assemble(family, params, labels, keys, expected_n, generators):
     """Sort the labels, join the vertices of each clique, verify the
     automorphism generators (connectivity is checked by `distance_census`,
     which every graph goes through before use).  keys(label) lists a
     vertex's clique keys, and the vertices that share a key form one
-    clique.  links(label), when given and not empty, lists further
-    neighbours of label, which together with label form one more clique.
-    adj[i] is the OR of the masks of the cliques through i, less bit i, and
-    the cliques are kept on the graph as its cover.
+    clique.  adj[i] is the OR of the masks of the cliques through i, less
+    bit i, and the cliques are kept on the graph as its cover.
 
     Each generator, a label map g, becomes the index permutation p with
     p[x] = index_of(g(x)).  p must be a bijection that maps every clique's
@@ -190,7 +192,7 @@ def _assemble(family, params, labels, keys, expected_n, generators, links=None):
     {x, y} lies in a set of F, so x ~ y iff p(x) ~ p(y).  The test is
     sufficient, not necessary: an automorphism may move a member set onto a
     clique that is not in F.  Every builder's generators act on the keys
-    and links themselves, so they pass."""
+    themselves, so they pass."""
     labels = sorted(labels)
     if len(labels) != expected_n:
         raise ParameterError(f"{family}: enumerated {len(labels)} vertices, expected {expected_n}")
@@ -200,10 +202,6 @@ def _assemble(family, params, labels, keys, expected_n, generators, links=None):
         for key in keys(label):
             members[key].append(i)
     cliques = list(members.values())
-    for i, label in enumerate(labels if links else ()):
-        linked = links(label)
-        if linked:
-            cliques.append(array("I", [i, *map(graph.index_of, linked)]))
     masks = [reduce(or_, map((1).__lshift__, c)) for c in cliques]
     graph.adj = [reduce(or_, map(masks.__getitem__, cs), 0) & ~(1 << i)
                  for i, cs in enumerate(_through(graph.n, cliques))]
@@ -263,27 +261,6 @@ def _shear(rows, p: int, u, q: int) -> tuple:
     ])
 
 
-def hyperplanes(rows, q: int) -> list[tuple]:
-    """The [k]_q hyperplanes of the subspace with canonical RREF basis `rows`
-    (k rows), each as its canonical RREF basis, with no elimination.
-    Hyperplane u (from `_points`) is {c . R : c . u = 0}, with the basis
-    S_i = R_i - u_i R_p, i != p.  For pivots c_0 < ... < c_{k-1} of R, S_i
-    vanishes before c_i (S_i = R_i for i > p, and R_p vanishes before
-    c_p > c_i) and S_i[c_j] = delta_ij for j != p: S is in RREF already."""
-    return [(s := _shear(rows, p, u, q))[:p] + s[p + 1:] for p, u in _points(len(rows), q)]
-
-
-def meet_h(rows, q: int) -> tuple:
-    """x meet H for x not inside H (last coordinate 0), in canonical RREF: the
-    hyperplane of `hyperplanes` whose u is the last column of R, scaled to
-    u_p = 1, as the S_i then end in 0.  A pivot in the last column gives
-    u = (0, ..., 0, 1), and the meet drops the last row."""
-    col = [row[-1] for row in rows]
-    p = max(i for i, c in enumerate(col) if c)
-    s = _shear(rows, p, [c * pow(col[p], q - 2, q) % q for c in col], q)
-    return s[:p] + s[p + 1:]
-
-
 def _primitive_root(q: int) -> int:
     """The least generator of the multiplicative group of GF(q), q prime."""
     m, factors, f = q - 1, [], 2
@@ -315,9 +292,85 @@ def _elementary(q: int, m: int) -> list:
     return maps
 
 
-def _on_subspaces(f, q: int):
-    """A linear map f of row vectors, acting on canonical RREF bases."""
-    return lambda rows: rref_gf([f(r) for r in rows], q)[0]
+def _span_points(rows, q: int) -> list[tuple]:
+    """The points c . R of the row space of a canonical RREF basis R (k
+    rows) over GF(q), one for each c in GF(q)^k whose first nonzero entry
+    is 1, in an order that depends on k and q alone.  Each c . R is a point
+    (a vector whose first nonzero entry is 1) with no reduction: for pivots
+    p_0 < ... < p_{k-1} of R and j the first nonzero entry of c, every row
+    R_i with c_i != 0 vanishes before p_i >= p_j, and (c . R)[p_j] = c_j = 1.
+    Every point x of the row space is one c . R, as x = c . R for one c
+    and then c_j = x[p_j] = 1 at the first nonzero entry of c.  The c with
+    first nonzero entry i give R_i + s, s in the span of the rows below i;
+    the other c R_i + s only join that span for the rows above, so the top
+    row takes c = 1 alone."""
+    points, tails = [], [(0,) * len(rows[0])]
+    for i in reversed(range(len(rows))):
+        scaled = [tuple([(c * a + b) % q for a, b in zip(rows[i], s)])
+                  for c in range(1, q if i else 2) for s in tails]
+        points += scaled[:len(tails)]
+        tails += scaled
+    return points
+
+
+@cache
+def _hyperplane_positions(k: int, q: int) -> tuple:
+    """For each hyperplane ker u of GF(q)^k, the positions in `_span_points`
+    order of the c with c . u = 0.  The u are the points of GF(q)^k from
+    `_span_points`; ker u fixes u up to a scalar, so each hyperplane comes
+    once.  As c -> c . R is a linear bijection from GF(q)^k onto the row
+    space x of R, these positions of `_span_points(R)` are the points of the
+    hyperplane {c . R : c . u = 0} of x, and every hyperplane of x is one."""
+    cs = _span_points(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), q)
+    return tuple(tuple(i for i, c in enumerate(cs) if sum(map(mul, c, u)) % q == 0)
+                 for u in cs)
+
+
+class _PointSets:
+    """Subspaces of GF(q)^v as sets of points, the vectors whose first
+    nonzero entry is 1: one for each 1-dim subspace, [v]_q in all, held in
+    one list per build.  A subspace's mask has bit i for each point i in it.
+
+    A subspace S is the union of 0 and the multiples of its points: a
+    vector x != 0 of S is a p, with a the first nonzero entry of x and p =
+    x / a a point of S.  So distinct subspaces have distinct point sets and
+    masks, and the mask of S meet T is the mask of S AND the mask of T.
+
+    A linear bijection f maps the points of x onto the points of f(x).  Let
+    N scale a nonzero vector to a point (`rref_gf` of the one row).  p ->
+    N(f(p)) is injective on the points: N(f(p)) = N(f(p')) gives f(p) =
+    a f(p'), so p = a p', and a = 1 as both are points.  It maps the points
+    of x into f(x), which has as many points as x, as dim f(x) = dim x; so
+    the mask of f(x) is the image of the mask of x under that permutation
+    of the points."""
+
+    def __init__(self, v: int, q: int, subspaces):
+        self.q = q
+        self.index = {rows: i for i, rows in enumerate(all_subspaces(v, 1, q))}
+        self.bit = [1 << i for i in range(len(self.index))]
+        self.of = {rows: [self.index[p,] for p in _span_points(rows, q)] for rows in subspaces}
+        self.subspace = {self.mask(rows): rows for rows in self.of}
+
+    def mask(self, rows) -> int:
+        return sum(map(self.bit.__getitem__, self.of[rows]))
+
+    def hyperplanes(self, rows) -> list[int]:
+        """The masks of the [k]_q hyperplanes of a k-dim subspace, by
+        `_hyperplane_positions`."""
+        bits = list(map(self.bit.__getitem__, self.of[rows]))
+        return [sum(map(bits.__getitem__, pos))
+                for pos in _hyperplane_positions(len(rows), self.q)]
+
+    def label_map(self, f):
+        """f, a map of row vectors, on the subspaces held here, through its
+        images of the points: the subspace whose mask is the image of x's
+        mask, or None where no subspace here has that mask.  That is f(x)
+        when f is linear and bijective; the caller checks the result."""
+        try:
+            moved = [self.bit[self.index[rref_gf([f(p)], self.q)[0]]] for (p,) in self.index]
+        except KeyError:  # f(p) is 0 or no vector of GF(q)^v
+            return lambda rows: None
+        return lambda rows: self.subspace.get(sum(map(moved.__getitem__, self.of[rows])))
 
 
 def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -362,9 +415,11 @@ def build_hamming(d: int, q: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph
 def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Grassmann graph J_q(v,d): d-dim subspaces of GF(q)^v, adjacent iff the
     intersection has dimension d-1.  d > v/2 is normalized to v-d.
-    Clique keys: the [d]_q hyperplanes of x.  Distinct d-spaces meet in
-    dimension d-1 iff both contain one (d-1)-space, then their intersection.
-    Automorphisms: `_elementary(q, v)`, which generates GL(v,q)."""
+    Clique keys: the masks of the [d]_q hyperplanes of x (`_PointSets`).
+    Distinct d-spaces meet in dimension d-1 iff both contain one
+    (d-1)-space, then their intersection.  Automorphisms: `_elementary(q,
+    v)`, which generates GL(v,q), each acting through its permutation of
+    the points."""
     if d <= 0 or v < d:
         raise ParameterError(f"J_q({v},{d}) needs 0 < d <= v")
     if d > v - d:
@@ -373,10 +428,11 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
         raise ParameterError(f"J_{q}({v},{v}) is a single vertex; refusing")
     bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
     expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap, q)
+    subspaces = list(all_subspaces(v, d, q))
+    points = _PointSets(v, q, subspaces)
     return _assemble(
-        "grassmann", {"q": q, "v": v, "d": d}, all_subspaces(v, d, q),
-        lambda rows: hyperplanes(rows, q), expected,
-        [_on_subspaces(f, q) for f in _elementary(q, v)],
+        "grassmann", {"q": q, "v": v, "d": d}, subspaces, points.hyperplanes, expected,
+        [points.label_map(f) for f in _elementary(q, v)],
     )
 
 
@@ -412,14 +468,24 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     in H, X2 the (d-1)-dim subspaces of H, and x ~ y iff
     dim x + dim y - 2 dim(x meet y) = 2.  Labels carry the part tag.
     Within a part this is meeting in a common hyperplane, so each vertex is
-    keyed by its hyperplanes (d-dim in X1, (d-2)-dim in X2, so the parts
-    share no key).  Across the parts it is x2 < x1 meet H, which has
-    dimension d: x1 links to that meet's [d]_q hyperplanes.  Containment is
-    no clique key, as two X1 vertices through one x2 may meet in x2 alone.
-    The link {x1} u hyperplanes(x1 meet H) is a clique: each hyperplane h
-    lies in x1, so (d+1) + (d-1) - 2(d-1) = 2, and two distinct hyperplanes
-    of one d-space span it, so they meet in dimension 2(d-1) - d = d-2, and
-    (d-1) + (d-1) - 2(d-2) = 2.
+    keyed by its hyperplanes (d-dim in X1, (d-2)-dim in X2).  Across the
+    parts it is x2 < x1, that is x2 < W = x1 meet H, a d-space of H and the
+    one hyperplane of x1 inside H.  So each X2 vertex is also keyed by the
+    d-spaces W of H through it, and the key W holds the X1 vertices through
+    W and the X2 vertices inside W: one clique per W.  Its members are
+    pairwise adjacent: two X1 vertices meet in W; x1 contains each x2 < W,
+    and (d+1) + (d-1) - 2(d-1) = 2; two distinct (d-1)-spaces of W span it,
+    so they meet in dimension d-2, and (d-1) + (d-1) - 2(d-2) = 2.  An X1
+    and an X2 vertex share only a d-dim key, a hyperplane of x1 inside H,
+    so it is W, and x2 < W < x1.  Containment alone is no clique key, as
+    two X1 vertices through one x2 may meet in x2 alone.
+
+    The X2 vertices inside W come from any X1 vertex x1 through W: they are
+    W meet K over the other hyperplanes K of x1, as the masks W & K
+    (`_PointSets`).  W + K = x1, so W meet K has dimension d + d - (d+1) =
+    d-1, and it lies in H.  Each (d-1)-space Y of W is one of them: with
+    x1 = W + <z>, K = Y + <z> is a hyperplane of x1 other than W, and W meet
+    K contains Y, so it is Y.
 
     Automorphisms: `_elementary(q, 2d)` on the first 2d coordinates and the
     shear x_1 += x_{2d+1}, all of which fix H and so each part.  They are
@@ -439,17 +505,17 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     if len(x1) != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
         raise ParameterError("twisted: X1 enumeration is inconsistent")
     x2 = [("X2", rows) for rows in twisted_x2_vertices(q, d)]
-
-    def links(lab):
-        return [("X2", h) for h in hyperplanes(meet_h(lab[1], q), q)] if lab[0] == "X1" else ()
-
+    points = _PointSets(n_amb, q, [rows for _, rows in x1 + x2])
+    in_h = sum(b for (p,), b in zip(points.index, points.bit) if not p[-1])
+    above = defaultdict(list)  # X2 label -> the masks of the W through it
+    for w, rows in {points.mask(rows) & in_h: rows for _, rows in x1}.items():
+        for meet in {w & k for k in points.hyperplanes(rows)} - {w}:
+            above["X2", points.subspace[meet]].append(w)
     maps = _elementary(q, 2 * d) + [lambda x: ((x[0] + x[-1]) % q,) + x[1:]]
-    generators = [
-        lambda lab, g=_on_subspaces(f, q): (lab[0], g(lab[1])) for f in maps
-    ]
     return _assemble(
-        "twisted", {"q": q, "d": d}, x1 + x2, lambda lab: hyperplanes(lab[1], q), expected,
-        generators, links,
+        "twisted", {"q": q, "d": d}, x1 + x2,
+        lambda lab: points.hyperplanes(lab[1]) + above.get(lab, []), expected,
+        [lambda lab, g=points.label_map(f): (lab[0], g(lab[1])) for f in maps],
     )
 
 

@@ -114,6 +114,17 @@ def krawtchouk_matrix(d: int, q: int) -> ExactMatrix:
                              for s in range(j + 1)) for j in range(d + 1)] for i in range(d + 1)])
 
 
+def _mds_route(d: int, q: int, t: int) -> tuple[tuple[Fraction, ...], ExactMatrix]:
+    """(e', K): K the Krawtchouk matrix of H(d,q), built once, and e' the
+    vector of `mds_inner_distribution` solved from its transpose."""
+    if not 0 < t < d:
+        raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
+    if q < 2:
+        raise ParameterError(f"need q >= 2, got q={q}")
+    K = krawtchouk_matrix(d, q)
+    return _pinned_solution(K.transpose(), t), K
+
+
 def mds_inner_distribution(d: int, q: int, t: int) -> tuple[Fraction, ...]:
     """The unique vector e' with e'_0 = 1, e'_1 = ... = e'_t = 0 and
     (e'Q)_1 = ... = (e'Q)_{d-t} = 0 over the H(d,q) scheme.
@@ -121,19 +132,15 @@ def mds_inner_distribution(d: int, q: int, t: int) -> tuple[Fraction, ...]:
     This is the inner distribution of an MDS code when one exists; it is
     well defined regardless, and no positivity is imposed here.
     """
-    if not 0 < t < d:
-        raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    if q < 2:
-        raise ParameterError(f"need q >= 2, got q={q}")
-    return _pinned_solution(krawtchouk_matrix(d, q).transpose(), t)
+    return _mds_route(d, q, t)[0]
 
 
 def hamming_certificate(d: int, q: int, t: int) -> DualCertificate:
     """f_i = e'_i / k_i from the MDS-style inner distribution, with
     k_i = C(d,i) (q-1)^i."""
-    eprime = mds_inner_distribution(d, q, t)
+    eprime, K = _mds_route(d, q, t)
     f = tuple(ei / (comb(d, i) * (q - 1) ** i) for i, ei in enumerate(eprime))
-    return _finish_certificate(f, t, krawtchouk_matrix(d, q))
+    return _finish_certificate(f, t, K)
 
 
 def expected_bound(family: str, params: dict, t: int):

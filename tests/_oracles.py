@@ -2,8 +2,9 @@
 
 Deliberately shares no code with the package: plain list-of-list Fraction
 matrices, Lagrange interpolation in the adjacency matrix, subspaces of
-GF(q)^n as explicit point sets, and the full-matrix idempotent checks on
-every row.  Slow but obviously correct; used on small inputs only.
+GF(q)^n as explicit point sets, generator label maps by row reduction of
+every label, and the full-matrix idempotent checks on every row.  Slow but
+obviously correct; used on small inputs only.
 """
 import itertools
 import json
@@ -247,6 +248,11 @@ def sub_subspaces(rows, q, n, k):
     return sorted(found, key=sorted)
 
 
+def projective_points(pts):
+    """The vectors of a point set whose first nonzero entry is 1."""
+    return frozenset(p for p in pts if next((x for x in p if x), 0) == 1)
+
+
 def x2_distance_by_search(x_rows, y_rows, q):
     """Twisted-graph distance of two X2 vertices (equal-dimension subspaces
     of the hyperplane), given by their basis rows: 0, 1 or 2, or None when it
@@ -281,6 +287,49 @@ def x2_distance_counts_by_search(members, q, d):
                 raise ValueError(f"pair {x}, {y} is at distance >= 3")
             counts[dist] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# automorphism generators of the subspace graphs, by row reduction of every
+# label
+
+
+def rref_rows(rows, q):
+    """Canonical RREF basis of the row space of rows over GF(q), q prime, by
+    Gauss-Jordan elimination, zero rows dropped."""
+    work, done = [[x % q for x in row] for row in rows], []
+    for col in range(len(work[0]) if work else 0):
+        piv = next((row for row in work if row[col]), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        inv = pow(piv[col], q - 2, q)
+        piv = [x * inv % q for x in piv]
+        done = [[(x - r[col] * y) % q for x, y in zip(r, piv)] for r in done] + [piv]
+        work = [[(x - r[col] * y) % q for x, y in zip(r, piv)] for r in work]
+    return tuple(map(tuple, done))
+
+
+def subspace_label_maps(family, q, v):
+    """Label maps of the generators of J_q(v,d) (family "grassmann") or of
+    the twisted graph on GF(q)^v: each row map f applied to every row of a
+    label, then the rows reduced.  The maps, on the first m coordinates (m
+    = v, or v - 1 for twisted): their cycle, x_1 <-> x_2, x_1 += x_2, and
+    x_1 *= w for the least primitive root w of q when q > 2; for twisted
+    also x_1 += x_v."""
+    m = v - 1 if family == "twisted" else v
+    maps = [
+        lambda x: x[m - 1:m] + x[:m - 1] + x[m:],
+        lambda x: (x[1], x[0]) + x[2:],
+        lambda x: ((x[0] + x[1]) % q,) + x[1:],
+    ]
+    if q > 2:
+        w = next(w for w in range(2, q) if len({pow(w, i, q) for i in range(q - 1)}) == q - 1)
+        maps.append(lambda x: (x[0] * w % q,) + x[1:])
+    if family == "twisted":
+        maps.append(lambda x: ((x[0] + x[-1]) % q,) + x[1:])
+        return [lambda lab, f=f: (lab[0], rref_rows(map(f, lab[1]), q)) for f in maps]
+    return [lambda rows, f=f: rref_rows(map(f, rows), q) for f in maps]
 
 
 # ---------------------------------------------------------------------------

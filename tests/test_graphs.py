@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -13,9 +14,11 @@ from _oracles import (
     is_automorphism,
     is_clique_cover,
     parse_graph_cache,
+    projective_points,
     rref_label,
     span,
     sub_subspaces,
+    subspace_label_maps,
     x2_distance_by_search,
     x2_distance_counts_by_search,
 )
@@ -44,8 +47,7 @@ from drgcert.graphs import (
     grassmann_intersection_array,
     graph_cache_text,
     hamming_intersection_array,
-    hyperplanes,
-    meet_h,
+    iter_bits,
     orbits,
     twisted_intersection_array,
     twisted_x2_distance_counts,
@@ -299,40 +301,81 @@ def test_tampered_generators_are_refused():
     assert hand_built.automorphisms == () and orbits(hand_built) == [1, 2, 4]
 
 
-def test_generators_must_map_link_pairs_onto_link_pairs():
-    # the path 0-1-2-3 from the keys {0,1}, {2,3} and the link 1-2
-    def path(generator):
-        return graphs._assemble(
-            "path", {}, range(4), lambda x: ["low" if x < 2 else "high"], 4,
-            [generator], lambda x: [2] if x == 1 else [],
-        )
+def path_graph(generators):
+    """The path 0-1-2-3 from the keys {0,1}, {1,2} and {2,3}."""
+    keys = {0: ["low"], 1: ["low", "mid"], 2: ["mid", "high"], 3: ["high"]}
+    return graphs._assemble("path", {}, range(4), keys.__getitem__, 4, generators)
 
-    reflection = path(lambda x: 3 - x)
+
+def test_generators_must_map_link_pairs_onto_link_pairs():
+    reflection = path_graph([lambda x: 3 - x])
     assert reflection.adj == [0b10, 0b101, 0b1010, 0b100]
     assert reflection.automorphisms == ((3, 2, 1, 0),)
     assert is_automorphism(reflection.adj, (3, 2, 1, 0))
-    # 0 <-> 1 keeps both key member sets but moves the link 1-2 onto 0-2
+    # 0 <-> 1 keeps the end cliques {0,1} and {2,3} but moves the middle
+    # one {1,2} onto 0-2
     assert not is_automorphism(reflection.adj, (1, 0, 2, 3))
     with pytest.raises(DrgError, match="does not preserve the edges at 1"):
-        path(lambda x: {0: 1, 1: 0}.get(x, x))
+        path_graph([lambda x: {0: 1, 1: 0}.get(x, x)])
+
+
+@pytest.mark.parametrize("family,args", [
+    ("grassmann", (2, 5, 2)),
+    ("grassmann", (3, 4, 2)),
+    ("grassmann", (5, 4, 2)),
+    ("grassmann", (2, 6, 3)),
+    ("twisted", (2, 2)),
+    ("twisted", (3, 2)),
+])
+def test_generators_match_label_maps_by_row_reduction(family, args, built):
+    # the point permutations give the permutations of row-reducing f(R)
+    # for every label R
+    g = built(family, *args)[0]
+    v = args[1] if family == "grassmann" else 2 * args[1] + 1
+    maps = subspace_label_maps(family, args[0], v)
+    assert g.automorphisms == tuple(
+        tuple(g.index_of(m(lab)) for lab in g.vertices) for m in maps
+    )
+
+
+def test_singular_map_is_refused():
+    points = graphs._PointSets(4, 3, list(all_subspaces(4, 2, 3)))
+    assert points.label_map(lambda x: (0,) + x[1:])(((1, 0, 0, 0), (0, 1, 0, 0))) is None
+    with pytest.raises(DrgError, match="not a bijection"):
+        graphs._assemble(
+            "grassmann", {}, points.of, points.hyperplanes, 130,
+            [points.label_map(lambda x: (x[0], x[0]) + x[2:])],
+        )
 
 
 # ---------------------------------------------------------------------------
 # clique-key helpers
 
 
+def mask_points(points, mask):
+    """The points of a _PointSets mask."""
+    listed = [p for (p,) in points.index]
+    return frozenset(listed[i] for i in iter_bits(mask))
+
+
 @pytest.mark.parametrize("n,k,q", [(4, 1, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)])
 def test_hyperplanes_match_sub_subspaces(n, k, q):
-    for rows in list(all_subspaces(n, k, q))[::37]:
-        found = hyperplanes(rows, q)
+    sample = list(all_subspaces(n, k, q))[::37]
+    points = graphs._PointSets(n, q, sample)
+    everything = frozenset(itertools.product(range(q), repeat=n))
+    listed = [p for (p,) in points.index]
+    assert len(listed) == q_int(n, q) and frozenset(listed) == projective_points(everything)
+    for rows in sample:
+        whole = points.mask(rows)
+        assert mask_points(points, whole) == projective_points(span(rows, q, n))
+        assert points.subspace[whole] == rows
+        found = points.hyperplanes(rows)
         assert len(found) == q_int(k, q)
         assert len(set(found)) == len(found)
-        whole = span(rows, q, n)
-        points = [span(h, q, n) for h in found]
-        assert all(pts <= whole for pts in points)
-        assert sorted(points, key=sorted) == sub_subspaces(rows, q, n, k - 1)
-        # each hyperplane comes out as its own canonical RREF basis
-        assert all(rref_label(pts) == h for pts, h in zip(points, found))
+        assert all(m & whole == m for m in found)
+        assert sorted((mask_points(points, m) for m in found), key=sorted) == sorted(
+            (projective_points(pts) for pts in sub_subspaces(rows, q, n, k - 1)), key=sorted
+        )
 
 
 @pytest.mark.parametrize("q,rows", [
@@ -342,12 +385,40 @@ def test_hyperplanes_match_sub_subspaces(n, k, q):
     (3, ((1, 2, 0, 0, 2), (0, 0, 1, 0, 1), (0, 0, 0, 1, 0))),
 ])
 def test_meet_h_on_both_rref_shapes(q, rows):
+    # x meet H, for x not inside H, is the mask of x AND the points of H,
+    # and the one hyperplane key of x inside H
     n = len(rows[0])
-    meet = meet_h(rows, q)
-    assert len(meet) == len(rows) - 1
-    points = span(meet, q, n)
-    assert points == frozenset(p for p in span(rows, q, n) if p[-1] == 0)
-    assert rref_label(points) == meet
+    points = graphs._PointSets(n, q, [rows])
+    in_h = sum(1 << i for i, (p,) in enumerate(points.index) if not p[-1])
+    meet = points.mask(rows) & in_h
+    assert [m for m in points.hyperplanes(rows) if m & in_h == m] == [meet]
+    meet_points = frozenset(p for p in span(rows, q, n) if p[-1] == 0)
+    assert meet_points in sub_subspaces(rows, q, n, len(rows) - 1)
+    assert mask_points(points, meet) == projective_points(meet_points)
+
+
+@pytest.mark.parametrize("q,d,cliques,members", [
+    (2, 2, 156, 1100),
+    (3, 2, 1211, 15770),
+    (2, 3, 11874, 179118),
+])
+def test_twisted_cover_counts(q, d, cliques, members):
+    # the hyperplane keys of X1 outside H, one clique per d-space W of H
+    # (the X1 vertices through W and the X2 vertices inside it), and the
+    # hyperplane keys of X2
+    g = build_twisted_grassmann(q, d)
+    assert len(g.cliques) == cliques == (
+        q_binomial(2 * d + 1, d, q) - q_binomial(2 * d, d, q)
+        + q_binomial(2 * d, d, q) + q_binomial(2 * d, d - 2, q)
+    )
+    assert sum(map(len, g.cliques)) == members
+    x2_total = 0
+    for c in g.cliques:
+        parts = Counter(g.vertices[i][0] for i in c)
+        if parts["X1"] and parts["X2"]:
+            assert parts == {"X1": q ** d, "X2": q_int(d, q)}
+            x2_total += 1
+    assert x2_total == q_binomial(2 * d, d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +528,12 @@ def test_census_needs_the_whole_cover():
     assert len(cut) == len(g.cliques) - 2 and not is_clique_cover(g.adj, cut)
     census = distance_census(Graph(g.family, g.params, g.vertices, g.adj, cliques=cut))
     assert (census.levels, census.diameter) != oracle
-    # the path 0-1-2-3 without its link clique {1, 2}: the rounds never
+    # the path 0-1-2-3 without its middle clique {1, 2}: the rounds never
     # cross from 1 to 2, though adj (and so B_1) still has the edge
-    path = graphs._assemble(
-        "path", {}, range(4), lambda x: ["low" if x < 2 else "high"], 4, [],
-        lambda x: [2] if x == 1 else [],
-    )
-    assert [list(c) for c in path.cliques] == [[0, 1], [2, 3], [1, 2]]
+    path = path_graph([])
+    assert [list(c) for c in path.cliques] == [[0, 1], [1, 2], [2, 3]]
     assert distance_census(path).levels == census_by_bfs(path.adj)[0]
-    path.cliques = path.cliques[:2]
+    path.cliques = path.cliques[::2]
     with pytest.raises(DisconnectedGraph):
         distance_census(path)
 
