@@ -238,6 +238,8 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     entries there and gains none before its own pivot (below it r[p] = 0,
     above it w_p vanishes before p).  The rows of u now vanish at w's
     pivots and those of w on U, so both, sorted by pivot, are the RREF.
+    C depends on U alone, so the w are spread onto it once for each pivot
+    pattern of the u, which `all_subspaces` lists together.
     """
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
@@ -246,14 +248,15 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     n = 2 * d
     ws = list(all_subspaces(n - t + 1, d - t, q))
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
-    families = []
-    for u in all_subspaces(n, t - 1, q):
+    families, pattern = [], None
+    for u in all_subspaces(n, t - 1, q):  # grouped by pivot pattern
         upiv = [row.index(1) for row in u]
-        free = [j for j in range(n) if j not in upiv]
+        if upiv != pattern:
+            pattern, free = upiv, [j for j in range(n) if j not in upiv]
+            spread = [([free[row.index(1)] for row in w], [_spread(row, free, n) for row in w])
+                      for w in ws]
         members = []
-        for w in ws:
-            w = [_spread(row, free, n) for row in w]
-            wpiv = [row.index(1) for row in w]
+        for wpiv, w in spread:
             reduced = []
             for r in u:
                 for p, wp in zip(wpiv, w):

@@ -29,13 +29,16 @@ also its vertex label.  A subspace builder also gives each vertex its set
 of points (the 1-dim subspaces in it) as an int mask, once: its clique keys
 are the masks of its hyperplanes, and a generator's image of it is the
 vertex whose mask is the image of its mask under the generator's
-permutation of the points, found with no row reduction per vertex.
+permutation of the points, found with no row reduction per vertex.  The
+points come from one span kernel on packed ints, `_span_points`, which
+the X2 histogram below uses too.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
 Grassmann families and are cross-validated against BFS-extracted arrays in
 the test suite.  On that tier `twisted_x2_distance_counts` gives the
-distance histogram of a set of X2 vertices by a proved rule, for every q.
+distance histogram of a set of X2 vertices from their point sets, by a
+proved rule, for every q.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import mul, or_
+from operator import and_, lshift, mul, or_
 
 from .errors import (
     DisconnectedGraph,
@@ -63,11 +66,13 @@ DEFAULT_VERTEX_CAP = 20_000
 
 
 def iter_bits(mask: int):
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of set bits of mask >= 0, ascending, by `str.find` on its
+    binary string: no big-int operation per bit."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +210,7 @@ def _assemble(family, params, labels, keys, expected_n, generators):
     masks = [reduce(or_, map((1).__lshift__, c)) for c in cliques]
     graph.adj = [reduce(or_, map(masks.__getitem__, cs), 0) & ~(1 << i)
                  for i, cs in enumerate(_through(graph.n, cliques))]
+    del masks  # n bits a clique, not needed by the generator checks
     graph.cliques = cliques
     sets = set(map(frozenset, cliques))
     perms = []
@@ -292,24 +298,61 @@ def _elementary(q: int, m: int) -> list:
     return maps
 
 
-def _span_points(rows, q: int) -> list[tuple]:
+@cache
+def _fields(n: int, q: int) -> tuple:
+    """(w, K, offsets) of `_pack` on GF(q)^n: w = q.bit_length() + 1 bits a
+    coordinate, so 2^(w-1) >= q; K = sum of 2^(jw), a 1 in each field; and
+    the offsets jw of the fields."""
+    w = q.bit_length() + 1
+    return w, ((1 << w * n) - 1) // ((1 << w) - 1), range(0, w * n, w)
+
+
+def _pack(row, q: int) -> int:
+    """A vector of GF(q)^n as one int, coordinate j in the field at bit jw."""
+    return sum(map(lshift, row, _fields(len(row), q)[2]))
+
+
+def _span_points(rows, q: int) -> list[int]:
     """The points c . R of the row space of a canonical RREF basis R (k
     rows) over GF(q), one for each c in GF(q)^k whose first nonzero entry
-    is 1, in an order that depends on k and q alone.  Each c . R is a point
-    (a vector whose first nonzero entry is 1) with no reduction: for pivots
-    p_0 < ... < p_{k-1} of R and j the first nonzero entry of c, every row
-    R_i with c_i != 0 vanishes before p_i >= p_j, and (c . R)[p_j] = c_j = 1.
-    Every point x of the row space is one c . R, as x = c . R for one c
-    and then c_j = x[p_j] = 1 at the first nonzero entry of c.  The c with
-    first nonzero entry i give R_i + s, s in the span of the rows below i;
-    the other c R_i + s only join that span for the rows above, so the top
-    row takes c = 1 alone."""
-    points, tails = [], [(0,) * len(rows[0])]
+    is 1, as `_pack` ints, in an order that depends on k and q alone.
+    Each c . R is a point (a vector whose first nonzero entry is 1) with no
+    reduction: for pivots p_0 < ... < p_{k-1} of R and j the first nonzero
+    entry of c, every row R_i with c_i != 0 vanishes before p_i >= p_j, and
+    (c . R)[p_j] = c_j = 1.  Every point x of the row space is one c . R,
+    as x = c . R for one c and then c_j = x[p_j] = 1 at the first nonzero
+    entry of c.  The c with first nonzero entry i give R_i + s, s in the
+    span of the rows below i; the other c R_i + s, formed by adding R_i
+    again, only join that span for the rows above, so the top row takes
+    c = 1 alone.
+
+    The sums are taken mod q on the packed ints, every coordinate at once
+    (SWAR).  Let h = 2^(w-1) >= q and K = sum of 2^(jw), a 1 in each
+    field.  The fields of s = a + b hold a_j + b_j <= 2q - 2 < 2^w, so none
+    carries into the next, and neither do those of s + K(h - q): h - q >=
+    0 and a_j + b_j + h - q <= h + q - 2 < 2^w.  Bit w-1 of field j of
+    s + K(h - q) is set exactly when a_j + b_j + h - q >= h, that is
+    a_j + b_j >= q.  Shifted down by w-1 and masked by K, these bits leave
+    a 1 in each such field, and s less q times them holds a_j + b_j mod q
+    in field j, with no borrow.
+
+    R must be in echelon form with leading entries 1, which is checked on
+    the packed rows: the lowest set bit of row i starts a field holding 1,
+    and lies below that of row i+1.  ParameterError otherwise."""
+    w, K, offsets = _fields(len(rows[0]), q)
+    top, bias = w - 1, K * ((1 << w - 1) - q)
+    points, tails, below = [], [0], 1 << w * len(rows[0])
     for i in reversed(range(len(rows))):
-        scaled = [tuple([(c * a + b) % q for a, b in zip(rows[i], s)])
-                  for c in range(1, q if i else 2) for s in tails]
-        points += scaled[:len(tails)]
-        tails += scaled
+        r, layer, grown = sum(map(lshift, rows[i], offsets)), tails, []
+        lead = r & -r
+        if not (lead & K and r & lead * ((1 << w) - 1) == lead < below):
+            raise ParameterError(f"{rows!r} is not an echelon basis with leading entries 1")
+        below = lead
+        for _ in range(q - 1 if i else 1):
+            layer = [(s := t + r) - q * ((s + bias) >> top & K) for t in layer]
+            grown += layer
+        points += grown[:len(tails)]
+        tails += grown
     return points
 
 
@@ -317,11 +360,14 @@ def _span_points(rows, q: int) -> list[tuple]:
 def _hyperplane_positions(k: int, q: int) -> tuple:
     """For each hyperplane ker u of GF(q)^k, the positions in `_span_points`
     order of the c with c . u = 0.  The u are the points of GF(q)^k from
-    `_span_points`; ker u fixes u up to a scalar, so each hyperplane comes
-    once.  As c -> c . R is a linear bijection from GF(q)^k onto the row
-    space x of R, these positions of `_span_points(R)` are the points of the
-    hyperplane {c . R : c . u = 0} of x, and every hyperplane of x is one."""
-    cs = _span_points(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), q)
+    `_span_points`, unpacked; ker u fixes u up to a scalar, so each
+    hyperplane comes once.  As c -> c . R is a linear bijection from
+    GF(q)^k onto the row space x of R, these positions of `_span_points(R)`
+    are the points of the hyperplane {c . R : c . u = 0} of x, and every
+    hyperplane of x is one."""
+    w, _, offsets = _fields(k, q)
+    cs = [[x >> s & (1 << w) - 1 for s in offsets]
+          for x in _span_points(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), q)]
     return tuple(tuple(i for i, c in enumerate(cs) if sum(map(mul, c, u)) % q == 0)
                  for u in cs)
 
@@ -329,7 +375,8 @@ def _hyperplane_positions(k: int, q: int) -> tuple:
 class _PointSets:
     """Subspaces of GF(q)^v as sets of points, the vectors whose first
     nonzero entry is 1: one for each 1-dim subspace, [v]_q in all, held in
-    one list per build.  A subspace's mask has bit i for each point i in it.
+    one list per build, and indexed by their `_pack` ints.  A subspace's
+    mask has bit i for each point i in it.
 
     A subspace S is the union of 0 and the multiples of its points: a
     vector x != 0 of S is a p, with a the first nonzero entry of x and p =
@@ -346,9 +393,11 @@ class _PointSets:
 
     def __init__(self, v: int, q: int, subspaces):
         self.q = q
-        self.index = {rows: i for i, rows in enumerate(all_subspaces(v, 1, q))}
-        self.bit = [1 << i for i in range(len(self.index))]
-        self.of = {rows: [self.index[p,] for p in _span_points(rows, q)] for rows in subspaces}
+        self.points = [p for (p,) in all_subspaces(v, 1, q)]
+        self.index = {_pack(p, q): i for i, p in enumerate(self.points)}
+        self.bit = [1 << i for i in range(len(self.points))]
+        self.of = {rows: list(map(self.index.__getitem__, _span_points(rows, q)))
+                   for rows in subspaces}
         self.subspace = {self.mask(rows): rows for rows in self.of}
 
     def mask(self, rows) -> int:
@@ -366,8 +415,9 @@ class _PointSets:
         images of the points: the subspace whose mask is the image of x's
         mask, or None where no subspace here has that mask.  That is f(x)
         when f is linear and bijective; the caller checks the result."""
+        bit = {(p,): b for p, b in zip(self.points, self.bit)}  # keyed as rref_gf returns
         try:
-            moved = [self.bit[self.index[rref_gf([f(p)], self.q)[0]]] for (p,) in self.index]
+            moved = [bit[rref_gf([f(p)], self.q)[0]] for p in self.points]
         except KeyError:  # f(p) is 0 or no vector of GF(q)^v
             return lambda rows: None
         return lambda rows: self.subspace.get(sum(map(moved.__getitem__, self.of[rows])))
@@ -506,7 +556,7 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
         raise ParameterError("twisted: X1 enumeration is inconsistent")
     x2 = [("X2", rows) for rows in twisted_x2_vertices(q, d)]
     points = _PointSets(n_amb, q, [rows for _, rows in x1 + x2])
-    in_h = sum(b for (p,), b in zip(points.index, points.bit) if not p[-1])
+    in_h = sum(b for p, b in zip(points.points, points.bit) if not p[-1])
     above = defaultdict(list)  # X2 label -> the masks of the W through it
     for w, rows in {points.mask(rows) & in_h: rows for _, rows in x1}.items():
         for meet in {w & k for k in points.hyperplanes(rows)} - {w}:
@@ -758,22 +808,15 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int) -> list[int
     vertex; the common neighbours are all in X2.)  Distances of 3 and more
     depend on paths through X1, so they raise DistanceUndetermined.
 
-    x meet y has q^dim(x meet y) vectors: with one bit per point that some
-    member contains, it is one AND plus a popcount, for every q.
+    x meet y has [dim(x meet y)]_q points (`_PointSets`): with one bit per
+    point that some member contains (`_span_points`), it is one AND plus a
+    popcount, for every q.
     """
-    zero = (0,) * (2 * d + 1)
     index = {}
-    masks = []
-    for rows in members:
-        points = [zero]
-        for row in rows:
-            points = [tuple((a + c * b) % q for a, b in zip(p, row))
-                      for p in points for c in range(q)]
-        masks.append(reduce(or_, (1 << index.setdefault(p, len(index)) for p in points)))
-    common = Counter()
-    for i, x in enumerate(masks):
-        common.update(map(int.bit_count, map(x.__and__, masks[i + 1:])))
-    meet_dim = {q ** k: k for k in range(d)}
+    masks = [sum(1 << index.setdefault(p, len(index)) for p in _span_points(rows, q))
+             for rows in members]
+    common = Counter(map(int.bit_count, itertools.starmap(and_, itertools.combinations(masks, 2))))
+    meet_dim = {q_int(k, q): k for k in range(d)}
     counts = [0] * (d + 1)
     counts[0] = len(members)
     for size, pairs in common.items():
@@ -807,7 +850,7 @@ def graph_cache_text(G: Graph) -> str:
     """Versioned text format: magic line, JSON metadata, one canonical label
     per vertex, one 'i j' line per edge (i < j, ascending).  Byte-identical
     for identical parameters.  The edge lines are joined one vertex at a
-    time, so no string per edge outlives its vertex."""
+    time from the vertices' index strings, each formed once."""
     meta = {
         "edges": G.edge_count(),
         "family": G.family,
@@ -816,8 +859,9 @@ def graph_cache_text(G: Graph) -> str:
     }
     lines = [CACHE_MAGIC, json.dumps(meta, sort_keys=True, separators=(",", ":"))]
     lines.extend(_label_json(v) for v in G.vertices)
-    for i in range(G.n):
+    names = list(map(str, range(G.n)))
+    for i, name in enumerate(names):
         higher = G.adj[i] >> (i + 1) << (i + 1)
         if higher:
-            lines.append("\n".join(f"{i} {j}" for j in iter_bits(higher)))
+            lines.append(name + " " + f"\n{name} ".join(map(names.__getitem__, iter_bits(higher))))
     return "\n".join(lines) + "\n"

@@ -4,7 +4,9 @@ The eigenvalues of the distance-1 matrix are the roots of the characteristic
 polynomial of the (d+1) x (d+1) tridiagonal intersection matrix; for every
 in-scope family they are integers, found by integer bisection on Sturm sign
 counts and each confirmed as an exact root.  P is filled by the three-term
-recurrence of the distance polynomials, Q by the orthogonality relations
+recurrence of the distance polynomials in integers, each division checked
+exact (P_ji is a rational eigenvalue of the integer matrix A_i, so an
+integer, for every distance-regular graph), Q by the orthogonality relations
 m_j = |X| / sum_i P_ji^2 / k_i and Q_ij = m_j P_ji / k_i (checked by
 PQ = |X| I), and the Krein tensor certifies the Q-polynomial ordering.
 The full-matrix tier (up to FULL_MATRIX_CAP vertices) builds the E_i
@@ -163,24 +165,27 @@ def eigensystem_from_array(
     thetas = _eigenvalues(arr, a)
     prows = []
     for th in thetas:
-        v = [Fraction(1), Fraction(th)]
+        v = [1, th]
         for j in range(1, d):
-            nxt = ((th - a[j]) * v[j] - arr.b[j - 1] * v[j - 1]) / arr.c[j]
+            nxt, rem = divmod((th - a[j]) * v[j] - arr.b[j - 1] * v[j - 1], arr.c[j])
+            if rem:
+                raise DrgError(f"P_{j + 1} at eigenvalue {th} is not an integer;"
+                               " no distance-regular graph has this array")
             v.append(nxt)
         prows.append(v)
-    P = ExactMatrix(prows)
-    if P.row(0) != k:
-        raise DrgError(f"P row 0 is {P.row(0)}, not the valencies {k}")
-    m = []
+    if tuple(prows[0]) != k:
+        raise DrgError(f"P row 0 is {tuple(prows[0])}, not the valencies {k}")
+    m, K = [], lcm(*k)
     for j, row in enumerate(prows):
-        mj = n_vertices / sum(x * x / kk for x, kk in zip(row, k))
+        mj = Fraction(n_vertices * K, sum(x * x * (K // kk) for x, kk in zip(row, k)))
         if mj.denominator != 1:
             raise ParameterError(f"multiplicity m_{j} = {mj} is not a positive integer")
-        m.append(int(mj))
-    Q = ExactMatrix([[mj * row[i] / k[i] for mj, row in zip(m, prows)] for i in range(d + 1)])
-    (E, Pi), (D, Qi) = scaled_ints(P.rows), scaled_ints(Q.rows)
-    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * E * D
-           for r, row in enumerate(Pi) for c, col in enumerate(zip(*Qi))):
+        m.append(mj.numerator)
+    Q = ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
+                     for i in range(d + 1)])
+    D, Qi = scaled_ints(Q.rows)
+    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * D
+           for r, row in enumerate(prows) for c, col in enumerate(zip(*Qi))):
         raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
     sys = SchemeEigensystem(
         n=n_vertices,
@@ -188,7 +193,7 @@ def eigensystem_from_array(
         eigenvalues=thetas,
         k=k,
         m=tuple(m),
-        P=P,
+        P=ExactMatrix(prows),
         Q=Q,
         ordering=tuple(range(d + 1)),
         passing_orderings=(),

@@ -352,10 +352,53 @@ def test_singular_map_is_refused():
 # clique-key helpers
 
 
+@given(st.integers(0, 2 ** 300))
+def test_iter_bits_lists_the_set_bits(mask):
+    assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def unpack(x, n, q):
+    """The vector of GF(q)^n that graphs._pack took to x."""
+    w, _, offsets = graphs._fields(n, q)
+    return tuple(x >> s & (1 << w) - 1 for s in offsets)
+
+
+def random_rref(rng, n, k, q):
+    """A uniformly chosen pivot pattern with random free entries: a
+    canonical RREF basis of a k-dim subspace of GF(q)^n."""
+    pivots = sorted(rng.sample(range(n), k))
+    rows = [[int(j == p) for j in range(n)] for p in pivots]
+    for i, p in enumerate(pivots):
+        for j in range(p + 1, n):
+            if j not in pivots:
+                rows[i][j] = rng.randrange(q)
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("q,n,ks", [
+    (2, 7, (1, 2, 3, 4)), (3, 6, (1, 2, 3)), (5, 5, (1, 2, 3)),
+    (7, 5, (1, 2, 3)),  # the tightest odd field: 2^(w-1) = 8
+    (23, 4, (1, 2)),
+])
+def test_packed_span_matches_oracle_span(q, n, ks):
+    # the packed points of a row space are its points, each once, and the
+    # i-th is c . R for the i-th packed c of the identity basis
+    rng = random.Random(q)
+    for k in ks:
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        cs = [unpack(x, k, q) for x in graphs._span_points(identity, q)]
+        for _ in range(6):
+            rows = random_rref(rng, n, k, q)
+            found = [unpack(x, n, q) for x in graphs._span_points(rows, q)]
+            assert len(found) == len(set(found)) == q_int(k, q)
+            assert frozenset(found) == projective_points(span(rows, q, n))
+            assert found == [tuple(sum(c * r[j] for c, r in zip(cv, rows)) % q for j in range(n))
+                             for cv in cs]
+
+
 def mask_points(points, mask):
     """The points of a _PointSets mask."""
-    listed = [p for (p,) in points.index]
-    return frozenset(listed[i] for i in iter_bits(mask))
+    return frozenset(points.points[i] for i in iter_bits(mask))
 
 
 @pytest.mark.parametrize("n,k,q", [(4, 1, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)])
@@ -363,7 +406,7 @@ def test_hyperplanes_match_sub_subspaces(n, k, q):
     sample = list(all_subspaces(n, k, q))[::37]
     points = graphs._PointSets(n, q, sample)
     everything = frozenset(itertools.product(range(q), repeat=n))
-    listed = [p for (p,) in points.index]
+    listed = points.points
     assert len(listed) == q_int(n, q) and frozenset(listed) == projective_points(everything)
     for rows in sample:
         whole = points.mask(rows)
@@ -389,7 +432,7 @@ def test_meet_h_on_both_rref_shapes(q, rows):
     # and the one hyperplane key of x inside H
     n = len(rows[0])
     points = graphs._PointSets(n, q, [rows])
-    in_h = sum(1 << i for i, (p,) in enumerate(points.index) if not p[-1])
+    in_h = sum(1 << i for i, p in enumerate(points.points) if not p[-1])
     meet = points.mask(rows) & in_h
     assert [m for m in points.hyperplanes(rows) if m & in_h == m] == [meet]
     meet_points = frozenset(p for p in span(rows, q, n) if p[-1] == 0)
@@ -755,6 +798,14 @@ def test_x2_distance_counts_match_search_oracle(q):
     assert counts[2] > 0
 
 
+def test_x2_distance_counts_at_q23_match_search_oracle():
+    # d = 2, so the members are points of H = GF(23)^4 and every pair of
+    # distinct ones is adjacent
+    members = random.Random(23).sample(twisted_x2_vertices(23, 2), 30)
+    counts = twisted_x2_distance_counts(members, 23, 2)
+    assert counts == x2_distance_counts_by_search(members, 23, 2) == [30, 870, 0]
+
+
 def test_x2_meet_dims_match_point_sets():
     # planes of H = GF(q)^6 spanned by two of eight random vectors, so that
     # many pairs share a line; at q = 5, GF(q)^7 has 78,125 points.  The
@@ -772,6 +823,19 @@ def test_x2_meet_dims_match_point_sets():
                 expected[{q * q: 0, q: 1, 1: 2}[len(x & y)]] += 1
         assert expected[1] and expected[2]
         assert twisted_x2_distance_counts(members, q, 3) == expected
+
+
+@pytest.mark.parametrize("members", [
+    [((1, 0, 0, 0, 0),), ((2, 0, 0, 0, 0),)],  # one line twice, the second unscaled
+    [((0, 0, 0, 0, 0),)],
+    [((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0))],  # pivots out of order
+    [((1, 2, 0, 0, 0, 0, 0), (0, 2, 1, 0, 0, 0, 0))],
+])
+def test_x2_members_must_be_echelon_with_leading_ones(members):
+    # the packed points are only points for such a basis, so any other is
+    # refused rather than counted wrongly
+    with pytest.raises(ParameterError, match="echelon"):
+        twisted_x2_distance_counts(members, 3, len(members[0]) + 1)
 
 
 def test_x2_distance_beyond_two_is_undetermined():

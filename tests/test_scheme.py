@@ -300,6 +300,14 @@ def test_irrational_eigenvalues_rejected():
             eigensystem_from_array(IntersectionArray(b, c), n)
 
 
+def test_fractional_p_rejected():
+    # the spectrum {4, 2, 0, -3} is integral, but P_2 = 5/2 at the eigenvalue -3:
+    # no graph has this array, and the integer recurrence says so
+    arr = IntersectionArray((4, 3, 1), (1, 2, 2))
+    with pytest.raises(DrgError, match="P_2 at eigenvalue -3 is not an integer"):
+        eigensystem_from_array(arr, arr.vertex_count(), check_q_polynomial=False)
+
+
 def test_vertex_count_mismatch():
     arr = IntersectionArray((2, 1), (1, 1))
     with pytest.raises(ParameterError):
@@ -416,6 +424,14 @@ def test_grassmann_eigenvalues_beyond_valency_scan(q, v, d):
     )
 
 
+def p_row_by_fractions(arr, th):
+    """P_0(th), ..., P_d(th) by the three-term recurrence in rationals."""
+    a, v = arr.a(), [Fraction(1), Fraction(th)]
+    for j in range(1, arr.d):
+        v.append(((th - a[j]) * v[j] - arr.b[j - 1] * v[j - 1]) / arr.c[j])
+    return v
+
+
 @st.composite
 def intersection_arrays(draw):
     """Arrays with d <= 4, c_1 = 1, every a_i >= 0 and integral valencies:
@@ -445,6 +461,7 @@ def intersection_arrays(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(intersection_arrays())
 @example(IntersectionArray((9, 8), (1, 4)))  # integral spectrum, a Krein condition fails
+@example(IntersectionArray((4, 3, 1), (1, 2, 2)))  # integral spectrum, P_2 = 5/2 at -3
 def test_eigenvalues_match_sympy_charpoly(arr):
     d, a = arr.d, arr.a()
     L = sympy.zeros(d + 1, d + 1)
@@ -466,6 +483,11 @@ def test_eigenvalues_match_sympy_charpoly(arr):
     except ParameterError as exc:  # a feasibility condition, past the spectrum
         assert "multiplicit" in str(exc)
         event("integral spectrum, infeasible multiplicities")
+        return
+    except DrgError as exc:  # P is not integral, so no graph has the array
+        assert "not an integer" in str(exc)
+        assert any(x.denominator != 1 for th in roots for x in p_row_by_fractions(arr, th))
+        event("integral spectrum, fractional P")
         return
     event("integral spectrum, eigensystem built")
     assert sys_.eigenvalues == tuple(sorted((int(r) for r in roots), reverse=True))
