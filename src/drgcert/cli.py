@@ -236,26 +236,8 @@ def cmd_search(args) -> int:
     if args.t is None:
         raise ParameterError("search needs -t")
     graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
-    cert = solve_certificate(sys_, args.t)
-    thr = ekr_search.threshold_graph(graph, census, args.t)
-    warm = None
-    if family == "twisted":
-        fams = ekr_search.enumerate_descendent_families(
-            graph.params["q"], graph.params["d"], args.t
-        )
-        warm = max(
-            ([graph.index_of(lab) for lab in fam.labels()] for fam in fams), key=len
-        )
-    hint = None
-    if cert.feasible and cert.bound.denominator == 1:
-        hint = int(cert.bound)
-    result = ekr_search.max_clique(
-        thr,
-        upper_bound_hint=hint,
-        warm_start=warm,
-        enum_cap=args.enum_cap,
-        exhaustive_cap=args.vertex_cap,
-    )
+    cert, _, result = ekr_search.search(graph, census, sys_, args.t,
+                                        args.enum_cap, args.vertex_cap)
     report = {
         "graph": {"family": family, "params": graph.params},
         "t": args.t,
@@ -380,7 +362,8 @@ def _add_common(p, with_family=True, with_t=False, with_subset=False,
     p.add_argument("--seed", type=int)
     p.add_argument(
         "--vertex-cap", type=int, default=cap_default,
-        help="vertex tier; for search commands this is the exhaustive-search cap",
+        help="vertex tier; for search and verify-theorem one cap governs both "
+        "the build and the clique search",
     )
 
 

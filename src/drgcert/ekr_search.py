@@ -315,6 +315,29 @@ class TheoremReport:
     seconds: float
 
 
+def search(G: Graph, census: DistanceCensus, sys, t: int,
+           enum_cap: int = ENUM_CAP, exhaustive_cap: int = EXHAUSTIVE_CAP):
+    """Every maximum t-intersecting family of G, as `drgcert search` and
+    `verify_theorem` both run it.  Solves the certificate of (sys, t) and
+    passes its bound to `max_clique` as the hint when it is feasible and
+    integral.  On a twisted graph the descendent families are enumerated
+    once, as index sets, and the largest seeds the warm start.  Returns
+    (cert, descendents, result), descendents None off the twisted family."""
+    cert = solve_certificate(sys, t)
+    thr = threshold_graph(G, census, t)
+    descendents = warm = None
+    if G.family == "twisted":
+        descendents = [
+            frozenset(G.index_of(lab) for lab in fam.labels())
+            for fam in enumerate_descendent_families(G.params["q"], G.params["d"], t)
+        ]
+        warm = max(descendents, key=len)
+    hint = int(cert.bound) if cert.feasible and cert.bound.denominator == 1 else None
+    result = max_clique(thr, upper_bound_hint=hint, warm_start=warm,
+                        enum_cap=enum_cap, exhaustive_cap=exhaustive_cap)
+    return cert, descendents, result
+
+
 def verify_theorem(
     q: int,
     d: int,
@@ -325,34 +348,19 @@ def verify_theorem(
     """Build the twisted graph, compare its BFS array with the closed-form
     array of J_q(2d+1,d) (which also settles P and Q), certify the bound,
     search exhaustively, and compare maximizers with the enumerated
-    descendent families."""
-    if d < 2:
-        raise ParameterError(f"need d >= 2, got d={d}")
-    if not 0 < t < d:
+    descendent families.  search_cap governs both the build and the search."""
+    if not 0 < t < d:  # so d >= 2
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    # [2d+1, d]_q >= q^(d(d+1)): a huge q is refused before the primality test
-    n = _check_cap(f"twisted({q},{d})", d * (d + 1) * (q.bit_length() - 1),
-                   lambda: q_binomial(2 * d + 1, d, q), search_cap, prime=q)
-    twisted = build_twisted_grassmann(q, d)
-    census_tw = distance_census(twisted)
-    arr_tw = check_distance_regular(twisted, census_tw)
-    arr_gr = twisted_intersection_array(q, d)
-    arrays_match = arr_tw == arr_gr
-    sys_tw = eigensystem_from_array(arr_tw, n)
-    cert = solve_certificate(sys_tw, t)
-    expected, _ = expected_bound("twisted", {"q": q, "d": d}, t)
-    families = enumerate_descendent_families(q, d, t)
-    fam_index_sets = [frozenset(twisted.index_of(lab) for lab in f.labels()) for f in families]
-    warm = max(fam_index_sets, key=len)
-    thr = threshold_graph(twisted, census_tw, t)
-    hint = int(cert.bound) if cert.feasible and cert.bound.denominator == 1 else None
-    result = max_clique(
-        thr, upper_bound_hint=hint, warm_start=warm,
-        enum_cap=enum_cap, exhaustive_cap=search_cap,
+    twisted = build_twisted_grassmann(q, d, search_cap)
+    census = distance_census(twisted)
+    arr = check_distance_regular(twisted, census)
+    arrays_match = arr == twisted_intersection_array(q, d)
+    cert, descendents, result = search(
+        twisted, census, eigensystem_from_array(arr, twisted.n), t, enum_cap, search_cap
     )
-    maximizers = {frozenset(f) for f in result.families}
+    expected, _ = expected_bound("twisted", {"q": q, "d": d}, t)
     maximizers_match = (
-        not result.truncated and maximizers == set(fam_index_sets)
+        not result.truncated and set(map(frozenset, result.families)) == set(descendents)
     )
     passed = (
         arrays_match
@@ -362,7 +370,7 @@ def verify_theorem(
         and maximizers_match
     )
     return TheoremReport(
-        q=q, d=d, t=t, n=n,
+        q=q, d=d, t=t, n=twisted.n,
         passed=passed,
         arrays_match=arrays_match,
         # P and Q are a function of the array, and P gives the array back
@@ -373,7 +381,7 @@ def verify_theorem(
         optimum=result.optimum,
         maximizers_match=maximizers_match,
         n_maximizers=len(result.families),
-        n_descendent_families=len(families),
+        n_descendent_families=len(descendents),
         truncated=result.truncated,
         nodes=result.nodes,
         seconds=result.seconds,

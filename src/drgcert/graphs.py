@@ -140,7 +140,7 @@ class Graph:
     def index_of(self, label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ParameterError(f"label {label!r} is not a vertex of {self.family}") from None
 
     def is_edge(self, i: int, j: int) -> bool:

@@ -150,33 +150,24 @@ def expected_bound(family: str, params: dict, t: int):
     Returns (value, hypothesis_met).  The solver always runs regardless; the
     hypothesis flag is advisory.
     """
+    if family not in ("johnson", "hamming", "grassmann", "bilinear", "twisted"):
+        raise UnsupportedFamily(f"no closed-form bound for family {family!r}")
+    d = params["d"]
+    if not 0 < t < d:
+        raise ParameterError(f"need 0 < t < d, got t={t}")
     if family == "johnson":
-        v, d = params["v"], params["d"]
-        if not 0 < t < d:
-            raise ParameterError(f"need 0 < t < d, got t={t}")
+        v = params["v"]
         return Fraction(comb(v - t, d - t)), v > (t + 1) * (d - t + 1)
+    q = params["q"]
     if family == "hamming":
-        d, q = params["d"], params["q"]
-        if not 0 < t < d:
-            raise ParameterError(f"need 0 < t < d, got t={t}")
-        hyp = (t == d - 1) or (q >= d) or (q == d - 1 and t < d - 2)
-        return Fraction(q ** (d - t)), hyp
+        return Fraction(q ** (d - t)), (t == d - 1) or (q >= d) or (q == d - 1 and t < d - 2)
     if family == "grassmann":
-        q, v, d = params["q"], params["v"], params["d"]
-        if not 0 < t < d:
-            raise ParameterError(f"need 0 < t < d, got t={t}")
+        v = params["v"]
         return Fraction(q_binomial(v - t, d - t, q)), v >= 2 * d
     if family == "bilinear":
-        q, d, e = params["q"], params["d"], params["e"]
-        if not 0 < t < d:
-            raise ParameterError(f"need 0 < t < d, got t={t}")
+        e = params["e"]
         return Fraction(q ** ((d - t) * e)), d <= e
-    if family == "twisted":
-        q, d = params["q"], params["d"]
-        if not 0 < t < d:
-            raise ParameterError(f"need 0 < t < d, got t={t}")
-        return Fraction(q_binomial(2 * d + 1 - t, d - t, q)), True
-    raise UnsupportedFamily(f"no closed-form bound for family {family!r}")
+    return Fraction(q_binomial(2 * d + 1 - t, d - t, q)), True  # twisted
 
 
 def certify_subset(dist: InnerDistribution, cert: DualCertificate) -> CertReport:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import drgcert
+from drgcert import ekr_search
 from drgcert.cli import main
 from drgcert.graphs import build_twisted_grassmann
 
@@ -79,6 +80,16 @@ def test_non_ascii_subset_file_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unhashable_subset_label_is_a_usage_error(tmp_path, capsys):
+    subset = tmp_path / "subset.json"
+    subset.write_text('[{"a": 1}]', encoding="ascii")
+    code = main(["widths", "johnson", "-v", "5", "-d", "2",
+                 "--subset", str(subset), "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "is not a vertex" in err
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -211,6 +222,31 @@ def test_verify_theorem_q3_cli(tmp_path, capsys):
     code, doc = run(capsys, "verify-theorem", "-q", "3", "-d", "2", "-t", "1",
                     "--vertex-cap", "2000", "--cache", str(tmp_path))
     assert code == 0 and doc["verdict"] == "PASS" and doc["n"] == 1210
+
+
+@pytest.mark.parametrize("q, cap, optimum, nodes", [(2, [], 15, 18),
+                                                     (3, ["--vertex-cap", "2000"], 40, 45)])
+def test_search_twisted_agrees_with_verify_theorem(tmp_path, capsys, monkeypatch,
+                                                   q, cap, optimum, nodes):
+    # both commands run one search: same optimum, nodes and maximizer sets
+    results = []
+    max_clique = ekr_search.max_clique
+
+    def spy(*args, **kwargs):
+        results.append(max_clique(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ekr_search, "max_clique", spy)
+    flags = ["-q", str(q), "-d", "2", "-t", "1", *cap, "--cache", str(tmp_path)]
+    code, found = run(capsys, "search", "twisted", *flags)
+    assert code == 0
+    code, verified = run(capsys, "verify-theorem", *flags)
+    assert code == 0 and verified["verdict"] == "PASS"
+    for doc in (found, verified):
+        assert (doc["optimum"], doc["nodes"]) == (optimum, nodes)
+    assert len(found["maximizers"]) == verified["n_maximizers"]
+    first, second = results
+    assert first.families == second.families and first.nodes == second.nodes == nodes
 
 
 def test_selftest(tmp_path, capsys):

@@ -348,6 +348,20 @@ def test_verify_theorem_builds_no_grassmann_graph(monkeypatch):
     assert verify_theorem(2, 2, 1).passed
 
 
+def test_verify_theorem_builds_under_its_search_cap(monkeypatch):
+    # one cap governs the build and the search
+    caps = []
+    build = ekr_search.build_twisted_grassmann
+
+    def spy(q, d, vertex_cap=graphs.DEFAULT_VERTEX_CAP):
+        caps.append(vertex_cap)
+        return build(q, d, vertex_cap)
+
+    monkeypatch.setattr(ekr_search, "build_twisted_grassmann", spy)
+    assert verify_theorem(2, 2, 1, search_cap=500).passed
+    assert caps == [500]
+
+
 def test_verify_theorem_refuses_a_wrong_closed_form_array(monkeypatch):
     # K_155 has as many vertices as twisted(2,2), and a valid eigensystem
     monkeypatch.setattr(ekr_search, "twisted_intersection_array",
