@@ -236,8 +236,7 @@ def cmd_search(args) -> int:
     if args.t is None:
         raise ParameterError("search needs -t")
     graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
-    cert, _, result = ekr_search.search(graph, census, sys_, args.t,
-                                        args.enum_cap, args.vertex_cap)
+    cert, _, result = ekr_search.search(graph, census, sys_, args.t, args.enum_cap)
     report = {
         "graph": {"family": family, "params": graph.params},
         "t": args.t,
@@ -362,8 +361,8 @@ def _add_common(p, with_family=True, with_t=False, with_subset=False,
     p.add_argument("--seed", type=int)
     p.add_argument(
         "--vertex-cap", type=int, default=cap_default,
-        help="vertex tier; for search and verify-theorem one cap governs both "
-        "the build and the clique search",
+        help="vertex tier: a graph with more vertices is refused before it is "
+        "built, so search and verify-theorem never search one",
     )
 
 

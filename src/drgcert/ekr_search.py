@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DrgError, ParameterError, TierLimitExceeded
+from .errors import DrgError, ParameterError
 from .exact import q_binomial
 from .graphs import (
     DEFAULT_VERTEX_CAP,
@@ -77,7 +77,6 @@ def max_clique(
     upper_bound_hint: int | None = None,
     warm_start=None,
     enum_cap: int = ENUM_CAP,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> SearchResult:
     """Exact maximum-clique size plus every maximum clique (up to enum_cap).
 
@@ -88,11 +87,10 @@ def max_clique(
     e.g. a descendent family) seeds the incumbent size; the hint is only
     checked against the result, so neither can alter the optimum.  Ties are
     never pruned: a branch dies only when it cannot even match the
-    incumbent.
+    incumbent.  G may have any size: the vertex cap is checked where a
+    graph is built.
     """
     n = G.n
-    if n > exhaustive_cap:
-        raise TierLimitExceeded(f"{n} vertices exceeds the exhaustive cap {exhaustive_cap}")
     adj = G.adj
     best = 0
     if warm_start is not None:
@@ -315,8 +313,7 @@ class TheoremReport:
     seconds: float
 
 
-def search(G: Graph, census: DistanceCensus, sys, t: int,
-           enum_cap: int = ENUM_CAP, exhaustive_cap: int = EXHAUSTIVE_CAP):
+def search(G: Graph, census: DistanceCensus, sys, t: int, enum_cap: int = ENUM_CAP):
     """Every maximum t-intersecting family of G, as `drgcert search` and
     `verify_theorem` both run it.  Solves the certificate of (sys, t) and
     passes its bound to `max_clique` as the hint when it is feasible and
@@ -333,8 +330,7 @@ def search(G: Graph, census: DistanceCensus, sys, t: int,
         ]
         warm = max(descendents, key=len)
     hint = int(cert.bound) if cert.feasible and cert.bound.denominator == 1 else None
-    result = max_clique(thr, upper_bound_hint=hint, warm_start=warm,
-                        enum_cap=enum_cap, exhaustive_cap=exhaustive_cap)
+    result = max_clique(thr, upper_bound_hint=hint, warm_start=warm, enum_cap=enum_cap)
     return cert, descendents, result
 
 
@@ -348,7 +344,7 @@ def verify_theorem(
     """Build the twisted graph, compare its BFS array with the closed-form
     array of J_q(2d+1,d) (which also settles P and Q), certify the bound,
     search exhaustively, and compare maximizers with the enumerated
-    descendent families.  search_cap governs both the build and the search."""
+    descendent families.  search_cap is the vertex cap of the build."""
     if not 0 < t < d:  # so d >= 2
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
     twisted = build_twisted_grassmann(q, d, search_cap)
@@ -356,7 +352,7 @@ def verify_theorem(
     arr = check_distance_regular(twisted, census)
     arrays_match = arr == twisted_intersection_array(q, d)
     cert, descendents, result = search(
-        twisted, census, eigensystem_from_array(arr, twisted.n), t, enum_cap, search_cap
+        twisted, census, eigensystem_from_array(arr, twisted.n), t, enum_cap
     )
     expected, _ = expected_bound("twisted", {"q": q, "d": d}, t)
     maximizers_match = (

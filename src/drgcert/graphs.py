@@ -15,7 +15,7 @@ check (which recovers the intersection array and cross-validates every built
 graph) all read those masks directly.
 
 Each builder also names a few label maps that generate a group of
-automorphisms (Sym(v) for Johnson, GL(v,q) for Grassmann, ...).  None is
+automorphisms (Sym(v) for Johnson, SL(v,q) for Grassmann, ...).  None is
 trusted: `_assemble` turns each into an index permutation and checks that it
 is a bijection mapping each clique's member set onto a clique's member set,
 in O(sum of clique sizes).  Their orbits
@@ -267,35 +267,21 @@ def _shear(rows, p: int, u, q: int) -> tuple:
     ])
 
 
-def _primitive_root(q: int) -> int:
-    """The least generator of the multiplicative group of GF(q), q prime."""
-    m, factors, f = q - 1, [], 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    factors += [m] if m > 1 else []
-    return next(w for w in range(2, q) if all(pow(w, (q - 1) // f, q) != 1 for f in factors))
-
-
 def _elementary(q: int, m: int) -> list:
     """Maps of row vectors over GF(q) that fix every coordinate after the
-    first m and generate GL(m,q) on the first m: the cycle of those
-    coordinates, x_1 <-> x_2, x_1 += x_2 and, for q > 2, x_1 *= w for a
-    primitive root w.  The cycle and the swap give every permutation matrix,
-    conjugates of x_1 += x_2 every transvection (hence SL), and w the
-    determinants."""
-    maps = [
+    first m: the cycle of those coordinates, x_1 <-> x_2 and x_1 += x_2.
+    The cycle and the swap give every permutation matrix, and powers and
+    conjugates of x_1 += x_2 every elementary transvection x_i += c x_j,
+    which generate SL(m,q).  SL(m,q) is transitive on the k-spaces for
+    0 < k < m, as GL(m,q) is: if g in GL maps U onto U', follow it by the
+    map that scales one basis vector outside U' (in a basis extending one of
+    U') by det(g)^-1; it fixes U', so the product lies in SL and still maps
+    U onto U'."""
+    return [
         lambda x: x[m - 1:m] + x[:m - 1] + x[m:],
         lambda x: (x[1], x[0]) + x[2:],
         lambda x: ((x[0] + x[1]) % q,) + x[1:],
     ]
-    if q > 2:
-        w = _primitive_root(q)
-        maps.append(lambda x: (x[0] * w % q,) + x[1:])
-    return maps
 
 
 @cache
@@ -468,8 +454,8 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     Clique keys: the masks of the [d]_q hyperplanes of x (`_PointSets`).
     Distinct d-spaces meet in dimension d-1 iff both contain one
     (d-1)-space, then their intersection.  Automorphisms: `_elementary(q,
-    v)`, which generates GL(v,q), each acting through its permutation of
-    the points."""
+    v)`, whose group contains SL(v,q), each acting through its permutation
+    of the points."""
     if d <= 0 or v < d:
         raise ParameterError(f"J_q({v},{d}) needs 0 < d <= v")
     if d > v - d:
@@ -539,7 +525,7 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
 
     Automorphisms: `_elementary(q, 2d)` on the first 2d coordinates and the
     shear x_1 += x_{2d+1}, all of which fix H and so each part.  They are
-    transitive on each part: GL(2d,q) on H moves any (d-1)- or d-space of H
+    transitive on each part: SL(2d,q) on H moves any (d-1)- or d-space of H
     onto any other, and an X1 vertex is a d-space of H plus a vector with
     last coordinate 1, which the conjugates x -> x + x_{2d+1} h (h in H) of
     the shear move onto any other such vector.
@@ -810,8 +796,11 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int) -> list[int
 
     x meet y has [dim(x meet y)]_q points (`_PointSets`): with one bit per
     point that some member contains (`_span_points`), it is one AND plus a
-    popcount, for every q.
+    popcount, for every prime q.  A q that is not prime is refused before
+    any span: the spans would be taken in Z/q, which is no field.
     """
+    if not is_prime(q):
+        raise UnsupportedField(f"q={q} is not prime")
     index = {}
     masks = [sum(1 << index.setdefault(p, len(index)) for p in _span_points(rows, q))
              for rows in members]

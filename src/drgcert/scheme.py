@@ -38,11 +38,6 @@ if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI co
 
 FULL_MATRIX_CAP = 1_000
 
-#: above this d only the natural ordering is tried and reported, so that the
-#: reports' passing_orderings keep their contract (the construction itself
-#: is polynomial in d)
-_ORDERING_SEARCH_MAX_D = 6
-
 
 @dataclass(frozen=True)
 class SchemeEigensystem:
@@ -77,12 +72,6 @@ class KreinTensor:
 
     def q(self, k: int, i: int, j: int) -> Fraction:
         return self.values[k][i][j]
-
-
-@dataclass(frozen=True)
-class QPolynomialVerdict:
-    natural_ok: bool
-    passing: tuple[tuple[int, ...], ...]
 
 
 def _scaled_minors(arr: IntersectionArray, a: tuple[int, ...], y: int) -> list[int]:
@@ -153,7 +142,8 @@ def eigensystem_from_array(
 
     Raises IrrationalEigenvalue when the characteristic polynomial has fewer
     than d+1 integer roots, and NotQPolynomial when no idempotent ordering is
-    Q-polynomial (all of them constructed for d <= 6, descending first).
+    Q-polynomial.  The descending ordering is kept when it passes, and the
+    first passing ordering is taken otherwise.
     """
     k = arr.valencies()
     if sum(k) != n_vertices:
@@ -200,10 +190,10 @@ def eigensystem_from_array(
     )
     if not check_q_polynomial:
         return sys
-    verdict = verify_q_polynomial(krein_parameters(sys))
-    if verdict.natural_ok:
-        return replace(sys, passing_orderings=verdict.passing)
-    return _reorder(sys, verdict.passing[0], verdict.passing)
+    passing = verify_q_polynomial(krein_parameters(sys))
+    if sys.ordering in passing:
+        return replace(sys, passing_orderings=passing)
+    return _reorder(sys, passing[0], passing)
 
 
 def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
@@ -250,14 +240,12 @@ def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
 
 
 def _ordering_passes(kt: KreinTensor, perm) -> bool:
-    d = kt.d
+    """For k != i, q^{perm[k]}_{perm[1],perm[i]} != 0 exactly when |k - i| = 1."""
+    d, q = kt.d, kt.values
     e1 = perm[1]
     for i in range(d + 1):
         for kk in range(d + 1):
-            val = kt.q(perm[kk], e1, perm[i])
-            if abs(kk - i) > 1 and val != 0:
-                return False
-            if abs(kk - i) == 1 and val == 0:
+            if kk != i and bool(q[perm[kk]][e1][perm[i]]) != (abs(kk - i) == 1):
                 return False
     return True
 
@@ -265,19 +253,19 @@ def _ordering_passes(kt: KreinTensor, perm) -> bool:
 def _walk(kt: KreinTensor, j: int) -> tuple[int, ...] | None:
     """The ordering 0, j, ... that steps from each E_c to the one unvisited
     E_b with q^b_{j,c} != 0; None when some step has no such b or several."""
-    d = kt.d
+    d, q = kt.d, kt.values
     perm = [0, j]
     while len(perm) <= d:
-        nxt = [b for b in range(d + 1) if b not in perm and kt.q(b, j, perm[-1]) != 0]
+        nxt = [b for b in range(d + 1) if q[b][j][perm[-1]] and b not in perm]
         if len(nxt) != 1:
             return None
         perm.append(nxt[0])
     return tuple(perm)
 
 
-def verify_q_polynomial(kt: KreinTensor) -> QPolynomialVerdict:
-    """Check tridiagonality of q^k_{1i}; for d <= 6, also find every
-    ordering that fixes E_0 (needed when the natural ordering fails).
+def verify_q_polynomial(kt: KreinTensor) -> tuple[tuple[int, ...], ...]:
+    """Every ordering that fixes E_0 and makes q^k_{1i} tridiagonal, in
+    lexicographic order; raises NotQPolynomial when there is none.
 
     The orderings are constructed, not searched.  Let perm pass with
     perm[1] = j.  By `_ordering_passes`, for each position i < d the b != perm[i]
@@ -287,41 +275,30 @@ def verify_q_polynomial(kt: KreinTensor) -> QPolynomialVerdict:
     takes that step, and by induction on i it returns perm.  So each j gives
     at most one passing ordering, the walk from j, and confirming each walk
     with `_ordering_passes` (the walk reads only the unvisited entries) finds
-    them all.  Orderings with a smaller perm[1] come first in the
-    lexicographic order of `itertools.permutations`, so ascending j lists
-    them in that order.
+    them all, at every d.  Orderings with a smaller perm[1] come first in
+    the lexicographic order of `itertools.permutations`, so ascending j
+    lists them in that order.
     """
-    d = kt.d
-    natural = tuple(range(d + 1))
-    if d <= _ORDERING_SEARCH_MAX_D:
-        walks = (_walk(kt, j) for j in range(1, d + 1))
-        passing = tuple(p for p in walks if p is not None and _ordering_passes(kt, p))
-        natural_ok = natural in passing
-    elif _ordering_passes(kt, natural):
-        natural_ok, passing = True, (natural,)
-    else:
-        raise NotQPolynomial(
-            f"natural ordering fails and d={d} exceeds the ordering search cap"
-        )
+    walks = (_walk(kt, j) for j in range(1, kt.d + 1))
+    passing = tuple(p for p in walks if p is not None and _ordering_passes(kt, p))
     if not passing:
         raise NotQPolynomial("no idempotent ordering is Q-polynomial")
-    return QPolynomialVerdict(natural_ok=natural_ok, passing=passing)
+    return passing
 
 
 # ---------------------------------------------------------------------------
 # full-matrix tier
 
 
-def materialize_distance_matrices(
-    G: Graph, census: DistanceCensus, cap: int = FULL_MATRIX_CAP
-) -> list[np.ndarray]:
+def materialize_distance_matrices(G: Graph, census: DistanceCensus) -> list[np.ndarray]:
     """Explicit 0/1 distance matrices A_0..A_d as int64 arrays; row x of A_k
-    is the level mask levels[x][k] unpacked."""
+    is the level mask levels[x][k] unpacked.  Refused above FULL_MATRIX_CAP
+    vertices."""
     import numpy as np
 
     n = G.n
-    if n > cap:
-        raise TierLimitExceeded(f"{n} vertices exceeds the full-matrix cap {cap}")
+    if n > FULL_MATRIX_CAP:
+        raise TierLimitExceeded(f"{n} vertices exceeds the full-matrix cap {FULL_MATRIX_CAP}")
     width = (n + 7) // 8
     mats = []
     for k in range(census.diameter + 1):
@@ -332,7 +309,7 @@ def materialize_distance_matrices(
 
 
 def materialize_idempotents(
-    G: Graph, census: DistanceCensus, sys: SchemeEigensystem, cap: int = FULL_MATRIX_CAP
+    G: Graph, census: DistanceCensus, sys: SchemeEigensystem
 ) -> list[tuple[np.ndarray, int]]:
     """Explicit primitive idempotents E_i = M_i / D_i with integer M_i.
 
@@ -352,7 +329,7 @@ def materialize_idempotents(
     """
     import numpy as np
 
-    mats = materialize_distance_matrices(G, census, cap)
+    mats = materialize_distance_matrices(G, census)
     n = G.n
     d = sys.d
     out = []
@@ -393,7 +370,6 @@ def krein_cross_check(
     census: DistanceCensus,
     sys: SchemeEigensystem,
     kt: KreinTensor | None = None,
-    cap: int = FULL_MATRIX_CAP,
 ) -> None:
     """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k on the
     materialized matrices, on the rows of the orbit representatives (enough
@@ -402,7 +378,7 @@ def krein_cross_check(
 
     if kt is None:
         kt = krein_parameters(sys)
-    mats = materialize_idempotents(G, census, sys, cap)
+    mats = materialize_idempotents(G, census, sys)
     d = sys.d
     n = sys.n
     reps = [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]

@@ -314,18 +314,14 @@ def subspace_label_maps(family, q, v):
     """Label maps of the generators of J_q(v,d) (family "grassmann") or of
     the twisted graph on GF(q)^v: each row map f applied to every row of a
     label, then the rows reduced.  The maps, on the first m coordinates (m
-    = v, or v - 1 for twisted): their cycle, x_1 <-> x_2, x_1 += x_2, and
-    x_1 *= w for the least primitive root w of q when q > 2; for twisted
-    also x_1 += x_v."""
+    = v, or v - 1 for twisted): their cycle, x_1 <-> x_2 and x_1 += x_2;
+    for twisted also x_1 += x_v."""
     m = v - 1 if family == "twisted" else v
     maps = [
         lambda x: x[m - 1:m] + x[:m - 1] + x[m:],
         lambda x: (x[1], x[0]) + x[2:],
         lambda x: ((x[0] + x[1]) % q,) + x[1:],
     ]
-    if q > 2:
-        w = next(w for w in range(2, q) if len({pow(w, i, q) for i in range(q - 1)}) == q - 1)
-        maps.append(lambda x: (x[0] * w % q,) + x[1:])
     if family == "twisted":
         maps.append(lambda x: ((x[0] + x[-1]) % q,) + x[1:])
         return [lambda lab, f=f: (lab[0], rref_rows(map(f, lab[1]), q)) for f in maps]

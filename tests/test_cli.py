@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import drgcert
-from drgcert import ekr_search
+from drgcert import cli, ekr_search
 from drgcert.cli import main
 from drgcert.graphs import build_twisted_grassmann
 
@@ -275,6 +275,19 @@ def test_tier_exit_code(tmp_path, capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+def test_search_above_vertex_cap_exits_3_before_the_build(capsys, monkeypatch):
+    # the cap is checked where vertices are made: no graph reaches the
+    # distance census, and the search never starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph above the vertex cap was built")
+
+    monkeypatch.setattr(cli, "distance_census", unreachable)
+    monkeypatch.setattr(ekr_search, "max_clique", unreachable)
+    argv = ["search", "johnson", "-v", "12", "-d", "4", "-t", "1", "--vertex-cap", "100"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "tier exceeded: J(12,4) has 495 vertices; cap is 100\n"
 
 
 @pytest.mark.parametrize("argv", [

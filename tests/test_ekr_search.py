@@ -54,12 +54,6 @@ def test_max_clique_complete_graph():
     assert not res.truncated
 
 
-def test_max_clique_tier():
-    k6 = build_hamming(1, 6)
-    with pytest.raises(TierLimitExceeded):
-        max_clique(k6, exhaustive_cap=5)
-
-
 def test_johnson_stars_are_the_maximizers(built):
     g, census, _, _ = built("johnson", 7, 3)
     thr = threshold_graph(g, census, 1)
@@ -395,6 +389,6 @@ def test_verify_theorem_tier_refusals():
     with pytest.raises(TierLimitExceeded):
         verify_theorem(2, 5, 2)  # astronomically large; refused before any work
     with pytest.raises(TierLimitExceeded):
-        verify_theorem(2, 3, 1)  # 11811 vertices > exhaustive cap
+        verify_theorem(2, 3, 1)  # 11811 vertices > default search_cap
     with pytest.raises(TierLimitExceeded):
         verify_theorem(3, 2, 1)  # 1210 vertices > default cap

@@ -850,6 +850,16 @@ def test_x2_distance_beyond_two_is_undetermined():
         twisted_x2_distance_counts([x, y], 2, 4)
 
 
+@pytest.mark.parametrize("y", [
+    ((1, 0, 0, 0, 0, 0, 0), (0, 1, 2, 0, 0, 0, 0)),  # Z/4 spans sharing no [k]_4 points
+    ((1, 0, 2, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)),  # Z/4 spans, a meaningless histogram
+])
+def test_x2_distance_counts_refuse_a_q_that_is_not_prime(y):
+    x = ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+    with pytest.raises(UnsupportedField, match="q=4 is not prime"):
+        twisted_x2_distance_counts([x, y], 4, 3)
+
+
 # ---------------------------------------------------------------------------
 # cache files
 

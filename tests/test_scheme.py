@@ -21,7 +21,13 @@ from _oracles import (
     orderings_by_search,
 )
 from drgcert import scheme
-from drgcert.errors import DrgError, IrrationalEigenvalue, NotQPolynomial, ParameterError
+from drgcert.errors import (
+    DrgError,
+    IrrationalEigenvalue,
+    NotQPolynomial,
+    ParameterError,
+    TierLimitExceeded,
+)
 from drgcert.exact import ExactMatrix, q_binomial
 from drgcert.graphs import (
     DistanceCensus,
@@ -108,9 +114,7 @@ def test_krein_basics(family, args, built):
     for j in range(d + 1):
         for kk in range(d + 1):
             assert kt.q(kk, 0, j) == (1 if j == kk else 0)
-    verdict = verify_q_polynomial(kt)
-    assert verdict.natural_ok
-    assert tuple(range(d + 1)) in verdict.passing
+    assert tuple(range(d + 1)) in verify_q_polynomial(kt)
 
 
 def test_negative_krein_parameter_is_reported():
@@ -177,6 +181,17 @@ FULL_TIER = SMALL + [("twisted", (2, 2)), ("grassmann", (2, 5, 2))]
 def test_krein_cross_check(family, args, built):
     g, census, arr, sys_ = built(family, *args)
     krein_cross_check(g, census, sys_)
+
+
+def test_full_matrix_tier_refuses_above_its_cap(built):
+    # H(5,4) has 1,024 vertices, above FULL_MATRIX_CAP = 1,000
+    g, census, _, sys_ = built("hamming", 5, 4)
+    assert g.n == 1024 > scheme.FULL_MATRIX_CAP
+    message = "1024 vertices exceeds the full-matrix cap 1000"
+    with pytest.raises(TierLimitExceeded, match=message):
+        materialize_idempotents(g, census, sys_)
+    with pytest.raises(TierLimitExceeded, match=message):
+        krein_cross_check(g, census, sys_)
 
 
 def _hand_built(g):
@@ -316,7 +331,8 @@ def test_vertex_count_mismatch():
 
 def test_not_q_polynomial_tensor():
     # synthetic tensor with every q^k_{1i}, k = i +- 1, equal to zero: no
-    # ordering can pass, constructed (d = 2) or past the search cap (d = 7)
+    # ordering can pass, at d = 2 or at d = 7, above the d <= 6 that the
+    # test hook also searches
     for d in (2, 7):
         vals = tuple(
             tuple(
@@ -347,7 +363,7 @@ def test_constructed_orderings_match_search_under_relabelling(arr, n):
     for perm in itertools.permutations(range(1, kt.d + 1)):
         vals = _relabelled(kt, (0,) + perm)
         found = orderings_by_search(vals)
-        assert found and verify_q_polynomial(KreinTensor(vals)).passing == found
+        assert found and verify_q_polynomial(KreinTensor(vals)) == found
         seen.add(len(found))
     assert seen == ({2} if arr.d == 4 else {1})
 
@@ -369,11 +385,27 @@ def test_walk_that_completes_is_still_confirmed():
         verify_q_polynomial(kt)
 
 
-def test_natural_ordering_beyond_search_cap():
-    # H(7,2): d = 7 is not searched, so the natural ordering is the only one
-    sys_ = eigensystem_from_array(hamming_intersection_array(7, 2), 2 ** 7)
-    assert sys_.eigenvalues == tuple(7 - 2 * j for j in range(8))
-    assert sys_.passing_orderings == (tuple(range(8)),)
+def test_hypercube_h82_has_two_orderings():
+    # H(8,2) is Q-polynomial in the natural ordering and, as an even
+    # hypercube, also in the one that starts at E_7; the (d)! search agrees
+    arr = hamming_intersection_array(8, 2)
+    sys_ = eigensystem_from_array(arr, 2 ** 8)
+    assert sys_.eigenvalues == tuple(8 - 2 * j for j in range(9))
+    assert sys_.passing_orderings == (tuple(range(9)), (0, 7, 2, 5, 4, 3, 6, 1, 8))
+    kt = krein_parameters(eigensystem_from_array(arr, 2 ** 8, check_q_polynomial=False))
+    assert orderings_by_search(kt.values) == sys_.passing_orderings
+
+
+def test_odd_graph_o8_needs_reordering():
+    # O_8 = Kneser K(15,7), d = 7, on 6,435 vertices: Q-polynomial only in
+    # the ordering that alternates between the ends of the spectrum
+    arr = IntersectionArray((8, 7, 7, 6, 6, 5, 5), (1, 1, 2, 2, 3, 3, 4))
+    sys_ = eigensystem_from_array(arr, 6435)
+    assert sys_.ordering == (0, 7, 1, 6, 2, 5, 3, 4)
+    assert sys_.passing_orderings == (sys_.ordering,)
+    assert sys_.eigenvalues == (8, -7, 6, -5, 4, -3, 2, -1)
+    kt = krein_parameters(eigensystem_from_array(arr, 6435, check_q_polynomial=False))
+    assert orderings_by_search(kt.values) == sys_.passing_orderings
 
 
 def test_eigensystem_cache_roundtrip(built):
