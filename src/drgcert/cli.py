@@ -94,7 +94,8 @@ def _config(args, family=None, params=None):
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    # each report is a fresh tree, so it holds no cycle to look for
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False)
     print(text)
     out = getattr(args, "out", None)
     if out:

@@ -277,7 +277,8 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
 
 def verify_descendent_family(fam: DescendentFamily, q: int, d: int, t: int, sys=None):
     """Parameter-tier check of one family: width, dual width, certificate
-    verdict.  Returns (WidthReport, CertReport)."""
+    verdict.  Returns (WidthReport, CertReport).  The certificate is kept
+    on sys, so the families checked against one sys share one solve."""
     if sys is None:
         arr = twisted_intersection_array(q, d)
         sys = eigensystem_from_array(arr, arr.vertex_count())

@@ -6,7 +6,8 @@ class DrgError(Exception):
 
 
 class ParameterError(DrgError, ValueError):
-    """Invalid construction parameters."""
+    """Invalid input: construction parameters, or a subset or certificate
+    that the requested check cannot judge (exit 1, not a failed check)."""
 
 
 class UnsupportedField(ParameterError):
@@ -49,11 +50,11 @@ class FundamentalInequalityViolated(DrgError):
     """w + w* < d computed for some subset; signals a bug, never valid data."""
 
 
-class WidthTooLarge(DrgError):
+class WidthTooLarge(ParameterError):
     """Subset width exceeds d - t, so the certificate does not apply."""
 
 
-class InfeasibleCertificate(DrgError):
+class InfeasibleCertificate(ParameterError):
     """A subset was certified against a certificate that is not feasible."""
 
 

@@ -12,6 +12,11 @@ with equality exactly when the subset is a descendent with w = d-t, w* = t.
 A nonnegative f already gives the inequality; strict positivity is what
 gives the equality clause.
 
+The dual checks and the bound are integer sums over the eigensystem's D*Q,
+which `SchemeEigensystem` forms once, and each eigensystem keeps the
+certificate of each t it was asked for, so a job that certifies many
+families of one eigensystem solves the system once.
+
 For Hamming graphs there is a second, independent route: the (possibly
 formal) inner distribution e' of a length-d minimum-distance-(t+1) code of
 size q^(d-t) is uniquely determined by the same kind of linear system in the
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
+from typing import Sequence
 
 from .errors import (
     InfeasibleCertificate,
@@ -60,14 +66,15 @@ class CertReport:
     slack_terms: tuple[Fraction, ...]  # (eQ)_j * f_j
 
 
-def _finish_certificate(f: tuple[Fraction, ...], t: int, Q: ExactMatrix) -> DualCertificate:
-    """Feasibility of f and its bound (fQ^T)_0.  With F f and D Q integral
-    (F, D the lcms of their denominators), (fQ^T)_j is the integer sum
-    sum_i (F f_i)(D Q_ji) over F D, so the dual constraints are integer
-    tests and the bound is the one Fraction formed."""
-    d = Q.nrows - 1
+def _finish_certificate(
+    f: tuple[Fraction, ...], t: int, D: int, Qi: Sequence[Sequence[int]]
+) -> DualCertificate:
+    """Feasibility of f and its bound (fQ^T)_0, from Qi = D Q integral.
+    With F f integral too (F the lcm of its denominators), (fQ^T)_j is the
+    integer sum sum_i (F f_i)(D Q_ji) over F D, so the dual constraints are
+    integer tests and the bound is the one Fraction formed."""
+    d = len(Qi) - 1
     F, (fi,) = scaled_ints((f,))
-    D, Qi = scaled_ints(Q.rows)
     norm_ok = fi[0] == F
     zero_ok = not any(fi[1:t + 1])
     pos_ok = all(x > 0 for x in fi[t + 1:])
@@ -99,12 +106,17 @@ def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
 
     SingularSystem propagates when the system has no unique solution; an
     infeasible (but unique) f is returned with feasible=False rather than
-    raised, since the CLI reports it.
+    raised, since the CLI reports it.  The certificate is kept on sys, so
+    each (eigensystem, t) is solved once.
     """
     d = sys.d
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    return _finish_certificate(_pinned_solution(sys.Q, t), t, sys.Q)
+    cert = sys.certificates.get(t)
+    if cert is None:
+        cert = sys.certificates[t] = _finish_certificate(
+            _pinned_solution(sys.Q, t), t, sys.D, sys.DQ)
+    return cert
 
 
 def krawtchouk_matrix(d: int, q: int) -> ExactMatrix:
@@ -140,7 +152,7 @@ def hamming_certificate(d: int, q: int, t: int) -> DualCertificate:
     k_i = C(d,i) (q-1)^i."""
     eprime, K = _mds_route(d, q, t)
     f = tuple(ei / (comb(d, i) * (q - 1) ** i) for i, ei in enumerate(eprime))
-    return _finish_certificate(f, t, K)
+    return _finish_certificate(f, t, *scaled_ints(K.rows))
 
 
 def expected_bound(family: str, params: dict, t: int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -47,6 +47,13 @@ class SchemeEigensystem:
     index in descending-eigenvalue order (identity unless the descending
     candidate failed), and `passing_orderings` records every ordering that
     satisfies the tridiagonality test.
+
+    `__post_init__` derives the integer forms from P and Q on every
+    construction, `dataclasses.replace` and `_reorder` included, so they
+    never go stale: `D`, the lcm of Q's denominators, `DQ` = D*Q, and
+    `P_int`, P's rows as ints (P is integral for every distance-regular
+    graph; a fractional P is refused).  `certificates` memoizes
+    `lp_cert.solve_certificate` by t, for this object alone.
     """
 
     n: int
@@ -58,6 +65,20 @@ class SchemeEigensystem:
     Q: ExactMatrix
     ordering: tuple[int, ...]
     passing_orderings: tuple[tuple[int, ...], ...]
+    D: int = field(init=False, compare=False, repr=False)
+    DQ: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    P_int: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    certificates: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if any(x.denominator != 1 for row in self.P.rows for x in row):
+            raise DrgError("P is not integral; no distance-regular graph has it")
+        D, DQ = scaled_ints(self.Q.rows)
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "D", D)
+        put(self, "DQ", tuple(map(tuple, DQ)))
+        put(self, "P_int", tuple(tuple(x.numerator for x in row) for row in self.P.rows))
+        put(self, "certificates", {})
 
 
 @dataclass(frozen=True)
@@ -171,12 +192,6 @@ def eigensystem_from_array(
         if mj.denominator != 1:
             raise ParameterError(f"multiplicity m_{j} = {mj} is not a positive integer")
         m.append(mj.numerator)
-    Q = ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
-                     for i in range(d + 1)])
-    D, Qi = scaled_ints(Q.rows)
-    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * D
-           for r, row in enumerate(prows) for c, col in enumerate(zip(*Qi))):
-        raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
     sys = SchemeEigensystem(
         n=n_vertices,
         d=d,
@@ -184,10 +199,14 @@ def eigensystem_from_array(
         k=k,
         m=tuple(m),
         P=ExactMatrix(prows),
-        Q=Q,
+        Q=ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
+                       for i in range(d + 1)]),
         ordering=tuple(range(d + 1)),
         passing_orderings=(),
     )
+    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * sys.D
+           for r, row in enumerate(prows) for c, col in enumerate(zip(*sys.DQ))):
+        raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
     if not check_q_polynomial:
         return sys
     passing = verify_q_polynomial(krein_parameters(sys))
@@ -217,13 +236,12 @@ def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
     """q^k_{ij} = |X|^{-1} sum_l Q_li Q_lj P_kl; nonnegative for any scheme,
     so a negative entry is reported as a data error.
 
-    With E*P and D*Q integral, each entry is one integer sum divided by
-    |X| D^2 E.  The sum is symmetric in i and j, so it is formed for i <= j
-    only and mirrored."""
+    With P and D*Q integral (the eigensystem's `P_int` and `DQ`), each
+    entry is one integer sum divided by |X| D^2.  The sum is symmetric in i
+    and j, so it is formed for i <= j only and mirrored."""
     d = sys.d
-    E, P = scaled_ints(sys.P.rows)
-    D, Q = scaled_ints(sys.Q.rows)
-    den = sys.n * D * D * E
+    P, Q = sys.P_int, sys.DQ
+    den = sys.n * sys.D * sys.D
     W = {(i, j): [row[i] * row[j] for row in Q] for i in range(d + 1) for j in range(i, d + 1)}
     vals = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for kk in range(d + 1):

@@ -1,14 +1,17 @@
 """Vertex-subset analysis: inner distribution, width and dual width.
 
-The transform eQ is computed from e and the second eigenmatrix alone, never
-from materialized idempotents, so everything here works on the parameter tier
-as long as a pairwise distance histogram is available.
+The transform eQ is computed from the distance histogram and the second
+eigenmatrix alone, never from materialized idempotents, so everything here
+works on the parameter tier as long as a pairwise distance histogram is
+available.  Each (eQ)_j is one integer sum over the eigensystem's D*Q,
+formed once per eigensystem, divided by |Y| D.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import FundamentalInequalityViolated, ParameterError
@@ -89,7 +92,8 @@ def distance_counts(subset: VertexSubset, census: DistanceCensus) -> list[int]:
 def inner_distribution_from_counts(
     counts: Sequence[int], sys: SchemeEigensystem
 ) -> InnerDistribution:
-    """e_i = counts_i / |Y| and (eQ)_j = sum_i e_i Q_ij."""
+    """e_i = counts_i / |Y| and (eQ)_j = sum_i e_i Q_ij, formed as the
+    integer sum sum_i counts_i (DQ)_ij over |Y| D."""
     if len(counts) > sys.d + 1:
         if any(counts[sys.d + 1:]):
             raise ParameterError("distance histogram longer than the scheme diameter")
@@ -99,9 +103,8 @@ def inner_distribution_from_counts(
     if ny <= 0 or sum(counts) != ny * ny:
         raise ParameterError("histogram is not an ordered-pair census of a vertex set")
     e = tuple(Fraction(c, ny) for c in counts)
-    eq = tuple(
-        sum(e[i] * sys.Q[i, j] for i in range(sys.d + 1)) for j in range(sys.d + 1)
-    )
+    den = ny * sys.D
+    eq = tuple(Fraction(sum(map(mul, counts, col)), den) for col in zip(*sys.DQ))
     return InnerDistribution(e=e, eq=eq)
 
 

@@ -155,6 +155,19 @@ def orderings_by_search(krein):
     return tuple((0,) + p for p in itertools.permutations(range(1, d + 1)) if passes((0,) + p))
 
 
+def integer_form(rows):
+    """(D, D*rows) with D the lcm of the entries' denominators, as tuples."""
+    D = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return D, tuple(tuple(int(Fraction(x) * D) for x in row) for row in rows)
+
+
+def inner_distribution_by_fractions(counts, Q):
+    """(e, eQ) of an ordered-pair distance histogram, in Fractions from the
+    rows of Q: e_i = counts_i / |Y| and (eQ)_j = sum_i e_i Q_ij."""
+    e = [Fraction(c, counts[0]) for c in counts]
+    return e, [sum(e[i] * Fraction(Q[i][j]) for i in range(len(e))) for j in range(len(Q[0]))]
+
+
 def solve_by_fractions(A, b):
     """x with Ax = b by Gauss-Jordan over Fractions; None when A is singular."""
     n = len(A)

@@ -168,6 +168,32 @@ def test_certify_with_subset_tight(tmp_path, capsys):
     assert doc["subset_report"]["size"] == "15/1"
 
 
+def _certify_subset(tmp_path, capsys, argv, labels):
+    subset_file = tmp_path / "subset.json"
+    subset_file.write_text(json.dumps(labels))
+    code = main([*argv, "--subset", str(subset_file), "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_certify_subset_against_an_infeasible_certificate_exits_1(tmp_path, capsys):
+    # the tail of f is (5/12, -5/12): no subset can be judged, and nothing
+    # failed to verify
+    code, out, err = _certify_subset(
+        tmp_path, capsys, ["certify", "johnson", "-v", "10", "-d", "5", "-t", "3"],
+        [[1, 2, 3, 4, 5]])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate tail is not strictly positive")
+
+
+def test_certify_subset_wider_than_d_minus_t_exits_1(tmp_path, capsys):
+    # two disjoint 4-sets of J(10,4) lie at distance 4 > d - t = 3
+    code, out, err = _certify_subset(
+        tmp_path, capsys, ["certify", "johnson", "-v", "10", "-d", "4", "-t", "1"],
+        [[1, 2, 3, 4], [5, 6, 7, 8]])
+    assert (code, out, err) == (1, "", "error: subset width 4 exceeds d - t = 3\n")
+
+
 def test_widths_star(tmp_path, capsys):
     star = [[1, a, b] for a in range(2, 8) for b in range(a + 1, 8)]
     subset_file = tmp_path / "star.json"

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from _oracles import descendent_families_by_filter, span
-from drgcert import ekr_search, graphs
+from drgcert import ekr_search, graphs, lp_cert
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
 from drgcert.exact import q_binomial
 from drgcert.graphs import (
@@ -271,6 +271,29 @@ def test_verify_descendent_family_parameter_tier():
         wr, cr = verify_descendent_family(fam, 2, 3, 2, sys_)
         assert (wr.width, wr.dual_width, wr.descendent) == (1, 2, True)
         assert cr.verdict == "tight" and cr.size == 31 == cr.bound
+
+
+@pytest.mark.parametrize("q,d,t,count,size", [(2, 3, 2, 63, 31), (3, 3, 2, 364, 121)])
+def test_descendent_families_share_one_certificate_solve(q, d, t, count, size, monkeypatch):
+    # every family of twisted(q,d) at t is tight on the parameter tier, and
+    # the families checked against one eigensystem share one solve
+    real = lp_cert._pinned_solution
+    solves = []
+
+    def counted(M, t_):
+        solves.append(t_)
+        return real(M, t_)
+
+    monkeypatch.setattr(lp_cert, "_pinned_solution", counted)
+    arr = twisted_intersection_array(q, d)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fams = enumerate_descendent_families(q, d, t)
+    assert len(fams) == count == q_binomial(2 * d, t - 1, q)
+    for fam in fams:
+        wr, cr = verify_descendent_family(fam, q, d, t, sys_)
+        assert (wr.width, wr.dual_width, wr.descendent) == (d - t, t, True)
+        assert cr.verdict == "tight" and fam.size == cr.size == size == cr.bound
+    assert solves == [t]
 
 
 def test_verify_descendent_family_graph_tier_agrees(built):

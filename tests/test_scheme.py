@@ -12,7 +12,10 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from _oracles import (
     adjacency_matrix,
     census_by_bfs,
+    certificate_by_fractions,
     full_matrix_failure,
+    inner_distribution_by_fractions,
+    integer_form,
     krein_by_triple_sum,
     lagrange_idempotents,
     mat_mul,
@@ -20,9 +23,10 @@ from _oracles import (
     mat_scale,
     orderings_by_search,
 )
-from drgcert import scheme
+from drgcert import lp_cert, scheme
 from drgcert.errors import (
     DrgError,
+    FundamentalInequalityViolated,
     IrrationalEigenvalue,
     NotQPolynomial,
     ParameterError,
@@ -38,6 +42,7 @@ from drgcert.graphs import (
     grassmann_intersection_array,
     hamming_intersection_array,
 )
+from drgcert.subsets import inner_distribution_from_counts
 from drgcert.scheme import (
     KreinTensor,
     eigensystem_cache_key,
@@ -131,6 +136,63 @@ def test_negative_krein_parameter_is_reported():
     with pytest.raises(DrgError) as exc:
         krein_parameters(tampered)
     assert str(exc.value) == "Krein parameter q^0_{0,3} = -1 < 0; invalid scheme data"
+
+
+def test_replace_derives_fresh_integer_forms():
+    # the integer forms and the certificate memo belong to one object: a
+    # replaced Q gets its own D*Q and an empty memo, and the original keeps
+    # its own
+    sys_ = eigensystem_from_array(IntersectionArray((12, 6, 2), (1, 4, 9)), 35)  # J(7,3)
+    assert (sys_.D, sys_.DQ) == integer_form(sys_.Q.rows)
+    assert sys_.P_int == tuple(tuple(int(x) for x in row) for row in sys_.P.rows)
+    assert sys_.certificates == {}
+    originals = {t: lp_cert.solve_certificate(sys_, t) for t in (1, 2)}
+    swapped = ExactMatrix([sys_.Q.row(r) for r in (0, 2, 1, 3)])  # same D
+    # columns 1..d over 7: D grows sevenfold, and column 0 keeps (eQ)_0 = |Y|
+    scaled = ExactMatrix([[x / (7 if j else 1) for j, x in enumerate(row)]
+                          for row in sys_.Q.rows])
+    for Q in (swapped, scaled):
+        tampered = dataclasses.replace(sys_, Q=Q)
+        assert integer_form(Q.rows) != (sys_.D, sys_.DQ)
+        assert (tampered.D, tampered.DQ) == integer_form(Q.rows)
+        assert tampered.certificates == {}
+        for t in (1, 2):
+            cert = lp_cert.solve_certificate(tampered, t)
+            assert dataclasses.asdict(cert) == certificate_by_fractions(Q.rows, t)
+        counts = [15, 120, 90, 0]  # a star, e = (1, 8, 6, 0)
+        e, eq = inner_distribution_by_fractions(counts, Q.rows)
+        if min(eq) < 0:
+            with pytest.raises(FundamentalInequalityViolated):
+                inner_distribution_from_counts(counts, tampered)
+        else:
+            dist = inner_distribution_from_counts(counts, tampered)
+            assert (dist.e, dist.eq) == (tuple(e), tuple(eq))
+    assert sys_.certificates == originals
+    assert (sys_.D, sys_.DQ) == integer_form(sys_.Q.rows)
+
+
+def test_replace_refuses_a_fractional_p():
+    sys_ = eigensystem_from_array(IntersectionArray((12, 6, 2), (1, 4, 9)), 35)
+    with pytest.raises(DrgError, match="P is not integral"):
+        dataclasses.replace(sys_, P=sys_.P.scale(Fraction(1, 2)))
+
+
+def test_reorder_derives_fresh_integer_forms():
+    arr = IntersectionArray((4, 3, 3), (1, 1, 2))  # O_4, Q-polynomial only reordered
+    natural = eigensystem_from_array(arr, 35, check_q_polynomial=False)
+    lp_cert.solve_certificate(natural, 1)
+    assert set(natural.certificates) == {1}
+    reordered = scheme._reorder(natural, (0, 3, 1, 2), ((0, 3, 1, 2),))
+    assert reordered == eigensystem_from_array(arr, 35)
+    assert reordered.Q != natural.Q
+    assert (reordered.D, reordered.DQ) == integer_form(reordered.Q.rows)
+    assert reordered.P_int == tuple(tuple(int(x) for x in row) for row in reordered.P.rows)
+    assert reordered.certificates == {}
+    o8 = eigensystem_from_array(IntersectionArray((8, 7, 7, 6, 6, 5, 5), (1, 1, 2, 2, 3, 3, 4)),
+                                6435)
+    assert o8.ordering == (0, 7, 1, 6, 2, 5, 3, 4)
+    assert (o8.D, o8.DQ) == integer_form(o8.Q.rows)
+    assert o8.certificates == {}
 
 
 def test_krein_k3_by_hand(built):

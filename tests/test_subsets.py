@@ -1,11 +1,25 @@
+import functools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from _oracles import adjacency_matrix, lagrange_idempotents, quad_form
-from drgcert.errors import ParameterError
+from _oracles import (
+    adjacency_matrix,
+    inner_distribution_by_fractions,
+    lagrange_idempotents,
+    quad_form,
+)
+from drgcert.errors import FundamentalInequalityViolated, ParameterError
+from drgcert.graphs import (
+    IntersectionArray,
+    grassmann_intersection_array,
+    hamming_intersection_array,
+    twisted_intersection_array,
+)
+from drgcert.scheme import eigensystem_from_array
 from drgcert.subsets import (
     VertexSubset,
     distance_counts,
@@ -111,6 +125,57 @@ def test_counts_histogram_validation(built):
         inner_distribution_from_counts([3, 4], sys_)  # not |Y|^2 pairs
     dist = inner_distribution_from_counts([2, 2, 0], sys_)
     assert dist.e == (1, 1, 0)
+
+
+#: closed-form arrays for the parameter tier; the odd graphs O_4 and O_8
+#: take the `_reorder` path, and H(8,2) has two Q-polynomial orderings
+ARRAYS = {
+    "J(7,3)": IntersectionArray((12, 6, 2), (1, 4, 9)),
+    "J(12,5)": IntersectionArray((35, 24, 15, 8, 3), (1, 4, 9, 16, 25)),
+    "H(4,4)": hamming_intersection_array(4, 4),
+    "H(8,2)": hamming_intersection_array(8, 2),
+    "J_2(6,3)": grassmann_intersection_array(2, 6, 3),
+    "J_3(8,4)": grassmann_intersection_array(3, 8, 4),
+    "twisted(2,3)": twisted_intersection_array(2, 3),
+    "twisted(3,3)": twisted_intersection_array(3, 3),
+    "O_4": IntersectionArray((4, 3, 3), (1, 1, 2)),
+    "O_8": IntersectionArray((8, 7, 7, 6, 6, 5, 5), (1, 1, 2, 2, 3, 3, 4)),
+}
+
+
+@functools.cache
+def _eigensystem(name):
+    arr = ARRAYS[name]
+    return eigensystem_from_array(arr, arr.vertex_count())
+
+
+@st.composite
+def histograms(draw):
+    """(array name, counts): |Y| on the diagonal and the other |Y|^2 - |Y|
+    ordered pairs spread over distances 1..d at random, which passes the
+    histogram check whether or not some vertex set has it."""
+    name = draw(st.sampled_from(sorted(ARRAYS)))
+    d = ARRAYS[name].d
+    ny = draw(st.integers(1, 60))
+    off = ny * ny - ny
+    cuts = sorted(draw(st.lists(st.integers(0, off), min_size=d - 1, max_size=d - 1)))
+    return name, [ny] + [b - a for a, b in zip([0] + cuts, cuts + [off])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(histograms())
+def test_inner_distribution_matches_the_fraction_formula(case):
+    name, counts = case
+    sys_ = _eigensystem(name)
+    e, eq = inner_distribution_by_fractions(counts, sys_.Q.rows)
+    if min(eq) < 0:
+        event("some (eQ)_j < 0")
+        with pytest.raises(FundamentalInequalityViolated):
+            inner_distribution_from_counts(counts, sys_)
+        return
+    event("eQ >= 0")
+    dist = inner_distribution_from_counts(counts, sys_)
+    assert dist.e == tuple(e) and dist.eq == tuple(eq)
 
 
 def test_subset_file_io(tmp_path, built):
