@@ -173,6 +173,8 @@ def cmd_eigensystem(args) -> int:
 
 def cmd_widths(args) -> int:
     family, params = _family_and_params(args)
+    if args.subset is None:
+        raise ParameterError("widths needs --subset")
     graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     subset = load_subset(args.subset, graph)
     dist = inner_distribution(subset, census, sys_)

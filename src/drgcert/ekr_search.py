@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DrgError, ParameterError
 from .exact import q_binomial
@@ -30,6 +31,7 @@ from .graphs import (
     DEFAULT_VERTEX_CAP,
     DistanceCensus,
     Graph,
+    X2PointIndex,
     _check_cap,
     all_subspaces,
     build_twisted_grassmann,
@@ -197,10 +199,18 @@ def max_clique(
 @dataclass(frozen=True)
 class DescendentFamily:
     """Y = {x in X2 : u <= x} for a (t-1)-dim subspace u of the hyperplane;
-    u and each member are canonical RREF bases in GF(q)^(2d+1)."""
+    u and each member are canonical RREF bases in GF(q)^(2d+1).
+
+    points is the `X2PointIndex` that the histogram of the members reads
+    their point masks from.  The families of one
+    `enumerate_descendent_families` call share one, so each X2 vertex is
+    spanned once however many of them hold it; it lives as long as they do.
+    A family built by hand has none and gets a fresh one at each
+    verification.  It takes no part in comparisons."""
 
     u: tuple
     members: tuple[tuple, ...]
+    points: X2PointIndex | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -210,19 +220,11 @@ class DescendentFamily:
         return [("X2", rows) for rows in self.members]
 
 
-def _spread(row, cols, n: int) -> tuple:
-    """The length-n vector with row's entries at cols and 0 elsewhere."""
-    out = [0] * n
-    for j, x in zip(cols, row):
-        out[j] = x
-    return tuple(out)
-
-
 def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFamily]:
     """One family per (t-1)-dim subspace u of H = GF(q)^(2d), in
-    `all_subspaces` order, its members sorted and counted.  The X2 pool,
-    [2d, d-1]_q >= q^((d-1)(d+1)) subspaces, is refused above the default
-    vertex cap first.
+    `all_subspaces` order, its members sorted and counted; all of them
+    share one `X2PointIndex`.  The X2 pool, [2d, d-1]_q >= q^((d-1)(d+1))
+    subspaces, is refused above the default vertex cap first.
 
     The members are built through u.  Let U be the pivot columns of u (the
     first 1 of each canonical row) and C the span of the e_j, j not in U.
@@ -235,9 +237,12 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     p, which vanishes at w's other pivots.  w vanishes on U, so r keeps its
     entries there and gains none before its own pivot (below it r[p] = 0,
     above it w_p vanishes before p).  The rows of u now vanish at w's
-    pivots and those of w on U, so both, sorted by pivot, are the RREF.
-    C depends on U alone, so the w are spread onto it once for each pivot
-    pattern of the u, which `all_subspaces` lists together.
+    pivots and those of w on U, so both, sorted by pivot, are the RREF:
+    row i of u, with pivot a, is its row i + #{pivots of w below a}.  C
+    depends on U alone, so the w are spread onto it once for each pivot
+    pattern of the u, which `all_subspaces` lists together, with the
+    trailing zero of GF(q)^(2d+1) and with the places of u's rows left
+    open: a member takes the rows of w as they are.
     """
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
@@ -246,30 +251,39 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     n = 2 * d
     ws = list(all_subspaces(n - t + 1, d - t, q))
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
+    points = X2PointIndex(q, d)
     families, pattern = [], None
     for u in all_subspaces(n, t - 1, q):  # grouped by pivot pattern
         upiv = [row.index(1) for row in u]
         if upiv != pattern:
             pattern, free = upiv, [j for j in range(n) if j not in upiv]
-            spread = [([free[row.index(1)] for row in w], [_spread(row, free, n) for row in w])
-                      for w in ws]
+            # column j of a spread row is entry free.index(j) of row + (0,), or that 0
+            spread = itemgetter(*[free.index(j) if j in free else len(free) for j in range(n + 1)])
+            merged = []
+            for w in ws:
+                wpiv = [free[row.index(1)] for row in w]
+                wrows = [spread(row + (0,)) for row in w]
+                slots = [i + sum(p < a for p in wpiv) for i, a in enumerate(upiv)]
+                template = wrows.copy()
+                for s in slots:
+                    template.insert(s, None)
+                merged.append((list(zip(wpiv, wrows)), template, slots))
+        u = tuple(row + (0,) for row in u)
         members = []
-        for wpiv, w in spread:
-            reduced = []
-            for r in u:
-                for p, wp in zip(wpiv, w):
+        for w, template, slots in merged:
+            member = template.copy()
+            for s, r in zip(slots, u):
+                for p, wp in w:
                     c = r[p]
                     if c:
-                        r = tuple((a - c * b) % q for a, b in zip(r, wp))
-                reduced.append(r)
-            basis = sorted(zip(upiv + wpiv, reduced + w))
-            members.append(tuple(row + (0,) for _, row in basis))
+                        r = tuple([(a - c * b) % q for a, b in zip(r, wp)])
+                member[s] = r
+            members.append(tuple(member))
         if len(members) != expected_members:
             raise DrgError(
                 f"family of u={u} has {len(members)} members, expected {expected_members}"
             )
-        families.append(DescendentFamily(u=tuple(row + (0,) for row in u),
-                                         members=tuple(sorted(members))))
+        families.append(DescendentFamily(u, tuple(sorted(members)), points))
     if len(families) != q_binomial(2 * d, t - 1, q):
         raise DrgError("descendent family count mismatch")
     return families
@@ -277,12 +291,14 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
 
 def verify_descendent_family(fam: DescendentFamily, q: int, d: int, t: int, sys=None):
     """Parameter-tier check of one family: width, dual width, certificate
-    verdict.  Returns (WidthReport, CertReport).  The certificate is kept
-    on sys, so the families checked against one sys share one solve."""
+    verdict.  Returns (WidthReport, CertReport).  The histogram reads its
+    point masks from fam.points, and the certificate is kept on sys, so the
+    families of one enumeration checked against one sys span each X2
+    vertex once and share one solve."""
     if sys is None:
         arr = twisted_intersection_array(q, d)
         sys = eigensystem_from_array(arr, arr.vertex_count())
-    counts = twisted_x2_distance_counts(list(fam.members), q, d)
+    counts = twisted_x2_distance_counts(list(fam.members), q, d, fam.points)
     dist = inner_distribution_from_counts(counts, sys)
     report = width_and_dual_width(dist)
     cert = solve_certificate(sys, t)

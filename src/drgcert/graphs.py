@@ -770,11 +770,38 @@ def twisted_intersection_array(q: int, d: int) -> IntersectionArray:
 # twisted X2 distances without the full graph
 
 
-def twisted_x2_distance_counts(members: list[tuple], q: int, d: int) -> list[int]:
-    """Histogram of ordered-pair distances within a list of X2 vertices
-    (canonical RREF bases of (d-1)-dim subspaces of H), over the twisted
-    graph of diameter d, from the adjacency rule alone (the graph is never
-    materialized).
+class X2PointIndex:
+    """Point masks of X2 vertices of twisted(q, d), shared by the
+    histograms of many sets of them.  Each point of H = GF(q)^(2d) that a
+    spanned member contains gets one bit, keyed by its `_pack` int (the
+    trailing zero coordinate of a member packs to nothing).  A member's
+    mask is spanned by `_span_points` the first time a histogram needs it
+    and kept, so a vertex in many sets is spanned once; only members that
+    pass the checks of `span` are kept."""
+
+    __slots__ = ("q", "d", "bits", "masks")
+
+    def __init__(self, q: int, d: int):
+        self.q, self.d, self.bits, self.masks = q, d, {}, {}
+
+    def span(self, rows) -> int:
+        """The mask of rows, d-1 rows of length 2d+1 with last entry 0 in
+        echelon form with leading entries 1; ParameterError otherwise."""
+        k, n = self.d - 1, 2 * self.d + 1
+        if len(rows) != k or any(len(row) != n or row[-1] for row in rows):
+            raise ParameterError(f"{rows!r} is not {k} rows of length {n} with last entry 0")
+        bits = self.bits
+        mask = self.masks[rows] = sum(
+            1 << bits.setdefault(p, len(bits)) for p in _span_points(rows, self.q))
+        return mask
+
+
+def twisted_x2_distance_counts(members: list[tuple], q: int, d: int,
+                               points: X2PointIndex | None = None) -> list[int]:
+    """Histogram of ordered-pair distances within a list of distinct X2
+    vertices (canonical RREF bases of (d-1)-dim subspaces of H, each row
+    with its trailing zero), over the twisted graph of diameter d, from the
+    adjacency rule alone (the graph is never materialized).
 
     Let g = dim x - dim(x meet y), the distance of x and y in the Grassmann
     graph J_q(2d, d-1) that X2 induces (x ~ y iff they meet in dimension d-2,
@@ -795,17 +822,32 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int) -> list[int
     depend on paths through X1, so they raise DistanceUndetermined.
 
     x meet y has [dim(x meet y)]_q points (`_PointSets`): with one bit per
-    point that some member contains (`_span_points`), it is one AND plus a
-    popcount, for every prime q.  A q that is not prime is refused before
-    any span: the spans would be taken in Z/q, which is no field.
+    point that some member contains, it is one AND plus a popcount, for
+    every prime q.  The masks come from points, an `X2PointIndex` of the
+    same q and d that other calls may share (a fresh one when None), so a
+    member it already holds is not spanned again.
+
+    Refused, in this order: a q that is not prime (UnsupportedField), before
+    any span, as the spans would be taken in Z/q, which is no field; then,
+    with ParameterError, d < 2, an index of another q or d, a member that
+    is not d-1 rows of length 2d+1 with last entry 0 or not in echelon form
+    with leading entries 1, and two members that are one subspace (gap 0).
     """
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
-    index = {}
-    masks = [sum(1 << index.setdefault(p, len(index)) for p in _span_points(rows, q))
-             for rows in members]
+    if d < 2:
+        raise ParameterError(f"twisted X2 needs d >= 2, got d={d}")
+    if points is None:
+        points = X2PointIndex(q, d)
+    elif (points.q, points.d) != (q, d):
+        raise ParameterError(
+            f"point index of twisted({points.q},{points.d}) used for twisted({q},{d})")
+    held, span = points.masks.get, points.span
+    masks = [held(rows) or span(rows) for rows in members]
     common = Counter(map(int.bit_count, itertools.starmap(and_, itertools.combinations(masks, 2))))
-    meet_dim = {q_int(k, q): k for k in range(d)}
+    if q_int(d - 1, q) in common:
+        raise ParameterError("two members are the same subspace")
+    meet_dim = {q_int(k, q): k for k in range(d - 1)}
     counts = [0] * (d + 1)
     counts[0] = len(members)
     for size, pairs in common.items():

@@ -33,6 +33,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import (
+    DrgError,
     InfeasibleCertificate,
     ParameterError,
     UnsupportedFamily,
@@ -120,10 +121,25 @@ def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
 
 
 def krawtchouk_matrix(d: int, q: int) -> ExactMatrix:
-    """Q (= P) of H(d,q) in the natural ordering:
-    Q_ij = K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i,s) C(d-i,j-s)."""
-    return ExactMatrix([[sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(d - i, j - s)
-                             for s in range(j + 1)) for j in range(d + 1)] for i in range(d + 1)])
+    """Q (= P) of H(d,q) in the natural ordering, Q_ij = K_j(i), by the
+    three-term recurrence in integers, from K_-1 = 0 and K_0 = 1:
+
+        (j+1) K_{j+1}(i) = ((q-1)(d-j) + j - qi) K_j(i) - (q-1)(d-j+1) K_{j-1}(i).
+
+    K_{j+1}(i) is an integer, so each division by j+1 is exact; a
+    remainder raises DrgError."""
+    rows = []
+    for i in range(d + 1):
+        row, before = [1], 0
+        for j in range(d):
+            k, rem = divmod(((q - 1) * (d - j) + j - q * i) * row[j]
+                            - (q - 1) * (d - j + 1) * before, j + 1)
+            if rem:
+                raise DrgError(f"K_{j + 1}({i}) of H({d},{q}) is not an integer")
+            before = row[j]
+            row.append(k)
+        rows.append(row)
+    return ExactMatrix(rows)
 
 
 def _mds_route(d: int, q: int, t: int) -> tuple[tuple[Fraction, ...], ExactMatrix]:

@@ -217,6 +217,13 @@ def certificate_by_fractions(Q, t):
     return _certificate_fields(_pinned_by_fractions(Q, t), t, Q)
 
 
+def krawtchouk_by_sum(d, q):
+    """K[i][j] = K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i,s) C(d-i,j-s), the
+    closed form of the Krawtchouk polynomials."""
+    return [[sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(d - i, j - s)
+                 for s in range(j + 1)) for j in range(d + 1)] for i in range(d + 1)]
+
+
 def hamming_certificate_by_fractions(d, q, t):
     """The MDS-route certificate of H(d,q): K[i][j] = K_j(i) is the z^j
     coefficient of (1 + (q-1) z)^(d-i) (1 - z)^i, e' is pinned by

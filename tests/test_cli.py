@@ -82,6 +82,17 @@ def test_non_ascii_subset_file_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_widths_needs_a_subset(tmp_path, capsys, monkeypatch):
+    # refused as a usage error before any graph is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("widths built a graph without a subset")
+
+    monkeypatch.setattr(cli, "_eigensystem_for", refuse)
+    code = main(["widths", "johnson", "-v", "6", "-d", "3", "--cache", str(tmp_path)])
+    assert (code, *capsys.readouterr()) == (1, "", "error: widths needs --subset\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unhashable_subset_label_is_a_usage_error(tmp_path, capsys):
     subset = tmp_path / "subset.json"
     subset.write_text('[{"a": 1}]', encoding="ascii")

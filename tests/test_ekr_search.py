@@ -4,7 +4,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from _oracles import descendent_families_by_filter, span
+from _oracles import descendent_families_by_filter, span, x2_distance_counts_by_search
 from drgcert import ekr_search, graphs, lp_cert
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
 from drgcert.exact import q_binomial
@@ -294,6 +294,81 @@ def test_descendent_families_share_one_certificate_solve(q, d, t, count, size, m
         assert (wr.width, wr.dual_width, wr.descendent) == (d - t, t, True)
         assert cr.verdict == "tight" and fam.size == cr.size == size == cr.bound
     assert solves == [t]
+
+
+def _count_spans(monkeypatch):
+    real = graphs._span_points
+    spans = []
+
+    def counted(rows, q_):
+        spans.append(rows)
+        return real(rows, q_)
+
+    monkeypatch.setattr(graphs, "_span_points", counted)
+    return spans
+
+
+@pytest.mark.parametrize("q,d,t,vertices,samples", [
+    (2, 3, 2, 651, (0, 17, 62)),
+    (3, 3, 2, 11_011, (363,)),
+])
+def test_descendent_families_span_each_x2_vertex_once(q, d, t, vertices, samples, monkeypatch):
+    # the families of one enumeration share one point index, so each X2
+    # vertex is spanned once, and each histogram is the one a fresh index
+    # of the family alone gives
+    histograms = []
+
+    def recorded(members, *args):
+        histograms.append(twisted_x2_distance_counts(members, *args))
+        return histograms[-1]
+
+    monkeypatch.setattr(ekr_search, "twisted_x2_distance_counts", recorded)
+    arr = twisted_intersection_array(q, d)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fams = enumerate_descendent_families(q, d, t)
+    spans = _count_spans(monkeypatch)
+    for fam in fams:
+        verify_descendent_family(fam, q, d, t, sys_)
+    assert len(spans) == len(set(spans)) == vertices == q_binomial(2 * d, d - 1, q)
+    assert len({id(fam.points) for fam in fams}) == 1
+    monkeypatch.undo()
+    assert histograms == [twisted_x2_distance_counts(list(fam.members), q, d) for fam in fams]
+    for i in samples:
+        assert histograms[i] == x2_distance_counts_by_search(fams[i].members, q, d)
+
+
+def test_second_enumeration_spans_afresh(monkeypatch):
+    spans = _count_spans(monkeypatch)
+    for _ in range(2):
+        fams = enumerate_descendent_families(2, 3, 2)
+        for fam in fams:
+            verify_descendent_family(fam, 2, 3, 2)
+    assert len(spans) == 2 * 651 and len(set(spans)) == 651
+
+
+def test_hand_built_subfamily_gets_its_own_index(monkeypatch):
+    # a subset of a family, built as the benchmark builds one, is strictly
+    # below the bound, and spans its own members afresh
+    fam = enumerate_descendent_families(2, 3, 1)[0]
+    sub = ekr_search.DescendentFamily(fam.u, fam.members[::4])
+    assert sub.points is None and sub == ekr_search.DescendentFamily(fam.u, fam.members[::4],
+                                                                     fam.points)
+    spans = _count_spans(monkeypatch)
+    wr, cr = verify_descendent_family(sub, 2, 3, 1)
+    assert cr.verdict == "strict" and cr.size == sub.size == 163 and wr.width <= 2
+    assert len(spans) == 163
+    monkeypatch.undo()
+    assert twisted_x2_distance_counts(list(sub.members), 2, 3, fam.points) == \
+        twisted_x2_distance_counts(list(sub.members), 2, 3)
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (2, 3)])
+def test_family_verified_at_another_q_or_d_is_refused(q, d):
+    # the lines of GF(2)^4 are lines of GF(3)^4 too, so only the index
+    # knows which field they were enumerated over
+    (fam,) = enumerate_descendent_families(2, 2, 1)
+    with pytest.raises(ParameterError, match=r"twisted\(2,2\)"):
+        verify_descendent_family(fam, q, d, 1)
 
 
 def test_verify_descendent_family_graph_tier_agrees(built):

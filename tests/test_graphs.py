@@ -860,6 +860,51 @@ def test_x2_distance_counts_refuse_a_q_that_is_not_prime(y):
         twisted_x2_distance_counts([x, y], 4, 3)
 
 
+PLANE = ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+SKEW = ((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("members,match", [
+    ([PLANE, PLANE], "same subspace"),
+    ([PLANE, ((1, 0, 0, 0, 0, 0, 0),)], "not 2 rows"),  # a point next to a plane at d = 3
+    ([((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 1))], "last entry 0"),  # outside H
+    ([((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))], "length 7"),
+    ([((0, 1, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0))], "last entry 0"),  # shape before echelon
+    ([SKEW, SKEW], "echelon"),  # echelon before repeats
+])
+def test_x2_distance_counts_refuse_what_has_no_histogram(members, match):
+    # the first four once got a histogram ([PLANE, PLANE] gave [4, 0, 0, 0]);
+    # the last two pin the order of the checks
+    with pytest.raises(ParameterError, match=match):
+        twisted_x2_distance_counts(members, 2, 3)
+
+
+def test_x2_point_index_serves_one_q_and_d():
+    members = twisted_x2_vertices(2, 3)[:20]
+    points = graphs.X2PointIndex(2, 3)
+    counts = twisted_x2_distance_counts(members, 2, 3, points)
+    assert counts == twisted_x2_distance_counts(members, 2, 3)
+    assert twisted_x2_distance_counts(members[5:], 2, 3, points) == \
+        twisted_x2_distance_counts(members[5:], 2, 3)
+    for q, d in [(3, 3), (2, 4)]:
+        with pytest.raises(ParameterError, match=r"twisted\(2,3\)"):
+            twisted_x2_distance_counts(members, q, d, points)
+    with pytest.raises(UnsupportedField):
+        twisted_x2_distance_counts(members, 4, 3, points)  # q first
+    with pytest.raises(ParameterError, match="d >= 2"):
+        twisted_x2_distance_counts([((1, 0, 0),)], 2, 1)
+
+
+def test_x2_point_index_keeps_only_checked_members():
+    points = graphs.X2PointIndex(2, 3)
+    with pytest.raises(ParameterError, match="echelon"):
+        twisted_x2_distance_counts([PLANE, SKEW], 2, 3, points)
+    with pytest.raises(ParameterError, match="same subspace"):
+        twisted_x2_distance_counts([PLANE, PLANE], 2, 3, points)
+    assert list(points.masks) == [PLANE]
+    assert twisted_x2_distance_counts([PLANE], 2, 3, points) == [1, 0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # cache files
 

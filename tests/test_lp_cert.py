@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import certificate_by_fractions, hamming_certificate_by_fractions
+from _oracles import certificate_by_fractions, hamming_certificate_by_fractions, krawtchouk_by_sum
 from drgcert import lp_cert, scheme
 from drgcert.errors import InfeasibleCertificate, ParameterError, UnsupportedFamily, WidthTooLarge
 from drgcert.exact import ExactMatrix, solve_linear_exact
@@ -221,6 +221,12 @@ def test_routes_agree_on_hamming(d, q, ts):
     assert krawtchouk_matrix(d, q) == sys_.Q
     for t in ts:
         assert hamming_certificate(d, q, t).f == solve_certificate(sys_, t).f
+
+
+def test_krawtchouk_recurrence_matches_the_closed_form():
+    for q in range(2, 11):
+        for d in range(11):
+            assert krawtchouk_matrix(d, q) == ExactMatrix(krawtchouk_by_sum(d, q)), (d, q)
 
 
 def test_mds_route_builds_no_eigensystem(monkeypatch):
