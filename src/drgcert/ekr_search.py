@@ -294,10 +294,14 @@ def verify_descendent_family(fam: DescendentFamily, q: int, d: int, t: int, sys=
     verdict.  Returns (WidthReport, CertReport).  The histogram reads its
     point masks from fam.points, and the certificate is kept on sys, so the
     families of one enumeration checked against one sys span each X2
-    vertex once and share one solve."""
+    vertex once and share one solve.  A sys whose vertex count or diameter
+    is not twisted(q, d)'s raises ParameterError."""
     if sys is None:
         arr = twisted_intersection_array(q, d)
         sys = eigensystem_from_array(arr, arr.vertex_count())
+    elif (sys.n, sys.d) != (q_binomial(2 * d + 1, d, q), d):
+        raise ParameterError(
+            f"eigensystem with n={sys.n}, d={sys.d} is not that of twisted({q},{d})")
     counts = twisted_x2_distance_counts(list(fam.members), q, d, fam.points)
     dist = inner_distribution_from_counts(counts, sys)
     report = width_and_dual_width(dist)

@@ -1,5 +1,5 @@
 """Exact arithmetic: q-analogues, rational dense linear algebra, GF(p) row
-reduction.
+reduction, and `canonical_json`, the one encoder of reports and caches.
 
 Every quantity in this package is an int or a fractions.Fraction; nothing is
 ever rounded.  Rational systems are solved by fraction-free Gauss-Jordan
@@ -9,6 +9,7 @@ are formed only for the final solution.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -32,6 +33,15 @@ def format_fraction(x) -> str:
     """Render a rational as the canonical 'num/den' string."""
     x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def canonical_json(doc) -> str:
+    """The one encoder of every report and cache: sorted keys, no spaces,
+    each Fraction as its 'num/den' string (any other value JSON does not
+    know raises TypeError).  A document is a fresh tree of plain values, so
+    it holds no cycle to look for."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False, default=format_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +99,6 @@ class ExactMatrix:
             raise ParameterError("ragged rows")
         self.rows = mat
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -120,18 +126,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ParameterError("dimension mismatch in matrix product")
-        cols = other.transpose().rows
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def scale(self, c: Scalar) -> "ExactMatrix":
-        c = as_fraction(c)
-        return ExactMatrix([[c * x for x in row] for row in self.rows])
 
     def inverse(self) -> "ExactMatrix":
         """Inverse by `_gauss_jordan`; raises SingularSystem if rank-deficient."""

@@ -43,7 +43,6 @@ proved rule, for every q.
 from __future__ import annotations
 
 import itertools
-import json
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ from .errors import (
     TierLimitExceeded,
     UnsupportedField,
 )
-from .exact import is_prime, q_binomial, q_int, rref_gf
+from .exact import canonical_json, is_prime, q_binomial, q_int, rref_gf
 
 DEFAULT_VERTEX_CAP = 20_000
 
@@ -85,22 +84,16 @@ def all_subspaces(n: int, k: int, q: int):
 
     Enumeration is by pivot pattern plus free entries, so each subspace is
     produced directly in canonical form (no reduction step, no duplicates).
+    Each pattern's rows are formed once: row i has 1 at its pivot p_i, 0
+    before it and at the other pivots, and any entry in the other columns
+    after it; the bases are the product of the rows' choices, in the order
+    of their free entries read row by row.
     """
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+        rows = [list(itertools.product(*[(int(j == p),) if j <= p or j in pivots else range(q)
+                                         for j in range(n)]))
+                for p in pivots]
+        yield from itertools.product(*rows)
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +778,15 @@ class X2PointIndex:
         self.q, self.d, self.bits, self.masks = q, d, {}, {}
 
     def span(self, rows) -> int:
-        """The mask of rows, d-1 rows of length 2d+1 with last entry 0 in
-        echelon form with leading entries 1; ParameterError otherwise."""
-        k, n = self.d - 1, 2 * self.d + 1
-        if len(rows) != k or any(len(row) != n or row[-1] for row in rows):
-            raise ParameterError(f"{rows!r} is not {k} rows of length {n} with last entry 0")
+        """The mask of rows, d-1 rows of length 2d+1 with entries in
+        0..q-1 and last entry 0, in echelon form with leading entries 1;
+        ParameterError otherwise.  An entry outside 0..q-1 would overflow
+        or mis-sum its `_pack` field."""
+        q, k, n = self.q, self.d - 1, 2 * self.d + 1
+        if len(rows) != k or any(len(row) != n or row[-1] or min(row) < 0 or max(row) >= q
+                                 for row in rows):
+            raise ParameterError(
+                f"{rows!r} is not {k} rows of length {n} over 0..{q - 1} with last entry 0")
         bits = self.bits
         mask = self.masks[rows] = sum(
             1 << bits.setdefault(p, len(bits)) for p in _span_points(rows, self.q))
@@ -830,8 +827,9 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int,
     Refused, in this order: a q that is not prime (UnsupportedField), before
     any span, as the spans would be taken in Z/q, which is no field; then,
     with ParameterError, d < 2, an index of another q or d, a member that
-    is not d-1 rows of length 2d+1 with last entry 0 or not in echelon form
-    with leading entries 1, and two members that are one subspace (gap 0).
+    is not d-1 rows of length 2d+1 with entries in 0..q-1 and last entry 0
+    or not in echelon form with leading entries 1, and two members that are
+    one subspace (gap 0).
     """
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
@@ -867,10 +865,6 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int,
 CACHE_MAGIC = "DRGCACHE 1"
 
 
-def _label_json(label) -> str:
-    return json.dumps(label, separators=(",", ":"))
-
-
 def _tuplify(x):
     if isinstance(x, list):
         return tuple(_tuplify(v) for v in x)
@@ -888,8 +882,8 @@ def graph_cache_text(G: Graph) -> str:
         "params": G.params,
         "vertices": G.n,
     }
-    lines = [CACHE_MAGIC, json.dumps(meta, sort_keys=True, separators=(",", ":"))]
-    lines.extend(_label_json(v) for v in G.vertices)
+    lines = [CACHE_MAGIC, canonical_json(meta)]
+    lines.extend(map(canonical_json, G.vertices))
     names = list(map(str, range(G.n)))
     for i, name in enumerate(names):
         higher = G.adj[i] >> (i + 1) << (i + 1)

@@ -16,7 +16,6 @@ orbit of the graph's verified automorphisms.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -30,7 +29,7 @@ from .errors import (
     ParameterError,
     TierLimitExceeded,
 )
-from .exact import ExactMatrix, format_fraction, scaled_ints
+from .exact import ExactMatrix, canonical_json, format_fraction, scaled_ints
 from .graphs import DistanceCensus, Graph, IntersectionArray, orbits
 
 if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI command uses
@@ -427,29 +426,26 @@ CACHE_VERSION = 1
 
 
 def eigensystem_cache_key(family: str, params: dict) -> str:
-    blob = json.dumps(
-        {"family": family, "params": params, "version": CACHE_VERSION},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = canonical_json({"family": family, "params": params, "version": CACHE_VERSION})
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def eigensystem_doc(sys: SchemeEigensystem) -> dict:
-    """The eigensystem fields as JSON values, rationals as 'num/den'."""
+    """The eigensystem fields for `canonical_json`; the integer k and m are
+    written as 'num/den' like the rationals of P and Q."""
     return {
         "n": sys.n,
         "d": sys.d,
-        "eigenvalues": list(sys.eigenvalues),
+        "eigenvalues": sys.eigenvalues,
         "k": [format_fraction(x) for x in sys.k],
         "m": [format_fraction(x) for x in sys.m],
-        "P": [[format_fraction(x) for x in row] for row in sys.P.rows],
-        "Q": [[format_fraction(x) for x in row] for row in sys.Q.rows],
-        "ordering": list(sys.ordering),
-        "passing_orderings": [list(p) for p in sys.passing_orderings],
+        "P": sys.P.rows,
+        "Q": sys.Q.rows,
+        "ordering": sys.ordering,
+        "passing_orderings": sys.passing_orderings,
     }
 
 
 def eigensystem_to_json(sys: SchemeEigensystem, family: str, params: dict) -> str:
-    doc = {"family": family, "params": params, "version": CACHE_VERSION, **eigensystem_doc(sys)}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(
+        {"family": family, "params": params, "version": CACHE_VERSION, **eigensystem_doc(sys)})

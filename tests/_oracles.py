@@ -390,6 +390,23 @@ def subspaces(q, n, k):
     return found
 
 
+def subspaces_by_cells(n, k, q):
+    """Every k-dim subspace of GF(q)^n as its RREF basis, in the order the
+    program enumerates them: pivot patterns in lexicographic order, then
+    the free cells, read row by row, counting up in base q, each basis
+    filled in cell by cell."""
+    for pivots in itertools.combinations(range(n), k):
+        free_cells = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                      if j not in pivots]
+        for values in itertools.product(range(q), repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free_cells, values):
+                rows[i][j] = v
+            yield tuple(tuple(r) for r in rows)
+
+
 def rref_label(points):
     """Canonical RREF basis of a subspace given as a point set: for each
     leading position of its nonzero vectors, the vector with 1 there and 0 at

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -398,6 +399,18 @@ GOLDEN = [
      "931b499444622561c3eb8ee40c71fb6cbf03cfe714c7e1e0bb62792de8fb14d3"),
     (("verify-theorem", "-q", "2", "-d", "2", "-t", "1"),
      "ab0aa7fe67e235dd2b72a56afc01880a0172477a1d77944c212aea0e2ba328b4"),
+    # the subset files are named by relative path, as `config.subset` is in
+    # the report; star.json is 60 of the 84 sets of the star of 1
+    (("widths", "johnson", "-v", "10", "-d", "4", "--subset", "star.json"),
+     "4897aaee28627e078d8da0c8ae1c51714e90b9a94ebe7f670c6eb47aef074e89"),
+    (("certify", "johnson", "-v", "10", "-d", "4", "-t", "1", "--subset", "star.json"),
+     "44d724164f0894a1355b5b32fa083038afc20f0613b0c08a10841c0689ff9b3d"),  # strict
+    (("certify", "twisted", "-q", "2", "-d", "2", "-t", "1", "--subset", "x2.json"),
+     "577fe483c64b94bd0299fd0b65243514e9c1ee06614507abcca5a4cfaa19339f"),  # tight
+    (("search", "hamming", "-d", "5", "-q", "3", "-t", "2"),
+     "79f218e1412119288822921c4a0b76c923f2da5819c5ee271ba9d119ea783efa"),  # bound null
+    (("selftest",),
+     "991b5c766cf843d7a4407f9fc8aeee13d8b4b8b901ab5cc435addd68afae047a"),
 ]
 GOLDEN_CACHE = {
     "hamming-6e47d5805e35a24f.eig.json":
@@ -411,6 +424,10 @@ def _sha(text):
 
 def test_reports_and_caches_are_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    star = [[1, *c] for c in itertools.combinations(range(2, 11), 3)][:60]
+    Path("star.json").write_text(json.dumps(star))
+    (fam,) = ekr_search.enumerate_descendent_families(2, 2, 1)
+    Path("x2.json").write_text(json.dumps(fam.labels()))
     for argv, digest in GOLDEN:
         code, doc = run(capsys, *argv, "--cache", "cache")
         assert code == 0

@@ -371,6 +371,17 @@ def test_family_verified_at_another_q_or_d_is_refused(q, d):
         verify_descendent_family(fam, q, d, 1)
 
 
+@pytest.mark.parametrize("q,d,t,other", [(2, 2, 1, (3, 2)), (3, 3, 2, (2, 3))])
+def test_family_verified_against_another_graphs_eigensystem_is_refused(q, d, t, other):
+    # the (2,2,1) family once came back strict with bound 40, and the
+    # (3,3,2) family raised FundamentalInequalityViolated
+    arr = twisted_intersection_array(*other)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fam = enumerate_descendent_families(q, d, t)[0]
+    with pytest.raises(ParameterError, match=rf"not that of twisted\({q},{d}\)"):
+        verify_descendent_family(fam, q, d, t, sys_)
+
+
 def test_verify_descendent_family_graph_tier_agrees(built):
     g, census, _, sys_ = built("twisted", 2, 2)
     fams = enumerate_descendent_families(2, 2, 1)

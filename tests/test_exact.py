@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import event, given, strategies as st
 
-from _oracles import mat_eye, mat_from_int, mat_rank
+from _oracles import mat_eye, mat_from_int, mat_mul, mat_rank
 from drgcert import exact
 from drgcert.errors import DrgError, ParameterError, SingularSystem, TierLimitExceeded
 from drgcert.exact import (
@@ -66,7 +66,7 @@ def test_q_int():
 
 
 def test_solve_identity():
-    A = ExactMatrix.identity(3)
+    A = ExactMatrix(mat_eye(3))
     assert solve_linear_exact(A, [1, 2, 3]) == (1, 2, 3)
 
 
@@ -99,8 +99,8 @@ def test_solve_random_systems_resubstitute():
 def test_matrix_inverse_and_product():
     A = ExactMatrix([[1, 2], [3, 5]])
     inv = A.inverse()
-    assert A * inv == ExactMatrix.identity(2)
-    assert inv * A == ExactMatrix.identity(2)
+    assert mat_mul(A.rows, inv.rows) == mat_eye(2)
+    assert mat_mul(inv.rows, A.rows) == mat_eye(2)
     with pytest.raises(SingularSystem):
         ExactMatrix([[1, 2], [2, 4]]).inverse()
 

@@ -19,6 +19,7 @@ from _oracles import (
     span,
     sub_subspaces,
     subspace_label_maps,
+    subspaces_by_cells,
     x2_distance_by_search,
     x2_distance_counts_by_search,
 )
@@ -74,6 +75,16 @@ def test_subspace_enumeration_count(n, k, q):
     for rows in bases[:20]:
         assert len(rows) == k
         assert rref_label(span(rows, q, n)) == rows
+
+
+@pytest.mark.parametrize("n,k,q", [
+    (n, k, q) for q, top in [(2, 7), (3, 6), (5, 4)] for n in range(1, top + 1)
+    for k in range(n + 1)
+])
+def test_subspace_enumeration_order_matches_cell_fill(n, k, q):
+    # the first descendent family seeds search's warm start, so the order
+    # of the bases reaches the `nodes` field of reports
+    assert list(all_subspaces(n, k, q)) == list(subspaces_by_cells(n, k, q))
 
 
 def test_sub_subspaces():
@@ -877,6 +888,19 @@ def test_x2_distance_counts_refuse_what_has_no_histogram(members, match):
     # the last two pin the order of the checks
     with pytest.raises(ParameterError, match=match):
         twisted_x2_distance_counts(members, 2, 3)
+
+
+@pytest.mark.parametrize("members,q", [
+    ([((1, 0, 0, 0, 0),), ((1, 8, 0, 0, 0),)], 2),
+    ([((1, 0, -1, 0, 0),), ((1, 0, 2, 0, 0),)], 3),
+    ([((1, 0, 7, 0, 0),), ((1, 0, 1, 0, 0),)], 3),
+])
+def test_x2_distance_counts_refuse_entries_outside_the_field(members, q):
+    # each pair is one GF(q) point listed twice; an entry outside 0..q-1
+    # overflows or mis-sums its packed field, and the histogram once came
+    # back [2, 2, 0]
+    with pytest.raises(ParameterError, match=rf"over 0\.\.{q - 1}"):
+        twisted_x2_distance_counts(members, q, 2)
 
 
 def test_x2_point_index_serves_one_q_and_d():
