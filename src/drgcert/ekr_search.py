@@ -23,6 +23,7 @@ import sys as _sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 from operator import itemgetter
 
 from .errors import DrgError, ParameterError
@@ -37,6 +38,7 @@ from .graphs import (
     build_twisted_grassmann,
     check_distance_regular,
     distance_census,
+    iter_bits,
     orbits,
     twisted_intersection_array,
     twisted_x2_distance_counts,
@@ -74,6 +76,11 @@ class SearchResult:
     truncated: bool
 
 
+class _Settled(Exception):
+    """Unwinds `max_clique` once the list of maxima is full at a proven
+    optimum."""
+
+
 def max_clique(
     G: Graph,
     upper_bound_hint: int | None = None,
@@ -84,14 +91,46 @@ def max_clique(
 
     Branch and bound with greedy-colouring bounds, rooted at the orbit
     representatives of G.automorphisms; the maxima found are closed under
-    the generators, and enum_cap applies to the closed set (see the module
-    docstring for why this is complete).  A warm start (any known clique,
-    e.g. a descendent family) seeds the incumbent size; the hint is only
-    checked against the result, so neither can alter the optimum.  Ties are
-    never pruned: a branch dies only when it cannot even match the
+    the generators, and enum_cap (at least 1) applies to the closed set
+    (see the module docstring for why this is complete).  A warm start (any
+    known clique, e.g. a descendent family) seeds the incumbent size.  Ties
+    are never pruned: a branch dies only when it cannot even match the
     incumbent.  G may have any size: the vertex cap is checked where a
     graph is built.
+
+    At a node with clique K and candidates P, P is coloured greedily one
+    class at a time, each class a bitmask: the least vertex left, then the
+    least one non-adjacent to every vertex taken so far, and so on, with
+    avail &= away[v] and away[v] = C & ~(adj[v] | 1 << v), built once per
+    root for v in the root's candidates C (P <= C below it).  A clique
+    meets each class at most once, so a vertex of colour c extends K by at
+    most c; with k_min = best - |K| only the classes of colour >= k_min are
+    kept.  They are branched from the highest colour down, and within a
+    class from the highest vertex down, each branch checked against the
+    incumbent of the moment, which is the order of a per-vertex colour list
+    read backwards, so the tree and its leaves are those of that search.
+
+    When the colouring uses |P| colours, every class is one vertex, so each
+    vertex of P is adjacent to all later ones and P is a clique.  That
+    search would then prune at once if |K| + |P| < best.  Otherwise it
+    branches on the top vertex, whose candidates are P less that vertex, a
+    clique again coloured with one colour fewer; no leaf lies on this path
+    before its end, so best does not move and none of its |P| nodes
+    prunes, and the leaf K + P is recorded.  Back up the path each next
+    sibling has colour one less than its branch, so |K'| + c = |K| + |P| - 1
+    < best, and each node returns.  So the tail is |P| nodes and one leaf,
+    and `nodes` adds |P| and records that leaf without walking it; `nodes`
+    still counts the nodes of the tree.
+
+    upper_bound_hint must be a proven bound, and a clique above it raises
+    DrgError.  Once the list is full (truncated) and the incumbent equals
+    the hint, the search stops: the optimum is proven, so the incumbent
+    never grows and the list of maxima never changes again, and the
+    families and `truncated` are those of the full search; only `nodes` is
+    smaller.
     """
+    if enum_cap < 1:
+        raise ParameterError(f"need enum_cap >= 1, got {enum_cap}")
     n = G.n
     adj = G.adj
     best = 0
@@ -105,51 +144,56 @@ def max_clique(
 
     found: list[tuple[int, ...]] = []
     state = {"best": best, "nodes": 0, "truncated": False}
+    away: dict[int, int] = {}  # of the current root
     start = time.perf_counter()
 
-    def color_order(P: int):
-        # greedy colouring of the candidate set; at most one clique vertex
-        # fits in each colour class, so position bounds are colour counts
-        order = []
-        bounds = []
-        color = 0
-        rest = P
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= avail - 1
-                avail &= ~adj[v]
-                rest ^= 1 << v
-                order.append(v)
-                bounds.append(color)
-        return order, bounds
+    def leaf(clique: tuple[int, ...]):  # a tie or a new incumbent
+        size = len(clique)
+        if size > state["best"]:
+            state["best"] = size
+            state["truncated"] = False
+            found.clear()
+            found.append(clique)
+        elif len(found) < enum_cap:
+            found.append(clique)
+        else:
+            state["truncated"] = True
+            if size == upper_bound_hint:
+                raise _Settled
 
     def expand(clique: list[int], P: int):
         state["nodes"] += 1
-        if P == 0:
-            size = len(clique)
-            if size > state["best"]:
-                state["best"] = size
-                state["truncated"] = False
-                found.clear()
-                found.append(tuple(clique))
-            elif size == state["best"]:
-                if len(found) < enum_cap:
-                    found.append(tuple(clique))
-                else:
-                    state["truncated"] = True
+        size = len(clique)
+        k_min = state["best"] - size
+        kept = []  # (colour, class) for colour >= k_min, ascending
+        colour = 0
+        rest = P
+        while rest:
+            colour += 1
+            cls = rest & -rest
+            avail = rest & away[cls.bit_length() - 1]
+            while avail:
+                low = avail & -avail
+                cls |= low
+                avail &= away[low.bit_length() - 1]
+            rest ^= cls
+            if colour >= k_min:
+                kept.append((colour, cls))
+        if colour == P.bit_count():  # P is a clique: collapse the tail
+            if size + colour >= state["best"]:
+                state["nodes"] += colour
+                leaf((*clique, *iter_bits(P)))
             return
-        order, bounds = color_order(P)
-        for pos in range(len(order) - 1, -1, -1):
-            if len(clique) + bounds[pos] < state["best"]:
-                return  # colours ascend with pos: nothing left can tie
-            v = order[pos]
-            clique.append(v)
-            expand(clique, P & adj[v])
-            clique.pop()
-            P &= ~(1 << v)
+        for colour, cls in reversed(kept):
+            while cls:
+                if size + colour < state["best"]:
+                    return  # colours descend from here: nothing left can tie
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                clique.append(v)
+                expand(clique, P & adj[v])
+                clique.pop()
+                P ^= 1 << v
 
     old_limit = _sys.getrecursionlimit()
     _sys.setrecursionlimit(max(old_limit, n + 500))
@@ -157,8 +201,12 @@ def max_clique(
         done = 0
         for orbit in orbits(G):
             r = (orbit & -orbit).bit_length() - 1
-            expand([r], adj[r] & ~done)
+            C = adj[r] & ~done
+            away = {v: C & ~(adj[v] | 1 << v) for v in iter_bits(C)}
+            expand([r], C)
             done |= orbit
+    except _Settled:
+        pass
     finally:
         _sys.setrecursionlimit(old_limit)
 
@@ -169,7 +217,7 @@ def max_clique(
         if len(closed) > enum_cap:
             break
         for perm in G.automorphisms:
-            image = tuple(sorted(perm[v] for v in clique))
+            image = tuple(sorted(map(perm.__getitem__, clique)))
             if image not in seen:
                 seen.add(image)
                 closed.append(image)
@@ -336,11 +384,12 @@ class TheoremReport:
 
 def search(G: Graph, census: DistanceCensus, sys, t: int, enum_cap: int = ENUM_CAP):
     """Every maximum t-intersecting family of G, as `drgcert search` and
-    `verify_theorem` both run it.  Solves the certificate of (sys, t) and
-    passes its bound to `max_clique` as the hint when it is feasible and
-    integral.  On a twisted graph the descendent families are enumerated
-    once, as index sets, and the largest seeds the warm start.  Returns
-    (cert, descendents, result), descendents None off the twisted family."""
+    `verify_theorem` both run it.  Solves the certificate of (sys, t) and,
+    when f proves its bound, passes the floor of that bound to `max_clique`
+    as the hint (clique sizes are integers).  On a twisted graph the
+    descendent families are enumerated once, as index sets, and the largest
+    seeds the warm start.  Returns (cert, descendents, result), descendents
+    None off the twisted family."""
     cert = solve_certificate(sys, t)
     thr = threshold_graph(G, census, t)
     descendents = warm = None
@@ -350,7 +399,7 @@ def search(G: Graph, census: DistanceCensus, sys, t: int, enum_cap: int = ENUM_C
             for fam in enumerate_descendent_families(G.params["q"], G.params["d"], t)
         ]
         warm = max(descendents, key=len)
-    hint = int(cert.bound) if cert.feasible and cert.bound.denominator == 1 else None
+    hint = floor(cert.bound) if cert.proves_bound else None
     result = max_clique(thr, upper_bound_hint=hint, warm_start=warm, enum_cap=enum_cap)
     return cert, descendents, result
 

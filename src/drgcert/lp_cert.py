@@ -55,6 +55,14 @@ class DualCertificate:
     positive_tail: bool
     dual_constraints_ok: bool
 
+    @property
+    def proves_bound(self) -> bool:
+        """|Y| <= bound for every Y of width <= d-t: normalisation, zero
+        block and dual constraints hold and f >= 0.  `feasible` asks f > 0
+        on the tail, which the equality clause needs as well."""
+        return (self.normalization_ok and self.zero_block_ok
+                and self.dual_constraints_ok and min(self.f) >= 0)
+
 
 @dataclass(frozen=True)
 class CertReport:

@@ -3,8 +3,9 @@
 Deliberately shares no code with the package: plain list-of-list Fraction
 matrices, Lagrange interpolation in the adjacency matrix, subspaces of
 GF(q)^n as explicit point sets, generator label maps by row reduction of
-every label, and the full-matrix idempotent checks on every row.  Slow but
-obviously correct; used on small inputs only.
+every label, the full-matrix idempotent checks on every row, and maximum
+cliques by a colour list of vertices at every node.  Slow but obviously
+correct; used on small inputs only.
 """
 import itertools
 import json
@@ -546,3 +547,101 @@ def is_automorphism(adj, perm):
         return False
     return all(adj[perm[x]] == sum(1 << perm[y] for y in _bits(mask))
                for x, mask in enumerate(adj))
+
+
+# ---------------------------------------------------------------------------
+# maximum cliques by the per-vertex colour-list branch and bound
+
+
+def _orbits_by_closure(n, generators):
+    """Orbit bitmasks of the group the generators span, by least vertex."""
+    out, seen = [], 0
+    for r in range(n):
+        if seen >> r & 1:
+            continue
+        mask, stack = 1 << r, [r]
+        while stack:
+            x = stack.pop()
+            for perm in generators:
+                if not mask >> perm[x] & 1:
+                    mask |= 1 << perm[x]
+                    stack.append(perm[x])
+        seen |= mask
+        out.append(mask)
+    return out
+
+
+def max_clique_reference(adj, generators=(), warm_start=None, enum_cap=10_000):
+    """(optimum, nodes, families, truncated) of every maximum clique of the
+    graph with neighbour masks adj, by a colour list per node: each vertex
+    of the candidate set in greedy colour order, read backwards, one
+    recursive call per tree node.  Rooted at the least vertex of each orbit
+    of the generators and closed under them, as the program's search is; it
+    keeps no hint and walks every node of the tree."""
+    n = len(adj)
+    best = len(set(warm_start)) if warm_start is not None else 0
+    found = []
+    state = {"best": best, "nodes": 0, "truncated": False}
+
+    def color_order(P):
+        order = []
+        bounds = []
+        color = 0
+        rest = P
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= avail - 1
+                avail &= ~adj[v]
+                rest ^= 1 << v
+                order.append(v)
+                bounds.append(color)
+        return order, bounds
+
+    def expand(clique, P):
+        state["nodes"] += 1
+        if P == 0:
+            size = len(clique)
+            if size > state["best"]:
+                state["best"] = size
+                state["truncated"] = False
+                found.clear()
+                found.append(tuple(clique))
+            elif size == state["best"]:
+                if len(found) < enum_cap:
+                    found.append(tuple(clique))
+                else:
+                    state["truncated"] = True
+            return
+        order, bounds = color_order(P)
+        for pos in range(len(order) - 1, -1, -1):
+            if len(clique) + bounds[pos] < state["best"]:
+                return
+            v = order[pos]
+            clique.append(v)
+            expand(clique, P & adj[v])
+            clique.pop()
+            P &= ~(1 << v)
+
+    done = 0
+    for orbit in _orbits_by_closure(n, generators):
+        r = (orbit & -orbit).bit_length() - 1
+        expand([r], adj[r] & ~done)
+        done |= orbit
+
+    closed = sorted(tuple(sorted(f)) for f in found)
+    seen = set(closed)
+    for clique in closed:
+        if len(closed) > enum_cap:
+            break
+        for perm in generators:
+            image = tuple(sorted(perm[v] for v in clique))
+            if image not in seen:
+                seen.add(image)
+                closed.append(image)
+    if len(closed) > enum_cap:
+        state["truncated"] = True
+        del closed[enum_cap:]
+    return state["best"], state["nodes"], tuple(sorted(closed)), state["truncated"]

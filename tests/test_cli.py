@@ -409,6 +409,8 @@ GOLDEN = [
      "577fe483c64b94bd0299fd0b65243514e9c1ee06614507abcca5a4cfaa19339f"),  # tight
     (("search", "hamming", "-d", "5", "-q", "3", "-t", "2"),
      "79f218e1412119288822921c4a0b76c923f2da5819c5ee271ba9d119ea783efa"),  # bound null
+    (("search", "johnson", "-v", "10", "-d", "5", "-t", "3"),
+     "824c016b04af2e173f96092da285bbf6aee214587a18f124f6dd1d5dbc5badd6"),  # bound null
     (("selftest",),
      "991b5c766cf843d7a4407f9fc8aeee13d8b4b8b901ab5cc435addd68afae047a"),
 ]
@@ -435,6 +437,15 @@ def test_reports_and_caches_are_byte_identical(tmp_path, capsys, monkeypatch):
         assert _sha(text) == digest, argv
     cache = {p.name: _sha(p.read_text()) for p in (tmp_path / "cache").iterdir()}
     assert cache == GOLDEN_CACHE
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_enumeration_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
+    code = main(["search", "johnson", "-v", "7", "-d", "3", "-t", "2",
+                 "--enum-cap", cap, "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: need enum_cap >= 1, got {cap}\n"
 
 
 def test_shared_parser_gives_fresh_process_reports(tmp_path, capsys, monkeypatch):

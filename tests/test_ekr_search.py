@@ -1,10 +1,18 @@
 import itertools
+import random
 from math import comb
 
 import networkx as nx
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from _oracles import descendent_families_by_filter, span, x2_distance_counts_by_search
+from _oracles import (
+    descendent_families_by_filter,
+    is_automorphism,
+    max_clique_reference,
+    span,
+    x2_distance_counts_by_search,
+)
 from drgcert import ekr_search, graphs, lp_cert
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
 from drgcert.exact import q_binomial
@@ -21,6 +29,7 @@ from drgcert.graphs import (
 from drgcert.ekr_search import (
     enumerate_descendent_families,
     max_clique,
+    search,
     threshold_graph,
     verify_descendent_family,
     verify_theorem,
@@ -91,14 +100,117 @@ def test_enumeration_cap_truncates(built):
 
 
 def test_truncation_is_forgotten_when_the_optimum_grows():
+    res = max_clique(_two_triangles_and_k4(), enum_cap=1)
+    assert res.optimum == 4 and res.families == ((5, 6, 7, 8),) and not res.truncated
+
+
+@pytest.mark.parametrize("enum_cap", [0, -3])
+def test_enumeration_cap_below_one_is_refused(enum_cap):
+    with pytest.raises(ParameterError, match="enum_cap"):
+        max_clique(build_hamming(1, 6), enum_cap=enum_cap)
+
+
+def test_search_stops_at_a_full_list_of_proven_maxima(built):
+    # J(8,4) t=1: f = (1,0,1,0,1) is not strictly positive, so the bound 35
+    # is not reported, but it is proven, and the stars and many more
+    # families reach it; the search stops once 10,000 of them are listed
+    g, census, _, sys_ = built("johnson", 8, 4)
+    cert, _, res = search(g, census, sys_, 1)
+    assert cert.proves_bound and not cert.feasible and cert.bound == 35
+    assert res.optimum == 35 and res.truncated
+    assert len(res.families) == 10_000 and res.nodes == 20_030
+    assert all(len(f) == 35 for f in res.families)
+
+
+def _two_triangles_and_k4():
     # two triangles through vertex 0 fill the cap before the K4 on 5..8
     adj = [0] * 9
     for clique in [(0, 1, 2), (0, 3, 4), (5, 6, 7, 8)]:
         for i, j in itertools.combinations(clique, 2):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    res = max_clique(Graph("two-triangles-and-k4", {}, list(range(9)), adj), enum_cap=1)
-    assert res.optimum == 4 and res.families == ((5, 6, 7, 8),) and not res.truncated
+    return Graph("two-triangles-and-k4", {}, list(range(9)), adj)
+
+
+def _fields(res):
+    return res.optimum, res.nodes, res.families, res.truncated
+
+
+#: the ekr-search benchmark rows, and J(10,4) t=1
+SEARCH_ROWS = [
+    ("johnson", (10, 4), 2), ("johnson", (11, 4), 2), ("johnson", (12, 4), 2),
+    ("johnson", (10, 5), 3), ("johnson", (10, 3), 1), ("johnson", (12, 3), 1),
+    ("hamming", (5, 3), 2), ("hamming", (4, 4), 1), ("hamming", (4, 4), 2),
+    ("hamming", (4, 4), 3), ("hamming", (3, 5), 1), ("grassmann", (2, 6, 2), 1),
+    ("grassmann", (3, 4, 2), 1), ("bilinear", (2, 2, 4), 1), ("twisted", (2, 2), 1),
+    ("johnson", (10, 4), 1),
+]
+
+
+@pytest.mark.parametrize("family,args,t", SEARCH_ROWS)
+def test_search_matches_the_colour_list_reference(family, args, t, built):
+    # the pipeline, hint and warm start included, walks the reference's
+    # tree: same optimum, node count, maxima and truncation flag
+    g, census, _, sys_ = built(family, *args)
+    _, descendents, res = search(g, census, sys_, t)
+    warm = max(descendents, key=len) if descendents else None
+    thr = threshold_graph(g, census, t)
+    assert _fields(res) == max_clique_reference(thr.adj, thr.automorphisms, warm)
+    assert not res.truncated
+
+
+@pytest.mark.parametrize("enum_cap", [1, 3, 10_000])
+def test_two_triangles_match_the_reference(enum_cap):
+    g = _two_triangles_and_k4()
+    assert _fields(max_clique(g, enum_cap=enum_cap)) == \
+        max_clique_reference(g.adj, enum_cap=enum_cap)
+
+
+@st.composite
+def random_graphs(draw):
+    """A graph on at most 40 vertices; a doubled one is two copies of a
+    graph on m vertices, with cross edges {i, m+j} and {j, m+i} together,
+    so that swapping the copies is an automorphism it is searched with."""
+    m = draw(st.integers(1, 20))
+    doubled = draw(st.booleans())
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = 2 * m if doubled else 2 * m - draw(st.integers(0, 1))
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if doubled and j >= m:
+            continue
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    generators = ()
+    if doubled:
+        for i in range(m):
+            for j in range(m):
+                if i < j and adj[i] >> j & 1:
+                    adj[m + i] |= 1 << m + j
+                    adj[m + j] |= 1 << m + i
+                if i <= j and rng.random() < density / 4:
+                    for a, b in {(i, m + j), (j, m + i)}:
+                        adj[a] |= 1 << b
+                        adj[b] |= 1 << a
+        generators = ([*range(m, n), *range(m)],)
+    return Graph("random", {}, list(range(n)), adj, generators)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_graphs(), st.sampled_from([1, 3, 10_000]))
+def test_random_graphs_match_the_reference(g, enum_cap):
+    assert all(is_automorphism(g.adj, perm) for perm in g.automorphisms)
+    ref = max_clique_reference(g.adj, g.automorphisms, enum_cap=enum_cap)
+    assert _fields(max_clique(g, enum_cap=enum_cap)) == ref
+    # the optimum as a proven hint: the same maxima and flag, and fewer
+    # nodes only where the search stopped
+    hinted = max_clique(g, upper_bound_hint=ref[0], enum_cap=enum_cap)
+    assert (hinted.optimum, hinted.families, hinted.truncated) == (ref[0], *ref[2:])
+    assert hinted.nodes == ref[1] or hinted.truncated and hinted.nodes < ref[1]
+    if hinted.nodes < ref[1]:
+        event("stopped at the hint")
 
 
 def nx_maximum_cliques(graph):

@@ -66,9 +66,19 @@ def test_johnson94_certificates(built):
     assert not cert2.positive_tail
     assert cert2.dual_constraints_ok
     assert cert2.bound == 21
+    assert cert2.proves_bound  # f >= 0 still gives the inequality
     cert3 = solve_certificate(sys_, 3)
     assert cert3.f == (1, 0, 0, 0, F(5, 42))
     assert cert3.feasible and cert3.bound == 6
+
+
+def test_a_negative_tail_proves_no_bound(built):
+    # J(10,5) t=3, in the Ahlswede-Khachatrian regime: the pinned value 21
+    # is below the optimum 26, and f says nothing about it
+    _, _, _, sys_ = built("johnson", 10, 5)
+    cert = solve_certificate(sys_, 3)
+    assert cert.f == (1, 0, 0, 0, F(5, 12), F(-5, 12)) and cert.bound == 21
+    assert cert.dual_constraints_ok and not cert.proves_bound and not cert.feasible
 
 
 def test_hamming33_certificates(built):
@@ -154,7 +164,11 @@ def test_certificates_match_fraction_elimination(arr):
     sys_ = eigensystem_from_array(arr, arr.vertex_count())
     Q = [list(row) for row in sys_.Q.rows]
     for t in range(1, arr.d):
-        assert dataclasses.asdict(solve_certificate(sys_, t)) == certificate_by_fractions(Q, t)
+        cert = solve_certificate(sys_, t)
+        fields = certificate_by_fractions(Q, t)
+        assert dataclasses.asdict(cert) == fields
+        assert cert.proves_bound == (fields["normalization_ok"] and fields["zero_block_ok"]
+                                     and fields["dual_constraints_ok"] and min(fields["f"]) >= 0)
 
 
 @pytest.mark.parametrize("d,q", [(3, 2), (5, 5), (6, 6), (8, 8)])
