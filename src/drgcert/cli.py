@@ -60,6 +60,8 @@ BUILDERS = {
 
 
 def _family_and_params(args):
+    if args.family and args.family_opt and args.family != args.family_opt:
+        raise ParameterError(f"family {args.family!r} conflicts with --family {args.family_opt!r}")
     family = args.family_opt or args.family
     if family is None:
         raise ParameterError("a graph family is required (positional or --family)")
@@ -391,6 +393,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        # refused before any build; max_clique keeps its own check
+        if getattr(args, "enum_cap", 1) < 1:
+            raise ParameterError(f"need enum_cap >= 1, got {args.enum_cap}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,18 +99,6 @@ class ExactMatrix:
             raise ParameterError("ragged rows")
         self.rows = mat
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
 
@@ -119,18 +107,12 @@ class ExactMatrix:
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
-        return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
-
-    def row(self, i) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
+        return f"ExactMatrix({len(self.rows)}x{len(self.rows[0])}: {body})"
 
     def inverse(self) -> "ExactMatrix":
         """Inverse by `_gauss_jordan`; raises SingularSystem if rank-deficient."""
-        n = self.nrows
-        if n != self.ncols:
+        n = len(self.rows)
+        if n != len(self.rows[0]):
             raise ParameterError("inverse of a non-square matrix")
         aug = [self.rows[i] + tuple(int(i == j) for j in range(n)) for i in range(n)]
         return ExactMatrix(_gauss_jordan(aug, n))
@@ -201,19 +183,21 @@ def _gauss_jordan(aug: Sequence[Sequence[Scalar]], n: int) -> list[list[Fraction
     return [[Fraction(x, det) for x in r] for r in X]
 
 
-def solve_linear_exact(A: ExactMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Solve Ax = b exactly for square nonsingular A.
-
-    Raises SingularSystem when A has no unique solution, and DrgError when
-    the solution fails re-substitution.
+def solve_linear_exact(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """Solve Ax = b exactly for square nonsingular A, rows of ints and
+    Fractions.  Raises TypeError on a float, ParameterError on a ragged or
+    non-square A or a b of the wrong length, SingularSystem when A has no
+    unique solution, and DrgError when the solution fails re-substitution.
     """
-    n = A.nrows
-    if n != A.ncols:
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ParameterError("solve_linear_exact needs a square matrix")
     if len(b) != n:
         raise ParameterError("right-hand side has wrong length")
-    rhs = [as_fraction(x) for x in b]
-    return tuple(row[0] for row in _gauss_jordan([r + (v,) for r, v in zip(A.rows, rhs)], n))
+    aug = [[*row, v] for row, v in zip(A, b)]
+    if any(isinstance(x, float) for row in aug for x in row):
+        raise TypeError("refusing a float; this library is exact")
+    return tuple(row[0] for row in _gauss_jordan(aug, n))
 
 
 # ---------------------------------------------------------------------------

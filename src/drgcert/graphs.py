@@ -245,13 +245,6 @@ def orbits(G: Graph) -> list[int]:
     return out
 
 
-@cache
-def _points(k: int, q: int) -> tuple:
-    """(p, u) for one u in each 1-dim subspace of GF(q)^k, with last nonzero entry u_p = 1."""
-    return tuple((p, head + (1,) + (0,) * (k - 1 - p))
-                 for p in range(k) for head in itertools.product(range(q), repeat=p))
-
-
 def _shear(rows, p: int, u, q: int) -> tuple:
     """The rows R_i - u_i R_p over GF(q); row p becomes zero (u_p = 1)."""
     return tuple([
@@ -468,10 +461,11 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
 def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Bilinear forms graph Bil_q(d,e): d x e matrices over GF(q), adjacent
     iff the difference has rank one.  Clique keys: (u, M - u M_p) for each
-    (p, u) of `_points`: the member of the coset M + {u v^T} whose row p is
-    zero, so it names the coset.  M - N has rank one iff it is u v^T, v != 0,
-    for one such u.  Automorphisms: + E_11, the column cycle and (d > 1) the
-    row cycle; conjugates of the first give every translation."""
+    point u of GF(q)^d, u_p = 1 its first nonzero entry (any p with u_p = 1
+    would do): the member of the coset M + {u v^T} whose row p is zero, so
+    it names the coset.  M - N has rank one iff it is u v^T, v != 0, for one
+    such u.  Automorphisms: + E_11, the column cycle and (d > 1) the row
+    cycle; conjugates of the first give every translation."""
     if d < 1 or e < d:
         raise ParameterError(f"Bil_q({d},{e}) needs 1 <= d <= e")
     bits = d * e * (q.bit_length() - 1)
@@ -483,9 +477,10 @@ def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP)
     ]
     if d > 1:
         generators.append(lambda M: M[1:] + M[:1])
+    points = [(u.index(1), u) for (u,) in all_subspaces(d, 1, q)]
     return _assemble(
         "bilinear", {"q": q, "d": d, "e": e}, itertools.product(rows, repeat=d),
-        lambda M: [(u, _shear(M, p, u, q)) for p, u in _points(d, q)], expected, generators,
+        lambda M: [(u, _shear(M, p, u, q)) for p, u in points], expected, generators,
     )
 
 

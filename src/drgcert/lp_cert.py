@@ -12,8 +12,9 @@ with equality exactly when the subset is a descendent with w = d-t, w* = t.
 A nonnegative f already gives the inequality; strict positivity is what
 gives the equality clause.
 
-The dual checks and the bound are integer sums over the eigensystem's D*Q,
-which `SchemeEigensystem` forms once, and each eigensystem keeps the
+f is solved from the eigensystem's D*Q, which `SchemeEigensystem` forms
+once (an equation scaled by D keeps its solution), the dual checks and the
+bound are integer sums over it, and each eigensystem keeps the
 certificate of each t it was asked for, so a job that certifies many
 families of one eigensystem solves the system once.
 
@@ -22,7 +23,7 @@ formal) inner distribution e' of a length-d minimum-distance-(t+1) code of
 size q^(d-t) is uniquely determined by the same kind of linear system in the
 e-domain, and f = e' . diag(k_0..k_d)^{-1}.  That route builds no
 eigensystem: H(d,q) is self-dual, so Q_ij = K_j(i), the Krawtchouk
-polynomial, and k_i = C(d,i) (q-1)^i, both in closed form.
+polynomial, and k_i = C(d,i) (q-1)^i, both integers in closed form.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import (
     UnsupportedFamily,
     WidthTooLarge,
 )
-from .exact import ExactMatrix, q_binomial, scaled_ints, solve_linear_exact
+from .exact import q_binomial, scaled_ints, solve_linear_exact
 from .scheme import SchemeEigensystem
 from .subsets import InnerDistribution
 
@@ -100,13 +101,13 @@ def _finish_certificate(
     )
 
 
-def _pinned_solution(M: ExactMatrix, t: int) -> tuple[Fraction, ...]:
+def _pinned_solution(M: Sequence[Sequence[int]], t: int) -> tuple[Fraction, ...]:
     """The x with x_0 = 1, x_1 = ... = x_t = 0 and (xM^T)_j = 0 for
-    j = 1..d-t: a square system in x_{t+1}..x_d, solved exactly."""
-    d = M.nrows - 1
-    A = ExactMatrix([[M[j, i] for i in range(t + 1, d + 1)] for j in range(1, d - t + 1)])
-    tail = solve_linear_exact(A, [-M[j, 0] for j in range(1, d - t + 1)])
-    return (Fraction(1),) + (Fraction(0),) * t + tuple(tail)
+    j = 1..d-t, solved exactly; any nonzero multiple of M, such as D*Q for
+    Q, gives the same x."""
+    eqs = M[1:len(M) - t]
+    tail = solve_linear_exact([row[t + 1:] for row in eqs], [-row[0] for row in eqs])
+    return (Fraction(1),) + (Fraction(0),) * t + tail
 
 
 def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
@@ -124,13 +125,13 @@ def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
     cert = sys.certificates.get(t)
     if cert is None:
         cert = sys.certificates[t] = _finish_certificate(
-            _pinned_solution(sys.Q, t), t, sys.D, sys.DQ)
+            _pinned_solution(sys.DQ, t), t, sys.D, sys.DQ)
     return cert
 
 
-def krawtchouk_matrix(d: int, q: int) -> ExactMatrix:
-    """Q (= P) of H(d,q) in the natural ordering, Q_ij = K_j(i), by the
-    three-term recurrence in integers, from K_-1 = 0 and K_0 = 1:
+def krawtchouk_matrix(d: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of Q (= P) of H(d,q) in the natural ordering, Q_ij = K_j(i),
+    by the three-term recurrence in integers, from K_-1 = 0 and K_0 = 1:
 
         (j+1) K_{j+1}(i) = ((q-1)(d-j) + j - qi) K_j(i) - (q-1)(d-j+1) K_{j-1}(i).
 
@@ -146,37 +147,24 @@ def krawtchouk_matrix(d: int, q: int) -> ExactMatrix:
                 raise DrgError(f"K_{j + 1}({i}) of H({d},{q}) is not an integer")
             before = row[j]
             row.append(k)
-        rows.append(row)
-    return ExactMatrix(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def _mds_route(d: int, q: int, t: int) -> tuple[tuple[Fraction, ...], ExactMatrix]:
-    """(e', K): K the Krawtchouk matrix of H(d,q), built once, and e' the
-    vector of `mds_inner_distribution` solved from its transpose."""
+def hamming_certificate(d: int, q: int, t: int) -> DualCertificate:
+    """The certificate of H(d,q) by the MDS route: f_i = e'_i / k_i with
+    k_i = C(d,i) (q-1)^i, where e' is the unique vector with e'_0 = 1,
+    e'_1 = ... = e'_t = 0 and (e'Q)_1 = ... = (e'Q)_{d-t} = 0.  e' is the
+    inner distribution of an MDS code when one exists; it is well defined
+    regardless, and no positivity is imposed on it."""
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
     if q < 2:
         raise ParameterError(f"need q >= 2, got q={q}")
     K = krawtchouk_matrix(d, q)
-    return _pinned_solution(K.transpose(), t), K
-
-
-def mds_inner_distribution(d: int, q: int, t: int) -> tuple[Fraction, ...]:
-    """The unique vector e' with e'_0 = 1, e'_1 = ... = e'_t = 0 and
-    (e'Q)_1 = ... = (e'Q)_{d-t} = 0 over the H(d,q) scheme.
-
-    This is the inner distribution of an MDS code when one exists; it is
-    well defined regardless, and no positivity is imposed here.
-    """
-    return _mds_route(d, q, t)[0]
-
-
-def hamming_certificate(d: int, q: int, t: int) -> DualCertificate:
-    """f_i = e'_i / k_i from the MDS-style inner distribution, with
-    k_i = C(d,i) (q-1)^i."""
-    eprime, K = _mds_route(d, q, t)
+    eprime = _pinned_solution(tuple(zip(*K)), t)
     f = tuple(ei / (comb(d, i) * (q - 1) ** i) for i, ei in enumerate(eprime))
-    return _finish_certificate(f, t, *scaled_ints(K.rows))
+    return _finish_certificate(f, t, 1, K)
 
 
 def expected_bound(family: str, params: dict, t: int):

@@ -163,7 +163,8 @@ def eigensystem_from_array(
     Raises IrrationalEigenvalue when the characteristic polynomial has fewer
     than d+1 integer roots, and NotQPolynomial when no idempotent ordering is
     Q-polynomial.  The descending ordering is kept when it passes, and the
-    first passing ordering is taken otherwise.
+    first passing ordering is taken otherwise; with check_q_polynomial off,
+    it is kept and no passing ordering is listed.
     """
     k = arr.valencies()
     if sum(k) != n_vertices:
@@ -206,26 +207,19 @@ def eigensystem_from_array(
     if any(sum(map(mul, row, col)) != (r == c) * n_vertices * sys.D
            for r, row in enumerate(prows) for c, col in enumerate(zip(*sys.DQ))):
         raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
-    if not check_q_polynomial:
-        return sys
-    passing = verify_q_polynomial(krein_parameters(sys))
-    if sys.ordering in passing:
-        return replace(sys, passing_orderings=passing)
-    return _reorder(sys, passing[0], passing)
+    passing = verify_q_polynomial(krein_parameters(sys)) if check_q_polynomial else ()
+    perm = passing[0] if passing and sys.ordering not in passing else sys.ordering
+    return _reorder(sys, perm, passing)
 
 
 def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
-    d = sys.d
-    P = ExactMatrix([sys.P.row(perm[i]) for i in range(d + 1)])
-    Q = ExactMatrix(
-        [[sys.Q[i, perm[j]] for j in range(d + 1)] for i in range(d + 1)]
-    )
+    """sys with its idempotents in the order perm and passing_orderings set."""
     return replace(
         sys,
-        eigenvalues=tuple(sys.eigenvalues[perm[i]] for i in range(d + 1)),
-        m=tuple(sys.m[perm[j]] for j in range(d + 1)),
-        P=P,
-        Q=Q,
+        eigenvalues=tuple(sys.eigenvalues[j] for j in perm),
+        m=tuple(sys.m[j] for j in perm),
+        P=ExactMatrix([sys.P.rows[j] for j in perm]),
+        Q=ExactMatrix([[row[j] for j in perm] for row in sys.Q.rows]),
         ordering=tuple(perm),
         passing_orderings=passing,
     )
@@ -351,7 +345,7 @@ def materialize_idempotents(
     d = sys.d
     out = []
     for i in range(d + 1):
-        col = [sys.Q[j, i] for j in range(d + 1)]
+        col = [row[i] for row in sys.Q.rows]
         scale = lcm(*(x.denominator for x in col))
         M = np.zeros((n, n), dtype=np.int64)
         for j in range(d + 1):

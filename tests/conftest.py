@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from _oracles import orderings_by_search
@@ -40,6 +42,22 @@ def built():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) makes the calling test fail with TimeoutError once
+    that many seconds of wall time have passed, so a search that runs away
+    fails the test instead of stalling the suite.  It uses SIGALRM (POSIX,
+    main thread), as pytest-timeout is not a test dependency; the alarm is
+    cleared and the previous handler restored at teardown."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -448,6 +448,35 @@ def test_enumeration_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
     assert err == f"error: need enum_cap >= 1, got {cap}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem", "-q", "5", "-d", "2", "-t", "1", "--vertex-cap", "25000"],
+    ["search", "twisted", "-q", "2", "-d", "3", "-t", "2", "--vertex-cap", "20000"],
+])
+def test_enumeration_cap_below_one_is_refused_before_any_build(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for family in cli.BUILDERS:
+        monkeypatch.setitem(cli.BUILDERS, family, unreachable)
+    monkeypatch.setattr(ekr_search, "build_twisted_grassmann", unreachable)
+    code = main([*argv, "--enum-cap", "0", "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: need enum_cap >= 1, got 0\n")
+
+
+def test_conflicting_family_flags_are_a_usage_error(tmp_path, capsys):
+    code = main(["build", "johnson", "--family", "hamming", "-d", "2", "-q", "2", "-v", "5",
+                 "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: family 'johnson' conflicts with --family 'hamming'\n"
+    assert not any(tmp_path.iterdir())
+    code, doc = run(capsys, "build", "hamming", "--family", "hamming", "-d", "2", "-q", "2",
+                    "--cache", str(tmp_path))
+    assert code == 0 and doc["vertices"] == 4
+
+
 def test_shared_parser_gives_fresh_process_reports(tmp_path, capsys, monkeypatch):
     # main() reuses one parser per process; a sequence of calls in one
     # process, with a usage error between two good ones, prints the same

@@ -110,10 +110,12 @@ def test_enumeration_cap_below_one_is_refused(enum_cap):
         max_clique(build_hamming(1, 6), enum_cap=enum_cap)
 
 
-def test_search_stops_at_a_full_list_of_proven_maxima(built):
+def test_search_stops_at_a_full_list_of_proven_maxima(built, deadline):
     # J(8,4) t=1: f = (1,0,1,0,1) is not strictly positive, so the bound 35
     # is not reported, but it is proven, and the stars and many more
-    # families reach it; the search stops once 10,000 of them are listed
+    # families reach it; the search stops once 10,000 of them are listed,
+    # where the full search runs for over 15 minutes
+    deadline(60)
     g, census, _, sys_ = built("johnson", 8, 4)
     cert, _, res = search(g, census, sys_, 1)
     assert cert.proves_bound and not cert.feasible and cert.bound == 35

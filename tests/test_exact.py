@@ -66,34 +66,62 @@ def test_q_int():
 
 
 def test_solve_identity():
-    A = ExactMatrix(mat_eye(3))
-    assert solve_linear_exact(A, [1, 2, 3]) == (1, 2, 3)
+    assert solve_linear_exact(mat_eye(3), [1, 2, 3]) == (1, 2, 3)
 
 
 def test_solve_diagonal():
-    A = ExactMatrix([[2, 0], [0, 4]])
-    assert solve_linear_exact(A, [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
+    assert solve_linear_exact([[2, 0], [0, 4]], [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
 
 
 def test_solve_singular():
-    A = ExactMatrix([[1, 1], [2, 2]])
     with pytest.raises(SingularSystem):
-        solve_linear_exact(A, [1, 1])
+        solve_linear_exact([[1, 1], [2, 2]], [1, 1])
+
+
+def test_solve_takes_integer_rows_as_they_are():
+    # a tuple of int rows, as an eigensystem's D*Q is, scaled by D or not,
+    # has the solution of the same rows as Fractions
+    A = ((3, -1, 2), (0, 5, 7), (4, 4, -6))
+    b = (1, -2, 9)
+    x = solve_linear_exact(A, b)
+    assert all(type(v) is Fraction for v in x)
+    assert x == solve_linear_exact([[Fraction(a) for a in row] for row in A], b)
+    assert x == solve_linear_exact([[6 * a for a in row] for row in A], [6 * v for v in b])
+
+
+@pytest.mark.parametrize("A,b", [
+    ([[0.5, 1], [1, 2]], [1, 1]),
+    ([[1, 2], [3, Fraction(1, 2)]], [1.0, 1]),
+    ([[1, 2], [3, 4.0]], [1, 1]),
+])
+def test_solve_refuses_a_float_anywhere(A, b):
+    with pytest.raises(TypeError, match="float"):
+        solve_linear_exact(A, b)
+
+
+@pytest.mark.parametrize("A,b", [
+    ([[1, 2], [3]], [1, 1]),  # ragged
+    ([[1], [3, 4]], [1, 1]),  # ragged
+    ([[1, 2, 3], [4, 5, 6]], [1, 1]),  # 2 x 3
+    ([[1, 2], [3, 4], [5, 6]], [1, 1, 1]),  # 3 x 2
+    ([[1, 2], [3, 4]], [1, 1, 1]),  # b too long
+])
+def test_solve_refuses_a_non_square_or_ragged_system(A, b):
+    with pytest.raises(ParameterError):
+        solve_linear_exact(A, b)
 
 
 def test_solve_random_systems_resubstitute():
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 5)
-        A = ExactMatrix(
-            [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        )
+        A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
         try:
             x = solve_linear_exact(A, b)
         except SingularSystem:
             continue
-        assert [sum(a * xj for a, xj in zip(row, x)) for row in A.rows] == b
+        assert [sum(a * xj for a, xj in zip(row, x)) for row in A] == b
 
 
 def test_matrix_inverse_and_product():
@@ -135,12 +163,12 @@ def test_solve_and_inverse_match_sympy(system):
     event("singular" if singular else "nonsingular")
     if singular:
         with pytest.raises(SingularSystem):
-            solve_linear_exact(ExactMatrix(A), b)
+            solve_linear_exact(A, b)
         with pytest.raises(SingularSystem):
             ExactMatrix(A).inverse()
         return
     x = M.LUsolve(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b]))
-    assert solve_linear_exact(ExactMatrix(A), b) == tuple(_from_sympy(v) for v in x)
+    assert solve_linear_exact(A, b) == tuple(_from_sympy(v) for v in x)
     inv = M.inv()
     assert ExactMatrix(A).inverse() == ExactMatrix(
         [[_from_sympy(inv[i, j]) for j in range(n)] for i in range(n)])
@@ -156,8 +184,8 @@ def test_wrong_numerator_fails_resubstitution(monkeypatch):
         return det
 
     monkeypatch.setattr(exact, "_eliminate", off_by_one)
-    A = ExactMatrix([[2, 1], [Fraction(1, 3), 3]])
-    for solve in (lambda: solve_linear_exact(A, [1, 2]), A.inverse):
+    A = [[2, 1], [Fraction(1, 3), 3]]
+    for solve in (lambda: solve_linear_exact(A, [1, 2]), ExactMatrix(A).inverse):
         with pytest.raises(DrgError) as exc:
             solve()
         assert exc.type is DrgError and "re-substitution" in str(exc.value)

@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from _oracles import certificate_by_fractions, hamming_certificate_by_fractions, krawtchouk_by_sum
-from drgcert import lp_cert, scheme
+from drgcert import exact, lp_cert, scheme
 from drgcert.errors import InfeasibleCertificate, ParameterError, UnsupportedFamily, WidthTooLarge
-from drgcert.exact import ExactMatrix, solve_linear_exact
+from drgcert.exact import solve_linear_exact
 from drgcert.graphs import (
     grassmann_intersection_array,
     hamming_intersection_array,
@@ -19,7 +20,6 @@ from drgcert.lp_cert import (
     expected_bound,
     hamming_certificate,
     krawtchouk_matrix,
-    mds_inner_distribution,
     solve_certificate,
 )
 from drgcert.scheme import eigensystem_from_array
@@ -136,16 +136,16 @@ def test_solution_independent_of_equation_order(built):
     t = 1
     d = sys_.d
     m = d - t
-    rows = [[sys_.Q[j, i] for i in range(t + 1, d + 1)] for j in range(1, m + 1)]
-    rhs = [-sys_.Q[j, 0] for j in range(1, m + 1)]
-    base = solve_linear_exact(ExactMatrix(rows), rhs)
+    rows = [sys_.Q.rows[j][t + 1:] for j in range(1, m + 1)]
+    rhs = [-sys_.Q.rows[j][0] for j in range(1, m + 1)]
+    base = solve_linear_exact(rows, rhs)
     rng = random.Random(4)
     for _ in range(5):
         perm = list(range(m))
         rng.shuffle(perm)
         colperm = list(range(m))
         rng.shuffle(colperm)
-        shuffled = ExactMatrix([[rows[p][c] for c in colperm] for p in perm])
+        shuffled = [[rows[p][c] for c in colperm] for p in perm]
         sol = solve_linear_exact(shuffled, [rhs[p] for p in perm])
         assert tuple(sol[colperm.index(c)] for c in range(m)) == base
 
@@ -180,6 +180,12 @@ def test_mds_certificates_match_fraction_elimination(d, q):
 
 # ---------------------------------------------------------------------------
 # the MDS route for Hamming graphs
+
+
+def mds_inner_distribution(d, q, t):
+    """e'_i = f_i C(d,i) (q-1)^i from the MDS-route certificate."""
+    f = hamming_certificate(d, q, t).f
+    return tuple(fi * comb(d, i) * (q - 1) ** i for i, fi in enumerate(f))
 
 
 def test_mds_vector_matches_code_census():
@@ -232,7 +238,7 @@ def test_hamming_certificate_infeasible_boundary():
 )
 def test_routes_agree_on_hamming(d, q, ts):
     sys_ = eigensystem_from_array(hamming_intersection_array(d, q), q ** d)
-    assert krawtchouk_matrix(d, q) == sys_.Q
+    assert krawtchouk_matrix(d, q) == sys_.Q.rows
     for t in ts:
         assert hamming_certificate(d, q, t).f == solve_certificate(sys_, t).f
 
@@ -240,7 +246,9 @@ def test_routes_agree_on_hamming(d, q, ts):
 def test_krawtchouk_recurrence_matches_the_closed_form():
     for q in range(2, 11):
         for d in range(11):
-            assert krawtchouk_matrix(d, q) == ExactMatrix(krawtchouk_by_sum(d, q)), (d, q)
+            K = krawtchouk_matrix(d, q)
+            assert K == tuple(map(tuple, krawtchouk_by_sum(d, q))), (d, q)
+            assert all(type(x) is int for row in K for x in row)
 
 
 def test_mds_route_builds_no_eigensystem(monkeypatch):
@@ -254,6 +262,32 @@ def test_mds_route_builds_no_eigensystem(monkeypatch):
     for t, expected in enumerate(solved, start=1):
         cert = hamming_certificate(5, 5, t)
         assert cert == expected and cert.feasible and cert.bound == 5 ** (5 - t)
+
+
+def test_certificates_solve_on_integer_rows(monkeypatch):
+    # once an eigensystem exists, neither route forms a matrix of Fractions:
+    # the solve takes D*Q, or the Krawtchouk rows, as integer rows
+    arrays = [hamming_intersection_array(5, 5), twisted_intersection_array(2, 3)]
+    fresh = [eigensystem_from_array(arr, arr.vertex_count()) for arr in arrays]
+
+    def refuse(self, rows):
+        raise AssertionError("a certificate built an ExactMatrix")
+
+    monkeypatch.setattr(exact.ExactMatrix, "__init__", refuse)
+    for sys_ in fresh:
+        assert sys_.certificates == {}
+        for t in range(1, sys_.d):
+            assert dataclasses.asdict(solve_certificate(sys_, t)) == \
+                certificate_by_fractions(sys_.Q.rows, t)
+    for t in range(1, 5):
+        assert dataclasses.asdict(hamming_certificate(5, 5, t)) == \
+            hamming_certificate_by_fractions(5, 5, t)
+
+
+@pytest.mark.parametrize("d,q,t", [(3, 3, 0), (3, 3, 3), (1, 3, 1), (3, 1, 1)])
+def test_hamming_certificate_refuses_out_of_range_parameters(d, q, t):
+    with pytest.raises(ParameterError):
+        hamming_certificate(d, q, t)
 
 
 # ---------------------------------------------------------------------------

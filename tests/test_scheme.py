@@ -101,10 +101,10 @@ def test_eigensystem_identities(family, args, built):
     n = sys_.n
     assert mat_mul(sys_.P.rows, sys_.Q.rows) == mat_scale(n, mat_eye(d + 1))
     assert mat_mul(sys_.Q.rows, sys_.P.rows) == mat_scale(n, mat_eye(d + 1))
-    assert sys_.P.row(0) == tuple(Fraction(x) for x in sys_.k)
-    assert sys_.P.transpose().row(0) == (Fraction(1),) * (d + 1)
-    assert sys_.Q.transpose().row(0) == (Fraction(1),) * (d + 1)
-    assert tuple(int(x) for x in sys_.Q.row(0)) == sys_.m
+    assert sys_.P.rows[0] == tuple(Fraction(x) for x in sys_.k)
+    assert tuple(row[0] for row in sys_.P.rows) == (Fraction(1),) * (d + 1)
+    assert tuple(row[0] for row in sys_.Q.rows) == (Fraction(1),) * (d + 1)
+    assert tuple(int(x) for x in sys_.Q.rows[0]) == sys_.m
     assert all(mj > 0 for mj in sys_.m)
     assert sum(sys_.m) == n
     assert sum(sys_.k) == n
@@ -128,7 +128,7 @@ def test_negative_krein_parameter_is_reported():
     # the tensor; swapping two rows pairs Q with the wrong distance classes.
     # The error must name the first negative entry in (k, i, j) order.
     sys_ = eigensystem_from_array(IntersectionArray((12, 6, 2), (1, 4, 9)), 35)  # J(7,3)
-    swapped = [sys_.Q.row(r) for r in (0, 2, 1, 3)]
+    swapped = [sys_.Q.rows[r] for r in (0, 2, 1, 3)]
     tampered = dataclasses.replace(sys_, Q=ExactMatrix(swapped))
     oracle = krein_by_triple_sum(sys_.P.rows, swapped, sys_.n)
     r = range(sys_.d + 1)
@@ -148,7 +148,7 @@ def test_replace_derives_fresh_integer_forms():
     assert sys_.P_int == tuple(tuple(int(x) for x in row) for row in sys_.P.rows)
     assert sys_.certificates == {}
     originals = {t: lp_cert.solve_certificate(sys_, t) for t in (1, 2)}
-    swapped = ExactMatrix([sys_.Q.row(r) for r in (0, 2, 1, 3)])  # same D
+    swapped = ExactMatrix([sys_.Q.rows[r] for r in (0, 2, 1, 3)])  # same D
     # columns 1..d over 7: D grows sevenfold, and column 0 keeps (eQ)_0 = |Y|
     scaled = ExactMatrix([[x / (7 if j else 1) for j, x in enumerate(row)]
                           for row in sys_.Q.rows])
