@@ -31,6 +31,7 @@ from .graphs import (
     check_distance_regular,
     distance_census,
     graph_cache_text,
+    representatives,
 )
 from .lp_cert import certify_subset, expected_bound, hamming_certificate, solve_certificate
 from .scheme import (
@@ -39,7 +40,7 @@ from .scheme import (
     eigensystem_from_array,
     eigensystem_to_json,
 )
-from .subsets import VertexSubset, inner_distribution, load_subset, width_and_dual_width
+from .subsets import VertexSubset, inner_distribution, read_subset, width_and_dual_width
 from . import ekr_search
 
 FAMILY_PARAMS = {
@@ -133,7 +134,7 @@ def _graph_cache_path(args, family, params) -> Path:
 def cmd_build(args) -> int:
     family, params = _family_and_params(args)
     graph = _build(family, params, args.vertex_cap)
-    census = distance_census(graph)
+    census = distance_census(graph, representatives(graph))
     arr = check_distance_regular(graph, census)
     cache_path = _graph_cache_path(args, family, graph.params)
     _cache_write(cache_path, graph_cache_text(graph))
@@ -150,9 +151,13 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _eigensystem_for(family, params, vertex_cap):
+def _eigensystem_for(family, params, vertex_cap, every_source=False):
+    """Build the graph, check it and find its eigensystem.  The census comes
+    from one representative per orbit, all that the distance-regularity
+    check and the threshold graphs read; subset histograms read their
+    members' rows, so every_source takes it from every vertex."""
     graph = _build(family, params, vertex_cap)
-    census = distance_census(graph)
+    census = distance_census(graph, None if every_source else representatives(graph))
     arr = check_distance_regular(graph, census)
     sys_ = eigensystem_from_array(arr, graph.n)
     return graph, census, arr, sys_
@@ -178,8 +183,9 @@ def cmd_widths(args) -> int:
     family, params = _family_and_params(args)
     if args.subset is None:
         raise ParameterError("widths needs --subset")
-    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
-    subset = load_subset(args.subset, graph)
+    labels = read_subset(args.subset)  # refused before the build
+    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap, every_source=True)
+    subset = VertexSubset.from_labels(graph, labels)
     dist = inner_distribution(subset, census, sys_)
     report = {
         "config": _config(args, family, graph.params),
@@ -196,7 +202,9 @@ def cmd_certify(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("certify needs -t")
-    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+    labels = read_subset(args.subset) if args.subset else None  # refused before the build
+    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap,
+                                                every_source=labels is not None)
     cert = solve_certificate(sys_, args.t)
     table_value, hypothesis_met = expected_bound(family, graph.params, args.t)
     report = {
@@ -214,12 +222,11 @@ def cmd_certify(args) -> int:
     if family == "hamming":
         mds_cert = hamming_certificate(params["d"], params["q"], args.t)
         report["mds_route_agrees"] = mds_cert.f == cert.f
-    if args.subset:
-        subset = load_subset(args.subset, graph)
-        dist = inner_distribution(subset, census, sys_)
+    if labels is not None:
+        dist = inner_distribution(VertexSubset.from_labels(graph, labels), census, sys_)
         report["subset_report"] = asdict(certify_subset(dist, cert))
     _emit(report, args)
-    if args.subset and report["subset_report"]["verdict"] == "violated-bug":
+    if labels is not None and report["subset_report"]["verdict"] == "violated-bug":
         return 2
     return 0
 
@@ -300,7 +307,8 @@ def cmd_selftest(args) -> int:
     record("eigensystem identities PQ = |X| I", True)
 
     for family, params in (("johnson", {"v": 5, "d": 2}), ("hamming", {"d": 3, "q": 2})):
-        graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+        graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap,
+                                                    every_source=True)
         for _ in range(200):
             idx = rng.sample(range(graph.n), rng.randint(1, graph.n))
             width_and_dual_width(inner_distribution(VertexSubset(graph, idx), census, sys_))

@@ -40,8 +40,10 @@ from .graphs import (
     distance_census,
     iter_bits,
     orbits,
+    representatives,
     twisted_intersection_array,
     twisted_x2_distance_counts,
+    within,
 )
 from .lp_cert import certify_subset, expected_bound, solve_certificate
 from .scheme import eigensystem_from_array
@@ -52,19 +54,19 @@ ENUM_CAP = 10_000
 
 
 def threshold_graph(G: Graph, census: DistanceCensus, t: int) -> Graph:
-    """Same vertices, adjacent iff 1 <= distance <= d - t.  Automorphisms
-    of G preserve distance, so G's generators carry over unchanged."""
+    """Same vertices, adjacent iff 1 <= distance <= d - t, by `within`:
+    G's own adjacency at t = d-1, the balls of radius d-t otherwise.  Only
+    the census's diameter d is read, and it is G's, as the census must hold
+    a row of each orbit representative (ParameterError otherwise).
+    Automorphisms of G preserve distance, so G's generators carry over
+    unchanged, and with them G's orbits."""
     d = census.diameter
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    adj = []
-    for row in census.levels:
-        mask = 0
-        for level in row[1:d - t + 1]:
-            mask |= level
-        adj.append(mask)
-    return Graph(f"{G.family}-threshold", {**G.params, "t": t}, G.vertices, adj,
-                 G.automorphisms)
+    for r in representatives(G):
+        census.row(r)
+    return Graph(f"{G.family}-threshold", {**G.params, "t": t}, G.vertices, within(G, d - t),
+                 G.automorphisms, orbits=orbits(G))
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,7 @@ def max_clique(
     _sys.setrecursionlimit(max(old_limit, n + 500))
     try:
         done = 0
-        for orbit in orbits(G):
-            r = (orbit & -orbit).bit_length() - 1
+        for r, orbit in zip(representatives(G), orbits(G)):
             C = adj[r] & ~done
             away = {v: C & ~(adj[v] | 1 << v) for v in iter_bits(C)}
             expand([r], C)
@@ -418,7 +419,7 @@ def verify_theorem(
     if not 0 < t < d:  # so d >= 2
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
     twisted = build_twisted_grassmann(q, d, search_cap)
-    census = distance_census(twisted)
+    census = distance_census(twisted, representatives(twisted))
     arr = check_distance_regular(twisted, census)
     arrays_match = arr == twisted_intersection_array(q, d)
     cert, descendents, result = search(

@@ -6,20 +6,23 @@ few clique keys per vertex (a Johnson vertex less one element, a Grassmann
 vertex's hyperplanes): each builder proves "adjacent iff a key is shared".
 The vertices that share a key form a clique, and the graph keeps these
 cliques (`Graph.cliques`), which cover every edge.  Distances are always
-computed from the graph itself, by a breadth-first ball recurrence run from
-every vertex at once over that clique cover, never by closed-form distance
-formulas.  The census keeps the level masks it produces:
-levels[x][k] is the bitmask of the vertices at distance k from x.  Threshold
-graphs, subset histograms, distance matrices and the distance-regularity
-check (which recovers the intersection array and cross-validates every built
-graph) all read those masks directly.
+computed from the graph itself, never by closed-form distance formulas,
+and only where a verdict reads them.  The distance-regularity check reads
+the rows of one representative per orbit (below), so `distance_census`
+takes those sources and runs one breadth-first search from each over the
+adjacency masks, in O(n) ORs a source.  Subset histograms and distance
+matrices read every row, and take the census from every vertex at once:
+a ball recurrence over the clique cover, whose rounds `within` shares,
+stopped at the radius d-t of a threshold graph.  A census keeps
+the level masks it produces: levels[x][k] is the bitmask of the vertices
+at distance k from x.
 
 Each builder also names a few label maps that generate a group of
 automorphisms (Sym(v) for Johnson, SL(v,q) for Grassmann, ...).  None is
 trusted: `_assemble` turns each into an index permutation and checks that it
 is a bijection mapping each clique's member set onto a clique's member set,
-in O(sum of clique sizes).  Their orbits
-(one per family, X1 and X2 for the twisted graph) let the distance-regularity
+in O(sum of clique sizes).  Their orbits (one per family, X1 and X2 for
+the twisted graph), found once per graph, let the distance-regularity
 check take its sources among the orbit representatives only, since an
 automorphism g gives the counts at (gx, gy) the values at (x, y), and let
 the clique search in `ekr_search` root at those representatives.
@@ -109,19 +112,23 @@ class Graph:
     `_assemble`), and a hand-built graph has the trivial group.  cliques,
     when known, lists non-empty cliques of the graph as index arrays that
     together cover every edge; the builders keep the ones their edges come
-    from, and a graph without a cover has None.
+    from, and a graph without a cover has None.  orbits, when known, are
+    those of the generators (`orbits`, which finds and keeps them otherwise).
     """
 
-    __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "cliques", "_index")
+    __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "cliques", "_index",
+                 "_orbits")
 
     def __init__(self, family: str, params: dict, vertices: list, adj: list[int],
-                 automorphisms: tuple = (), cliques: list[array] | None = None):
+                 automorphisms: tuple = (), cliques: list[array] | None = None,
+                 orbits: list[int] | None = None):
         self.family = family
         self.params = dict(params)
         self.vertices = list(vertices)
         self.adj = list(adj)
         self.automorphisms = automorphisms
         self.cliques = cliques
+        self._orbits = None if orbits is None else (automorphisms, orbits)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ParameterError("duplicate vertex labels")
@@ -225,7 +232,12 @@ def orbits(G: Graph) -> list[int]:
     """The vertex orbits of the group that G.automorphisms generates, as
     bitmasks ordered by their least vertex, which is the orbit's
     representative.  A finite group's orbits are closures under the
-    generators alone."""
+    generators alone.  They are found once for each tuple of generators
+    and kept on G (a graph with the same tuple, as a threshold graph has,
+    may take them over); the list is shared, not to be changed."""
+    memo = G._orbits
+    if memo is not None and memo[0] is G.automorphisms:
+        return memo[1]
     orbit_of = [-1] * G.n
     out = []
     for r in range(G.n):
@@ -242,7 +254,13 @@ def orbits(G: Graph) -> list[int]:
                     mask |= 1 << y
                     stack.append(y)
         out.append(mask)
+    G._orbits = (G.automorphisms, out)
     return out
+
+
+def representatives(G: Graph) -> list[int]:
+    """One vertex per orbit of `orbits(G)`, the least of each, ascending."""
+    return [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]
 
 
 def _shear(rows, p: int, u, q: int) -> tuple:
@@ -555,32 +573,93 @@ def twisted_x2_vertices(q: int, d: int) -> list[tuple]:
 
 
 class DistanceCensus:
-    """All-pairs BFS distances as level masks: levels[x][k] is the bitmask of
-    the vertices at distance k from x, for k = 0..diameter (zero beyond the
-    eccentricity of x)."""
+    """BFS distances as level masks: levels[x][k] is the bitmask of the
+    vertices at distance k from x, for k = 0..diameter (zero beyond the
+    eccentricity of x).  levels is a list over every vertex, or, for a
+    census from some sources, a dict keyed by them."""
 
     __slots__ = ("levels", "diameter")
 
-    def __init__(self, levels: list[list[int]], diameter: int):
+    def __init__(self, levels: list[list[int]] | dict[int, list[int]], diameter: int):
         self.levels = levels
         self.diameter = diameter
 
+    def row(self, x: int) -> list[int]:
+        """The level masks of x; ParameterError when the census has none."""
+        try:
+            return self.levels[x]
+        except (IndexError, KeyError):
+            raise ParameterError(f"the distance census has no row for vertex {x}") from None
+
     def d(self, i: int, j: int) -> int:
-        return next(k for k, mask in enumerate(self.levels[i]) if mask >> j & 1)
+        return next(k for k, mask in enumerate(self.row(i)) if mask >> j & 1)
 
 
-def distance_census(G: Graph) -> DistanceCensus:
-    """Exact graph distances from every vertex at once, by the ball recurrence.
+def distance_census(G: Graph, sources=None) -> DistanceCensus:
+    """Exact graph distances from the given sources, or from every vertex.
 
-    B_k[x] is the mask of the vertices within distance k of x: B_0[x] = {x},
-    B_1[x] = {x} | adj[x], and for k >= 1
+    From sources, one breadth-first search each over G.adj: level k+1 is
+    the OR of adj[y] over y at level k, less the vertices within k (a
+    vertex at distance k+1 has a neighbour at distance k, and a neighbour
+    of one at distance k lies within k+1), so each vertex is expanded once,
+    n ORs a source.  A source whose search misses a vertex raises
+    DisconnectedGraph.  The diameter is the largest eccentricity among the
+    sources, and the rows are padded with zeros up to it.  With one source
+    in each orbit of G.automorphisms that is G's diameter, as automorphisms
+    preserve eccentricity.
+
+    From every vertex at once (sources None), by the ball recurrence of
+    `_grow_balls`: B_0[x] = {x} and B_1[x] = {x} | adj[x] need no
+    reductions, and level k is B_k ^ B_{k-1}.  The balls only grow, and the
+    rounds stop when every ball is full, after diameter rounds.
+    """
+    n = G.n
+    full = (1 << n) - 1
+    if sources is not None:
+        levels = {}
+        for s in sources:
+            if not 0 <= s < n:
+                raise ParameterError(f"source {s} is not a vertex of {G.family}")
+            row, seen = [], 1 << s
+            frontier = seen
+            while frontier:
+                row.append(frontier)
+                reached = reduce(or_, map(G.adj.__getitem__, iter_bits(frontier)), seen)
+                frontier = reached ^ seen
+                seen = reached
+            if seen != full:
+                raise DisconnectedGraph(f"{G.family} is not connected")
+            levels[s] = row
+        if not levels:
+            raise ParameterError("a distance census needs at least one source")
+        diameter = max(map(len, levels.values())) - 1
+        for row in levels.values():
+            row += [0] * (diameter + 1 - len(row))
+        return DistanceCensus(levels, diameter)
+    own = [1 << x for x in range(n)]
+    rounds = [own]
+    if n > 1:  # K1 stops at B_0
+        ball = list(map(or_, own, G.adj))
+        rounds.append(G.adj)
+        grow = _grow_balls(G, ball)
+        while ball.count(full) < n:
+            rounds.append(next(grow))
+    return DistanceCensus([list(row) for row in zip(*rounds)], len(rounds) - 1)
+
+
+def _grow_balls(G: Graph, ball: list[int]):
+    """The ball recurrence from ball = B_1, in place: each round turns ball
+    from B_k into B_{k+1} and yields the level masks B_{k+1} ^ B_k.
+
+    B_k[x] is the mask of the vertices within distance k of x, and for
+    k >= 1
 
         B_{k+1}[x] = B_k[x] | OR of B_k[y] over the neighbours y of x.
 
     Proof: a vertex within k of a neighbour of x is within k+1 of x, so the
     right side lies in B_{k+1}[x].  Conversely, let d(x, z) <= k+1.  Either
     d(x, z) <= k, or d(x, z) = k+1 >= 1 and the neighbour y of x on a
-    geodesic from x to z has d(y, z) = k.  Level k is B_k ^ B_{k-1}.
+    geodesic from x to z has d(y, z) = k.
 
     The neighbours are read off the clique cover G.cliques (a graph without
     one takes its edges as 2-cliques): with U_k[C] the OR of B_k[y] over
@@ -594,25 +673,17 @@ def distance_census(G: Graph) -> DistanceCensus:
     lies in U_k[C].  Each round is then 2 * (sum of clique sizes) ORs, run
     in C by reductions over stored index arrays, against the sum of the
     degrees over neighbour lists.  Once the unions hold every B_k, the balls
-    grow in place, so a round keeps one list of balls, not two.
-
-    The balls only grow.  The rounds stop when every ball is full, after
-    diameter rounds.  A round that changes no ball before then has reached
-    the components, and DisconnectedGraph is raised.
+    grow in place, so a round keeps one list of balls, not two.  A round
+    that grows no ball has reached the components before the balls are
+    full, and DisconnectedGraph is raised.
     """
     n = G.n
-    full = (1 << n) - 1
-    ball = [1 << x for x in range(n)]
-    rounds = [ball]
-    if n > 1:  # B_1 needs no reductions; K1 stops at B_0
-        ball = list(map(or_, ball, G.adj))
-        rounds.append(G.adj)
     cliques = G.cliques
     if cliques is None:
         cliques = [array("I", (x, y)) for x, mask in enumerate(G.adj)
                    for y in iter_bits(mask >> x << x)]
     through = _through(n, cliques)
-    while ball.count(full) < n:
+    while True:
         union = [reduce(or_, map(ball.__getitem__, c)) for c in cliques]
         level = [0] * n
         for x, cs in enumerate(through):
@@ -621,8 +692,20 @@ def distance_census(G: Graph) -> DistanceCensus:
             ball[x] = grown
         if not any(level):
             raise DisconnectedGraph(f"{G.family} is not connected")
-        rounds.append(level)
-    return DistanceCensus([list(row) for row in zip(*rounds)], len(rounds) - 1)
+        yield level
+
+
+def within(G: Graph, radius: int) -> list[int]:
+    """For each vertex x, the mask of the vertices at distance 1..radius
+    from x, radius >= 1: G.adj itself at radius 1, and otherwise B_radius[x]
+    less x, after radius - 1 rounds of `_grow_balls` from B_1."""
+    if radius == 1:
+        return G.adj
+    ball = [mask | 1 << x for x, mask in enumerate(G.adj)]
+    grow = _grow_balls(G, ball)
+    for _ in range(radius - 1):
+        next(grow)
+    return [mask ^ 1 << x for x, mask in enumerate(ball)]
 
 
 @dataclass(frozen=True)
@@ -682,14 +765,14 @@ def check_distance_regular(G: Graph, census: DistanceCensus) -> IntersectionArra
     an automorphism g maps the levels of x onto those of gx, so the counts
     at (x, y) equal those at (gx, gy), and every pair is (gx, gy) for a
     representative x.  Raises NotDistanceRegular with a witness pair on the
-    first mismatch.
+    first mismatch.  The census must hold the row of every representative
+    (ParameterError otherwise), so its diameter is G's.
     """
     dmax = census.diameter
     degree = [mask.bit_count() for mask in G.adj]
     triple = [None] * (dmax + 1)
-    for orbit in orbits(G):
-        x = (orbit & -orbit).bit_length() - 1
-        row = census.levels[x]
+    for x in representatives(G):
+        row = census.row(x)
         for k in range(dmax + 1):
             below = row[k - 1] if k > 0 else 0
             above = row[k + 1] if k < dmax else 0

@@ -30,7 +30,7 @@ from .errors import (
     TierLimitExceeded,
 )
 from .exact import ExactMatrix, canonical_json, format_fraction, scaled_ints
-from .graphs import DistanceCensus, Graph, IntersectionArray, orbits
+from .graphs import DistanceCensus, Graph, IntersectionArray, representatives
 
 if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI command uses
     import numpy as np
@@ -304,16 +304,18 @@ def verify_q_polynomial(kt: KreinTensor) -> tuple[tuple[int, ...], ...]:
 def materialize_distance_matrices(G: Graph, census: DistanceCensus) -> list[np.ndarray]:
     """Explicit 0/1 distance matrices A_0..A_d as int64 arrays; row x of A_k
     is the level mask levels[x][k] unpacked.  Refused above FULL_MATRIX_CAP
-    vertices."""
+    vertices, and with ParameterError when the census lacks a row (one
+    taken from some sources only)."""
     import numpy as np
 
     n = G.n
     if n > FULL_MATRIX_CAP:
         raise TierLimitExceeded(f"{n} vertices exceeds the full-matrix cap {FULL_MATRIX_CAP}")
+    rows = list(map(census.row, range(n)))
     width = (n + 7) // 8
     mats = []
     for k in range(census.diameter + 1):
-        packed = b"".join(row[k].to_bytes(width, "little") for row in census.levels)
+        packed = b"".join(row[k].to_bytes(width, "little") for row in rows)
         bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
         mats.append(np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64))
     return mats
@@ -357,7 +359,7 @@ def materialize_idempotents(
     peak = max(int(np.abs(M).max()) for M, _ in out)
     if n * peak * peak >= 2 ** 62:
         raise TierLimitExceeded("idempotent entries too large for int64 verification")
-    reps = [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]
+    reps = representatives(G)
     for i, (Mi, Di) in enumerate(out):
         if not np.array_equal(Mi[reps] @ Mi, Di * Mi[reps]):
             raise DrgError(f"E_{i} is not idempotent")
@@ -392,7 +394,7 @@ def krein_cross_check(
     mats = materialize_idempotents(G, census, sys)
     d = sys.d
     n = sys.n
-    reps = [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]
+    reps = representatives(G)
     # object dtype keeps the elementwise arithmetic in exact Python ints
     big = [M[reps].astype(object) for M, _ in mats]
     for i in range(d + 1):

@@ -78,13 +78,14 @@ class WidthReport:
 
 def distance_counts(subset: VertexSubset, census: DistanceCensus) -> list[int]:
     """Ordered-pair distance histogram of Y x Y: one popcount of
-    (level mask AND subset mask) per member and distance."""
+    (level mask AND subset mask) per member and distance.  The census must
+    hold every member's row (ParameterError otherwise)."""
     ymask = 0
     for i in subset.indices:
         ymask |= 1 << i
     counts = [0] * (census.diameter + 1)
     for i in subset.indices:
-        for k, level in enumerate(census.levels[i]):
+        for k, level in enumerate(census.row(i)):
             counts[k] += (level & ymask).bit_count()
     return counts
 
@@ -125,9 +126,12 @@ def width_and_dual_width(dist: InnerDistribution) -> WidthReport:
     return WidthReport(width=w, dual_width=ws, diameter=d, descendent=(w + ws == d))
 
 
-def load_subset(path, graph: Graph) -> VertexSubset:
-    """Subset file: JSON list of canonical vertex labels as emitted by the
-    graph cache."""
+def read_subset(path) -> list:
+    """The labels in a subset file, a nonempty JSON list of canonical vertex
+    labels as the graph cache emits them, read and shape-checked with no
+    graph at hand (`VertexSubset.from_labels` maps them onto one).
+    ParameterError for a file that is not ASCII, not JSON, or not such a
+    list; OSError for one that cannot be read."""
     with open(path, encoding="ascii") as fh:
         try:
             labels = json.load(fh)
@@ -137,4 +141,4 @@ def load_subset(path, graph: Graph) -> VertexSubset:
             raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(labels, list) or not labels:
         raise ParameterError(f"{path}: expected a nonempty JSON list of labels")
-    return VertexSubset.from_labels(graph, labels)
+    return labels

@@ -497,14 +497,16 @@ def _bits(mask):
         mask ^= low
 
 
-def census_by_bfs(adj):
+def census_by_bfs(adj, sources=None):
     """(levels, diameter) of the graph with neighbour masks adj, by one BFS
-    per source: levels[s][k] is the mask of the vertices at distance k from
-    s, padded with zeros up to the diameter.  ValueError if disconnected."""
+    per source, every vertex when sources is None: levels[i] is the list of
+    the masks of the vertices at distance k from the i-th source, padded
+    with zeros up to the largest eccentricity among the sources, which is
+    the diameter returned.  ValueError if disconnected."""
     n = len(adj)
     full = (1 << n) - 1
     levels = []
-    for s in range(n):
+    for s in range(n) if sources is None else sources:
         seen = frontier = 1 << s
         row = []
         while frontier:
@@ -521,6 +523,18 @@ def census_by_bfs(adj):
     for row in levels:
         row.extend([0] * (diameter + 1 - len(row)))
     return levels, diameter
+
+
+def threshold_by_levels(levels, diameter, t):
+    """Neighbour masks of the graph at distance 1..diameter-t: the OR of
+    levels 1..diameter-t of each row of a census from every vertex."""
+    out = []
+    for row in levels:
+        mask = 0
+        for level in row[1:diameter - t + 1]:
+            mask |= level
+        out.append(mask)
+    return out
 
 
 def is_clique_cover(adj, cliques):
@@ -569,6 +583,12 @@ def _orbits_by_closure(n, generators):
         seen |= mask
         out.append(mask)
     return out
+
+
+def orbit_representatives(n, generators):
+    """The least vertex of each orbit of the group the generators span,
+    ascending."""
+    return [(orbit & -orbit).bit_length() - 1 for orbit in _orbits_by_closure(n, generators)]
 
 
 def max_clique_reference(adj, generators=(), warm_start=None, enum_cap=10_000):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import drgcert
-from drgcert import cli, ekr_search
+from drgcert import cli, ekr_search, graphs
 from drgcert.cli import main
 from drgcert.graphs import build_twisted_grassmann
 
@@ -463,6 +463,75 @@ def test_enumeration_cap_below_one_is_refused_before_any_build(tmp_path, capsys,
     code = main([*argv, "--enum-cap", "0", "--cache", str(tmp_path)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "error: need enum_cap >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "twisted", "-q", "2", "-d", "3", "-t", "2"],
+    ["widths", "twisted", "-q", "2", "-d", "3"],
+])
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file"),
+    ('["X2", "\u00e9"]'.encode(), "not an ASCII file"),
+    (b'[["X2", [[1, 0, 0, 0, 0]]]', "not valid JSON"),
+    (b"[]", "expected a nonempty JSON list of labels"),
+    (b'{"X2": [[1, 0, 0, 0, 0]]}', "expected a nonempty JSON list of labels"),
+])
+def test_subset_file_is_refused_before_any_build(tmp_path, capsys, monkeypatch, argv, content,
+                                                 message):
+    # the 11,811-vertex build would take most of a second before the file
+    # was opened
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for family in cli.BUILDERS:
+        monkeypatch.setitem(cli.BUILDERS, family, unreachable)
+    path = tmp_path / "subset.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = main([*argv, "--subset", str(path), "--vertex-cap", "20000",
+                 "--cache", str(tmp_path / "cache")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_only_subset_commands_take_the_census_from_every_vertex(tmp_path, capsys, monkeypatch):
+    # the distance-regularity check and the threshold graphs read the rows
+    # of the orbit representatives alone; only a subset's histogram reads
+    # the others
+    class EverySource(Exception):
+        pass
+
+    real = graphs.distance_census
+    seen = []
+
+    def sources_only(G, sources=None):
+        if sources is None:
+            raise EverySource(G.family)
+        seen.append(len(sources))
+        return real(G, sources)
+
+    for module in (graphs, cli, ekr_search):
+        monkeypatch.setattr(module, "distance_census", sources_only)
+    cache = ["--cache", str(tmp_path / "cache")]
+    for argv in (
+        ["build", "twisted", "-q", "2", "-d", "2"],
+        ["eigensystem", "johnson", "-v", "7", "-d", "3"],
+        ["certify", "hamming", "-d", "4", "-q", "3", "-t", "2"],
+        ["search", "johnson", "-v", "7", "-d", "3", "-t", "1"],
+        ["verify-theorem", "-q", "2", "-d", "2", "-t", "1"],
+    ):
+        assert main([*argv, *cache]) == 0, argv
+        capsys.readouterr()
+    assert seen == [2, 1, 1, 1, 2]  # one source per orbit
+    subset = tmp_path / "subset.json"
+    subset.write_text("[[1, 2, 3]]")
+    for argv in (
+        ["widths", "johnson", "-v", "7", "-d", "3"],
+        ["certify", "johnson", "-v", "7", "-d", "3", "-t", "1"],
+    ):
+        with pytest.raises(EverySource):
+            main([*argv, "--subset", str(subset), *cache])
 
 
 def test_conflicting_family_flags_are_a_usage_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from _oracles import (
     elements,
     is_automorphism,
     is_clique_cover,
+    orbit_representatives,
     parse_graph_cache,
     projective_points,
     rref_label,
@@ -20,6 +21,7 @@ from _oracles import (
     sub_subspaces,
     subspace_label_maps,
     subspaces_by_cells,
+    threshold_by_levels,
     x2_distance_by_search,
     x2_distance_counts_by_search,
 )
@@ -50,10 +52,12 @@ from drgcert.graphs import (
     hamming_intersection_array,
     iter_bits,
     orbits,
+    representatives,
     twisted_intersection_array,
     twisted_x2_distance_counts,
     twisted_x2_vertices,
 )
+from drgcert.scheme import materialize_distance_matrices
 from drgcert.subsets import VertexSubset, distance_counts
 
 
@@ -259,7 +263,7 @@ def test_clique_keys_match_pairwise_rule(family, params):
 # automorphism generators
 
 
-@pytest.mark.parametrize("family,args", [
+ORBIT_INSTANCES = [
     ("johnson", (5, 2)),
     ("johnson", (7, 3)),
     ("johnson", (8, 4)),
@@ -276,7 +280,10 @@ def test_clique_keys_match_pairwise_rule(family, params):
     ("bilinear", (2, 1, 3)),
     ("twisted", (2, 2)),
     ("twisted", (3, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("family,args", ORBIT_INSTANCES)
 def test_generators_are_automorphisms_with_expected_orbits(family, args, built):
     g, census, _, _ = built(family, *args)
     assert len(g.automorphisms) >= 2
@@ -536,35 +543,26 @@ def test_census_disconnected():
             census_by_bfs(adj)
 
 
-@pytest.mark.parametrize(
-    "family,args",
-    [
-        ("johnson", (7, 3)),
-        ("johnson", (12, 4)),
-        ("hamming", (5, 4)),
-        ("grassmann", (2, 5, 2)),
-        ("bilinear", (2, 2, 3)),
-        ("twisted", (2, 2)),
-        ("twisted", (3, 2)),
-    ],
-)
+CENSUS_INSTANCES = [
+    ("johnson", (7, 3)),
+    ("johnson", (12, 4)),
+    ("hamming", (5, 4)),
+    ("grassmann", (2, 5, 2)),
+    ("bilinear", (2, 2, 3)),
+    ("twisted", (2, 2)),
+    ("twisted", (3, 2)),
+]
+#: every builder instance of the lists above, each once
+BUILDER_INSTANCES = ORBIT_INSTANCES + [x for x in CENSUS_INSTANCES if x not in ORBIT_INSTANCES]
+
+
+@pytest.mark.parametrize("family,args", CENSUS_INSTANCES)
 def test_census_matches_bfs_oracle(family, args, built):
     g, census, _, _ = built(family, *args)
     assert (census.levels, census.diameter) == census_by_bfs(g.adj)
 
 
-@pytest.mark.parametrize(
-    "family,args",
-    [
-        ("johnson", (7, 3)),
-        ("johnson", (12, 4)),
-        ("hamming", (5, 4)),
-        ("grassmann", (2, 5, 2)),
-        ("bilinear", (2, 2, 3)),
-        ("twisted", (2, 2)),
-        ("twisted", (3, 2)),
-    ],
-)
+@pytest.mark.parametrize("family,args", CENSUS_INSTANCES)
 def test_builder_cliques_cover_the_edges(family, args, built):
     g = built(family, *args)[0]
     assert g.cliques and is_clique_cover(g.adj, g.cliques)
@@ -652,6 +650,83 @@ def test_census_consumers_match_networkx(family, args, built):
             for j in idx:
                 expected[oracle[i][j]] += 1
         assert distance_counts(VertexSubset(g, idx), census) == expected
+
+
+@pytest.mark.parametrize("family,args", BUILDER_INSTANCES)
+def test_representative_census_matches_bfs_oracle(family, args, built):
+    # one source per orbit, found by the oracle's own closure; the twisted
+    # graph has two, X1 and X2
+    g, full, _, _ = built(family, *args)
+    reps = orbit_representatives(g.n, g.automorphisms)
+    assert representatives(g) == reps
+    assert len(reps) == (2 if family == "twisted" else 1)
+    census = distance_census(g, reps)
+    levels, diameter = census_by_bfs(g.adj, reps)
+    assert census.levels == dict(zip(reps, levels))
+    assert census.diameter == diameter == full.diameter
+
+
+@pytest.mark.parametrize("family,args", BUILDER_INSTANCES)
+def test_threshold_graph_matches_levels_oracle(family, args, built):
+    g = built(family, *args)[0]
+    levels, d = census_by_bfs(g.adj)
+    census = distance_census(g, representatives(g))
+    for t in range(1, d):
+        thr = threshold_graph(g, census, t)
+        assert thr.adj == threshold_by_levels(levels, d, t)
+        assert orbits(thr) is orbits(g)  # found once, for G, and taken over
+
+
+@pytest.mark.parametrize("name,adj,sources", [
+    ("K1", [0], [0]),
+    ("P4", [2, 5, 10, 4], [0, 1, 2, 3]),
+    ("P4", [2, 5, 10, 4], [1, 2]),  # the middle: eccentricity 2
+    ("P4", [2, 5, 10, 4], [2, 0]),  # the row of 2 is padded to the end's 3
+])
+def test_census_from_sources_small_graphs(name, adj, sources):
+    g = Graph(name, {}, list(range(len(adj))), adj)
+    assert representatives(g) == list(range(len(adj)))  # the trivial group
+    census = distance_census(g, sources)
+    levels, diameter = census_by_bfs(adj, sources)
+    assert census.levels == dict(zip(sources, levels)) and census.diameter == diameter
+
+
+def test_census_from_sources_disconnected():
+    for adj in ([2, 1, 8, 4], [2, 1, 0], [0, 0], [6, 5, 3, 0]):
+        bad = Graph("bad", {}, list(range(len(adj))), adj)
+        for sources in [representatives(bad)] + [[s] for s in range(len(adj))]:
+            with pytest.raises(DisconnectedGraph):
+                distance_census(bad, sources)
+            with pytest.raises(ValueError):
+                census_by_bfs(adj, sources)
+
+
+def test_census_consumers_refuse_a_missing_row(built):
+    g, _, _, _ = built("twisted", 2, 2)
+    x1, x2 = representatives(g)
+    census = distance_census(g, [x1])  # no X2 source
+    with pytest.raises(ParameterError, match=f"no row for vertex {x2}"):
+        check_distance_regular(g, census)
+    with pytest.raises(ParameterError, match=f"no row for vertex {x2}"):
+        threshold_graph(g, census, 1)
+    with pytest.raises(ParameterError, match=f"no row for vertex {x2}"):
+        distance_counts(VertexSubset(g, [x1, x2]), census)
+    assert distance_counts(VertexSubset(g, [x1]), census) == [1, 0, 0]
+    with pytest.raises(ParameterError, match="no row for vertex 1"):
+        materialize_distance_matrices(g, distance_census(g, [x1, x2]))
+    for sources in ([], [g.n], [-1]):
+        with pytest.raises(ParameterError):
+            distance_census(g, sources)
+
+
+def test_orbits_are_found_once_per_generating_tuple():
+    g = build_twisted_grassmann(2, 2)
+    first = orbits(g)
+    assert orbits(g) is first
+    assert orbits(threshold_graph(g, distance_census(g, representatives(g)), 1)) is first
+    g.automorphisms = g.automorphisms[1:]  # other generators: found again
+    assert orbits(g) is not first
+    assert representatives(g) == orbit_representatives(g.n, g.automorphisms)
 
 
 def test_check_distance_regular_examples(built):

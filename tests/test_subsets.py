@@ -25,7 +25,7 @@ from drgcert.subsets import (
     distance_counts,
     inner_distribution,
     inner_distribution_from_counts,
-    load_subset,
+    read_subset,
     width_and_dual_width,
 )
 
@@ -183,16 +183,17 @@ def test_subset_file_io(tmp_path, built):
     labels = [list(lab) for lab in g.vertices if lab[0] == "X2"]
     path = tmp_path / "x2.json"
     path.write_text(json.dumps([[p, [list(r) for r in rows]] for p, rows in labels]))
-    sub = load_subset(path, g)
+    sub = VertexSubset.from_labels(g, read_subset(path))
     assert sub.size == 15
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([["X9", [[0, 0, 0, 0, 1]]]]))
+    labels = read_subset(bad)  # a well-formed list, of no vertex of g
     with pytest.raises(ParameterError):
-        load_subset(bad, g)
+        VertexSubset.from_labels(g, labels)
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
     with pytest.raises(ParameterError):
-        load_subset(empty, g)
+        read_subset(empty)
 
 
 def test_distance_counts_direct(built):
