@@ -35,13 +35,18 @@ def format_fraction(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# one encoder for every call: json.dumps with options builds a new one each
+# time, and a graph cache encodes each vertex label on its own
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False, default=format_fraction)
+
+
 def canonical_json(doc) -> str:
     """The one encoder of every report and cache: sorted keys, no spaces,
     each Fraction as its 'num/den' string (any other value JSON does not
     know raises TypeError).  A document is a fresh tree of plain values, so
     it holds no cycle to look for."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False, default=format_fraction)
+    return _ENCODER.encode(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,10 @@ Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
 Grassmann families and are cross-validated against BFS-extracted arrays in
 the test suite.  On that tier `twisted_x2_distance_counts` gives the
-distance histogram of a set of X2 vertices from their point sets, by a
-proved rule, for every q.
+distance histogram of a set of X2 vertices by a proved rule, for every q,
+with no pair of them looked at: it counts how many members share each
+hyperplane (and, from d = 4, each codim-2 subspace), in time linear in
+the members.
 """
 from __future__ import annotations
 
@@ -842,41 +844,51 @@ def twisted_intersection_array(q: int, d: int) -> IntersectionArray:
 
 
 class X2PointIndex:
-    """Point masks of X2 vertices of twisted(q, d), shared by the
-    histograms of many sets of them.  Each point of H = GF(q)^(2d) that a
-    spanned member contains gets one bit, keyed by its `_pack` int (the
-    trailing zero coordinate of a member packs to nothing).  A member's
-    mask is spanned by `_span_points` the first time a histogram needs it
-    and kept, so a vertex in many sets is spanned once; only members that
-    pass the checks of `span` are kept."""
+    """Point and hyperplane masks of X2 vertices of twisted(q, d), shared by
+    the histograms of many sets of them.  Each point of H = GF(q)^(2d) that
+    a spanned member contains gets one bit, keyed by its `_pack` int (the
+    trailing zero coordinate of a member packs to nothing).  A member is
+    spanned by `_span_points` the first time a histogram needs it, and
+    masks keeps, under its rows, its point mask and the masks of its
+    [d-1]_q hyperplanes, taken from `_hyperplane_positions(d-1, q)` over
+    the same spanned points.  So a vertex in many sets is spanned once;
+    only members that pass the checks of `span` are kept."""
 
     __slots__ = ("q", "d", "bits", "masks")
 
     def __init__(self, q: int, d: int):
         self.q, self.d, self.bits, self.masks = q, d, {}, {}
 
-    def span(self, rows) -> int:
-        """The mask of rows, d-1 rows of length 2d+1 with entries in
-        0..q-1 and last entry 0, in echelon form with leading entries 1;
-        ParameterError otherwise.  An entry outside 0..q-1 would overflow
-        or mis-sum its `_pack` field."""
+    def span(self, rows) -> tuple[int, tuple[int, ...]]:
+        """(point mask, hyperplane masks) of rows, d-1 rows of length 2d+1
+        with entries in 0..q-1 and last entry 0, in echelon form with
+        leading entries 1; ParameterError otherwise.  An entry outside
+        0..q-1 would overflow or mis-sum its `_pack` field."""
         q, k, n = self.q, self.d - 1, 2 * self.d + 1
         if len(rows) != k or any(len(row) != n or row[-1] or min(row) < 0 or max(row) >= q
                                  for row in rows):
             raise ParameterError(
                 f"{rows!r} is not {k} rows of length {n} over 0..{q - 1} with last entry 0")
         bits = self.bits
-        mask = self.masks[rows] = sum(
-            1 << bits.setdefault(p, len(bits)) for p in _span_points(rows, self.q))
-        return mask
+        point = [1 << bits.setdefault(p, len(bits)) for p in _span_points(rows, q)]
+        held = self.masks[rows] = (sum(point), tuple(
+            sum(map(point.__getitem__, pos)) for pos in _hyperplane_positions(k, q)))
+        return held
 
 
-def twisted_x2_distance_counts(members: list[tuple], q: int, d: int,
+def _shared_pairs(keys) -> int:
+    """The number of unordered pairs of equal items among keys."""
+    return sum(c * (c - 1) for c in Counter(keys).values()) // 2
+
+
+def twisted_x2_distance_counts(members: list, q: int, d: int,
                                points: X2PointIndex | None = None) -> list[int]:
     """Histogram of ordered-pair distances within a list of distinct X2
     vertices (canonical RREF bases of (d-1)-dim subspaces of H, each row
     with its trailing zero), over the twisted graph of diameter d, from the
-    adjacency rule alone (the graph is never materialized).
+    adjacency rule alone (the graph is never materialized).  Members may
+    be given as lists of rows or rows as lists, as JSON labels read back
+    are; they are keyed as tuples.
 
     Let g = dim x - dim(x meet y), the distance of x and y in the Grassmann
     graph J_q(2d, d-1) that X2 induces (x ~ y iff they meet in dimension d-2,
@@ -896,11 +908,32 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int,
     vertex; the common neighbours are all in X2.)  Distances of 3 and more
     depend on paths through X1, so they raise DistanceUndetermined.
 
-    x meet y has [dim(x meet y)]_q points (`_PointSets`): with one bit per
-    point that some member contains, it is one AND plus a popcount, for
-    every prime q.  The masks come from points, an `X2PointIndex` of the
-    same q and d that other calls may share (a fresh one when None), so a
-    member it already holds is not spanned again.
+    The pairs at each gap are double counted over the subspaces that the
+    members share, with no pair looked at: O(m [d-1]_q) counter steps for
+    m members, and O(m [d-1]_q^2) mask ANDs more at d >= 4.  For distinct
+    x, y a subspace inside both is inside x meet y, of dimension d-1-g.
+
+    * N1, the pairs at gap 1, is the sum over the (d-2)-spaces h of C(c_h,
+      2), c_h the number of members that have h as a hyperplane.  A pair
+      shares h iff h <= x meet y, that is iff x meet y = h, as
+      dim(x meet y) <= d-2 for x != y: a pair at gap 1 shares exactly one,
+      any other pair none.
+    * N2, at d >= 4, is the sum over the (d-3)-spaces w of C(c_w, 2), less
+      [d-2]_q N1, c_w the number of members that contain w.  A pair shares
+      the (d-3)-spaces of x meet y: [d-2]_q of them at gap 1, one at gap 2
+      and none further apart.  The (d-3)-spaces of x are the meets h
+      meet h' of two distinct hyperplanes of x: each such meet is one, and
+      each w is the meet of any two of the q+1 hyperplanes of x through it,
+      so the meets are taken as a set, each w once per member.
+      C(m, 2) - N1 - N2 pairs are then at gap 3 or more, which raises.
+    * At d <= 3, g <= d-1 <= 2, so N2 = C(m, 2) - N1 with no such pass.
+
+    A subspace's point mask (`_PointSets`) is the set of its points, so the
+    mask of h meet h' is the AND of theirs, and two members are one
+    subspace iff their point masks are equal.  The masks come from points,
+    an `X2PointIndex` of the same q and d that other calls may share (a
+    fresh one when None), so a member it already holds is not spanned
+    again.
 
     Refused, in this order: a q that is not prime (UnsupportedField), before
     any span, as the spans would be taken in Z/q, which is no field; then,
@@ -919,21 +952,25 @@ def twisted_x2_distance_counts(members: list[tuple], q: int, d: int,
         raise ParameterError(
             f"point index of twisted({points.q},{points.d}) used for twisted({q},{d})")
     held, span = points.masks.get, points.span
-    masks = [held(rows) or span(rows) for rows in members]
-    common = Counter(map(int.bit_count, itertools.starmap(and_, itertools.combinations(masks, 2))))
-    if q_int(d - 1, q) in common:
+    try:
+        spanned = [held(rows) or span(rows) for rows in members]
+    except TypeError:  # list rows, as json.loads gives labels, are unhashable
+        members = [tuple(map(tuple, rows)) for rows in members]
+        spanned = [held(rows) or span(rows) for rows in members]
+    m = len(spanned)
+    if len({point for point, _ in spanned}) < m:
         raise ParameterError("two members are the same subspace")
-    meet_dim = {q_int(k, q): k for k in range(d - 1)}
-    counts = [0] * (d + 1)
-    counts[0] = len(members)
-    for size, pairs in common.items():
-        gap = d - 1 - meet_dim[size]
-        if gap > 2:
+    gap1 = _shared_pairs(itertools.chain.from_iterable(hyps for _, hyps in spanned))
+    gap2 = comb(m, 2) - gap1
+    if d >= 4:
+        gap2 = _shared_pairs(itertools.chain.from_iterable(
+            set(itertools.starmap(and_, itertools.combinations(hyps, 2)))
+            for _, hyps in spanned)) - q_int(d - 2, q) * gap1
+        if comb(m, 2) - gap1 - gap2:
             raise DistanceUndetermined(
                 "pair is at distance >= 3; materialize the graph for an exact value"
             )
-        counts[gap] += 2 * pairs
-    return counts
+    return [m, 2 * gap1, 2 * gap2] + [0] * (d - 2)
 
 
 # ---------------------------------------------------------------------------

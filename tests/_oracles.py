@@ -9,8 +9,10 @@ correct; used on small inputs only.
 """
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
+from operator import and_
 
 import numpy as np
 
@@ -307,6 +309,28 @@ def x2_distance_counts_by_search(members, q, d):
             if dist is None:
                 raise ValueError(f"pair {x}, {y} is at distance >= 3")
             counts[dist] += 1
+    return counts
+
+
+def x2_counts_by_pairs(members, q, d):
+    """Ordered-pair distance histogram of X2 vertices given by basis rows,
+    by the meet of every pair: the pair count the package once used, on
+    the explicit point sets here, so a meet of dimension k has q^k vectors
+    where the package's point masks had [k]_q points.  The distance is the
+    gap d - 1 - dim(x meet y) when that is 1 or 2; a repeated subspace or
+    a pair further apart raises ValueError."""
+    sets = [span(rows, q, 2 * d + 1) for rows in members]
+    common = Counter(map(len, itertools.starmap(and_, itertools.combinations(sets, 2))))
+    if q ** (d - 1) in common:
+        raise ValueError("two members are the same subspace")
+    meet_dim = {q ** k: k for k in range(d - 1)}
+    counts = [0] * (d + 1)
+    counts[0] = len(members)
+    for size, pairs in common.items():
+        gap = d - 1 - meet_dim[size]
+        if gap > 2:
+            raise ValueError("pair is at distance >= 3")
+        counts[gap] += 2 * pairs
     return counts
 
 

@@ -17,11 +17,13 @@ from _oracles import (
     parse_graph_cache,
     projective_points,
     rref_label,
+    rref_rows,
     span,
     sub_subspaces,
     subspace_label_maps,
     subspaces_by_cells,
     threshold_by_levels,
+    x2_counts_by_pairs,
     x2_distance_by_search,
     x2_distance_counts_by_search,
 )
@@ -909,6 +911,106 @@ def test_x2_meet_dims_match_point_sets():
                 expected[{q * q: 0, q: 1, 1: 2}[len(x & y)]] += 1
         assert expected[1] and expected[2]
         assert twisted_x2_distance_counts(members, q, 3) == expected
+
+
+def _x2_member(vectors, q):
+    """The X2 label of the span of vectors of H = GF(q)^(2d), or None when
+    they are dependent."""
+    rows = rref_rows(vectors, q)
+    return tuple(row + (0,) for row in rows) if len(rows) == len(vectors) else None
+
+
+def _vector(*entries):
+    """The vector of GF(q)^8 with the given entries first and zeros after;
+    a member of H = GF(q)^(2d) takes its first 2d entries."""
+    return entries + (0,) * (8 - len(entries))
+
+
+# at each d a set with pairs at gap 1 and at gap 2 (none at d = 2), then a
+# member at gap 3 from the first; an entry -1 is q - 1
+X2_GAPS = {
+    2: ([[_vector(1)], [_vector(0, 1)], [_vector(1, -1)]], [3, 6, 0], None),
+    3: ([[_vector(1), _vector(0, 1)],
+         [_vector(1), _vector(0, 1, -1)],
+         [_vector(0, 0, 1), _vector(0, 0, 0, 1)]], [3, 2, 4, 0], None),
+    4: ([[_vector(1), _vector(0, 1), _vector(0, 0, 1)],
+         [_vector(1), _vector(0, 1), _vector(0, 0, -1, 1)],
+         [_vector(1), _vector(0, 0, 0, 0, 1), _vector(0, 1, 0, 0, 0, 1)]], [3, 2, 4, 0, 0],
+        [_vector(0, 0, 0, 1), _vector(0, 0, 0, 0, 1), _vector(0, 0, 0, 0, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for d in (2, 3, 4) for q in (2, 3, 5)])
+def test_x2_histogram_counts_each_gap(q, d):
+    # at d = 4 the pair at gap 1 shares q + 1 lines, the first of them with
+    # the third member too, so the [d-2]_q term, the codim-2 pass and its
+    # one count of each meet a member repeats all change the result
+    vectors, expected, far = X2_GAPS[d]
+    members = [_x2_member([v[:2 * d] for v in vs], q) for vs in vectors]
+    assert twisted_x2_distance_counts(members, q, d) == expected
+    assert x2_counts_by_pairs(members, q, d) == expected
+    if q ** (d - 1) <= 9:
+        assert x2_distance_counts_by_search(members, q, d) == expected
+    if far:
+        members.append(_x2_member([v[:2 * d] for v in far], q))
+        with pytest.raises(ValueError, match="distance >= 3"):
+            x2_counts_by_pairs(members, q, d)
+        with pytest.raises(DistanceUndetermined):
+            twisted_x2_distance_counts(members, q, d)
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for d in (2, 3, 4) for q in (2, 3, 5)])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_x2_histogram_matches_pair_count(q, d, data):
+    # (d-1)-spaces spanned by a few of at most d+2 vectors of H, so that
+    # many pairs share a hyperplane or a codim-2 space, and at d = 4 some
+    # meet in 0
+    vector = st.tuples(*[st.integers(0, q - 1)] * (2 * d))
+    pool = data.draw(st.lists(vector, min_size=d, max_size=d + 2))
+    picks = data.draw(st.lists(st.sampled_from(list(itertools.combinations(pool, d - 1))),
+                               min_size=2, max_size=10))
+    members = sorted({_x2_member(list(p), q) for p in picks} - {None})
+    try:
+        expected = x2_counts_by_pairs(members, q, d)
+    except ValueError:  # the members are distinct, so a pair is at gap >= 3
+        event("gap >= 3")
+        with pytest.raises(DistanceUndetermined):
+            twisted_x2_distance_counts(members, q, d)
+        return
+    event(f"gaps {[gap for gap in (1, 2) if expected[gap]]}")
+    assert twisted_x2_distance_counts(members, q, d) == expected
+    if q ** (d - 1) <= 9 and len(members) <= 6:
+        assert x2_distance_counts_by_search(members, q, d) == expected
+
+
+def test_whole_x2_of_twisted_3_3_is_a_grassmann_histogram(deadline):
+    # X2 induces J_3(6, 2), of diameter 2, so each of its n members has k1
+    # members at distance 1 and n - 1 - k1 at distance 2: 60.6M pairs
+    deadline(10)
+    q = 3
+
+    def bracket(k):
+        return (q ** k - 1) // (q - 1)
+
+    n = bracket(6) * bracket(5) // (bracket(2) * bracket(1))
+    k1 = q * bracket(2) * bracket(4)
+    assert (n, k1) == (11_011, 480)
+    counts = twisted_x2_distance_counts(twisted_x2_vertices(q, 3), q, 3)
+    assert counts == [n, n * k1, n * (n - 1 - k1), 0]
+
+
+@pytest.mark.parametrize("members", [
+    [[[1, 0, 0, 0, 0]], [[0, 1, 0, 0, 0]]],  # as json.loads returns X2 rows
+    [([1, 0, 0, 0, 0],), ([0, 1, 0, 0, 0],)],
+])
+def test_x2_members_given_as_lists(members):
+    # lists are unhashable; the members are keyed as tuples of tuples
+    points = graphs.X2PointIndex(2, 2)
+    assert twisted_x2_distance_counts(members, 2, 2, points) == [2, 2, 0]
+    assert list(points.masks) == [((1, 0, 0, 0, 0),), ((0, 1, 0, 0, 0),)]
+    with pytest.raises(ParameterError, match="same subspace"):
+        twisted_x2_distance_counts(members + [((1, 0, 0, 0, 0),)], 2, 2, points)
 
 
 @pytest.mark.parametrize("members", [
