@@ -168,16 +168,12 @@ def _eliminate(M: list[list[int]], n: int) -> int:
     return prev
 
 
-def _gauss_jordan(aug: Sequence[Sequence[Scalar]], n: int) -> list[list[Fraction]]:
-    """A^{-1} B for the augmented matrix [A | B], A n x n, over Q; raises
-    SingularSystem when A is singular.
-
-    Each row is scaled to integers by the lcm of its denominators, which
-    leaves A^{-1} B unchanged, and reduced by `_eliminate`.  The integer
-    result is re-substituted, A' X = det B' with A', B' the scaled rows,
-    before the rationals X / det are formed; a mismatch raises DrgError.
-    """
-    rows = [scaled_ints((r,))[1][0] for r in aug]
+def solve_integer_rows(rows: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
+    """(det, X) with A X = det B for the integer rows [A | B], A n x n:
+    det = +-det A and X = det A^{-1} B, both integral, from one
+    `_eliminate`.  X is re-substituted, A X = det B, before it is
+    returned; a mismatch raises DrgError.  Raises SingularSystem when A
+    is singular."""
     M = [list(r) for r in rows]
     det = _eliminate(M, n)
     X = [r[n:] for r in M]
@@ -185,6 +181,17 @@ def _gauss_jordan(aug: Sequence[Sequence[Scalar]], n: int) -> list[list[Fraction
         for c, b in enumerate(r[n:]):
             if sum(map(mul, r[:n], (x[c] for x in X))) != det * b:
                 raise DrgError("exact solve failed re-substitution")
+    return det, X
+
+
+def _gauss_jordan(aug: Sequence[Sequence[Scalar]], n: int) -> list[list[Fraction]]:
+    """A^{-1} B for the augmented matrix [A | B], A n x n, over Q; raises
+    SingularSystem when A is singular.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves A^{-1} B unchanged, and solved by `solve_integer_rows`; the
+    rationals X / det are formed from its re-substituted integer X."""
+    det, X = solve_integer_rows([scaled_ints((r,))[1][0] for r in aug], n)
     return [[Fraction(x, det) for x in r] for r in X]
 
 

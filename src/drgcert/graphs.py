@@ -64,7 +64,9 @@ from .errors import (
     TierLimitExceeded,
     UnsupportedField,
 )
-from .exact import canonical_json, is_prime, q_binomial, q_int, rref_gf
+# graphs.rref_gf stays bound: perfbench/test_perfbench.py checks that the
+# tracer restores it
+from .exact import canonical_json, is_prime, q_binomial, q_int, rref_gf  # noqa: F401
 
 DEFAULT_VERTEX_CAP = 20_000
 
@@ -376,7 +378,8 @@ class _PointSets:
     masks, and the mask of S meet T is the mask of S AND the mask of T.
 
     A linear bijection f maps the points of x onto the points of f(x).  Let
-    N scale a nonzero vector to a point (`rref_gf` of the one row).  p ->
+    N scale a nonzero vector to a point (times the inverse of its first
+    nonzero entry, q being prime), looked up by its `_pack` int.  p ->
     N(f(p)) is injective on the points: N(f(p)) = N(f(p')) gives f(p) =
     a f(p'), so p = a p', and a = 1 as both are points.  It maps the points
     of x into f(x), which has as many points as x, as dim f(x) = dim x; so
@@ -407,10 +410,16 @@ class _PointSets:
         images of the points: the subspace whose mask is the image of x's
         mask, or None where no subspace here has that mask.  That is f(x)
         when f is linear and bijective; the caller checks the result."""
-        bit = {(p,): b for p, b in zip(self.points, self.bit)}  # keyed as rref_gf returns
+        q = self.q
+
+        def point(x):  # N(x) by its index; pow raises ValueError when x is 0
+            x = [a % q for a in x]
+            inv = pow(next(filter(None, x), 0), -1, q)
+            return self.index[_pack([a * inv % q for a in x], q)]
+
         try:
-            moved = [bit[rref_gf([f(p)], self.q)[0]] for p in self.points]
-        except KeyError:  # f(p) is 0 or no vector of GF(q)^v
+            moved = [self.bit[point(f(p))] for p in self.points]
+        except (KeyError, ValueError):  # f(p) is 0 or no vector of GF(q)^v
             return lambda rows: None
         return lambda rows: self.subspace.get(sum(map(moved.__getitem__, self.of[rows])))
 

@@ -13,23 +13,29 @@ A nonnegative f already gives the inequality; strict positivity is what
 gives the equality clause.
 
 f is solved from the eigensystem's D*Q, which `SchemeEigensystem` forms
-once (an equation scaled by D keeps its solution), the dual checks and the
-bound are integer sums over it, and each eigensystem keeps the
-certificate of each t it was asked for, so a job that certifies many
-families of one eigensystem solves the system once.
+once (an equation scaled by D keeps its solution), by one fraction-free
+elimination on its integer rows (`exact.solve_integer_rows`, which
+re-substitutes its result).  f stays integers over the determinant through
+the normalisation, zero-block, positivity and dual-constraint checks and
+the bound, and its Fractions are formed once, for the DualCertificate.
+Each eigensystem keeps the certificate of each t it was asked for, so a
+job that certifies many families of one eigensystem solves the system
+once.
 
 For Hamming graphs there is a second, independent route: the (possibly
 formal) inner distribution e' of a length-d minimum-distance-(t+1) code of
 size q^(d-t) is uniquely determined by the same kind of linear system in the
 e-domain, and f = e' . diag(k_0..k_d)^{-1}.  That route builds no
 eigensystem: H(d,q) is self-dual, so Q_ij = K_j(i), the Krawtchouk
-polynomial, and k_i = C(d,i) (q-1)^i, both integers in closed form.
+polynomial, and k_i = C(d,i) (q-1)^i, both integers in closed form; e' is
+solved on the Krawtchouk rows in the same way, and f is kept as integers
+over det * lcm(k).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
@@ -40,7 +46,7 @@ from .errors import (
     UnsupportedFamily,
     WidthTooLarge,
 )
-from .exact import q_binomial, scaled_ints, solve_linear_exact
+from .exact import q_binomial, solve_integer_rows
 from .scheme import SchemeEigensystem
 from .subsets import InnerDistribution
 
@@ -77,21 +83,20 @@ class CertReport:
 
 
 def _finish_certificate(
-    f: tuple[Fraction, ...], t: int, D: int, Qi: Sequence[Sequence[int]]
+    fi: Sequence[int], F: int, t: int, D: int, Qi: Sequence[Sequence[int]]
 ) -> DualCertificate:
-    """Feasibility of f and its bound (fQ^T)_0, from Qi = D Q integral.
-    With F f integral too (F the lcm of its denominators), (fQ^T)_j is the
-    integer sum sum_i (F f_i)(D Q_ji) over F D, so the dual constraints are
-    integer tests and the bound is the one Fraction formed."""
+    """Feasibility and bound of f = fi / F, F > 0, from Qi = D Q integral.
+    (fQ^T)_j is the integer sum sum_i fi_i (D Q_ji) over F D, so every
+    check is an integer test, and the Fractions of f and of the bound are
+    formed once, here."""
     d = len(Qi) - 1
-    F, (fi,) = scaled_ints((f,))
     norm_ok = fi[0] == F
     zero_ok = not any(fi[1:t + 1])
     pos_ok = all(x > 0 for x in fi[t + 1:])
     dual_ok = not any(sum(map(mul, fi, Qi[j])) for j in range(1, d - t + 1))
     return DualCertificate(
         t=t,
-        f=tuple(f),
+        f=tuple(Fraction(x, F) for x in fi),
         bound=Fraction(sum(map(mul, fi, Qi[0])), F * D),
         feasible=norm_ok and zero_ok and pos_ok and dual_ok,
         normalization_ok=norm_ok,
@@ -101,13 +106,16 @@ def _finish_certificate(
     )
 
 
-def _pinned_solution(M: Sequence[Sequence[int]], t: int) -> tuple[Fraction, ...]:
-    """The x with x_0 = 1, x_1 = ... = x_t = 0 and (xM^T)_j = 0 for
-    j = 1..d-t, solved exactly; any nonzero multiple of M, such as D*Q for
-    Q, gives the same x."""
+def _pinned_solution(M: Sequence[Sequence[int]], t: int) -> tuple[int, list[int]]:
+    """(F, x) with F > 0 and x integral, where f = x / F has f_0 = 1,
+    f_1 = ... = f_t = 0 and (fM^T)_j = 0 for j = 1..d-t.  The tail is
+    solved by `solve_integer_rows` on the integer rows of M, and F is the
+    absolute value of its determinant; any nonzero multiple of M, such as
+    D*Q for Q, gives the same f."""
     eqs = M[1:len(M) - t]
-    tail = solve_linear_exact([row[t + 1:] for row in eqs], [-row[0] for row in eqs])
-    return (Fraction(1),) + (Fraction(0),) * t + tail
+    det, X = solve_integer_rows([[*row[t + 1:], -row[0]] for row in eqs], len(eqs))
+    sign = -1 if det < 0 else 1
+    return sign * det, [sign * det] + [0] * t + [sign * x for (x,) in X]
 
 
 def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
@@ -124,8 +132,8 @@ def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
     cert = sys.certificates.get(t)
     if cert is None:
-        cert = sys.certificates[t] = _finish_certificate(
-            _pinned_solution(sys.DQ, t), t, sys.D, sys.DQ)
+        F, fi = _pinned_solution(sys.DQ, t)
+        cert = sys.certificates[t] = _finish_certificate(fi, F, t, sys.D, sys.DQ)
     return cert
 
 
@@ -162,9 +170,10 @@ def hamming_certificate(d: int, q: int, t: int) -> DualCertificate:
     if q < 2:
         raise ParameterError(f"need q >= 2, got q={q}")
     K = krawtchouk_matrix(d, q)
-    eprime = _pinned_solution(tuple(zip(*K)), t)
-    f = tuple(ei / (comb(d, i) * (q - 1) ** i) for i, ei in enumerate(eprime))
-    return _finish_certificate(f, t, 1, K)
+    F, eprime = _pinned_solution(tuple(zip(*K)), t)
+    k = [comb(d, i) * (q - 1) ** i for i in range(d + 1)]
+    L = lcm(*k)  # f = e' / k = (e'_i L / k_i)_i / (F L)
+    return _finish_certificate([ei * (L // ki) for ei, ki in zip(eprime, k)], F * L, t, 1, K)
 
 
 def expected_bound(family: str, params: dict, t: int):

@@ -8,9 +8,12 @@ recurrence of the distance polynomials in integers, each division checked
 exact (P_ji is a rational eigenvalue of the integer matrix A_i, so an
 integer, for every distance-regular graph), Q by the orthogonality relations
 m_j = |X| / sum_i P_ji^2 / k_i and Q_ij = m_j P_ji / k_i (checked by
-PQ = |X| I), and the Krein tensor certifies the Q-polynomial ordering.
-The full-matrix tier (up to FULL_MATRIX_CAP vertices) builds the E_i
-explicitly and checks their product and Krein identities on one row per
+PQ = |X| I), and the Krein tensor certifies the Q-polynomial ordering: its
+sign check and the ordering walks read the integer sums
+S_ijk = sum_l k_l (DQ)_li (DQ)_lj (DQ)_lk, symmetric in i, j and k and
+formed for i <= j <= k only; Fractions are formed only when
+`krein_parameters` is asked for the values.  The full-matrix tier (up to
+FULL_MATRIX_CAP vertices) builds the E_i explicitly and checks their product and Krein identities on one row per
 orbit of the graph's verified automorphisms.
 """
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -49,10 +53,10 @@ class SchemeEigensystem:
 
     `__post_init__` derives the integer forms from P and Q on every
     construction, `dataclasses.replace` and `_reorder` included, so they
-    never go stale: `D`, the lcm of Q's denominators, `DQ` = D*Q, and
-    `P_int`, P's rows as ints (P is integral for every distance-regular
-    graph; a fractional P is refused).  `certificates` memoizes
-    `lp_cert.solve_certificate` by t, for this object alone.
+    never go stale: `D`, the lcm of Q's denominators, and `DQ` = D*Q.
+    P is integral for every distance-regular graph; a fractional P is
+    refused.  `certificates` memoizes `lp_cert.solve_certificate` by t,
+    for this object alone.
     """
 
     n: int
@@ -66,7 +70,6 @@ class SchemeEigensystem:
     passing_orderings: tuple[tuple[int, ...], ...]
     D: int = field(init=False, compare=False, repr=False)
     DQ: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    P_int: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     certificates: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -76,7 +79,6 @@ class SchemeEigensystem:
         put = object.__setattr__  # the dataclass is frozen
         put(self, "D", D)
         put(self, "DQ", tuple(map(tuple, DQ)))
-        put(self, "P_int", tuple(tuple(x.numerator for x in row) for row in self.P.rows))
         put(self, "certificates", {})
 
 
@@ -92,6 +94,13 @@ class KreinTensor:
 
     def q(self, k: int, i: int, j: int) -> Fraction:
         return self.values[k][i][j]
+
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """support[j][c], the mask of the b with q^b_{j,c} != 0, which is
+        all that `verify_q_polynomial` reads."""
+        r = range(self.d + 1)
+        return tuple(tuple(sum(1 << b for b in r if self.values[b][j][c]) for c in r)
+                     for j in r)
 
 
 def _scaled_minors(arr: IntersectionArray, a: tuple[int, ...], y: int) -> list[int]:
@@ -124,11 +133,15 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     integer, so at x = y/2 with y odd no p_i vanishes and N is read off the
     signs of the integers P_i = 2^i p_i(y/2), with no zero to skip.
 
-    All eigenvalues lie in [-b_0, b_0] (L >= 0 with row sums b_0).  Integer
-    bisection on N(m + 1/2) puts the j-th largest eigenvalue in
-    (m - 1/2, m + 1/2); it equals m exactly when p_{d+1}(m) = 0 and is
-    irrational otherwise.  d+1 distinct confirmed integers are all the roots.
-    Raises IrrationalEigenvalue when a root is not an integer.
+    All eigenvalues lie in [-b_0, b_0]: L >= 0 entrywise with every row
+    sum c_i + a_i + b_i = b_0, so |theta| <= b_0 for each eigenvalue (take
+    the largest |x_i| of an eigenvector x).  And L 1 = b_0 1, so b_0 is the
+    largest eigenvalue theta_0; it is taken with no bisection, and still
+    confirmed by p_{d+1}(b_0) = 0.  For the other d, integer bisection on
+    N(m + 1/2) puts the j-th largest eigenvalue in (m - 1/2, m + 1/2); it
+    equals m exactly when p_{d+1}(m) = 0 and is irrational otherwise.  d+1
+    distinct confirmed integers are all the roots.  Raises
+    IrrationalEigenvalue when a root is not an integer.
     """
     d = arr.d
 
@@ -139,7 +152,8 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     thetas: list[int] = []
     hi = arr.b0
     for j in range(d + 1):
-        lo = -arr.b0 - 1  # invariant: above(lo) > j >= above(hi)
+        # invariant: above(lo) > j >= above(hi); theta_0 = b_0 is not bisected
+        lo = -arr.b0 - 1 if j else hi - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if above(mid) > j:
@@ -164,7 +178,9 @@ def eigensystem_from_array(
     than d+1 integer roots, and NotQPolynomial when no idempotent ordering is
     Q-polynomial.  The descending ordering is kept when it passes, and the
     first passing ordering is taken otherwise; with check_q_polynomial off,
-    it is kept and no passing ordering is listed.
+    it is kept and no passing ordering is listed.  The checks read D*Q
+    before the eigensystem is made, so it is constructed once; only an
+    ordering other than the descending one goes through `_reorder`.
     """
     k = arr.valencies()
     if sum(k) != n_vertices:
@@ -192,24 +208,20 @@ def eigensystem_from_array(
         if mj.denominator != 1:
             raise ParameterError(f"multiplicity m_{j} = {mj} is not a positive integer")
         m.append(mj.numerator)
-    sys = SchemeEigensystem(
-        n=n_vertices,
-        d=d,
-        eigenvalues=thetas,
-        k=k,
-        m=tuple(m),
-        P=ExactMatrix(prows),
-        Q=ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
-                       for i in range(d + 1)]),
-        ordering=tuple(range(d + 1)),
-        passing_orderings=(),
-    )
-    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * sys.D
-           for r, row in enumerate(prows) for c, col in enumerate(zip(*sys.DQ))):
+    Q = ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
+                     for i in range(d + 1)])
+    D, DQ = scaled_ints(Q.rows)
+    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * D
+           for r, row in enumerate(prows) for c, col in enumerate(zip(*DQ))):
         raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
-    passing = verify_q_polynomial(krein_parameters(sys)) if check_q_polynomial else ()
-    perm = passing[0] if passing and sys.ordering not in passing else sys.ordering
-    return _reorder(sys, perm, passing)
+    natural = tuple(range(d + 1))
+    passing = ()
+    if check_q_polynomial:
+        passing = verify_q_polynomial(_support(_krein_sums(n_vertices, k, m, D, DQ), d))
+    sys = SchemeEigensystem(n=n_vertices, d=d, eigenvalues=thetas, k=k, m=tuple(m),
+                            P=ExactMatrix(prows), Q=Q, ordering=natural,
+                            passing_orderings=passing)
+    return sys if not passing or natural in passing else _reorder(sys, passing[0], passing)
 
 
 def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
@@ -225,64 +237,106 @@ def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
     )
 
 
+def _krein_sums(n: int, k, m, D: int, DQ) -> dict[tuple[int, int, int], int]:
+    """S_ijk = sum_l k_l (DQ)_li (DQ)_lj (DQ)_lk for i <= j <= k, keyed
+    (i, j, k); q^k_ij = S_sorted(i,j,k) / (|X| D^3 m_k) by the identity in
+    `krein_parameters`.  |X|, D and m_k are positive, so q^k_ij has the
+    sign and the zero pattern of the sum, and a negative sum is reported as
+    a data error naming the first negative q^k_ij in (k, i, j) order."""
+    r = range(len(DQ))
+    cols = list(zip(*DQ))
+    sums = {}
+    for i in r:
+        wi = list(map(mul, k, cols[i]))
+        for j in r[i:]:
+            wij = list(map(mul, wi, cols[j]))
+            for kk in r[j:]:
+                sums[i, j, kk] = sum(map(mul, wij, cols[kk]))
+    if min(sums.values()) < 0:
+        (kk, i, j), s = min((key, s) for sorted_key, s in sums.items() if s < 0
+                            for key in permutations(sorted_key))
+        raise DrgError(f"Krein parameter q^{kk}_{{{i},{j}}} = {Fraction(s, n * D ** 3 * m[kk])}"
+                       " < 0; invalid scheme data")
+    return sums
+
+
+def _support(sums: dict[tuple[int, int, int], int], d: int) -> tuple[tuple[int, ...], ...]:
+    """support[j][c], the mask of the b with q^b_{j,c} != 0, from the
+    symmetric sums of `_krein_sums`: a nonzero S_ijk makes q^b_{j,c}
+    nonzero for each ordering (b, j, c) of its indices."""
+    sup = [[0] * (d + 1) for _ in range(d + 1)]
+    for (i, j, kk), s in sums.items():
+        if s:
+            sup[i][j] |= 1 << kk
+            sup[j][i] |= 1 << kk
+            sup[i][kk] |= 1 << j
+            sup[kk][i] |= 1 << j
+            sup[j][kk] |= 1 << i
+            sup[kk][j] |= 1 << i
+    return tuple(map(tuple, sup))
+
+
 def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
     """q^k_{ij} = |X|^{-1} sum_l Q_li Q_lj P_kl; nonnegative for any scheme,
     so a negative entry is reported as a data error.
 
-    With P and D*Q integral (the eigensystem's `P_int` and `DQ`), each
-    entry is one integer sum divided by |X| D^2.  The sum is symmetric in i
-    and j, so it is formed for i <= j only and mirrored."""
-    d = sys.d
-    P, Q = sys.P_int, sys.DQ
-    den = sys.n * sys.D * sys.D
-    W = {(i, j): [row[i] * row[j] for row in Q] for i in range(d + 1) for j in range(i, d + 1)}
-    vals = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for kk in range(d + 1):
-        for i in range(d + 1):
-            for j in range(i, d + 1):
-                s = sum(map(mul, P[kk], W[i, j]))
-                if s < 0:
-                    raise DrgError(
-                        f"Krein parameter q^{kk}_{{{i},{j}}} = {Fraction(s, den)} < 0;"
-                        " invalid scheme data"
-                    )
-                vals[kk][i][j] = vals[kk][j][i] = Fraction(s, den)
+    The orthogonality relation Q_lk = m_k P_kl / k_l gives
+    P_kl = k_l Q_lk / m_k, so
+
+        m_k q^k_ij = |X|^{-1} sum_l k_l Q_li Q_lj Q_lk,
+
+    which is symmetric in i, j and k (Brouwer, Cohen and Neumaier 1989,
+    section 2.3).  With D*Q integral (the eigensystem's `DQ`) the sum is
+    the integer S_ijk / D^3 of `_krein_sums`, which forms it for
+    i <= j <= k only, from Q, so a tampered Q is judged by its own sums;
+    the Fraction S / (|X| D^3 m_k) is formed once for each k and i <= j
+    and mirrored to (k, j, i)."""
+    d, n, D, m = sys.d, sys.n, sys.D, sys.m
+    sums = _krein_sums(n, sys.k, m, D, sys.DQ)
+    r = range(d + 1)
+    vals = [[[None] * (d + 1) for _ in r] for _ in r]
+    for kk in r:
+        den = n * D ** 3 * m[kk]
+        for i in r:
+            for j in r[i:]:
+                vals[kk][i][j] = vals[kk][j][i] = Fraction(sums[tuple(sorted((i, j, kk)))], den)
     return KreinTensor(tuple(tuple(map(tuple, plane)) for plane in vals))
 
 
-def _ordering_passes(kt: KreinTensor, perm) -> bool:
-    """For k != i, q^{perm[k]}_{perm[1],perm[i]} != 0 exactly when |k - i| = 1."""
-    d, q = kt.d, kt.values
-    e1 = perm[1]
-    for i in range(d + 1):
-        for kk in range(d + 1):
-            if kk != i and bool(q[perm[kk]][e1][perm[i]]) != (abs(kk - i) == 1):
-                return False
-    return True
+def _ordering_passes(support, perm) -> bool:
+    """For k != i, q^{perm[k]}_{perm[1],perm[i]} != 0 exactly when |k - i| = 1:
+    row perm[i] of support[perm[1]], less perm[i] itself, holds exactly
+    perm[i-1] and perm[i+1]."""
+    row = support[perm[1]]
+    ends = (0, *(1 << b for b in perm), 0)  # ends[i + 1] is the bit of perm[i]
+    return all(row[c] & ~(1 << c) == ends[i] | ends[i + 2] for i, c in enumerate(perm))
 
 
-def _walk(kt: KreinTensor, j: int) -> tuple[int, ...] | None:
+def _walk(support, j: int) -> tuple[int, ...] | None:
     """The ordering 0, j, ... that steps from each E_c to the one unvisited
     E_b with q^b_{j,c} != 0; None when some step has no such b or several."""
-    d, q = kt.d, kt.values
-    perm = [0, j]
-    while len(perm) <= d:
-        nxt = [b for b in range(d + 1) if q[b][j][perm[-1]] and b not in perm]
-        if len(nxt) != 1:
+    row, perm, seen = support[j], [0, j], 1 | 1 << j
+    while len(perm) < len(row):
+        nxt = row[perm[-1]] & ~seen
+        if not nxt or nxt & (nxt - 1):
             return None
-        perm.append(nxt[0])
+        perm.append(nxt.bit_length() - 1)
+        seen |= nxt
     return tuple(perm)
 
 
-def verify_q_polynomial(kt: KreinTensor) -> tuple[tuple[int, ...], ...]:
+def verify_q_polynomial(support) -> tuple[tuple[int, ...], ...]:
     """Every ordering that fixes E_0 and makes q^k_{1i} tridiagonal, in
-    lexicographic order; raises NotQPolynomial when there is none.
+    lexicographic order, from the Krein tensor's support (support[j][c] is
+    the mask of the b with q^b_{j,c} != 0: `KreinTensor.support`, or the
+    support of the integer sums that `eigensystem_from_array` forms);
+    raises NotQPolynomial when there is none.
 
     The orderings are constructed, not searched.  Let perm pass with
     perm[1] = j.  By `_ordering_passes`, for each position i < d the b != perm[i]
     with q^b_{j,perm[i]} != 0 are exactly perm[i-1] (when i > 0) and perm[i+1].
     perm[i-1] is among perm[0..i] and perm[i+1] is not, so perm[i+1] is the
-    one b outside perm[0..i] with q^b_{j,perm[i]} != 0: the walk `_walk(kt, j)`
+    one b outside perm[0..i] with q^b_{j,perm[i]} != 0: the walk `_walk(support, j)`
     takes that step, and by induction on i it returns perm.  So each j gives
     at most one passing ordering, the walk from j, and confirming each walk
     with `_ordering_passes` (the walk reads only the unvisited entries) finds
@@ -290,8 +344,8 @@ def verify_q_polynomial(kt: KreinTensor) -> tuple[tuple[int, ...], ...]:
     the lexicographic order of `itertools.permutations`, so ascending j
     lists them in that order.
     """
-    walks = (_walk(kt, j) for j in range(1, kt.d + 1))
-    passing = tuple(p for p in walks if p is not None and _ordering_passes(kt, p))
+    walks = (_walk(support, j) for j in range(1, len(support)))
+    passing = tuple(p for p in walks if p is not None and _ordering_passes(support, p))
     if not passing:
         raise NotQPolynomial("no idempotent ordering is Q-polynomial")
     return passing

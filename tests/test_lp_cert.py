@@ -8,7 +8,13 @@ import pytest
 
 from _oracles import certificate_by_fractions, hamming_certificate_by_fractions, krawtchouk_by_sum
 from drgcert import exact, lp_cert, scheme
-from drgcert.errors import InfeasibleCertificate, ParameterError, UnsupportedFamily, WidthTooLarge
+from drgcert.errors import (
+    DrgError,
+    InfeasibleCertificate,
+    ParameterError,
+    UnsupportedFamily,
+    WidthTooLarge,
+)
 from drgcert.exact import solve_linear_exact
 from drgcert.graphs import (
     grassmann_intersection_array,
@@ -282,6 +288,25 @@ def test_certificates_solve_on_integer_rows(monkeypatch):
     for t in range(1, 5):
         assert dataclasses.asdict(hamming_certificate(5, 5, t)) == \
             hamming_certificate_by_fractions(5, 5, t)
+
+
+def test_certificates_fail_re_substitution_after_a_bad_elimination(monkeypatch):
+    # both routes keep the solve's integers over its determinant; an
+    # elimination that gets one numerator wrong must not become a certificate
+    real = exact._eliminate
+
+    def off_by_one(M, n):
+        det = real(M, n)
+        M[n - 1][n] += 1
+        return det
+
+    sys_ = eigensystem_from_array(hamming_intersection_array(5, 5), 5 ** 5)
+    monkeypatch.setattr(exact, "_eliminate", off_by_one)
+    for solve in (lambda: solve_certificate(sys_, 2), lambda: hamming_certificate(5, 5, 2)):
+        with pytest.raises(DrgError) as exc:
+            solve()
+        assert exc.type is DrgError and "re-substitution" in str(exc.value)
+    assert sys_.certificates == {}
 
 
 @pytest.mark.parametrize("d,q,t", [(3, 3, 0), (3, 3, 3), (1, 3, 1), (3, 1, 1)])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -42,6 +43,7 @@ from drgcert.graphs import (
     distance_census,
     grassmann_intersection_array,
     hamming_intersection_array,
+    twisted_intersection_array,
 )
 from drgcert.subsets import inner_distribution_from_counts
 from drgcert.scheme import (
@@ -120,7 +122,7 @@ def test_krein_basics(family, args, built):
     for j in range(d + 1):
         for kk in range(d + 1):
             assert kt.q(kk, 0, j) == (1 if j == kk else 0)
-    assert tuple(range(d + 1)) in verify_q_polynomial(kt)
+    assert tuple(range(d + 1)) in verify_q_polynomial(kt.support())
 
 
 def test_negative_krein_parameter_is_reported():
@@ -139,13 +141,90 @@ def test_negative_krein_parameter_is_reported():
     assert str(exc.value) == "Krein parameter q^0_{0,3} = -1 < 0; invalid scheme data"
 
 
+def _odd_graph(k):
+    """O_k: b_i = k - ceil(i/2), c_i = ceil(i/2), diameter k - 1."""
+    return IntersectionArray(tuple(k - (i + 1) // 2 for i in range(k - 1)),
+                             tuple((i + 1) // 2 for i in range(1, k)))
+
+
+# H(d,q) for 2 <= d, q <= 10, the parameter tier's 14 arrays, the odd graphs
+# O_3..O_13 (Q-polynomial only reordered, from O_4 on) and H(12,2), which,
+# like H(8,2), has two orderings
+GRID = (
+    [("hamming", {"d": d, "q": q}, hamming_intersection_array(d, q))
+     for d in range(2, 11) for q in range(2, 11)]
+    + [("grassmann", {"q": q, "v": v, "d": d}, grassmann_intersection_array(q, v, d))
+       for q, v, d in [(2, 16, 8), (3, 12, 6), (5, 8, 4), (3, 10, 5)]]
+    + [("twisted", {"q": q, "d": d}, twisted_intersection_array(q, d))
+       for q, d in [(2, 6), (3, 3), (2, 3), (5, 2)]]
+    + [("odd", {"k": k}, _odd_graph(k)) for k in range(3, 14)]
+    + [("hamming", {"d": 12, "q": 2}, hamming_intersection_array(12, 2))]
+)
+
+
+def test_grid_reports_are_byte_identical():
+    # sha256 of every grid eigensystem's cache text, of the repr of its
+    # certificate at every t, and of the MDS-route certificate of H(d,q) at
+    # every t for 2 <= d, q <= 10; a change in any digit of P, Q, m, an
+    # ordering or a certificate changes a digest
+    eig, certs, mds = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for family, params, arr in GRID:
+        sys_ = eigensystem_from_array(arr, arr.vertex_count())
+        eig.update(eigensystem_to_json(sys_, family, params).encode() + b"\n")
+        for t in range(1, sys_.d):
+            certs.update(repr(lp_cert.solve_certificate(sys_, t)).encode() + b"\n")
+    for d in range(2, 11):
+        for q in range(2, 11):
+            for t in range(1, d):
+                mds.update(repr(lp_cert.hamming_certificate(d, q, t)).encode() + b"\n")
+    assert [h.hexdigest() for h in (eig, certs, mds)] == [
+        "864435143e9b13a2af0b5bf2c4bcafa144647e1deb70c1e01343fa8e08f3c4bb",
+        "a60f04308a08a07179767f22a4656d53228dc71a621f3752b4a25e1278f81fdb",
+        "832025713a5f430edd6a6a6a0362262a10eeadd24f216fb45cdc0ea590a8d77f",
+    ]
+
+
+def test_krein_values_match_the_triple_sum_oracle_on_the_grid():
+    # the Q-only symmetric sums give every q^k_ij that the oracle's
+    # n^{-1} sum_l Q_li Q_lj P_kl gives, in Fractions entry by entry
+    for _, _, arr in GRID:
+        sys_ = eigensystem_from_array(arr, arr.vertex_count())
+        kt = krein_parameters(sys_)
+        oracle = krein_by_triple_sum(sys_.P.rows, sys_.Q.rows, sys_.n)
+        assert [[list(row) for row in plane] for plane in kt.values] == oracle
+        assert kt.support() == scheme._support(
+            scheme._krein_sums(sys_.n, sys_.k, sys_.m, sys_.D, sys_.DQ), sys_.d)
+
+
+def test_krein_check_forms_no_fraction_per_entry(monkeypatch):
+    # the Krein check and the ordering walks run on integer sums: building
+    # an eigensystem with them forms exactly the Fractions it forms without
+    # them (the multiplicities, P and Q), on the natural and the reordering
+    # path alike
+    arrays = [hamming_intersection_array(10, 10), grassmann_intersection_array(2, 16, 8),
+              twisted_intersection_array(2, 6), _odd_graph(9)]
+    real, count = Fraction.__new__, [0]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return real(cls, *args, **kwargs)
+
+    def made(arr, check):
+        count[0] = 0
+        eigensystem_from_array(arr, arr.vertex_count(), check_q_polynomial=check)
+        return count[0]
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for arr in arrays:
+        assert made(arr, True) == made(arr, False) > 0
+
+
 def test_replace_derives_fresh_integer_forms():
     # the integer forms and the certificate memo belong to one object: a
     # replaced Q gets its own D*Q and an empty memo, and the original keeps
     # its own
     sys_ = eigensystem_from_array(IntersectionArray((12, 6, 2), (1, 4, 9)), 35)  # J(7,3)
     assert (sys_.D, sys_.DQ) == integer_form(sys_.Q.rows)
-    assert sys_.P_int == tuple(tuple(int(x) for x in row) for row in sys_.P.rows)
     assert sys_.certificates == {}
     originals = {t: lp_cert.solve_certificate(sys_, t) for t in (1, 2)}
     swapped = ExactMatrix([sys_.Q.rows[r] for r in (0, 2, 1, 3)])  # same D
@@ -187,7 +266,6 @@ def test_reorder_derives_fresh_integer_forms():
     assert reordered == eigensystem_from_array(arr, 35)
     assert reordered.Q != natural.Q
     assert (reordered.D, reordered.DQ) == integer_form(reordered.Q.rows)
-    assert reordered.P_int == tuple(tuple(int(x) for x in row) for row in reordered.P.rows)
     assert reordered.certificates == {}
     o8 = eigensystem_from_array(IntersectionArray((8, 7, 7, 6, 6, 5, 5), (1, 1, 2, 2, 3, 3, 4)),
                                 6435)
@@ -405,7 +483,7 @@ def test_not_q_polynomial_tensor():
             for kk in range(d + 1)
         )
         with pytest.raises(NotQPolynomial):
-            verify_q_polynomial(KreinTensor(vals))
+            verify_q_polynomial(KreinTensor(vals).support())
 
 
 def _relabelled(kt, s):
@@ -426,7 +504,7 @@ def test_constructed_orderings_match_search_under_relabelling(arr, n):
     for perm in itertools.permutations(range(1, kt.d + 1)):
         vals = _relabelled(kt, (0,) + perm)
         found = orderings_by_search(vals)
-        assert found and verify_q_polynomial(KreinTensor(vals)) == found
+        assert found and verify_q_polynomial(KreinTensor(vals).support()) == found
         seen.add(len(found))
     assert seen == ({2} if arr.d == 4 else {1})
 
@@ -441,11 +519,11 @@ def test_walk_that_completes_is_still_confirmed():
     for k, i, j in [(0, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 1), (0, 1, 2)]:
         q[k][i][j] = Fraction(1)
     kt = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in q))
-    assert scheme._walk(kt, 1) == (0, 1, 2)
-    assert scheme._walk(kt, 2) is None
+    assert scheme._walk(kt.support(), 1) == (0, 1, 2)
+    assert scheme._walk(kt.support(), 2) is None
     assert orderings_by_search(kt.values) == ()
     with pytest.raises(NotQPolynomial):
-        verify_q_polynomial(kt)
+        verify_q_polynomial(kt.support())
 
 
 def test_hypercube_h82_has_two_orderings():
