@@ -404,6 +404,8 @@ def main(argv=None) -> int:
         # refused before any build; max_clique keeps its own check
         if getattr(args, "enum_cap", 1) < 1:
             raise ParameterError(f"need enum_cap >= 1, got {args.enum_cap}")
+        if args.vertex_cap < 1:
+            raise ParameterError(f"need vertex_cap >= 1, got {args.vertex_cap}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

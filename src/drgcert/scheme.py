@@ -12,34 +12,40 @@ PQ = |X| I), and the Krein tensor certifies the Q-polynomial ordering: its
 sign check and the ordering walks read the integer sums
 S_ijk = sum_l k_l (DQ)_li (DQ)_lj (DQ)_lk, symmetric in i, j and k and
 formed for i <= j <= k only; Fractions are formed only when
-`krein_parameters` is asked for the values.  The full-matrix tier (up to
-FULL_MATRIX_CAP vertices) builds the E_i explicitly and checks their product and Krein identities on one row per
-orbit of the graph's verified automorphisms.
+`krein_parameters` is asked for the values.
+
+The full-matrix tier re-checks the idempotent and Krein identities on a
+built graph, on the census's level masks, in integers, with no n x n
+matrix formed.  E_i = M_i / D_i with M_i = sum_l C_il A_l, so
+M_i[x, y] = C_il for l = d(x, y).  With L_l(x) the level-l mask of x's
+row and distance symmetric,
+
+    (M_i M_j)[x, z] = sum_y C_i[d(x, y)] C_j[d(z, y)]
+                    = sum_{l, l'} C_il C_jl' |L_l(x) & L_l'(z)|,
+
+so an entry of a product, and of the identity it must equal (D_i M_i, or
+0), depends only on the key (d(x, z), the (d+1)^2 popcounts): each
+identity is checked once for each distinct key, which checks it on every
+entry of the row.  An entry of sum_i E_i, of E_0 or of either side of
+E_i o E_j = |X|^{-1} sum_k q^k_ij E_k depends on d(x, z) alone, so those
+are checked once for each level that occurs.  Only the rows of the orbit
+representatives of the graph's verified automorphisms are checked, which
+is enough by the argument in `materialize_idempotents`; the work is
+|R| n (d+1)^2 popcounts, with R those rows.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import lcm
-from operator import mul
-from typing import TYPE_CHECKING
+from operator import mul, or_
 
-from .errors import (
-    IrrationalEigenvalue,
-    DrgError,
-    NotQPolynomial,
-    ParameterError,
-    TierLimitExceeded,
-)
+from .errors import IrrationalEigenvalue, DrgError, NotQPolynomial, ParameterError
 from .exact import ExactMatrix, canonical_json, format_fraction, scaled_ints
-from .graphs import DistanceCensus, Graph, IntersectionArray, representatives
-
-if TYPE_CHECKING:  # numpy loads only with the full-matrix tier, which no CLI command uses
-    import numpy as np
-
-FULL_MATRIX_CAP = 1_000
+from .graphs import DistanceCensus, Graph, IntersectionArray, iter_bits, representatives
 
 
 @dataclass(frozen=True)
@@ -178,9 +184,11 @@ def eigensystem_from_array(
     than d+1 integer roots, and NotQPolynomial when no idempotent ordering is
     Q-polynomial.  The descending ordering is kept when it passes, and the
     first passing ordering is taken otherwise; with check_q_polynomial off,
-    it is kept and no passing ordering is listed.  The checks read D*Q
-    before the eigensystem is made, so it is constructed once; only an
-    ordering other than the descending one goes through `_reorder`.
+    it is kept and no passing ordering is listed.  The eigensystem is
+    constructed as soon as Q is formed, and the PQ check and the Krein sums
+    read its own D and DQ, so D*Q is formed once; only an ordering other
+    than the descending one goes through `_reorder`, which forms it again
+    for the permuted Q.
     """
     k = arr.valencies()
     if sum(k) != n_vertices:
@@ -210,18 +218,21 @@ def eigensystem_from_array(
         m.append(mj.numerator)
     Q = ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
                      for i in range(d + 1)])
-    D, DQ = scaled_ints(Q.rows)
+    natural = tuple(range(d + 1))
+    sys = SchemeEigensystem(n=n_vertices, d=d, eigenvalues=thetas, k=k, m=tuple(m),
+                            P=ExactMatrix(prows), Q=Q, ordering=natural,
+                            passing_orderings=())
+    D, DQ = sys.D, sys.DQ
     if any(sum(map(mul, row, col)) != (r == c) * n_vertices * D
            for r, row in enumerate(prows) for c, col in enumerate(zip(*DQ))):
         raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
-    natural = tuple(range(d + 1))
-    passing = ()
-    if check_q_polynomial:
-        passing = verify_q_polynomial(_support(_krein_sums(n_vertices, k, m, D, DQ), d))
-    sys = SchemeEigensystem(n=n_vertices, d=d, eigenvalues=thetas, k=k, m=tuple(m),
-                            P=ExactMatrix(prows), Q=Q, ordering=natural,
-                            passing_orderings=passing)
-    return sys if not passing or natural in passing else _reorder(sys, passing[0], passing)
+    if not check_q_polynomial:
+        return sys
+    passing = verify_q_polynomial(_support(_krein_sums(n_vertices, k, m, D, DQ), d))
+    if natural not in passing:
+        return _reorder(sys, passing[0], passing)
+    object.__setattr__(sys, "passing_orderings", passing)  # frozen; not yet shared
+    return sys
 
 
 def _reorder(sys: SchemeEigensystem, perm, passing) -> SchemeEigensystem:
@@ -355,79 +366,66 @@ def verify_q_polynomial(support) -> tuple[tuple[int, ...], ...]:
 # full-matrix tier
 
 
-def materialize_distance_matrices(G: Graph, census: DistanceCensus) -> list[np.ndarray]:
-    """Explicit 0/1 distance matrices A_0..A_d as int64 arrays; row x of A_k
-    is the level mask levels[x][k] unpacked.  Refused above FULL_MATRIX_CAP
-    vertices, and with ParameterError when the census lacks a row (one
-    taken from some sources only)."""
-    import numpy as np
-
-    n = G.n
-    if n > FULL_MATRIX_CAP:
-        raise TierLimitExceeded(f"{n} vertices exceeds the full-matrix cap {FULL_MATRIX_CAP}")
-    rows = list(map(census.row, range(n)))
-    width = (n + 7) // 8
-    mats = []
-    for k in range(census.diameter + 1):
-        packed = b"".join(row[k].to_bytes(width, "little") for row in rows)
-        bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-        mats.append(np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64))
-    return mats
-
-
 def materialize_idempotents(
     G: Graph, census: DistanceCensus, sys: SchemeEigensystem
-) -> list[tuple[np.ndarray, int]]:
-    """Explicit primitive idempotents E_i = M_i / D_i with integer M_i.
+) -> list[tuple[tuple[int, ...], int]]:
+    """The primitive idempotents as (C_i, D_i): E_i[x, y] = C_i[d(x, y)] / D_i,
+    with C_i = scale_i (column i of Q) in integers, scale_i the lcm of that
+    column's denominators, and D_i = |X| scale_i.
 
     Verifies, exactly in integer arithmetic: each E_i is idempotent, distinct
     idempotents are orthogonal, the E_i sum to the identity, and E_0 is the
-    normalized all-ones matrix.
+    normalized all-ones matrix, by the popcount identity and the per-key and
+    per-level checks of the module docstring.  Every vertex needs a census
+    row (ParameterError otherwise, as for a census from some sources only),
+    and each row must partition the vertices into levels 0..d (DrgError
+    otherwise).
 
-    The products are checked on the rows R of the orbit representatives of
-    G.automorphisms only, in O(|R| n^2) each.  Every g in the group the
-    verified generators generate is an automorphism, so it preserves
-    distance: with P_g its permutation matrix, P_g A_l P_g^T = A_l for each
-    distance matrix A_l, and so for each M_i = sum_l c_il A_l, each product
-    M_i M_j and each entrywise product M_i o M_j.  Any X among these then
-    has X[gx, gy] = X[x, y], so an identity X = Y that holds on row x holds
-    on row gx, and every row is gx for some representative x.  A hand-built
+    The identities are checked on the rows R of the orbit representatives
+    of G.automorphisms only.  Every g in the group the verified generators
+    generate is an automorphism, so it preserves distance: with P_g its
+    permutation matrix, P_g A_l P_g^T = A_l for each distance matrix A_l,
+    and so for each M_i = sum_l C_il A_l, each product M_i M_j and each
+    entrywise product M_i o M_j.  Any X among these then has
+    X[gx, gy] = X[x, y], so an identity X = Y that holds on row x holds on
+    row gx, and every row is gx for some representative x.  A hand-built
     graph has the trivial group, and then R is every row.
     """
-    import numpy as np
-
-    mats = materialize_distance_matrices(G, census)
-    n = G.n
-    d = sys.d
+    n, w = G.n, sys.d + 1
+    rows = list(map(census.row, range(n)))  # ParameterError when one is missing
+    full = (1 << n) - 1
+    for x, row in enumerate(rows):
+        if len(row) != w or sum(map(int.bit_count, row)) != n or reduce(or_, row) != full:
+            raise DrgError(f"census row {x} does not partition the vertices"
+                           f" into levels 0..{w - 1}")
     out = []
-    for i in range(d + 1):
-        col = [row[i] for row in sys.Q.rows]
+    for col in zip(*sys.Q.rows):
         scale = lcm(*(x.denominator for x in col))
-        M = np.zeros((n, n), dtype=np.int64)
-        for j in range(d + 1):
-            coeff = col[j] * scale
-            if coeff.denominator != 1:
-                raise DrgError(f"E_{i} coefficient {coeff} is not an integer")
-            M += int(coeff) * mats[j]
-        out.append((M, n * scale))
-    peak = max(int(np.abs(M).max()) for M, _ in out)
-    if n * peak * peak >= 2 ** 62:
-        raise TierLimitExceeded("idempotent entries too large for int64 verification")
-    reps = representatives(G)
-    for i, (Mi, Di) in enumerate(out):
-        if not np.array_equal(Mi[reps] @ Mi, Di * Mi[reps]):
+        out.append((tuple(int(x * scale) for x in col), n * scale))
+    keys = set()
+    for x in representatives(G):
+        rx = rows[x]
+        for level, mask in enumerate(rx):
+            for z in iter_bits(mask):
+                rz = rows[z]
+                keys.add((level, tuple([(a & b).bit_count() for a in rx for b in rz])))
+    # per key, the vectors N C_b, N[l][l'] = |L_l(x) & L_l'(z)| the counts
+    # in rows of d+1, so that (M_a M_b)[x, z] = C_a . N C_b
+    products = [(level, [[sum(map(mul, counts[at:at + w], C)) for at in range(0, w * w, w)]
+                         for C, _ in out]) for level, counts in keys]
+    for i, (Ci, Di) in enumerate(out):
+        if any(sum(map(mul, Ci, NC[i])) != Di * Ci[level] for level, NC in products):
             raise DrgError(f"E_{i} is not idempotent")
-        for j in range(i + 1, d + 1):
-            if np.any(out[j][0][reps] @ Mi):
+        for j in range(i + 1, w):
+            # row x of M_j M_i
+            if any(sum(map(mul, out[j][0], NC[i])) for _, NC in products):
                 raise DrgError(f"E_{i} E_{j} != 0")
+    levels = {level for level, _ in keys}
     total = lcm(*(D for _, D in out))
-    acc = np.zeros((n, n), dtype=np.int64)
-    for Mi, Di in out:
-        acc += (total // Di) * Mi
-    if not np.array_equal(acc, total * np.eye(n, dtype=np.int64)):
+    if any(sum(total // D * C[l] for C, D in out) != total * (l == 0) for l in levels):
         raise DrgError("idempotents do not sum to the identity")
-    M0, D0 = out[0]
-    if not np.all(M0 * n == D0):
+    C0, D0 = out[0]
+    if any(C0[l] * n != D0 for l in levels):
         raise DrgError("E_0 is not |X|^{-1} J")
     return out
 
@@ -439,32 +437,25 @@ def krein_cross_check(
     kt: KreinTensor | None = None,
 ) -> None:
     """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k on the
-    materialized matrices, on the rows of the orbit representatives (enough
-    by the argument in `materialize_idempotents`).  Raises on any mismatch."""
-    import numpy as np
-
+    idempotents of `materialize_idempotents`, on the rows of the orbit
+    representatives: each side's entry depends on the level of the pair
+    alone, so it is checked once for each level that occurs in those rows.
+    Raises on any mismatch."""
     if kt is None:
         kt = krein_parameters(sys)
-    mats = materialize_idempotents(G, census, sys)
-    d = sys.d
-    n = sys.n
-    reps = representatives(G)
-    # object dtype keeps the elementwise arithmetic in exact Python ints
-    big = [M[reps].astype(object) for M, _ in mats]
-    for i in range(d + 1):
-        Mi, Di = big[i], mats[i][1]
-        for j in range(i, d + 1):
-            Mj, Dj = big[j], mats[j][1]
-            coeffs = [kt.q(kk, i, j) / (n * mats[kk][1]) for kk in range(d + 1)]
+    out = materialize_idempotents(G, census, sys)
+    r = range(sys.d + 1)
+    levels = {l for x in representatives(G) for l, mask in enumerate(census.row(x)) if mask}
+    for i in r:
+        Ci, Di = out[i]
+        for j in r[i:]:
+            Cj, Dj = out[j]
+            coeffs = [kt.q(kk, i, j) / (sys.n * out[kk][1]) for kk in r]
             den = lcm(Di * Dj, *(c.denominator for c in coeffs))
-            lhs = (den // (Di * Dj)) * (Mi * Mj)
-            rhs = np.zeros((len(reps), n), dtype=object)
-            for kk in range(d + 1):
-                c = coeffs[kk] * den
-                if c.denominator != 1:
-                    raise DrgError(f"Krein coefficient {c} of E_{kk} is not an integer")
-                rhs += int(c) * big[kk]
-            if not np.array_equal(lhs, rhs):
+            ints = [int(c * den) for c in coeffs]
+            lhs = den // (Di * Dj)
+            if any(lhs * Ci[l] * Cj[l] != sum(c * C[l] for c, (C, _) in zip(ints, out))
+                   for l in levels):
                 raise DrgError(f"Krein expansion of E_{i} o E_{j} fails entrywise")
 
 

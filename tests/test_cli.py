@@ -105,7 +105,7 @@ def test_unhashable_subset_label_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only the full-matrix tier imports numpy, and no command reaches it
+    # no drgcert module imports numpy
     src = str(Path(drgcert.__file__).resolve().parents[1])
     script = "import sys, drgcert.cli; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
@@ -463,6 +463,27 @@ def test_enumeration_cap_below_one_is_refused_before_any_build(tmp_path, capsys,
     code = main([*argv, "--enum-cap", "0", "--cache", str(tmp_path)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "error: need enum_cap >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["build", "johnson", "-v", "5", "-d", "2"],
+    ["search", "johnson", "-v", "5", "-d", "2", "-t", "1"],
+    ["verify-theorem", "-q", "2", "-d", "2", "-t", "1"],
+    ["selftest"],
+])
+def test_vertex_cap_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, cap):
+    # refused before any build, where a graph's size is first compared with
+    # the cap: exit 1, not the tier exit 3
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for family in cli.BUILDERS:
+        monkeypatch.setitem(cli.BUILDERS, family, unreachable)
+    monkeypatch.setattr(ekr_search, "build_twisted_grassmann", unreachable)
+    code = main([*argv, "--vertex-cap", cap, "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: need vertex_cap >= 1, got {cap}\n")
 
 
 @pytest.mark.parametrize("argv", [

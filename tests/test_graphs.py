@@ -59,7 +59,7 @@ from drgcert.graphs import (
     twisted_x2_distance_counts,
     twisted_x2_vertices,
 )
-from drgcert.scheme import materialize_distance_matrices
+from drgcert.scheme import materialize_idempotents
 from drgcert.subsets import VertexSubset, distance_counts
 
 
@@ -704,7 +704,7 @@ def test_census_from_sources_disconnected():
 
 
 def test_census_consumers_refuse_a_missing_row(built):
-    g, _, _, _ = built("twisted", 2, 2)
+    g, _, _, sys_ = built("twisted", 2, 2)
     x1, x2 = representatives(g)
     census = distance_census(g, [x1])  # no X2 source
     with pytest.raises(ParameterError, match=f"no row for vertex {x2}"):
@@ -715,7 +715,7 @@ def test_census_consumers_refuse_a_missing_row(built):
         distance_counts(VertexSubset(g, [x1, x2]), census)
     assert distance_counts(VertexSubset(g, [x1]), census) == [1, 0, 0]
     with pytest.raises(ParameterError, match="no row for vertex 1"):
-        materialize_distance_matrices(g, distance_census(g, [x1, x2]))
+        materialize_idempotents(g, distance_census(g, [x1, x2]), sys_)
     for sources in ([], [g.n], [-1]):
         with pytest.raises(ParameterError):
             distance_census(g, sources)

@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,6 @@ from drgcert.errors import (
     IrrationalEigenvalue,
     NotQPolynomial,
     ParameterError,
-    TierLimitExceeded,
 )
 from drgcert.exact import ExactMatrix, q_binomial
 from drgcert.graphs import (
@@ -283,34 +286,44 @@ def test_krein_k3_by_hand(built):
     assert kt.q(1, 1, 1) == 1
 
 
+def _distances(g):
+    """dist[x][y] by the oracle's own BFS, which shares no code with the
+    package's census."""
+    levels, _ = census_by_bfs(g.adj)
+    return [[next(l for l, mask in enumerate(row) if mask >> y & 1) for y in range(g.n)]
+            for row in levels]
+
+
 @pytest.mark.parametrize("family,args", SMALL)
 def test_idempotents_match_lagrange_oracle(family, args, built):
     g, census, arr, sys_ = built(family, *args)
     mats = materialize_idempotents(g, census, sys_)
     oracle = lagrange_idempotents(adjacency_matrix(g), list(sys_.eigenvalues))
-    for (M, D), E in zip(mats, oracle):
+    dist = _distances(g)
+    for (C, D), E in zip(mats, oracle):
         for x in range(g.n):
             for y in range(g.n):
-                assert Fraction(int(M[x, y]), D) == E[x][y]
+                assert Fraction(C[dist[x][y]], D) == E[x][y]
 
 
 def test_k3_idempotent_values(built):
     g, census, arr, sys_ = built("hamming", 1, 3)
     mats = materialize_idempotents(g, census, sys_)
-    M0, D0 = mats[0]
-    assert all(Fraction(int(M0[i, j]), D0) == Fraction(1, 3) for i in range(3) for j in range(3))
-    M1, D1 = mats[1]
+    dist = _distances(g)
+    C0, D0 = mats[0]
+    assert all(Fraction(C0[dist[i][j]], D0) == Fraction(1, 3) for i in range(3) for j in range(3))
+    C1, D1 = mats[1]
     expect = [[Fraction(2, 3) if i == j else Fraction(-1, 3) for j in range(3)] for i in range(3)]
-    assert all(Fraction(int(M1[i, j]), D1) == expect[i][j] for i in range(3) for j in range(3))
+    assert all(Fraction(C1[dist[i][j]], D1) == expect[i][j] for i in range(3) for j in range(3))
 
 
 def test_idempotent_ranks_are_multiplicities(built):
     g, census, arr, sys_ = built("johnson", 5, 2)
     mats = materialize_idempotents(g, census, sys_)
+    dist = _distances(g)
     ranks = []
-    for M, D in mats:
-        E = [[Fraction(int(M[i, j]), D) for j in range(g.n)] for i in range(g.n)]
-        ranks.append(mat_rank(E))
+    for C, D in mats:
+        ranks.append(mat_rank([[Fraction(C[l], D) for l in row] for row in dist]))
     assert tuple(ranks) == sys_.m
     assert sum(ranks) == g.n
 
@@ -324,15 +337,17 @@ def test_krein_cross_check(family, args, built):
     krein_cross_check(g, census, sys_)
 
 
-def test_full_matrix_tier_refuses_above_its_cap(built):
-    # H(5,4) has 1,024 vertices, above FULL_MATRIX_CAP = 1,000
+def test_full_matrix_tier_runs_on_1024_vertices(built, deadline):
+    # H(5,4): 1,024 vertices in one orbit, so the tier reads 1,024 x 36
+    # popcounts of row 0 against each row, and forms no n x n matrix
     g, census, _, sys_ = built("hamming", 5, 4)
-    assert g.n == 1024 > scheme.FULL_MATRIX_CAP
-    message = "1024 vertices exceeds the full-matrix cap 1000"
-    with pytest.raises(TierLimitExceeded, match=message):
-        materialize_idempotents(g, census, sys_)
-    with pytest.raises(TierLimitExceeded, match=message):
-        krein_cross_check(g, census, sys_)
+    assert g.n == 1024
+    deadline(10)
+    mats = materialize_idempotents(g, census, sys_)
+    krein_cross_check(g, census, sys_)
+    # C_i / D_i is column i of Q over |X|
+    assert [[Fraction(c, D) * g.n for c in C] for C, D in mats] == list(
+        map(list, zip(*sys_.Q.rows)))
 
 
 def _hand_built(g):
@@ -371,7 +386,9 @@ def test_full_matrix_tier_matches_all_rows_oracle(family, args, built):
         mats, verdict = _full_tier_verdict(graph, census, sys_, kt)
         assert verdict is None
         assert [D for _, D in mats] == [D for _, D in want]
-        assert all(np.array_equal(M, W) for (M, _), (W, _) in zip(mats, want))
+        dist = _distances(g)
+        for (C, _), (W, _) in zip(mats, want):
+            assert all(C[l] == W[x, y] for x, row in enumerate(dist) for y, l in enumerate(row))
 
 
 @pytest.mark.parametrize("family,args", [
@@ -436,6 +453,105 @@ def test_trivial_group_checks_every_row(family, args, built):
     _, message = _oracle(switched.levels, sys_, kt)
     assert message is not None
     assert _full_tier_verdict(_hand_built(g), switched, sys_, kt) == (None, message)
+
+
+def _with_q_columns(sys_, cols):
+    """sys_ with Q's columns replaced by cols."""
+    return dataclasses.replace(sys_, Q=ExactMatrix([list(row) for row in zip(*cols)]))
+
+
+@pytest.mark.parametrize("family,args", [("johnson", (7, 3)), ("twisted", (2, 2))])
+def test_full_matrix_tier_names_each_failing_pair(family, args, built):
+    # column j of Q doubled makes E_j' = 2 E_j, which first fails as
+    # "E_j is not idempotent"; column i added to column j (i < j) makes
+    # E_j' = E_i + E_j, still idempotent, with E_j' E_i = E_i != 0, so the
+    # first failure is "E_i E_j != 0"; q^0_ij raised by 1 first fails the
+    # Krein expansion of E_i o E_j.  So each (i, j) is checked.
+    g, census, _, sys_ = built(family, *args)
+    kt = krein_parameters(sys_)
+    levels = census_by_bfs(g.adj)[0]
+    graphs = (g, _hand_built(g))
+    r = range(sys_.d + 1)
+    for i, j in itertools.combinations_with_replacement(r, 2):
+        cols = [list(col) for col in zip(*sys_.Q.rows)]
+        if i == j:
+            cols[j] = [2 * x for x in cols[j]]
+            message = f"E_{j} is not idempotent"
+        else:
+            cols[j] = [x + y for x, y in zip(cols[i], cols[j])]
+            message = f"E_{i} E_{j} != 0"
+        tampered = _with_q_columns(sys_, cols)
+        assert _oracle(levels, tampered, kt)[1] == message
+        for graph in graphs:
+            assert _full_tier_verdict(graph, census, tampered, kt) == (None, message)
+        values = [[list(row) for row in plane] for plane in kt.values]
+        values[0][i][j] += 1
+        wrong = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in values))
+        message = f"Krein expansion of E_{i} o E_{j} fails entrywise"
+        assert _oracle(levels, sys_, wrong)[1] == message
+        for graph in graphs:
+            assert _full_tier_verdict(graph, census, sys_, wrong) == (None, message)
+
+
+@pytest.mark.parametrize("family,args", [("johnson", (5, 2)), ("johnson", (7, 3)),
+                                         ("twisted", (2, 2))])
+def test_full_matrix_tier_refuses_a_row_copied_from_vertex_0(family, args, built):
+    # with z the last vertex and its row a copy of row 0, (0, z) has the
+    # popcounts of (0, 0) while z lies at a level other than 0 of row 0: an
+    # entry that only a check keyed on the level as well as the popcounts
+    # can see
+    g, census, _, sys_ = built(family, *args)
+    kt = krein_parameters(sys_)
+    levels = [list(row) for row in census.levels]
+    levels[-1] = list(levels[0])
+    copied = DistanceCensus(levels, census.diameter)
+    message = "E_1 is not idempotent"
+    assert _oracle(levels, sys_, kt)[1] == message
+    for graph in (g, _hand_built(g)):
+        assert _full_tier_verdict(graph, copied, sys_, kt) == (None, message)
+
+
+@pytest.mark.parametrize("tamper", [
+    "a vertex at two levels", "a vertex at two levels and one at none", "a level past d",
+])
+def test_full_matrix_tier_refuses_a_census_row_that_is_not_a_partition(tamper, built):
+    g, census, _, sys_ = built("johnson", 5, 2)
+    levels = [list(row) for row in census.levels]
+    row = levels[3]
+    if tamper == "a level past d":
+        row.append(0)
+    else:
+        row[1] |= row[2] & -row[2]  # a vertex at distance 2 also at level 1
+        if tamper == "a vertex at two levels and one at none":
+            row[2] ^= 1 << row[2].bit_length() - 1  # another one at none
+    tampered = DistanceCensus(levels, census.diameter)
+    message = "census row 3 does not partition the vertices into levels 0..2"
+    with pytest.raises(DrgError, match=message):
+        materialize_idempotents(g, tampered, sys_)
+    with pytest.raises(DrgError, match=message):
+        krein_cross_check(g, tampered, sys_)
+
+
+def test_full_matrix_tier_runs_without_numpy():
+    # numpy blocked: importing it raises ImportError, yet every drgcert
+    # module imports and the full-matrix tier runs
+    script = """
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None
+import drgcert
+for module in pkgutil.iter_modules(drgcert.__path__):
+    importlib.import_module(f"drgcert.{module.name}")
+from drgcert import graphs, scheme
+g = graphs.build_johnson(7, 3)
+census = graphs.distance_census(g)
+sys_ = scheme.eigensystem_from_array(graphs.check_distance_regular(g, census), g.n)
+scheme.krein_cross_check(g, census, sys_)
+"""
+    src = str(Path(scheme.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_twisted_and_grassmann_share_eigensystem(built):
