@@ -99,11 +99,12 @@ def _config(args, family=None, params=None):
 
 
 def _emit(report: dict, args) -> None:
+    """Writes --out first, so an unwritable path exits 1 with stdout empty."""
     text = canonical_json(report)
-    print(text)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text + "\n", encoding="ascii")
+    print(text)
 
 
 def _cache_write(path: Path, content: str) -> None:

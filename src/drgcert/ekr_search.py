@@ -286,12 +286,12 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     p, which vanishes at w's other pivots.  w vanishes on U, so r keeps its
     entries there and gains none before its own pivot (below it r[p] = 0,
     above it w_p vanishes before p).  The rows of u now vanish at w's
-    pivots and those of w on U, so both, sorted by pivot, are the RREF:
-    row i of u, with pivot a, is its row i + #{pivots of w below a}.  C
-    depends on U alone, so the w are spread onto it once for each pivot
-    pattern of the u, which `all_subspaces` lists together, with the
-    trailing zero of GF(q)^(2d+1) and with the places of u's rows left
-    open: a member takes the rows of w as they are.
+    pivots and those of w on U, so both, sorted by pivot, are the RREF,
+    and for rows led by 1s at distinct pivots descending tuple order is
+    ascending pivot order.  C depends on U alone, so the w are spread onto
+    it once for each pivot pattern of the u, which `all_subspaces` lists
+    together, with the trailing zero of GF(q)^(2d+1): a member takes the
+    rows of w as they are.
     """
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
@@ -300,6 +300,8 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     n = 2 * d
     ws = list(all_subspaces(n - t + 1, d - t, q))
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
+    if len(ws) != expected_members:  # every u gets one member per w
+        raise DrgError(f"{len(ws)} spaces w per family, expected {expected_members}")
     points = X2PointIndex(q, d)
     families, pattern = [], None
     for u in all_subspaces(n, t - 1, q):  # grouped by pivot pattern
@@ -308,30 +310,22 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
             pattern, free = upiv, [j for j in range(n) if j not in upiv]
             # column j of a spread row is entry free.index(j) of row + (0,), or that 0
             spread = itemgetter(*[free.index(j) if j in free else len(free) for j in range(n + 1)])
-            merged = []
+            spread_ws = []
             for w in ws:
-                wpiv = [free[row.index(1)] for row in w]
                 wrows = [spread(row + (0,)) for row in w]
-                slots = [i + sum(p < a for p in wpiv) for i, a in enumerate(upiv)]
-                template = wrows.copy()
-                for s in slots:
-                    template.insert(s, None)
-                merged.append((list(zip(wpiv, wrows)), template, slots))
+                spread_ws.append((wrows, [(free[row.index(1)], r) for row, r in zip(w, wrows)]))
         u = tuple(row + (0,) for row in u)
         members = []
-        for w, template, slots in merged:
-            member = template.copy()
-            for s, r in zip(slots, u):
-                for p, wp in w:
+        for wrows, wpivots in spread_ws:
+            rows = wrows.copy()
+            for r in u:
+                for p, wp in wpivots:
                     c = r[p]
                     if c:
                         r = tuple([(a - c * b) % q for a, b in zip(r, wp)])
-                member[s] = r
-            members.append(tuple(member))
-        if len(members) != expected_members:
-            raise DrgError(
-                f"family of u={u} has {len(members)} members, expected {expected_members}"
-            )
+                rows.append(r)
+            rows.sort(reverse=True)
+            members.append(tuple(rows))
         families.append(DescendentFamily(u, tuple(sorted(members)), points))
     if len(families) != q_binomial(2 * d, t - 1, q):
         raise DrgError("descendent family count mismatch")
@@ -370,7 +364,6 @@ class TheoremReport:
     n: int
     passed: bool
     arrays_match: bool
-    q_matrices_match: bool
     certificate_feasible: bool
     bound: Fraction
     expected: Fraction
@@ -440,8 +433,6 @@ def verify_theorem(
         q=q, d=d, t=t, n=twisted.n,
         passed=passed,
         arrays_match=arrays_match,
-        # P and Q are a function of the array, and P gives the array back
-        q_matrices_match=arrays_match,
         certificate_feasible=cert.feasible,
         bound=cert.bound,
         expected=expected,

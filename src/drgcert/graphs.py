@@ -10,10 +10,11 @@ computed from the graph itself, never by closed-form distance formulas,
 and only where a verdict reads them.  The distance-regularity check reads
 the rows of one representative per orbit (below), so `distance_census`
 takes those sources and runs one breadth-first search from each over the
-adjacency masks, in O(n) ORs a source.  Subset histograms and distance
-matrices read every row, and take the census from every vertex at once:
-a ball recurrence over the clique cover, whose rounds `within` shares,
-stopped at the radius d-t of a threshold graph.  A census keeps
+adjacency masks, in O(n) ORs a source.  Subset histograms and the
+full-matrix tier (`scheme.materialize_idempotents`) read every row, and
+take the census from every vertex at once: a ball recurrence over the
+clique cover, whose rounds `within` shares, stopped at the radius d-t of
+a threshold graph.  A census keeps
 the level masks it produces: levels[x][k] is the bitmask of the vertices
 at distance k from x.
 
@@ -424,18 +425,23 @@ class _PointSets:
         return lambda rows: self.subspace.get(sum(map(moved.__getitem__, self.of[rows])))
 
 
+def _smaller_side(name: str, v: int, d: int) -> int:
+    """min(d, v - d), as complements carry the d-sets (d-spaces) onto the
+    (v-d)-ones; ParameterError unless 0 < d < v."""
+    if d <= 0 or v < d:
+        raise ParameterError(f"{name}({v},{d}) needs 0 < d <= v")
+    if d == v:
+        raise ParameterError(f"{name}({v},{v}) is a single vertex; refusing")
+    return min(d, v - d)
+
+
 def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Johnson graph J(v,d): d-subsets of {1..v}, adjacent iff they share d-1
     elements.  d > v/2 is normalized to v-d (complementation isomorphism).
     Clique keys: the d subsets x - {a}.  Two d-sets share d-1 elements iff
     both contain one (d-1)-set, which is then their intersection.
     Automorphisms: (1 2) and (1 ... v), which generate Sym(v)."""
-    if d <= 0 or v < d:
-        raise ParameterError(f"J({v},{d}) needs 0 < d <= v")
-    if d > v - d:
-        d = v - d
-    if d == 0:
-        raise ParameterError(f"J({v},{v}) is a single vertex; refusing")
+    d = _smaller_side("J", v, d)
     bits = max(d, v.bit_length() - 1)  # C(v,d) >= C(2d,d) >= 2^d, and C(v,d) >= v
     expected = _check_cap(f"J({v},{d})", bits, lambda: comb(v, d), vertex_cap)
     swap = {1: 2, 2: 1}
@@ -471,12 +477,7 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     (d-1)-space, then their intersection.  Automorphisms: `_elementary(q,
     v)`, whose group contains SL(v,q), each acting through its permutation
     of the points."""
-    if d <= 0 or v < d:
-        raise ParameterError(f"J_q({v},{d}) needs 0 < d <= v")
-    if d > v - d:
-        d = v - d
-    if d == 0:
-        raise ParameterError(f"J_{q}({v},{v}) is a single vertex; refusing")
+    d = _smaller_side(f"J_{q}", v, d)
     bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
     expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap, q)
     subspaces = list(all_subspaces(v, d, q))

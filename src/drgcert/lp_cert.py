@@ -48,7 +48,7 @@ from .errors import (
 )
 from .exact import q_binomial, solve_integer_rows
 from .scheme import SchemeEigensystem
-from .subsets import InnerDistribution
+from .subsets import InnerDistribution, width_and_dual_width
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,12 @@ def expected_bound(family: str, params: dict, t: int):
 def certify_subset(dist: InnerDistribution, cert: DualCertificate) -> CertReport:
     """Apply the certificate to a subset's inner distribution.
 
-    Requires a feasible certificate and subset width <= d - t.  The verdict
-    is 'tight' exactly when |Y| equals the bound, in which case the extremal
-    widths w = d-t, w* = t are confirmed; any inconsistency is reported as
-    'violated-bug' since exact arithmetic rules out honest violations.
+    Requires a feasible certificate and subset width <= d - t; w and w*
+    come from `width_and_dual_width`, which raises unless w + w* >= d.  The
+    verdict is 'tight' exactly when |Y| equals the bound, in which case the
+    extremal widths w = d-t, w* = t are confirmed; any inconsistency is
+    reported as 'violated-bug' since exact arithmetic rules out honest
+    violations.
     """
     if not cert.feasible:
         raise InfeasibleCertificate(
@@ -218,10 +220,10 @@ def certify_subset(dist: InnerDistribution, cert: DualCertificate) -> CertReport
         )
     d = dist.d
     t = cert.t
-    w = max(i for i in range(d + 1) if dist.e[i] != 0)
+    widths = width_and_dual_width(dist)
+    w, ws = widths.width, widths.dual_width
     if w > d - t:
         raise WidthTooLarge(f"subset width {w} exceeds d - t = {d - t}")
-    ws = max(i for i in range(d + 1) if dist.eq[i] != 0)
     size = dist.size
     slack_terms = tuple(dist.eq[j] * cert.f[j] for j in range(d + 1))
     slack = sum(slack_terms) - size

@@ -360,6 +360,16 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(out.read_text()) == doc
 
 
+def test_unwritable_out_file_prints_nothing(tmp_path, capsys):
+    # --out is written before the report is printed, so exit 1 leaves stdout empty
+    out = tmp_path / "missing" / "report.json"
+    code = main(["build", "johnson", "-v", "5", "-d", "2",
+                 "--cache", str(tmp_path), "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_no_floats_in_reports(tmp_path, capsys):
     # every numeric leaf is an int, a bool, or an exact num/den string;
     # the only floats allowed are wall-time fields
@@ -398,7 +408,7 @@ GOLDEN = [
     (("certify", "johnson", "-v", "10", "-d", "4", "-t", "1"),
      "931b499444622561c3eb8ee40c71fb6cbf03cfe714c7e1e0bb62792de8fb14d3"),
     (("verify-theorem", "-q", "2", "-d", "2", "-t", "1"),
-     "ab0aa7fe67e235dd2b72a56afc01880a0172477a1d77944c212aea0e2ba328b4"),
+     "ec98d4d1ef979525c76ae7c3c98ee162b08b6c85ed11267d66bfb6b9654cccfd"),
     # the subset files are named by relative path, as `config.subset` is in
     # the report; star.json is 60 of the 84 sets of the star of 1
     (("widths", "johnson", "-v", "10", "-d", "4", "--subset", "star.json"),

@@ -10,6 +10,7 @@ from _oracles import certificate_by_fractions, hamming_certificate_by_fractions,
 from drgcert import exact, lp_cert, scheme
 from drgcert.errors import (
     DrgError,
+    FundamentalInequalityViolated,
     InfeasibleCertificate,
     ParameterError,
     UnsupportedFamily,
@@ -29,7 +30,7 @@ from drgcert.lp_cert import (
     solve_certificate,
 )
 from drgcert.scheme import eigensystem_from_array
-from drgcert.subsets import VertexSubset, inner_distribution, width_and_dual_width
+from drgcert.subsets import InnerDistribution, VertexSubset, inner_distribution, width_and_dual_width
 
 F = Fraction
 
@@ -403,6 +404,15 @@ def test_certify_width_too_large(built):
     dist = inner_distribution(VertexSubset(g, [a, b]), census, sys_)
     with pytest.raises(WidthTooLarge):
         certify_subset(dist, cert)
+
+
+def test_certify_checks_fundamental_inequality(built):
+    # w = w* = 0 < d = 3: the width check alone would call this one point strict
+    _, _, _, sys_ = built("johnson", 7, 3)
+    cert = solve_certificate(sys_, 1)
+    one = (F(1), F(0), F(0), F(0))
+    with pytest.raises(FundamentalInequalityViolated):
+        certify_subset(InnerDistribution(e=one, eq=one), cert)
 
 
 def test_certify_requires_feasible(built):
