@@ -266,8 +266,6 @@ def cmd_verify_theorem(args) -> int:
         enum_cap=args.enum_cap,
     )
     doc = asdict(report)
-    for name in ("q", "d", "t"):  # in config already
-        del doc[name]
     doc.update(
         config=_config(args, "twisted", {"q": args.q, "d": args.d}),
         seconds=round(report.seconds, 3),

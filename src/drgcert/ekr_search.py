@@ -358,9 +358,6 @@ def verify_descendent_family(fam: DescendentFamily, q: int, d: int, t: int, sys=
 
 @dataclass(frozen=True)
 class TheoremReport:
-    q: int
-    d: int
-    t: int
     n: int
     passed: bool
     arrays_match: bool
@@ -408,9 +405,15 @@ def verify_theorem(
     """Build the twisted graph, compare its BFS array with the closed-form
     array of J_q(2d+1,d) (which also settles P and Q), certify the bound,
     search exhaustively, and compare maximizers with the enumerated
-    descendent families.  search_cap is the vertex cap of the build."""
+    descendent families.  search_cap is the vertex cap of the build.  The
+    comparison needs every maximizer listed, so an enum_cap below the
+    [2d, t-1]_q descendent families (at least q^((t-1)(2d-t+1)) of them) is
+    refused before the build: above it, a truncated list means more maxima
+    than descendent families."""
     if not 0 < t < d:  # so d >= 2
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
+    _check_cap(f"twisted({q},{d}) at t={t}", (t - 1) * (2 * d - t + 1) * (q.bit_length() - 1),
+               lambda: q_binomial(2 * d, t - 1, q), enum_cap, unit="descendent families")
     twisted = build_twisted_grassmann(q, d, search_cap)
     census = distance_census(twisted, representatives(twisted))
     arr = check_distance_regular(twisted, census)
@@ -430,7 +433,7 @@ def verify_theorem(
         and maximizers_match
     )
     return TheoremReport(
-        q=q, d=d, t=t, n=twisted.n,
+        n=twisted.n,
         passed=passed,
         arrays_match=arrays_match,
         certificate_feasible=cert.feasible,

@@ -161,18 +161,19 @@ class Graph:
         return f"Graph({self.family}, n={self.n}, params={self.params})"
 
 
-def _check_cap(name: str, bits: int, count, vertex_cap: int, prime: int | None = None) -> int:
-    """count(), refused above vertex_cap before any vertex is enumerated; as the
-    count is at least 2^bits, a huge one is refused without being formed.
+def _check_cap(name: str, bits: int, count, cap: int, prime: int | None = None,
+               unit: str = "vertices") -> int:
+    """count(), a number of `unit`, refused above cap before any is made; as
+    the count is at least 2^bits, a huge one is refused without being formed.
     A field order `prime` is tested between the two, after the count-free
     refusal, which also spares `is_prime` a q it cannot decide."""
-    if bits >= vertex_cap.bit_length():
-        raise TierLimitExceeded(f"{name} has at least 2^{bits} vertices; cap is {vertex_cap}")
+    if bits >= cap.bit_length():
+        raise TierLimitExceeded(f"{name} has at least 2^{bits} {unit}; cap is {cap}")
     if prime is not None and not is_prime(prime):
         raise UnsupportedField(f"q={prime} is not prime")
     n = count()
-    if n > vertex_cap:
-        raise TierLimitExceeded(f"{name} has {n} vertices; cap is {vertex_cap}")
+    if n > cap:
+        raise TierLimitExceeded(f"{name} has {n} {unit}; cap is {cap}")
     return n
 
 

@@ -88,27 +88,6 @@ class SchemeEigensystem:
         put(self, "certificates", {})
 
 
-@dataclass(frozen=True)
-class KreinTensor:
-    """Structure constants of entrywise multiplication in the E-basis."""
-
-    values: tuple[tuple[tuple[Fraction, ...], ...], ...]  # values[k][i][j]
-
-    @property
-    def d(self) -> int:
-        return len(self.values) - 1
-
-    def q(self, k: int, i: int, j: int) -> Fraction:
-        return self.values[k][i][j]
-
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        """support[j][c], the mask of the b with q^b_{j,c} != 0, which is
-        all that `verify_q_polynomial` reads."""
-        r = range(self.d + 1)
-        return tuple(tuple(sum(1 << b for b in r if self.values[b][j][c]) for c in r)
-                     for j in r)
-
-
 def _scaled_minors(arr: IntersectionArray, a: tuple[int, ...], y: int) -> list[int]:
     """P_i = 2^i p_i(y/2) for i = 0..d+1, where p_i(x) is the i-th leading
     principal minor of xI - L.  All integers, by the three-term recurrence
@@ -287,9 +266,11 @@ def _support(sums: dict[tuple[int, int, int], int], d: int) -> tuple[tuple[int, 
     return tuple(map(tuple, sup))
 
 
-def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
-    """q^k_{ij} = |X|^{-1} sum_l Q_li Q_lj P_kl; nonnegative for any scheme,
-    so a negative entry is reported as a data error.
+def krein_parameters(sys: SchemeEigensystem) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The Krein tensor as nested tuples q[k][i][j] = q^k_{ij}, the structure
+    constants of entrywise multiplication in the E-basis:
+    q^k_{ij} = |X|^{-1} sum_l Q_li Q_lj P_kl; nonnegative for any scheme, so
+    a negative entry is reported as a data error.
 
     The orthogonality relation Q_lk = m_k P_kl / k_l gives
     P_kl = k_l Q_lk / m_k, so
@@ -311,52 +292,52 @@ def krein_parameters(sys: SchemeEigensystem) -> KreinTensor:
         for i in r:
             for j in r[i:]:
                 vals[kk][i][j] = vals[kk][j][i] = Fraction(sums[tuple(sorted((i, j, kk)))], den)
-    return KreinTensor(tuple(tuple(map(tuple, plane)) for plane in vals))
-
-
-def _ordering_passes(support, perm) -> bool:
-    """For k != i, q^{perm[k]}_{perm[1],perm[i]} != 0 exactly when |k - i| = 1:
-    row perm[i] of support[perm[1]], less perm[i] itself, holds exactly
-    perm[i-1] and perm[i+1]."""
-    row = support[perm[1]]
-    ends = (0, *(1 << b for b in perm), 0)  # ends[i + 1] is the bit of perm[i]
-    return all(row[c] & ~(1 << c) == ends[i] | ends[i + 2] for i, c in enumerate(perm))
+    return tuple(tuple(map(tuple, plane)) for plane in vals)
 
 
 def _walk(support, j: int) -> tuple[int, ...] | None:
-    """The ordering 0, j, ... that steps from each E_c to the one unvisited
-    E_b with q^b_{j,c} != 0; None when some step has no such b or several."""
-    row, perm, seen = support[j], [0, j], 1 | 1 << j
-    while len(perm) < len(row):
-        nxt = row[perm[-1]] & ~seen
-        if not nxt or nxt & (nxt - 1):
+    """The ordering 0, j, ... that passes, confirmed as it is walked, or None:
+    row 0 of support[j], less 0, must be {j}; at each later position i, row
+    c = perm[i] less c must hold perm[i-1], no other visited E_b, and one
+    unvisited E_b, taken as perm[i+1], or none, which must come at i = d."""
+    row = support[j]
+    if row[0] & ~1 != 1 << j:
+        return None
+    perm, seen = [0, j], 1 | 1 << j
+    while True:
+        c, prev = perm[-1], 1 << perm[-2]
+        rest = row[c] & ~(1 << c)
+        if not rest & prev or rest & seen & ~prev:
             return None
-        perm.append(nxt.bit_length() - 1)
-        seen |= nxt
-    return tuple(perm)
+        new = rest & ~seen
+        if not new:
+            return tuple(perm) if len(perm) == len(row) else None
+        if new & (new - 1):
+            return None
+        perm.append(new.bit_length() - 1)
+        seen |= new
 
 
 def verify_q_polynomial(support) -> tuple[tuple[int, ...], ...]:
     """Every ordering that fixes E_0 and makes q^k_{1i} tridiagonal, in
     lexicographic order, from the Krein tensor's support (support[j][c] is
-    the mask of the b with q^b_{j,c} != 0: `KreinTensor.support`, or the
-    support of the integer sums that `eigensystem_from_array` forms);
+    the mask of the b with q^b_{j,c} != 0, as `_support` forms it);
     raises NotQPolynomial when there is none.
 
-    The orderings are constructed, not searched.  Let perm pass with
-    perm[1] = j.  By `_ordering_passes`, for each position i < d the b != perm[i]
-    with q^b_{j,perm[i]} != 0 are exactly perm[i-1] (when i > 0) and perm[i+1].
-    perm[i-1] is among perm[0..i] and perm[i+1] is not, so perm[i+1] is the
-    one b outside perm[0..i] with q^b_{j,perm[i]} != 0: the walk `_walk(support, j)`
-    takes that step, and by induction on i it returns perm.  So each j gives
-    at most one passing ordering, the walk from j, and confirming each walk
-    with `_ordering_passes` (the walk reads only the unvisited entries) finds
-    them all, at every d.  Orderings with a smaller perm[1] come first in
-    the lexicographic order of `itertools.permutations`, so ascending j
-    lists them in that order.
+    The orderings are constructed, not searched.  perm passes, with
+    perm[1] = j, when row perm[i] of support[j], less perm[i], is exactly
+    {perm[i-1], perm[i+1]} (the ends that exist) at every i.  Then row 0 is
+    {j}, and by induction each row perm[i] holds perm[i-1], no other of
+    perm[0..i], and one more, perm[i+1], or none at i = d: `_walk(support, j)`
+    takes the steps of perm and returns it.  Conversely a returned walk has
+    d+1 distinct entries, as each step is unvisited, and each row it passed
+    held perm[i-1], perm[i+1] and nothing else (at i = d every E_b is
+    visited), so perm passes.  So each j gives at most one ordering, and
+    ascending j lists them in the lexicographic order of
+    `itertools.permutations`.
     """
     walks = (_walk(support, j) for j in range(1, len(support)))
-    passing = tuple(p for p in walks if p is not None and _ordering_passes(support, p))
+    passing = tuple(p for p in walks if p is not None)
     if not passing:
         raise NotQPolynomial("no idempotent ordering is Q-polynomial")
     return passing
@@ -434,9 +415,10 @@ def krein_cross_check(
     G: Graph,
     census: DistanceCensus,
     sys: SchemeEigensystem,
-    kt: KreinTensor | None = None,
+    kt: tuple | None = None,
 ) -> None:
-    """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k on the
+    """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k, with
+    q^k_ij = kt[k][i][j] (`krein_parameters(sys)` by default), on the
     idempotents of `materialize_idempotents`, on the rows of the orbit
     representatives: each side's entry depends on the level of the pair
     alone, so it is checked once for each level that occurs in those rows.
@@ -450,7 +432,7 @@ def krein_cross_check(
         Ci, Di = out[i]
         for j in r[i:]:
             Cj, Dj = out[j]
-            coeffs = [kt.q(kk, i, j) / (sys.n * out[kk][1]) for kk in r]
+            coeffs = [kt[kk][i][j] / (sys.n * out[kk][1]) for kk in r]
             den = lcm(Di * Dj, *(c.denominator for c in coeffs))
             ints = [int(c * den) for c in coeffs]
             lhs = den // (Di * Dj)

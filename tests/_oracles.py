@@ -158,6 +158,13 @@ def orderings_by_search(krein):
     return tuple((0,) + p for p in itertools.permutations(range(1, d + 1)) if passes((0,) + p))
 
 
+def krein_support(krein):
+    """support[j][c], the mask of the b with q^b_{j,c} != 0, read entry by
+    entry off krein[k][i][j] = q^k_ij."""
+    r = range(len(krein))
+    return tuple(tuple(sum(1 << b for b in r if krein[b][j][c]) for c in r) for j in r)
+
+
 def integer_form(rows):
     """(D, D*rows) with D the lcm of the entries' denominators, as tuples."""
     D = lcm(*(Fraction(x).denominator for row in rows for x in row))

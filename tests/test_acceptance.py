@@ -181,7 +181,7 @@ def test_criterion_7_eigensystem_self_consistency(built):
             kt = krein_parameters(sys_)
             for i in range(d + 1):
                 for kk in range(d + 1):
-                    val = kt.q(kk, 1, i)
+                    val = kt[kk][1][i]
                     if abs(kk - i) > 1:
                         assert val == 0, (family, args, kk, i)
                     if abs(kk - i) == 1:

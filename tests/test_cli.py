@@ -475,6 +475,25 @@ def test_enumeration_cap_below_one_is_refused_before_any_build(tmp_path, capsys,
     assert (code, out, err) == (1, "", "error: need enum_cap >= 1, got 0\n")
 
 
+def test_enumeration_cap_below_the_descendent_families_is_a_tier_limit(tmp_path, capsys,
+                                                                      monkeypatch):
+    # twisted(2,3) has 63 descendent families at t = 2: a maximizer list cut
+    # at 62 cannot be compared with them, so the run is refused as a tier
+    # limit (exit 3) before the 11,811-vertex build, not judged a failed
+    # theorem (exit 2)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for family in cli.BUILDERS:
+        monkeypatch.setitem(cli.BUILDERS, family, unreachable)
+    monkeypatch.setattr(ekr_search, "build_twisted_grassmann", unreachable)
+    code = main(["verify-theorem", "-q", "2", "-d", "3", "-t", "2", "--vertex-cap", "20000",
+                 "--enum-cap", "62", "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "tier exceeded: twisted(2,3) at t=2 has 63 descendent families; cap is 62\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["build", "johnson", "-v", "5", "-d", "2"],

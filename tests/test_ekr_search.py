@@ -615,3 +615,15 @@ def test_verify_theorem_tier_refusals():
         verify_theorem(2, 3, 1)  # 11811 vertices > default search_cap
     with pytest.raises(TierLimitExceeded):
         verify_theorem(3, 2, 1)  # 1210 vertices > default cap
+    with pytest.raises(TierLimitExceeded, match="at least 2"):
+        # at least 2^(t-1)(2d-t+1) descendent families: refused unformed
+        verify_theorem(2, 10 ** 6, 5 * 10 ** 5)
+
+
+def test_verify_theorem_needs_an_enum_cap_for_every_descendent_family():
+    # twisted(2,3) at t = 2 has [6, 1]_2 = 63 descendent families: a cap of
+    # 63 lists every maximizer and the theorem passes; a list cut at 62
+    # could not be compared, so that cap is refused before the build
+    assert verify_theorem(2, 3, 2, search_cap=20000, enum_cap=63).passed
+    with pytest.raises(TierLimitExceeded, match="has 63 descendent families; cap is 62"):
+        verify_theorem(2, 3, 2, search_cap=20000, enum_cap=62)

@@ -22,6 +22,7 @@ from _oracles import (
     inner_distribution_by_fractions,
     integer_form,
     krein_by_triple_sum,
+    krein_support,
     lagrange_idempotents,
     mat_eye,
     mat_mul,
@@ -50,7 +51,6 @@ from drgcert.graphs import (
 )
 from drgcert.subsets import inner_distribution_from_counts
 from drgcert.scheme import (
-    KreinTensor,
     eigensystem_cache_key,
     eigensystem_from_array,
     eigensystem_to_json,
@@ -120,12 +120,12 @@ def test_krein_basics(family, args, built):
     _, _, _, sys_ = built(family, *args)
     kt = krein_parameters(sys_)
     oracle = krein_by_triple_sum(sys_.P.rows, sys_.Q.rows, sys_.n)
-    assert [[list(row) for row in plane] for plane in kt.values] == oracle
+    assert [[list(row) for row in plane] for plane in kt] == oracle
     d = sys_.d
     for j in range(d + 1):
         for kk in range(d + 1):
-            assert kt.q(kk, 0, j) == (1 if j == kk else 0)
-    assert tuple(range(d + 1)) in verify_q_polynomial(kt.support())
+            assert kt[kk][0][j] == (1 if j == kk else 0)
+    assert tuple(range(d + 1)) in verify_q_polynomial(krein_support(kt))
 
 
 def test_negative_krein_parameter_is_reported():
@@ -194,8 +194,8 @@ def test_krein_values_match_the_triple_sum_oracle_on_the_grid():
         sys_ = eigensystem_from_array(arr, arr.vertex_count())
         kt = krein_parameters(sys_)
         oracle = krein_by_triple_sum(sys_.P.rows, sys_.Q.rows, sys_.n)
-        assert [[list(row) for row in plane] for plane in kt.values] == oracle
-        assert kt.support() == scheme._support(
+        assert [[list(row) for row in plane] for plane in kt] == oracle
+        assert krein_support(kt) == scheme._support(
             scheme._krein_sums(sys_.n, sys_.k, sys_.m, sys_.D, sys_.DQ), sys_.d)
 
 
@@ -282,8 +282,8 @@ def test_krein_k3_by_hand(built):
     kt = krein_parameters(sys_)
     # 3x3 case by hand: E_1 = I - J/3, (E_1 o E_1) = (1/9)[[4,1,1],...]
     # expansion coefficients: q^0_11 = 2, q^1_11 = 1
-    assert kt.q(0, 1, 1) == 2
-    assert kt.q(1, 1, 1) == 1
+    assert kt[0][1][1] == 2
+    assert kt[1][1][1] == 1
 
 
 def _distances(g):
@@ -370,7 +370,7 @@ def _full_tier_verdict(g, census, sys_, kt):
 
 def _oracle(census_levels, sys_, kt, rows=None):
     Q = [list(row) for row in sys_.Q.rows]
-    return full_matrix_failure(census_levels, Q, kt.values, rows)
+    return full_matrix_failure(census_levels, Q, kt, rows)
 
 
 @pytest.mark.parametrize("family,args", FULL_TIER)
@@ -408,9 +408,8 @@ def test_full_matrix_tier_refuses_swapped_q_rows(family, args, built):
 @pytest.mark.parametrize("family,args", FULL_TIER)
 def test_full_matrix_tier_refuses_a_wrong_krein_parameter(family, args, built):
     g, census, _, sys_ = built(family, *args)
-    values = [[list(row) for row in plane] for plane in krein_parameters(sys_).values]
-    values[1][1][1] += 1
-    kt = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in values))
+    kt = [[list(row) for row in plane] for plane in krein_parameters(sys_)]
+    kt[1][1][1] += 1
     message = "Krein expansion of E_1 o E_1 fails entrywise"
     assert _oracle(census_by_bfs(g.adj)[0], sys_, kt)[1] == message
     for graph in (g, _hand_built(g)):
@@ -484,9 +483,8 @@ def test_full_matrix_tier_names_each_failing_pair(family, args, built):
         assert _oracle(levels, tampered, kt)[1] == message
         for graph in graphs:
             assert _full_tier_verdict(graph, census, tampered, kt) == (None, message)
-        values = [[list(row) for row in plane] for plane in kt.values]
-        values[0][i][j] += 1
-        wrong = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in values))
+        wrong = [[list(row) for row in plane] for plane in kt]
+        wrong[0][i][j] += 1
         message = f"Krein expansion of E_{i} o E_{j} fails entrywise"
         assert _oracle(levels, sys_, wrong)[1] == message
         for graph in graphs:
@@ -599,12 +597,12 @@ def test_not_q_polynomial_tensor():
             for kk in range(d + 1)
         )
         with pytest.raises(NotQPolynomial):
-            verify_q_polynomial(KreinTensor(vals).support())
+            verify_q_polynomial(krein_support(vals))
 
 
 def _relabelled(kt, s):
-    r = range(kt.d + 1)
-    return tuple(tuple(tuple(kt.q(s[k], s[i], s[j]) for j in r) for i in r) for k in r)
+    r = range(len(kt))
+    return tuple(tuple(tuple(kt[s[k]][s[i]][s[j]] for j in r) for i in r) for k in r)
 
 
 @pytest.mark.parametrize("arr,n", [
@@ -617,29 +615,51 @@ def test_constructed_orderings_match_search_under_relabelling(arr, n):
     # must follow them under every labelling, as the (d)! search does
     kt = krein_parameters(eigensystem_from_array(arr, n, check_q_polynomial=False))
     seen = set()
-    for perm in itertools.permutations(range(1, kt.d + 1)):
+    for perm in itertools.permutations(range(1, len(kt))):
         vals = _relabelled(kt, (0,) + perm)
         found = orderings_by_search(vals)
-        assert found and verify_q_polynomial(KreinTensor(vals).support()) == found
+        assert found and verify_q_polynomial(krein_support(vals)) == found
         seen.add(len(found))
     assert seen == ({2} if arr.d == 4 else {1})
 
 
 def test_walk_that_completes_is_still_confirmed():
-    # d = 2: from E_1 the walk steps to E_2 and completes (0, 1, 2), which
-    # only reads q^2_{1,1}; but q^0_{1,2} != 0 puts E_0 next to E_2, so the
-    # ordering fails, and the walk from E_2 stalls (q^1_{2,2} = 0)
+    # d = 2: from E_1 a walk that read only the unvisited entries would step
+    # to E_2 and complete (0, 1, 2); but q^0_{1,2} != 0 puts E_0 next to E_2,
+    # a visited E_b other than its predecessor, so the walk refuses it at
+    # position 2, and the walk from E_2 stalls (q^1_{2,2} = 0)
     q = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for k in range(3):
         q[k][0][k] = q[k][k][0] = Fraction(1)
     for k, i, j in [(0, 1, 1), (2, 1, 1), (1, 1, 2), (1, 2, 1), (0, 1, 2)]:
         q[k][i][j] = Fraction(1)
-    kt = KreinTensor(tuple(tuple(map(tuple, plane)) for plane in q))
-    assert scheme._walk(kt.support(), 1) == (0, 1, 2)
-    assert scheme._walk(kt.support(), 2) is None
-    assert orderings_by_search(kt.values) == ()
+    support = krein_support(q)
+    assert scheme._walk(support, 1) is None
+    assert scheme._walk(support, 2) is None
+    assert orderings_by_search(q) == ()
     with pytest.raises(NotQPolynomial):
-        verify_q_polynomial(kt.support())
+        verify_q_polynomial(support)
+
+
+@pytest.mark.parametrize("support", [
+    # row 1 of support[1] leads on to E_2 but lacks its predecessor E_0
+    # (q^0_{1,1} = 0), and row 2 holds E_1 alone: only the predecessor check
+    # refuses (0, 1, 2)
+    ((1, 2, 4), (2, 4, 2), (4, 0, 0)),
+    # row 1 of support[1] holds E_0 alone: the walk from E_1 ends at
+    # position 1 < d, and only the length check refuses (0, 1)
+    ((1, 2, 4), (2, 1, 0), (4, 0, 0)),
+    # d = 1: row 0 of support[1] is empty (q^1_{1,0} = 0), and row 1 holds
+    # E_0 alone: only the check at position 0 refuses (0, 1)
+    ((1, 2), (0, 1)),
+])
+def test_walk_refuses_hand_made_supports(support):
+    # masks support[j][c] that no scheme has (the Krein support is symmetric
+    # and q^0_{j,j} = m_j > 0); the test hook's search agrees that no
+    # ordering passes
+    assert scheme._walk(support, 1) is None
+    with pytest.raises(NotQPolynomial):
+        verify_q_polynomial(support)
 
 
 def test_hypercube_h82_has_two_orderings():
@@ -650,7 +670,7 @@ def test_hypercube_h82_has_two_orderings():
     assert sys_.eigenvalues == tuple(8 - 2 * j for j in range(9))
     assert sys_.passing_orderings == (tuple(range(9)), (0, 7, 2, 5, 4, 3, 6, 1, 8))
     kt = krein_parameters(eigensystem_from_array(arr, 2 ** 8, check_q_polynomial=False))
-    assert orderings_by_search(kt.values) == sys_.passing_orderings
+    assert orderings_by_search(kt) == sys_.passing_orderings
 
 
 def test_odd_graph_o8_needs_reordering():
@@ -662,7 +682,7 @@ def test_odd_graph_o8_needs_reordering():
     assert sys_.passing_orderings == (sys_.ordering,)
     assert sys_.eigenvalues == (8, -7, 6, -5, 4, -3, 2, -1)
     kt = krein_parameters(eigensystem_from_array(arr, 6435, check_q_polynomial=False))
-    assert orderings_by_search(kt.values) == sys_.passing_orderings
+    assert orderings_by_search(kt) == sys_.passing_orderings
 
 
 def test_eigensystem_cache_roundtrip(built):
@@ -789,4 +809,4 @@ def test_eigenvalues_match_sympy_charpoly(arr):
     else:
         event("Krein conditions hold")
         kt = krein_parameters(sys_)
-        assert [[list(row) for row in plane] for plane in kt.values] == oracle
+        assert [[list(row) for row in plane] for plane in kt] == oracle
