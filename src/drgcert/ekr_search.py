@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
-from operator import itemgetter
 
 from .errors import DrgError, ParameterError
 from .exact import q_binomial
@@ -279,45 +278,40 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     first 1 of each canonical row) and C the span of the e_j, j not in U.
     u is the identity on U, so u meets C in 0 and H = u + C.  For
     u <= x <= H the modular law gives x = u + (x meet C), so w -> u + w is
-    a bijection from the (d-t)-spaces w of C (`all_subspaces` of
-    GF(q)^(2d-t+1) spread onto the columns off U) onto the (d-1)-spaces
-    through u.  Its canonical basis needs no elimination: reduce each row r
-    of u to r - sum r[p] w_p over the pivots p of w, w_p the row with pivot
-    p, which vanishes at w's other pivots.  w vanishes on U, so r keeps its
+    a bijection from the (d-t)-spaces w of C onto the (d-1)-spaces through
+    u.  `all_subspaces` on the 2d-t+1 columns of H off U lists these w in
+    GF(q)^(2d+1) directly, each as its canonical basis with the trailing
+    zero.  The canonical basis of u + w needs no elimination: it takes the
+    rows of w as they are, and reduces each row r of u to
+    r - sum r[p] w_p over the pivots p of w, w_p the row with pivot p,
+    which vanishes at w's other pivots.  w vanishes on U, so r keeps its
     entries there and gains none before its own pivot (below it r[p] = 0,
     above it w_p vanishes before p).  The rows of u now vanish at w's
     pivots and those of w on U, so both, sorted by pivot, are the RREF,
     and for rows led by 1s at distinct pivots descending tuple order is
-    ascending pivot order.  C depends on U alone, so the w are spread onto
-    it once for each pivot pattern of the u, which `all_subspaces` lists
-    together, with the trailing zero of GF(q)^(2d+1): a member takes the
-    rows of w as they are.
+    ascending pivot order.  C depends on U alone, so its w are listed once
+    for each pivot pattern of the u, which `all_subspaces` lists together.
     """
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
     _check_cap(f"X2 of twisted({q},{d})", (d - 1) * (d + 1) * (q.bit_length() - 1),
                lambda: q_binomial(2 * d, d - 1, q), DEFAULT_VERTEX_CAP, prime=q)
     n = 2 * d
-    ws = list(all_subspaces(n - t + 1, d - t, q))
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
-    if len(ws) != expected_members:  # every u gets one member per w
-        raise DrgError(f"{len(ws)} spaces w per family, expected {expected_members}")
     points = X2PointIndex(q, d)
     families, pattern = [], None
     for u in all_subspaces(n, t - 1, q):  # grouped by pivot pattern
         upiv = [row.index(1) for row in u]
         if upiv != pattern:
-            pattern, free = upiv, [j for j in range(n) if j not in upiv]
-            # column j of a spread row is entry free.index(j) of row + (0,), or that 0
-            spread = itemgetter(*[free.index(j) if j in free else len(free) for j in range(n + 1)])
-            spread_ws = []
-            for w in ws:
-                wrows = [spread(row + (0,)) for row in w]
-                spread_ws.append((wrows, [(free[row.index(1)], r) for row, r in zip(w, wrows)]))
+            pattern = upiv
+            ws = [(w, [(row.index(1), row) for row in w])
+                  for w in all_subspaces(n + 1, d - t, q, [j for j in range(n) if j not in upiv])]
+            if len(ws) != expected_members:  # every u gets one member per w
+                raise DrgError(f"{len(ws)} spaces w per family, expected {expected_members}")
         u = tuple(row + (0,) for row in u)
         members = []
-        for wrows, wpivots in spread_ws:
-            rows = wrows.copy()
+        for w, wpivots in ws:
+            rows = list(w)
             for r in u:
                 for p, wp in wpivots:
                     c = r[p]
@@ -335,10 +329,12 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
 def verify_descendent_family(fam: DescendentFamily, q: int, d: int, t: int, sys=None):
     """Parameter-tier check of one family: width, dual width, certificate
     verdict.  Returns (WidthReport, CertReport).  The histogram reads its
-    point masks from fam.points, and the certificate is kept on sys, so the
-    families of one enumeration checked against one sys span each X2
-    vertex once and share one solve.  A sys whose vertex count or diameter
-    is not twisted(q, d)'s raises ParameterError."""
+    point masks from fam.points, and the verdict is kept on sys by t and
+    histogram (`SchemeEigensystem.verdicts`), so the families of one
+    enumeration checked against one sys span each X2 vertex once and share
+    one inner distribution, widths and certificate check per histogram.  A
+    sys whose vertex count or diameter is not twisted(q, d)'s raises
+    ParameterError."""
     if sys is None:
         arr = twisted_intersection_array(q, d)
         sys = eigensystem_from_array(arr, arr.vertex_count())
@@ -346,10 +342,12 @@ def verify_descendent_family(fam: DescendentFamily, q: int, d: int, t: int, sys=
         raise ParameterError(
             f"eigensystem with n={sys.n}, d={sys.d} is not that of twisted({q},{d})")
     counts = twisted_x2_distance_counts(list(fam.members), q, d, fam.points)
-    dist = inner_distribution_from_counts(counts, sys)
-    report = width_and_dual_width(dist)
-    cert = solve_certificate(sys, t)
-    return report, certify_subset(dist, cert)
+    key = (t, tuple(counts))
+    if key not in sys.verdicts:
+        dist = inner_distribution_from_counts(counts, sys)
+        cert = solve_certificate(sys, t)
+        sys.verdicts[key] = width_and_dual_width(dist), certify_subset(dist, cert)
+    return sys.verdicts[key]
 
 
 # ---------------------------------------------------------------------------

@@ -86,20 +86,25 @@ def iter_bits(mask: int):
 # subspaces of GF(q)^n
 
 
-def all_subspaces(n: int, k: int, q: int):
-    """Yield every k-dim subspace of GF(q)^n exactly once, as its canonical
-    RREF basis: a tuple of k row tuples.
+def all_subspaces(n: int, k: int, q: int, coords=None):
+    """Yield every k-dim subspace of the span of the e_j, j in coords (all n
+    coordinates by default), in GF(q)^n exactly once, as its canonical RREF
+    basis: a tuple of k row tuples of length n, 0 off coords.
 
     Enumeration is by pivot pattern plus free entries, so each subspace is
     produced directly in canonical form (no reduction step, no duplicates).
-    Each pattern's rows are formed once: row i has 1 at its pivot p_i, 0
-    before it and at the other pivots, and any entry in the other columns
-    after it; the bases are the product of the rows' choices, in the order
-    of their free entries read row by row.
+    The pivots are k of the coords, in `combinations` order, and each
+    pattern's rows are formed once: row i has 1 at its pivot p_i, 0 before
+    it, at the other pivots and off coords, and any entry in the other
+    columns after it; the bases are the product of the rows' choices, in
+    the order of their free entries read row by row.  For increasing
+    coords c_0 < c_1 < ... this is the enumeration of GF(q)^len(coords)
+    with column i moved to c_i, in the same order.
     """
-    for pivots in itertools.combinations(range(n), k):
-        rows = [list(itertools.product(*[(int(j == p),) if j <= p or j in pivots else range(q)
-                                         for j in range(n)]))
+    coords = range(n) if coords is None else coords
+    for pivots in itertools.combinations(coords, k):
+        rows = [list(itertools.product(*[(int(j == p),) if j <= p or j in pivots
+                                         or j not in coords else range(q) for j in range(n)]))
                 for p in pivots]
         yield from itertools.product(*rows)
 

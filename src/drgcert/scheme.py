@@ -62,7 +62,13 @@ class SchemeEigensystem:
     never go stale: `D`, the lcm of Q's denominators, and `DQ` = D*Q.
     P is integral for every distance-regular graph; a fractional P is
     refused.  `certificates` memoizes `lp_cert.solve_certificate` by t,
-    for this object alone.
+    and `verdicts` keeps the (WidthReport, CertReport) of
+    `ekr_search.verify_descendent_family` by (t, distance histogram), for
+    this object alone: both reports are functions of the histogram, the
+    eigensystem and t, so the families with one histogram (all the
+    descendent families of one t are images of each other under the
+    automorphism group) share one verdict, while each histogram is still
+    counted from its own family's members.
     """
 
     n: int
@@ -77,6 +83,7 @@ class SchemeEigensystem:
     D: int = field(init=False, compare=False, repr=False)
     DQ: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     certificates: dict = field(init=False, compare=False, repr=False)
+    verdicts: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(x.denominator != 1 for row in self.P.rows for x in row):
@@ -86,6 +93,7 @@ class SchemeEigensystem:
         put(self, "D", D)
         put(self, "DQ", tuple(map(tuple, DQ)))
         put(self, "certificates", {})
+        put(self, "verdicts", {})
 
 
 def _scaled_minors(arr: IntersectionArray, a: tuple[int, ...], y: int) -> list[int]:
@@ -124,21 +132,27 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     largest eigenvalue theta_0; it is taken with no bisection, and still
     confirmed by p_{d+1}(b_0) = 0.  For the other d, integer bisection on
     N(m + 1/2) puts the j-th largest eigenvalue in (m - 1/2, m + 1/2); it
-    equals m exactly when p_{d+1}(m) = 0 and is irrational otherwise.  d+1
-    distinct confirmed integers are all the roots.  Raises
-    IrrationalEigenvalue when a root is not an integer.
+    equals m exactly when p_{d+1}(m) = 0 and is irrational otherwise.  Every
+    count taken is kept: the bisection for eigenvalue j runs from
+    hi = theta_{j-1} and from lo, the largest m probed so far with
+    N(m + 1/2) > j (-b_0 - 1 if none), as more than j eigenvalues lie above
+    lo + 1/2 and j - 1 above theta_{j-1} + 1/2.  d+1 distinct confirmed
+    integers are all the roots.  Raises IrrationalEigenvalue when a root is
+    not an integer.
     """
     d = arr.d
+    counts: dict[int, int] = {}  # m -> N(m + 1/2), every count taken
 
-    def above(m: int) -> int:  # N(m + 1/2)
+    def above(m: int) -> int:
         P = _scaled_minors(arr, a, 2 * m + 1)
-        return sum((u < 0) != (v < 0) for u, v in zip(P, P[1:]))
+        counts[m] = sum((u < 0) != (v < 0) for u, v in zip(P, P[1:]))
+        return counts[m]
 
     thetas: list[int] = []
     hi = arr.b0
     for j in range(d + 1):
-        # invariant: above(lo) > j >= above(hi); theta_0 = b_0 is not bisected
-        lo = -arr.b0 - 1 if j else hi - 1
+        # invariant: N(lo + 1/2) > j >= N(hi + 1/2); theta_0 = b_0 is not bisected
+        lo = max((m for m, c in counts.items() if c > j), default=-arr.b0 - 1) if j else hi - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if above(mid) > j:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import comb
@@ -15,7 +16,7 @@ from _oracles import (
 )
 from drgcert import ekr_search, graphs, lp_cert
 from drgcert.errors import DrgError, ParameterError, TierLimitExceeded, UnsupportedField
-from drgcert.exact import q_binomial
+from drgcert.exact import canonical_json, q_binomial
 from drgcert.graphs import (
     Graph,
     IntersectionArray,
@@ -390,15 +391,19 @@ def test_verify_descendent_family_parameter_tier():
 @pytest.mark.parametrize("q,d,t,count,size", [(2, 3, 2, 63, 31), (3, 3, 2, 364, 121)])
 def test_descendent_families_share_one_certificate_solve(q, d, t, count, size, monkeypatch):
     # every family of twisted(q,d) at t is tight on the parameter tier, and
-    # the families checked against one eigensystem share one solve
+    # the families checked against one eigensystem share one solve and,
+    # as they share one distance histogram, one inner distribution
     real = lp_cert._pinned_solution
-    solves = []
+    solves, dists = [], []
 
     def counted(M, t_):
         solves.append(t_)
         return real(M, t_)
 
+    real_dist = ekr_search.inner_distribution_from_counts
     monkeypatch.setattr(lp_cert, "_pinned_solution", counted)
+    monkeypatch.setattr(ekr_search, "inner_distribution_from_counts",
+                        lambda counts, s: dists.append(counts) or real_dist(counts, s))
     arr = twisted_intersection_array(q, d)
     sys_ = eigensystem_from_array(arr, arr.vertex_count())
     fams = enumerate_descendent_families(q, d, t)
@@ -408,6 +413,47 @@ def test_descendent_families_share_one_certificate_solve(q, d, t, count, size, m
         assert (wr.width, wr.dual_width, wr.descendent) == (d - t, t, True)
         assert cr.verdict == "tight" and fam.size == cr.size == size == cr.bound
     assert solves == [t]
+    assert len(dists) == 1
+
+
+def test_strict_subfamily_after_its_family_keeps_its_own_verdict():
+    # the verdicts kept on sys are keyed by the histogram as well as by t
+    arr = twisted_intersection_array(2, 3)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fam = enumerate_descendent_families(2, 3, 1)[0]
+    sub = ekr_search.DescendentFamily(fam.u, fam.members[::4])
+    assert verify_descendent_family(fam, 2, 3, 1, sys_)[1].verdict == "tight"
+    wr, cr = verify_descendent_family(sub, 2, 3, 1, sys_)
+    assert cr.verdict == "strict" and cr.size == sub.size == 163 < cr.bound == 651
+    assert (wr, cr) == verify_descendent_family(sub, 2, 3, 1)
+    assert len(sys_.verdicts) == 2
+
+
+def test_same_histogram_at_another_t_gets_that_ts_certificate():
+    # the verdicts kept on sys are keyed by t as well as by the histogram:
+    # a family of t = 2, checked again at t = 1, is strict below 651
+    arr = twisted_intersection_array(2, 3)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fam = enumerate_descendent_families(2, 3, 2)[0]
+    assert verify_descendent_family(fam, 2, 3, 2, sys_)[1].verdict == "tight"
+    wr, cr = verify_descendent_family(fam, 2, 3, 1, sys_)
+    assert cr.verdict == "strict" and cr.size == 31 < cr.bound == 651
+    assert (wr, cr) == verify_descendent_family(fam, 2, 3, 1)
+    assert verify_descendent_family(fam, 2, 3, 2, sys_)[1].bound == 31
+
+
+@pytest.mark.parametrize("q,d,t,digest", [
+    (2, 3, 2, "2370316eb7e8f5c2ac12f7b85b5876ed7c845a8e7278e02c393293c99735f6f3"),
+    (2, 3, 1, "7b9c62f8117fc95bc424fa675d78e80a618b814c4cc253291737a24426f2e995"),
+    (5, 2, 1, "37d4e956a8a7c11565f8c6bd20fb47add53de9b4e7194f4ec476292bb0b75111"),
+    (2, 2, 1, "afc5a7148fc446112047eb4c9b4afb6a68286f34639ba06060b216966cb02b5f"),
+    (3, 2, 1, "62f33a5f7188df29fe44e524bdb79c115b59c4e42b6f9e7c491648f4a53caf43"),
+])
+def test_descendent_enumeration_bytes(q, d, t, digest):
+    # every family's u and members, in order, byte for byte
+    fams = enumerate_descendent_families(q, d, t)
+    doc = canonical_json([[f.u, f.members] for f in fams])
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def _count_spans(monkeypatch):

@@ -733,6 +733,33 @@ def test_grassmann_eigenvalues_beyond_valency_scan(q, v, d):
     )
 
 
+def test_eigenvalue_bisections_reuse_every_sturm_count(monkeypatch):
+    # the 14 closed-form arrays of the parameter-tier benchmark: each
+    # bisection starts at the largest point already counted above it, so
+    # 756 minor evaluations where restarting at -b_0 - 1 took 898
+    def qi(m, q):
+        return (q ** m - 1) // (q - 1)
+
+    def grassmann(q, v, d):
+        return grassmann_intersection_array(q, v, d), tuple(
+            q ** (j + 1) * qi(d - j, q) * qi(v - d - j, q) - qi(j, q) for j in range(d + 1))
+
+    def hamming(d, q):
+        return hamming_intersection_array(d, q), tuple((q - 1) * d - q * j for j in range(d + 1))
+
+    cases = [hamming(d, q) for d, q in [(4, 4), (7, 7), (10, 10), (5, 5), (6, 6), (8, 8)]]
+    cases += [grassmann(*p) for p in [(2, 16, 8), (3, 12, 6), (5, 8, 4), (3, 10, 5)]]
+    for q, d in [(2, 6), (3, 3), (2, 3), (5, 2)]:
+        arr, thetas = grassmann(q, 2 * d + 1, d)
+        assert twisted_intersection_array(q, d) == arr
+        cases.append((arr, thetas))
+    real, calls = scheme._scaled_minors, []
+    monkeypatch.setattr(scheme, "_scaled_minors", lambda *args: calls.append(1) or real(*args))
+    for arr, thetas in cases:
+        assert scheme._eigenvalues(arr, arr.a()) == thetas
+    assert len(calls) == 756
+
+
 def p_row_by_fractions(arr, th):
     """P_0(th), ..., P_d(th) by the three-term recurrence in rationals."""
     a, v = arr.a(), [Fraction(1), Fraction(th)]
