@@ -102,7 +102,7 @@ def _emit(report: dict, args) -> None:
     """Writes --out first, so an unwritable path exits 1 with stdout empty."""
     text = canonical_json(report)
     out = getattr(args, "out", None)
-    if out:
+    if out is not None:
         Path(out).write_text(text + "\n", encoding="ascii")
     print(text)
 
@@ -152,21 +152,19 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _eigensystem_for(family, params, vertex_cap, every_source=False):
+def _eigensystem_for(family, params, vertex_cap):
     """Build the graph, check it and find its eigensystem.  The census comes
     from one representative per orbit, all that the distance-regularity
-    check and the threshold graphs read; subset histograms read their
-    members' rows, so every_source takes it from every vertex."""
+    check and the threshold graphs read; a subset's histogram needs none."""
     graph = _build(family, params, vertex_cap)
-    census = distance_census(graph, None if every_source else representatives(graph))
-    arr = check_distance_regular(graph, census)
-    sys_ = eigensystem_from_array(arr, graph.n)
-    return graph, census, arr, sys_
+    census = distance_census(graph, representatives(graph))
+    sys_ = eigensystem_from_array(check_distance_regular(graph, census), graph.n)
+    return graph, census, sys_
 
 
 def cmd_eigensystem(args) -> int:
     family, params = _family_and_params(args)
-    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+    graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     content = eigensystem_to_json(sys_, family, graph.params)
     key = eigensystem_cache_key(family, graph.params)
     cache_path = Path(args.cache) / f"{family}-{key}.eig.json"
@@ -185,9 +183,9 @@ def cmd_widths(args) -> int:
     if args.subset is None:
         raise ParameterError("widths needs --subset")
     labels = read_subset(args.subset)  # refused before the build
-    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap, every_source=True)
+    graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     subset = VertexSubset.from_labels(graph, labels)
-    dist = inner_distribution(subset, census, sys_)
+    dist = inner_distribution(subset, sys_)
     report = {
         "config": _config(args, family, graph.params),
         "size": subset.size,
@@ -203,9 +201,9 @@ def cmd_certify(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("certify needs -t")
-    labels = read_subset(args.subset) if args.subset else None  # refused before the build
-    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap,
-                                                every_source=labels is not None)
+    # refused before the build
+    labels = read_subset(args.subset) if args.subset is not None else None
+    graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     cert = solve_certificate(sys_, args.t)
     table_value, hypothesis_met = expected_bound(family, graph.params, args.t)
     report = {
@@ -224,7 +222,7 @@ def cmd_certify(args) -> int:
         mds_cert = hamming_certificate(params["d"], params["q"], args.t)
         report["mds_route_agrees"] = mds_cert.f == cert.f
     if labels is not None:
-        dist = inner_distribution(VertexSubset.from_labels(graph, labels), census, sys_)
+        dist = inner_distribution(VertexSubset.from_labels(graph, labels), sys_)
         report["subset_report"] = asdict(certify_subset(dist, cert))
     _emit(report, args)
     if labels is not None and report["subset_report"]["verdict"] == "violated-bug":
@@ -236,7 +234,7 @@ def cmd_search(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("search needs -t")
-    graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+    graph, census, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     cert, _, result = ekr_search.search(graph, census, sys_, args.t, args.enum_cap)
     report = {
         "graph": {"family": family, "params": graph.params},
@@ -306,14 +304,13 @@ def cmd_selftest(args) -> int:
     record("eigensystem identities PQ = |X| I", True)
 
     for family, params in (("johnson", {"v": 5, "d": 2}), ("hamming", {"d": 3, "q": 2})):
-        graph, census, arr, sys_ = _eigensystem_for(family, params, args.vertex_cap,
-                                                    every_source=True)
+        graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
         for _ in range(200):
             idx = rng.sample(range(graph.n), rng.randint(1, graph.n))
-            width_and_dual_width(inner_distribution(VertexSubset(graph, idx), census, sys_))
+            width_and_dual_width(inner_distribution(VertexSubset(graph, idx), sys_))
     record("fundamental inequality on random subsets", True)
 
-    graph, census, arr, sys_ = _eigensystem_for("johnson", {"v": 7, "d": 3}, args.vertex_cap)
+    _, _, sys_ = _eigensystem_for("johnson", {"v": 7, "d": 3}, args.vertex_cap)
     cert = solve_certificate(sys_, 1)
     record("classical certificate bound", cert.feasible and cert.bound == 15)
 

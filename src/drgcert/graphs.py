@@ -10,13 +10,14 @@ computed from the graph itself, never by closed-form distance formulas,
 and only where a verdict reads them.  The distance-regularity check reads
 the rows of one representative per orbit (below), so `distance_census`
 takes those sources and runs one breadth-first search from each over the
-adjacency masks, in O(n) ORs a source.  Subset histograms and the
-full-matrix tier (`scheme.materialize_idempotents`) read every row, and
-take the census from every vertex at once: a ball recurrence over the
-clique cover, whose rounds `within` shares, stopped at the radius d-t of
-a threshold graph.  A census keeps
-the level masks it produces: levels[x][k] is the bitmask of the vertices
-at distance k from x.
+adjacency masks, in O(n) ORs a source.  The full-matrix tier
+(`scheme.materialize_idempotents`) reads every row, and takes the census
+from every vertex at once: a ball recurrence over the clique cover,
+`_grow_balls`, whose rounds `within` shares, stopped at the radius d-t of
+a threshold graph, and `subsets.distance_counts` too, stopped at a
+subset's width, with no census kept.  A census keeps the level masks it
+produces: levels[x][k] is the bitmask of the vertices at distance k from
+x.
 
 Each builder also names a few label maps that generate a group of
 automorphisms (Sym(v) for Johnson, SL(v,q) for Grassmann, ...).  None is

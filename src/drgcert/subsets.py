@@ -4,7 +4,9 @@ The transform eQ is computed from the distance histogram and the second
 eigenmatrix alone, never from materialized idempotents, so everything here
 works on the parameter tier as long as a pairwise distance histogram is
 available.  Each (eQ)_j is one integer sum over the eigensystem's D*Q,
-formed once per eigensystem, divided by |Y| D.
+formed once per eigensystem, divided by |Y| D.  On a built graph the
+histogram comes from the graph's ball rounds (`distance_counts`), stopped
+at the subset's width, and needs no distance census.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import FundamentalInequalityViolated, ParameterError
-from .graphs import DistanceCensus, Graph, _tuplify
+from .graphs import Graph, _grow_balls, _tuplify
 from .scheme import SchemeEigensystem
 
 
@@ -76,17 +78,35 @@ class WidthReport:
     descendent: bool
 
 
-def distance_counts(subset: VertexSubset, census: DistanceCensus) -> list[int]:
-    """Ordered-pair distance histogram of Y x Y: one popcount of
-    (level mask AND subset mask) per member and distance.  The census must
-    hold every member's row (ParameterError otherwise)."""
-    ymask = 0
-    for i in subset.indices:
-        ymask |= 1 << i
-    counts = [0] * (census.diameter + 1)
-    for i in subset.indices:
-        for k, level in enumerate(census.row(i)):
-            counts[k] += (level & ymask).bit_count()
+def distance_counts(subset: VertexSubset) -> list[int]:
+    """Ordered-pair distance histogram of Y x Y, counts[k] the number of
+    pairs (x, y) in Y x Y with d(x, y) = k, for k = 0..w, w the width of Y.
+
+    Counted from the ball rounds that `graphs.within` runs (`_grow_balls`
+    from B_1 over subset.graph): round k has the level masks level_k[y]
+    of the vertices at distance k from y, and adds the sum over the members
+    y of popcount(level_k[y] & Y).  Round 0 is level_0[y] = {y} and round 1
+    is adj[y], so neither needs a round of `_grow_balls`.  Proof: for each y
+    the levels level_0[y], level_1[y], ... partition the vertices of y's
+    component, so each ordered pair (y, x) of Y x Y is counted once, in
+    round k = d(y, x), and in no other round.  The counts therefore reach
+    |Y|^2 in round w and never before it, and the rounds stop there.  When
+    a pair lies in two components, the rounds grow every ball to its
+    component and `_grow_balls` raises DisconnectedGraph.
+    """
+    g = subset.graph
+    members = subset.indices
+    ymask = sum(1 << y for y in members)
+
+    def levels():
+        yield g.adj
+        yield from _grow_balls(g, [mask | 1 << x for x, mask in enumerate(g.adj)])
+
+    rounds = levels()
+    counts = [subset.size]
+    while sum(counts) < subset.size ** 2:
+        level = next(rounds)
+        counts.append(sum((level[y] & ymask).bit_count() for y in members))
     return counts
 
 
@@ -109,10 +129,8 @@ def inner_distribution_from_counts(
     return InnerDistribution(e=e, eq=eq)
 
 
-def inner_distribution(
-    subset: VertexSubset, census: DistanceCensus, sys: SchemeEigensystem
-) -> InnerDistribution:
-    return inner_distribution_from_counts(distance_counts(subset, census), sys)
+def inner_distribution(subset: VertexSubset, sys: SchemeEigensystem) -> InnerDistribution:
+    return inner_distribution_from_counts(distance_counts(subset), sys)
 
 
 def width_and_dual_width(dist: InnerDistribution) -> WidthReport:

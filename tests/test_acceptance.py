@@ -95,7 +95,7 @@ def test_criterion_4_fundamental_inequality_suite(built):
             g, census, _, sys_ = built(family, *args)
             for _ in range(200):
                 sub = VertexSubset(g, rng.sample(range(g.n), rng.randint(1, g.n)))
-                dist = inner_distribution(sub, census, sys_)
+                dist = inner_distribution(sub, sys_)
                 rep = width_and_dual_width(dist)  # raises on any violation
                 assert rep.width + rep.dual_width >= sys_.d
                 assert rep.descendent == (rep.width + rep.dual_width == sys_.d)
@@ -237,7 +237,7 @@ def test_exact_behaviour_at_johnson94_t2(built):
         return frozenset(i for i, lab in enumerate(g.vertices) if member(set(lab)))
 
     def widths(fam):
-        dist = inner_distribution(VertexSubset(g, sorted(fam)), census, sys_)
+        dist = inner_distribution(VertexSubset(g, sorted(fam)), sys_)
         return width_and_dual_width(dist)
 
     stars = {family(lambda A: set(p) <= A) for p in combinations(range(1, 10), 2)}

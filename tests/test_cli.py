@@ -545,10 +545,10 @@ def test_subset_file_is_refused_before_any_build(tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: ") and message in err
 
 
-def test_only_subset_commands_take_the_census_from_every_vertex(tmp_path, capsys, monkeypatch):
+def test_every_command_takes_one_source_per_orbit(tmp_path, capsys, monkeypatch):
     # the distance-regularity check and the threshold graphs read the rows
-    # of the orbit representatives alone; only a subset's histogram reads
-    # the others
+    # of the orbit representatives alone, and a subset's histogram reads no
+    # census: no command takes one from every vertex
     class EverySource(Exception):
         pass
 
@@ -563,6 +563,8 @@ def test_only_subset_commands_take_the_census_from_every_vertex(tmp_path, capsys
 
     for module in (graphs, cli, ekr_search):
         monkeypatch.setattr(module, "distance_census", sources_only)
+    subset = tmp_path / "subset.json"
+    subset.write_text("[[1, 2, 3]]")
     cache = ["--cache", str(tmp_path / "cache")]
     for argv in (
         ["build", "twisted", "-q", "2", "-d", "2"],
@@ -570,18 +572,28 @@ def test_only_subset_commands_take_the_census_from_every_vertex(tmp_path, capsys
         ["certify", "hamming", "-d", "4", "-q", "3", "-t", "2"],
         ["search", "johnson", "-v", "7", "-d", "3", "-t", "1"],
         ["verify-theorem", "-q", "2", "-d", "2", "-t", "1"],
+        ["widths", "johnson", "-v", "7", "-d", "3", "--subset", str(subset)],
+        ["certify", "johnson", "-v", "7", "-d", "3", "-t", "1", "--subset", str(subset)],
+        ["selftest"],
     ):
         assert main([*argv, *cache]) == 0, argv
         capsys.readouterr()
-    assert seen == [2, 1, 1, 1, 2]  # one source per orbit
-    subset = tmp_path / "subset.json"
-    subset.write_text("[[1, 2, 3]]")
-    for argv in (
-        ["widths", "johnson", "-v", "7", "-d", "3"],
-        ["certify", "johnson", "-v", "7", "-d", "3", "-t", "1"],
-    ):
-        with pytest.raises(EverySource):
-            main([*argv, "--subset", str(subset), *cache])
+    # selftest builds J(5,2), H(3,2), K5, J(5,2), H(3,2) and J(7,3)
+    assert seen == [2, 1, 1, 1, 2, 1, 1] + [1] * 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "johnson", "-v", "5", "-d", "2", "-t", "1", "--subset", ""],
+    ["widths", "johnson", "-v", "5", "-d", "2", "--subset", ""],
+    ["build", "johnson", "-v", "5", "-d", "2", "--out", ""],
+])
+def test_an_empty_path_is_refused(tmp_path, capsys, argv):
+    # an empty path names no file, so the subset check or the --out copy is
+    # not silently dropped: exit 1 with stdout empty
+    code = main([*argv, "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_conflicting_family_flags_are_a_usage_error(tmp_path, capsys):

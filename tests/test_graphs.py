@@ -631,11 +631,21 @@ def test_census_matches_networkx_on_random_graphs(n, p, seed):
     ]
 
 
+#: a star of each family, of width below the diameter
+STARS = {
+    "johnson": lambda label: 1 in label,
+    "hamming": lambda label: label[0] == 0,
+    "twisted": lambda label: label[0] == "X2",
+}
+
+
 @pytest.mark.parametrize(
     "family,args", [("johnson", (7, 3)), ("hamming", (4, 3)), ("twisted", (2, 2))]
 )
 def test_census_consumers_match_networkx(family, args, built):
-    # threshold graphs for every t and subset histograms, on every pair
+    # threshold graphs for every t from the census, and subset histograms
+    # from ball rounds, on every pair; the rounds stop at the subset's
+    # width, which for the star is below the diameter
     g, census, _, _ = built(family, *args)
     oracle = nx_distances(g)
     d = census.diameter
@@ -645,13 +655,22 @@ def test_census_consumers_match_networkx(family, args, built):
             expected = sum(1 << j for j in range(g.n) if 1 <= oracle[i][j] <= d - t)
             assert thr.adj[i] == expected
     rng = random.Random(g.n)
-    for size in (1, 2, 7, g.n // 3, g.n):
-        idx = rng.sample(range(g.n), size)
-        expected = [0] * (d + 1)
-        for i in idx:
-            for j in idx:
-                expected[oracle[i][j]] += 1
-        assert distance_counts(VertexSubset(g, idx), census) == expected
+    star = [i for i, label in enumerate(g.vertices) if STARS[family](label)]
+    subsets = [rng.sample(range(g.n), size) for size in (1, 2, 7, g.n // 3, g.n)]
+    for idx in subsets + [star, [g.n - 1], list(range(g.n))]:
+        expected = Counter(oracle[i][j] for i in idx for j in idx)
+        width = max(expected)
+        assert distance_counts(VertexSubset(g, idx)) == [expected[k] for k in range(width + 1)]
+    assert max(oracle[i][j] for i in star for j in star) < d
+
+
+def test_subset_histogram_on_a_disconnected_graph():
+    # two edges, 0-1 and 2-3: a pair across them has no distance
+    g = Graph("two edges", {}, list(range(4)), [2, 1, 8, 4])
+    assert distance_counts(VertexSubset(g, [0, 1])) == [2, 2]
+    for idx in ([0, 2], [1, 2, 3], range(4)):
+        with pytest.raises(DisconnectedGraph):
+            distance_counts(VertexSubset(g, idx))
 
 
 @pytest.mark.parametrize("family,args", BUILDER_INSTANCES)
@@ -711,9 +730,6 @@ def test_census_consumers_refuse_a_missing_row(built):
         check_distance_regular(g, census)
     with pytest.raises(ParameterError, match=f"no row for vertex {x2}"):
         threshold_graph(g, census, 1)
-    with pytest.raises(ParameterError, match=f"no row for vertex {x2}"):
-        distance_counts(VertexSubset(g, [x1, x2]), census)
-    assert distance_counts(VertexSubset(g, [x1]), census) == [1, 0, 0]
     with pytest.raises(ParameterError, match="no row for vertex 1"):
         materialize_idempotents(g, distance_census(g, [x1, x2]), sys_)
     for sources in ([], [g.n], [-1]):

@@ -369,7 +369,7 @@ def test_certify_star_tight(built):
     g, census, _, sys_ = built("johnson", 7, 3)
     cert = solve_certificate(sys_, 1)
     star = VertexSubset(g, [i for i, lab in enumerate(g.vertices) if 1 in lab])
-    dist = inner_distribution(star, census, sys_)
+    dist = inner_distribution(star, sys_)
     report = certify_subset(dist, cert)
     assert report.verdict == "tight"
     assert report.size == report.bound == 15
@@ -380,7 +380,7 @@ def test_certify_star_tight(built):
 def test_certify_singleton_strict(built):
     g, census, _, sys_ = built("johnson", 7, 3)
     cert = solve_certificate(sys_, 1)
-    dist = inner_distribution(VertexSubset(g, [0]), census, sys_)
+    dist = inner_distribution(VertexSubset(g, [0]), sys_)
     report = certify_subset(dist, cert)
     assert report.verdict == "strict"
     assert report.size == 1 and report.bound == 15
@@ -391,7 +391,7 @@ def test_certify_twisted_x2_tight(built):
     g, census, _, sys_ = built("twisted", 2, 2)
     cert = solve_certificate(sys_, 1)
     x2 = VertexSubset(g, [i for i, lab in enumerate(g.vertices) if lab[0] == "X2"])
-    dist = inner_distribution(x2, census, sys_)
+    dist = inner_distribution(x2, sys_)
     report = certify_subset(dist, cert)
     assert report.verdict == "tight" and report.size == 15
 
@@ -401,7 +401,7 @@ def test_certify_width_too_large(built):
     cert = solve_certificate(sys_, 1)
     a = g.index_of((1, 2, 3))
     b = g.index_of((4, 5, 6))  # disjoint triples: width 3 > d - t = 2
-    dist = inner_distribution(VertexSubset(g, [a, b]), census, sys_)
+    dist = inner_distribution(VertexSubset(g, [a, b]), sys_)
     with pytest.raises(WidthTooLarge):
         certify_subset(dist, cert)
 
@@ -419,7 +419,7 @@ def test_certify_requires_feasible(built):
     g, census, _, sys_ = built("hamming", 3, 2)
     cert = solve_certificate(sys_, 1)
     assert not cert.feasible
-    dist = inner_distribution(VertexSubset(g, [0]), census, sys_)
+    dist = inner_distribution(VertexSubset(g, [0]), sys_)
     with pytest.raises(InfeasibleCertificate):
         certify_subset(dist, cert)
 
@@ -436,7 +436,7 @@ def test_random_intersecting_families_bounded(built):
         for v in order:
             if all(census.d(v, u) <= 2 for u in chosen):
                 chosen.append(v)
-        dist = inner_distribution(VertexSubset(g, chosen), census, sys_)
+        dist = inner_distribution(VertexSubset(g, chosen), sys_)
         report = certify_subset(dist, cert)
         assert report.size <= report.bound
         rep = width_and_dual_width(dist)

@@ -54,7 +54,7 @@ def test_vertex_subset_validation(built):
 @pytest.mark.parametrize("family,args", GRAPHS)
 def test_singleton(family, args, built):
     g, census, arr, sys_ = built(family, *args)
-    dist = inner_distribution(VertexSubset(g, [0]), census, sys_)
+    dist = inner_distribution(VertexSubset(g, [0]), sys_)
     assert dist.e == (1,) + (0,) * sys_.d
     assert dist.eq == tuple(Fraction(mj) for mj in sys_.m)
     rep = width_and_dual_width(dist)
@@ -64,7 +64,7 @@ def test_singleton(family, args, built):
 @pytest.mark.parametrize("family,args", GRAPHS)
 def test_whole_vertex_set(family, args, built):
     g, census, arr, sys_ = built(family, *args)
-    dist = inner_distribution(VertexSubset(g, range(g.n)), census, sys_)
+    dist = inner_distribution(VertexSubset(g, range(g.n)), sys_)
     assert dist.e == tuple(Fraction(x) for x in sys_.k)
     assert dist.eq == (Fraction(g.n),) + (0,) * sys_.d
     rep = width_and_dual_width(dist)
@@ -75,7 +75,7 @@ def test_johnson_star(built):
     g, census, arr, sys_ = built("johnson", 7, 3)
     star = VertexSubset(g, [i for i, lab in enumerate(g.vertices) if 1 in lab])
     assert star.size == 15
-    dist = inner_distribution(star, census, sys_)
+    dist = inner_distribution(star, sys_)
     assert dist.e == (1, 8, 6, 0)
     # frozen from an independent eigendecomposition of the 35-vertex graph
     assert dist.eq == (15, 20, 0, 0)
@@ -87,7 +87,7 @@ def test_johnson_star_transform_against_projectors(built):
     # (eQ)_i = |X|/|Y| chi^T E_i chi with E_i from Lagrange interpolation
     g, census, arr, sys_ = built("johnson", 7, 3)
     idx = [i for i, lab in enumerate(g.vertices) if 1 in lab]
-    dist = inner_distribution(VertexSubset(g, idx), census, sys_)
+    dist = inner_distribution(VertexSubset(g, idx), sys_)
     Es = lagrange_idempotents(adjacency_matrix(g), list(sys_.eigenvalues))
     for i, E in enumerate(Es):
         assert dist.eq[i] == Fraction(g.n, len(idx)) * quad_form(E, idx)
@@ -97,7 +97,7 @@ def test_twisted_x2_subset(built):
     g, census, arr, sys_ = built("twisted", 2, 2)
     x2 = VertexSubset(g, [i for i, lab in enumerate(g.vertices) if lab[0] == "X2"])
     assert x2.size == 15
-    dist = inner_distribution(x2, census, sys_)
+    dist = inner_distribution(x2, sys_)
     assert dist.e == (1, 14, 0)
     assert dist.eq == (15, 140, 0)
     rep = width_and_dual_width(dist)
@@ -111,7 +111,7 @@ def test_random_subsets_fundamental_inequality(family, args, built):
     for _ in range(1000):
         size = rng.randint(1, g.n)
         sub = VertexSubset(g, rng.sample(range(g.n), size))
-        dist = inner_distribution(sub, census, sys_)
+        dist = inner_distribution(sub, sys_)
         assert sum(dist.e) == sub.size
         assert dist.eq[0] == sub.size
         assert all(x >= 0 for x in dist.eq)
@@ -197,8 +197,8 @@ def test_subset_file_io(tmp_path, built):
 
 
 def test_distance_counts_direct(built):
-    g, census, *_ = built("johnson", 5, 2)
-    sub = VertexSubset(g, [0, 1, 2])
-    counts = distance_counts(sub, census)
-    assert counts[0] == 3
-    assert sum(counts) == 9
+    g, *_ = built("johnson", 5, 2)
+    # {1,2}, {1,3}, {1,4}: a clique, counted through width 1
+    assert distance_counts(VertexSubset(g, [0, 1, 2])) == [3, 6]
+    # {1,2}, {3,4}: disjoint, at distance 2 with nothing at distance 1
+    assert distance_counts(VertexSubset(g, [0, g.index_of((3, 4))])) == [2, 0, 2]
