@@ -336,7 +336,6 @@ def _add_common(p, with_family=True, with_t=False, with_subset=False,
         p.add_argument("--enum-cap", type=int, default=ekr_search.ENUM_CAP)
     p.add_argument("--cache", metavar="DIR", default="drg-cache")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--seed", type=int)
     p.add_argument(
         "--vertex-cap", type=int, default=cap_default,
         help="vertex tier: a graph with more vertices is refused before it is "
@@ -385,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="fast internal consistency battery")
     _add_common(p, with_family=False)
-    p.set_defaults(func=cmd_selftest, seed=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_selftest)
 
     return parser
 

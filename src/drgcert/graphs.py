@@ -3,9 +3,10 @@
 Vertices are plain nested tuples (canonical labels, JSON-friendly); adjacency
 is stored as one Python-int bitmask per vertex, built in O(n * keys) from a
 few clique keys per vertex (a Johnson vertex less one element, a Grassmann
-vertex's hyperplanes): each builder proves "adjacent iff a key is shared".
-The vertices that share a key form a clique, and the graph keeps these
-cliques (`Graph.cliques`), which cover every edge.  Distances are always
+vertex's hyperplanes): each builder proves that two adjacent vertices
+share exactly one key and two others none.  The vertices that share a key
+form a clique, and the graph keeps these cliques (`Graph.cliques`), which
+partition the edges: every edge lies in exactly one.  Distances are always
 computed from the graph itself, never by closed-form distance formulas,
 and only where a verdict reads them.  The distance-regularity check reads
 the rows of one representative per orbit (below), so `distance_census`
@@ -123,7 +124,7 @@ class Graph:
     `_assemble`), and a hand-built graph has the trivial group.  cliques,
     when known, lists non-empty cliques of the graph as index arrays that
     together cover every edge; the builders keep the ones their edges come
-    from, and a graph without a cover has None.  orbits, when known, are
+    from, one clique per edge, and a graph without a cover has None.  orbits, when known, are
     those of the generators (`orbits`, which finds and keeps them otherwise).
     """
 
@@ -528,18 +529,27 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     last coordinate vanishes): X1 holds the (d+1)-dim subspaces not contained
     in H, X2 the (d-1)-dim subspaces of H, and x ~ y iff
     dim x + dim y - 2 dim(x meet y) = 2.  Labels carry the part tag.
-    Within a part this is meeting in a common hyperplane, so each vertex is
-    keyed by its hyperplanes (d-dim in X1, (d-2)-dim in X2).  Across the
-    parts it is x2 < x1, that is x2 < W = x1 meet H, a d-space of H and the
-    one hyperplane of x1 inside H.  So each X2 vertex is also keyed by the
-    d-spaces W of H through it, and the key W holds the X1 vertices through
-    W and the X2 vertices inside W: one clique per W.  Its members are
-    pairwise adjacent: two X1 vertices meet in W; x1 contains each x2 < W,
-    and (d+1) + (d-1) - 2(d-1) = 2; two distinct (d-1)-spaces of W span it,
-    so they meet in dimension d-2, and (d-1) + (d-1) - 2(d-2) = 2.  An X1
-    and an X2 vertex share only a d-dim key, a hyperplane of x1 inside H,
-    so it is W, and x2 < W < x1.  Containment alone is no clique key, as
-    two X1 vertices through one x2 may meet in x2 alone.
+    Each X1 vertex is keyed by its d-dim hyperplanes and each X2 vertex by
+    the d-spaces W of H through it, so the keys are the d-spaces of
+    GF(q)^(2d+1), one clique each: a W inside H holds the X1 vertices
+    through W and the X2 vertices inside W, any other d-space the X1
+    vertices through it.  Its members are pairwise adjacent: two X1
+    vertices meet in W; x1 contains each x2 < W, and (d+1) + (d-1) -
+    2(d-1) = 2; two distinct (d-1)-spaces of W span it, so they meet in
+    dimension d-2, and (d-1) + (d-1) - 2(d-2) = 2.  Each edge lies in
+    exactly one clique, and a non-edge in none:
+
+    * two X1 vertices are adjacent iff they meet in a common hyperplane,
+      which is then their meet, the one key they can share;
+    * x1 ~ x2 iff x2 < x1, that is x2 < W = x1 meet H, a d-space of H and
+      the one hyperplane of x1 inside H, so W is the one key they can
+      share;
+    * two X2 vertices are adjacent iff they meet in dimension d-2, that is
+      iff x + y is a d-space, of H as both lie in H, and x + y is the one
+      d-space through both.
+
+    Containment alone is no clique key, as two X1 vertices through one x2
+    may meet in x2 alone.
 
     The X2 vertices inside W come from any X1 vertex x1 through W: they are
     W meet K over the other hyperplanes K of x1, as the masks W & K
@@ -575,7 +585,7 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     maps = _elementary(q, 2 * d) + [lambda x: ((x[0] + x[-1]) % q,) + x[1:]]
     return _assemble(
         "twisted", {"q": q, "d": d}, x1 + x2,
-        lambda lab: points.hyperplanes(lab[1]) + above.get(lab, []), expected,
+        lambda lab: above[lab] if lab[0] == "X2" else points.hyperplanes(lab[1]), expected,
         [lambda lab, g=points.label_map(f): (lab[0], g(lab[1])) for f in maps],
     )
 
@@ -627,14 +637,13 @@ def distance_census(G: Graph, sources=None) -> DistanceCensus:
     in each orbit of G.automorphisms that is G's diameter, as automorphisms
     preserve eccentricity.
 
-    From every vertex at once (sources None), by the ball recurrence of
-    `_grow_balls`: B_0[x] = {x} and B_1[x] = {x} | adj[x] need no
-    reductions, and level k is B_k ^ B_{k-1}.  The balls only grow, and the
+    From every vertex at once (sources None), by the rounds of
+    `_grow_balls`: level 0 of x is {x}, and round k gives level k.  The
     rounds stop when every ball is full, after diameter rounds.
     """
     n = G.n
-    full = (1 << n) - 1
     if sources is not None:
+        full = (1 << n) - 1
         levels = {}
         for s in sources:
             if not 0 <= s < n:
@@ -655,23 +664,17 @@ def distance_census(G: Graph, sources=None) -> DistanceCensus:
         for row in levels.values():
             row += [0] * (diameter + 1 - len(row))
         return DistanceCensus(levels, diameter)
-    own = [1 << x for x in range(n)]
-    rounds = [own]
-    if n > 1:  # K1 stops at B_0
-        ball = list(map(or_, own, G.adj))
-        rounds.append(G.adj)
-        grow = _grow_balls(G, ball)
-        while ball.count(full) < n:
-            rounds.append(next(grow))
+    rounds = [[1 << x for x in range(n)]] + [level for level, _ in _grow_balls(G)]
     return DistanceCensus([list(row) for row in zip(*rounds)], len(rounds) - 1)
 
 
-def _grow_balls(G: Graph, ball: list[int]):
-    """The ball recurrence from ball = B_1, in place: each round turns ball
-    from B_k into B_{k+1} and yields the level masks B_{k+1} ^ B_k.
-
-    B_k[x] is the mask of the vertices within distance k of x, and for
-    k >= 1
+def _grow_balls(G: Graph):
+    """The ball recurrence: yields (level_k, B_k) for k = 1, 2, ... until
+    every ball is full, where B_k[x] is the mask of the vertices within
+    distance k of x and level_k[x] = B_k[x] ^ B_{k-1}[x] that of the
+    vertices at distance k.  B_1[x] = {x} | adj[x] and level_1 = G.adj
+    itself need no reductions (K1, whose one ball is full at B_0, has no
+    round), and for k >= 1
 
         B_{k+1}[x] = B_k[x] | OR of B_k[y] over the neighbours y of x.
 
@@ -691,18 +694,22 @@ def _grow_balls(G: Graph, ball: list[int]):
     x shares a clique C with x, as the cliques cover the edges, so B_k[y]
     lies in U_k[C].  Each round is then 2 * (sum of clique sizes) ORs, run
     in C by reductions over stored index arrays, against the sum of the
-    degrees over neighbour lists.  Once the unions hold every B_k, the balls
-    grow in place, so a round keeps one list of balls, not two.  A round
-    that grows no ball has reached the components before the balls are
-    full, and DisconnectedGraph is raised.
+    degrees over neighbour lists.  The cover is read only when round 2 is
+    reached.  Once the unions hold every B_k, the balls grow in place, so
+    one list of balls is yielded, changed by each round, not a list a
+    round.  A round that grows no ball has reached the components before
+    the balls are full, and DisconnectedGraph is raised.
     """
-    n = G.n
+    n, full = G.n, (1 << G.n) - 1
+    ball = [mask | 1 << x for x, mask in enumerate(G.adj)]
+    if n > 1:
+        yield G.adj, ball
     cliques = G.cliques
     if cliques is None:
         cliques = [array("I", (x, y)) for x, mask in enumerate(G.adj)
                    for y in iter_bits(mask >> x << x)]
     through = _through(n, cliques)
-    while True:
+    while ball.count(full) < n:
         union = [reduce(or_, map(ball.__getitem__, c)) for c in cliques]
         level = [0] * n
         for x, cs in enumerate(through):
@@ -711,19 +718,20 @@ def _grow_balls(G: Graph, ball: list[int]):
             ball[x] = grown
         if not any(level):
             raise DisconnectedGraph(f"{G.family} is not connected")
-        yield level
+        yield level, ball
 
 
 def within(G: Graph, radius: int) -> list[int]:
     """For each vertex x, the mask of the vertices at distance 1..radius
     from x, radius >= 1: G.adj itself at radius 1, and otherwise B_radius[x]
-    less x, after radius - 1 rounds of `_grow_balls` from B_1."""
+    less x, from round radius of `_grow_balls`, or from its last round, of
+    full balls, when the diameter is below radius.  A radius above 1 needs
+    a graph with an edge, as K1 has no round."""
     if radius == 1:
         return G.adj
-    ball = [mask | 1 << x for x, mask in enumerate(G.adj)]
-    grow = _grow_balls(G, ball)
-    for _ in range(radius - 1):
-        next(grow)
+    for k, (_, ball) in enumerate(_grow_balls(G), 1):
+        if k == radius:
+            break
     return [mask ^ 1 << x for x, mask in enumerate(ball)]
 
 

@@ -82,30 +82,23 @@ def distance_counts(subset: VertexSubset) -> list[int]:
     """Ordered-pair distance histogram of Y x Y, counts[k] the number of
     pairs (x, y) in Y x Y with d(x, y) = k, for k = 0..w, w the width of Y.
 
-    Counted from the ball rounds that `graphs.within` runs (`_grow_balls`
-    from B_1 over subset.graph): round k has the level masks level_k[y]
-    of the vertices at distance k from y, and adds the sum over the members
-    y of popcount(level_k[y] & Y).  Round 0 is level_0[y] = {y} and round 1
-    is adj[y], so neither needs a round of `_grow_balls`.  Proof: for each y
-    the levels level_0[y], level_1[y], ... partition the vertices of y's
-    component, so each ordered pair (y, x) of Y x Y is counted once, in
-    round k = d(y, x), and in no other round.  The counts therefore reach
-    |Y|^2 in round w and never before it, and the rounds stop there.  When
-    a pair lies in two components, the rounds grow every ball to its
-    component and `_grow_balls` raises DisconnectedGraph.
+    Counted from the rounds of `_grow_balls` over subset.graph, as
+    `graphs.within` takes them: round k has the level masks level_k[y] of
+    the vertices at distance k from y, and adds the sum over the members y
+    of popcount(level_k[y] & Y); round 0, level_0[y] = {y}, adds |Y|.
+    Proof: for each y the levels level_0[y], level_1[y], ... partition the
+    vertices of y's component, so each ordered pair (y, x) of Y x Y is
+    counted once, in round k = d(y, x), and in no other round.  The counts
+    therefore reach |Y|^2 in round w and never before it, and the rounds
+    stop there.  When a pair lies in two components, the rounds grow every
+    ball to its component and `_grow_balls` raises DisconnectedGraph.
     """
-    g = subset.graph
     members = subset.indices
     ymask = sum(1 << y for y in members)
-
-    def levels():
-        yield g.adj
-        yield from _grow_balls(g, [mask | 1 << x for x, mask in enumerate(g.adj)])
-
-    rounds = levels()
+    rounds = _grow_balls(subset.graph)
     counts = [subset.size]
     while sum(counts) < subset.size ** 2:
-        level = next(rounds)
+        level, _ = next(rounds)
         counts.append(sum((level[y] & ymask).bit_count() for y in members))
     return counts
 

@@ -581,6 +581,19 @@ def is_clique_cover(adj, cliques):
     return all(adj[x] & ~covered[x] == 0 for x in range(len(adj)))
 
 
+def is_clique_partition(adj, cliques):
+    """Every member set in cliques is a clique of the graph with neighbour
+    masks adj, and every edge lies in exactly one of them."""
+    covered = [1 << x for x in range(len(adj))]
+    for members in cliques:
+        mask = sum(1 << x for x in set(members))
+        for x in set(members):
+            if mask & ~(adj[x] | 1 << x) or covered[x] & mask & ~(1 << x):
+                return False
+            covered[x] |= mask
+    return all(covered[x] == adj[x] | 1 << x for x in range(len(adj)))
+
+
 # ---------------------------------------------------------------------------
 # automorphisms on the adjacency masks
 

@@ -622,9 +622,11 @@ def test_shared_parser_gives_fresh_process_reports(tmp_path, capsys, monkeypatch
     calls = [
         ("eigensystem", "hamming", "-d", "3", "-q", "3"),
         ("certify", "johnson", "-v", "7", "-d", "3"),  # missing -t
-        ("certify", "johnson", "-v", "7", "-d", "3", "-t", "1", "--seed", "4"),
+        ("certify", "johnson", "-v", "7", "-d", "3", "-t", "1"),
         ("build", "--family", "hamming", "-d", "2", "-q", "2"),
-        ("selftest",),
+        ("selftest", "--seed", "4"),
+        # selftest alone takes --seed
+        ("certify", "johnson", "-v", "7", "-d", "3", "-t", "1", "--seed", "4"),
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(drgcert.__file__).resolve().parents[1])}
     codes = []
@@ -640,5 +642,5 @@ def test_shared_parser_gives_fresh_process_reports(tmp_path, capsys, monkeypatch
             assert not out and not alone.stdout
         else:
             assert strip_time(json.loads(out)) == strip_time(json.loads(alone.stdout)), argv
-    assert codes == [0, 1, 0, 0, 0]
+    assert codes == [0, 1, 0, 0, 0, 1]
     assert build_parser.cache_info().misses == 1

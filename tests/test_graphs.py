@@ -13,6 +13,7 @@ from _oracles import (
     elements,
     is_automorphism,
     is_clique_cover,
+    is_clique_partition,
     orbit_representatives,
     parse_graph_cache,
     projective_points,
@@ -58,6 +59,7 @@ from drgcert.graphs import (
     twisted_intersection_array,
     twisted_x2_distance_counts,
     twisted_x2_vertices,
+    within,
 )
 from drgcert.scheme import materialize_idempotents
 from drgcert.subsets import VertexSubset, distance_counts
@@ -461,27 +463,25 @@ def test_meet_h_on_both_rref_shapes(q, rows):
 
 
 @pytest.mark.parametrize("q,d,cliques,members", [
-    (2, 2, 156, 1100),
-    (3, 2, 1211, 15770),
-    (2, 3, 11874, 179118),
+    (2, 2, 155, 1085),
+    (3, 2, 1210, 15730),
+    (2, 3, 11811, 177165),
 ])
 def test_twisted_cover_counts(q, d, cliques, members):
-    # the hyperplane keys of X1 outside H, one clique per d-space W of H
-    # (the X1 vertices through W and the X2 vertices inside it), and the
-    # hyperplane keys of X2
+    # one clique per d-space of GF(q)^(2d+1), [d+1]_q members each: for a
+    # d-space W of H the q^d X1 vertices through W and the [d]_q X2
+    # vertices inside it, for any other the X1 vertices through it; X2 has
+    # no key of its own, and every edge lies in exactly one clique
     g = build_twisted_grassmann(q, d)
-    assert len(g.cliques) == cliques == (
-        q_binomial(2 * d + 1, d, q) - q_binomial(2 * d, d, q)
-        + q_binomial(2 * d, d, q) + q_binomial(2 * d, d - 2, q)
-    )
-    assert sum(map(len, g.cliques)) == members
-    x2_total = 0
-    for c in g.cliques:
-        parts = Counter(g.vertices[i][0] for i in c)
-        if parts["X1"] and parts["X2"]:
-            assert parts == {"X1": q ** d, "X2": q_int(d, q)}
-            x2_total += 1
-    assert x2_total == q_binomial(2 * d, d, q)
+    assert len(g.cliques) == cliques == q_binomial(2 * d + 1, d, q)
+    assert sum(map(len, g.cliques)) == members == cliques * q_int(d + 1, q)
+    parts = Counter(frozenset(Counter(g.vertices[i][0] for i in c).items()) for c in g.cliques)
+    in_h = q_binomial(2 * d, d, q)
+    assert parts == {
+        frozenset({("X1", q ** d), ("X2", q_int(d, q))}): in_h,
+        frozenset({("X1", q_int(d + 1, q))}): cliques - in_h,
+    }
+    assert is_clique_partition(g.adj, g.cliques)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +570,13 @@ def test_builder_cliques_cover_the_edges(family, args, built):
     assert g.cliques and is_clique_cover(g.adj, g.cliques)
 
 
+@pytest.mark.parametrize("family,args", BUILDER_INSTANCES)
+def test_builder_cliques_partition_the_edges(family, args, built):
+    # every edge of every builder lies in exactly one clique of its cover
+    g = built(family, *args)[0]
+    assert is_clique_partition(g.adj, g.cliques)
+
+
 def test_census_needs_the_whole_cover():
     # In H(3,3) a word two steps from x is reached through two of x's three
     # cliques, so no single dropped clique shows; dropping two of them does.
@@ -628,6 +635,18 @@ def test_census_matches_networkx_on_random_graphs(n, p, seed):
     assert census.levels == [
         [sum(1 << j for j in range(n) if dist[i][j] == k) for k in range(census.diameter + 1)]
         for i in range(n)
+    ]
+    # the other two consumers of the ball rounds, over the 2-cliques of a
+    # graph with no cover
+    for radius in range(1, census.diameter + 1):
+        assert within(graph, radius) == [
+            sum(1 << j for j in range(n) if 1 <= dist[i][j] <= radius) for i in range(n)
+        ]
+    rng = random.Random(seed)
+    idx = rng.sample(range(n), rng.randint(1, n))
+    expected = Counter(dist[i][j] for i in idx for j in idx)
+    assert distance_counts(VertexSubset(graph, idx)) == [
+        expected[k] for k in range(max(expected) + 1)
     ]
 
 
