@@ -54,8 +54,8 @@ def canonical_json(doc) -> str:
 
 
 def q_int(m: int, q: int) -> int:
-    """[m]_q = 1 + q + ... + q^(m-1)."""
-    return (q ** m - 1) // (q - 1)
+    """[m]_q = 1 + q + ... + q^(m-1), which is m at q = 1."""
+    return (q ** m - 1) // (q - 1) if q != 1 else m
 
 
 def q_binomial(m: int, n: int, q: int) -> int:

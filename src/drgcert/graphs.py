@@ -41,19 +41,20 @@ the X2 histogram below uses too.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
-Grassmann families and are cross-validated against BFS-extracted arrays in
-the test suite.  On that tier `twisted_x2_distance_counts` gives the
-distance histogram of a set of X2 vertices by a proved rule, for every q,
-with no pair of them looked at: it counts how many members share each
-hyperplane (and, from d = 4, each codim-2 subspace), in time linear in
-the members.
+Grassmann families, all built by `classical_array` from classical
+parameters that the array carries, and are cross-validated against
+BFS-extracted arrays in the test suite.  On that tier
+`twisted_x2_distance_counts` gives the distance histogram of a set of X2
+vertices by a proved rule, for every q, with no pair of them looked at:
+it counts how many members share each hyperplane (and, from d = 4, each
+codim-2 subspace), in time linear in the members.
 """
 from __future__ import annotations
 
 import itertools
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import comb
 from operator import and_, lshift, mul, or_
@@ -126,10 +127,11 @@ class Graph:
     together cover every edge; the builders keep the ones their edges come
     from, one clique per edge, and a graph without a cover has None.  orbits, when known, are
     those of the generators (`orbits`, which finds and keeps them otherwise).
+    The clique incidence that the ball rounds read is kept too (`_incidence`).
     """
 
     __slots__ = ("family", "params", "vertices", "adj", "automorphisms", "cliques", "_index",
-                 "_orbits")
+                 "_orbits", "_incidence")
 
     def __init__(self, family: str, params: dict, vertices: list, adj: list[int],
                  automorphisms: tuple = (), cliques: list[array] | None = None,
@@ -141,6 +143,7 @@ class Graph:
         self.automorphisms = automorphisms
         self.cliques = cliques
         self._orbits = None if orbits is None else (automorphisms, orbits)
+        self._incidence = None
         self._index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ParameterError("duplicate vertex labels")
@@ -193,6 +196,23 @@ def _through(n: int, cliques) -> list[array]:
     return through
 
 
+def _incidence(G: Graph) -> tuple[list[array], list[array]]:
+    """(cliques, through): G's clique cover, or for a graph without one its
+    edges as 2-cliques, and `_through` of it.  Found once for each pair of
+    G.cliques and G.adj and kept on G, as `orbits` are; `_assemble` keeps
+    the one it forms adj from.  The lists are shared, not to be changed."""
+    memo = G._incidence
+    if memo is not None and memo[0] is G.cliques and memo[1] is G.adj:
+        return memo[2], memo[3]
+    cliques = G.cliques
+    if cliques is None:
+        cliques = [array("I", (x, y)) for x, mask in enumerate(G.adj)
+                   for y in iter_bits(mask >> x << x)]
+    through = _through(G.n, cliques)
+    G._incidence = (G.cliques, G.adj, cliques, through)
+    return cliques, through
+
+
 def _assemble(family, params, labels, keys, expected_n, generators):
     """Sort the labels, join the vertices of each clique, verify the
     automorphism generators (connectivity is checked by `distance_census`,
@@ -221,10 +241,12 @@ def _assemble(family, params, labels, keys, expected_n, generators):
             members[key].append(i)
     cliques = list(members.values())
     masks = [reduce(or_, map((1).__lshift__, c)) for c in cliques]
+    through = _through(graph.n, cliques)
     graph.adj = [reduce(or_, map(masks.__getitem__, cs), 0) & ~(1 << i)
-                 for i, cs in enumerate(_through(graph.n, cliques))]
+                 for i, cs in enumerate(through)]
     del masks  # n bits a clique, not needed by the generator checks
     graph.cliques = cliques
+    graph._incidence = (cliques, graph.adj, cliques, through)
     sets = set(map(frozenset, cliques))
     perms = []
     for g in generators:
@@ -694,21 +716,18 @@ def _grow_balls(G: Graph):
     x shares a clique C with x, as the cliques cover the edges, so B_k[y]
     lies in U_k[C].  Each round is then 2 * (sum of clique sizes) ORs, run
     in C by reductions over stored index arrays, against the sum of the
-    degrees over neighbour lists.  The cover is read only when round 2 is
-    reached.  Once the unions hold every B_k, the balls grow in place, so
-    one list of balls is yielded, changed by each round, not a list a
-    round.  A round that grows no ball has reached the components before
-    the balls are full, and DisconnectedGraph is raised.
+    degrees over neighbour lists.  The cover and its incidence, kept on G
+    (`_incidence`), are read only when round 2 is reached.  Once the
+    unions hold every B_k, the balls grow in place, so one list of balls
+    is yielded, changed by each round, not a list a round.  A round that
+    grows no ball has reached the components before the balls are full,
+    and DisconnectedGraph is raised.
     """
     n, full = G.n, (1 << G.n) - 1
     ball = [mask | 1 << x for x, mask in enumerate(G.adj)]
     if n > 1:
         yield G.adj, ball
-    cliques = G.cliques
-    if cliques is None:
-        cliques = [array("I", (x, y)) for x, mask in enumerate(G.adj)
-                   for y in iter_bits(mask >> x << x)]
-    through = _through(n, cliques)
+    cliques, through = _incidence(G)
     while ball.count(full) < n:
         union = [reduce(or_, map(ball.__getitem__, c)) for c in cliques]
         level = [0] * n
@@ -737,10 +756,18 @@ def within(G: Graph, radius: int) -> list[int]:
 
 @dataclass(frozen=True)
 class IntersectionArray:
-    """{b_0..b_{d-1}; c_1..c_d} with derived a_i and valencies."""
+    """{b_0..b_{d-1}; c_1..c_d} with derived a_i and valencies.
+
+    `classical`, when given, holds classical parameters (b, alpha, beta)
+    that give this b and c by the formulas of `classical_array`, which is
+    checked on construction (ParameterError otherwise); the eigenvalues are
+    then taken in closed form (`scheme._eigenvalues`).  It is left out of
+    equality, hashing and repr, so an array read off a graph by BFS, which
+    has none, equals the closed-form one."""
 
     b: tuple[int, ...]
     c: tuple[int, ...]
+    classical: tuple[int, int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.b) != len(self.c) or not self.b:
@@ -750,6 +777,10 @@ class IntersectionArray:
         if self.c[0] != 1:
             raise ParameterError(f"c_1 = {self.c[0]}; a distance-regular graph has c_1 = 1")
         self.valencies()  # forces the integrality check
+        stated = self.classical
+        if stated is not None and _classical_bc(self.d, *stated) != (self.b, self.c):
+            raise ParameterError(f"classical parameters (b, alpha, beta) = {stated}"
+                                 f" do not give the array {{{self.b}; {self.c}}}")
 
     @property
     def d(self) -> int:
@@ -828,29 +859,56 @@ def check_distance_regular(G: Graph, census: DistanceCensus) -> IntersectionArra
 # closed-form intersection arrays (parameter tier)
 
 
+def _classical_bc(d: int, b: int, alpha: int, beta: int) -> tuple[tuple, tuple]:
+    """(b_0..b_{d-1}, c_1..c_d) of classical parameters (d, b, alpha, beta),
+    b >= 1, by the formulas of `classical_array`."""
+    if b < 1:
+        raise ParameterError(f"classical parameters need b >= 1, got b={b}")
+    e = [q_int(i, b) for i in range(d + 1)]
+    return (tuple((e[d] - e[i]) * (beta - alpha * e[i]) for i in range(d)),
+            tuple(e[i] * (1 + alpha * e[i - 1]) for i in range(1, d + 1)))
+
+
+def classical_array(d: int, b: int, alpha: int, beta: int) -> IntersectionArray:
+    """The intersection array of a distance-regular graph with classical
+    parameters (d, b, alpha, beta), b >= 1 (Brouwer, Cohen and Neumaier
+    1989, section 6.1): with [i] = 1 + b + ... + b^(i-1) (`exact.q_int`),
+
+        b_i = ([d] - [i]) (beta - alpha [i]),   c_i = [i] (1 + alpha [i-1]).
+
+    The array carries (b, alpha, beta) as `classical`, so that
+    `scheme._eigenvalues` takes its eigenvalues in closed form (BCN
+    section 8.4), theta_i = b_i / b^i - [i] = [d-i] (beta - alpha [i]) - [i],
+    as [d] - [i] = b^i [d-i].  It takes none unchecked: each theta_i is
+    confirmed a root of det(xI - L), and d+1 strictly descending roots of
+    that monic polynomial of degree d+1 are all of its roots.  Johnson
+    J(v,d) is (d, 1, 1, v-d), Hamming H(d,q) (d, 1, 0, q-1), Grassmann
+    J_q(v,d) (d, q, q, [v-d+1]_q - 1) and the bilinear forms graph
+    Bil_q(d,e) (d, q, q-1, q^e - 1); the twisted Grassmann graph has the
+    parameters of J_q(2d+1,d).  ParameterError when b < 1 or the numbers
+    are not an intersection array."""
+    return IntersectionArray(*_classical_bc(d, b, alpha, beta), classical=(b, alpha, beta))
+
+
 def grassmann_intersection_array(q: int, v: int, d: int) -> IntersectionArray:
-    """Intersection array of J_q(v,d), 1 <= d <= v/2."""
+    """Intersection array of J_q(v,d), 1 <= d <= v/2: classical, with
+    parameters (d, q, q, [v-d+1]_q - 1)."""
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
     if d < 1 or 2 * d > v:
         raise ParameterError(f"J_q({v},{d}) array needs 1 <= d <= v/2")
-    b = tuple(
-        q ** (2 * i + 1) * q_int(d - i, q) * q_int(v - d - i, q) for i in range(d)
-    )
-    c = tuple(q_int(i, q) ** 2 for i in range(1, d + 1))
-    arr = IntersectionArray(b, c)
+    arr = classical_array(d, q, q, q_int(v - d + 1, q) - 1)
     if arr.vertex_count() != q_binomial(v, d, q):
         raise DrgError(f"J_{q}({v},{d}) array counts {arr.vertex_count()} vertices")
     return arr
 
 
 def hamming_intersection_array(d: int, q: int) -> IntersectionArray:
-    """Intersection array of H(d,q)."""
+    """Intersection array of H(d,q): classical, with parameters
+    (d, 1, 0, q-1)."""
     if d < 1 or q < 2:
         raise ParameterError(f"H({d},{q}) array needs d >= 1 and q >= 2")
-    b = tuple((d - i) * (q - 1) for i in range(d))
-    c = tuple(range(1, d + 1))
-    arr = IntersectionArray(b, c)
+    arr = classical_array(d, 1, 0, q - 1)
     if arr.vertex_count() != q ** d:
         raise DrgError(f"H({d},{q}) array counts {arr.vertex_count()} vertices")
     return arr
@@ -858,7 +916,8 @@ def hamming_intersection_array(d: int, q: int) -> IntersectionArray:
 
 def twisted_intersection_array(q: int, d: int) -> IntersectionArray:
     """The twisted Grassmann graph has the same structure constants as
-    J_q(2d+1,d), so its array is that of the ordinary Grassmann graph."""
+    J_q(2d+1,d), so its array is that of the ordinary Grassmann graph, with
+    its classical parameters."""
     if d < 2:
         raise ParameterError(f"twisted array needs d >= 2, got d={d}")
     return grassmann_intersection_array(q, 2 * d + 1, d)

@@ -2,8 +2,9 @@
 
 The eigenvalues of the distance-1 matrix are the roots of the characteristic
 polynomial of the (d+1) x (d+1) tridiagonal intersection matrix; for every
-in-scope family they are integers, found by integer bisection on Sturm sign
-counts and each confirmed as an exact root.  P is filled by the three-term
+in-scope family they are integers, taken in closed form for an array with
+classical parameters and otherwise found by integer bisection on Sturm sign
+counts, and each confirmed as an exact root.  P is filled by the three-term
 recurrence of the distance polynomials in integers, each division checked
 exact (P_ji is a rational eigenvalue of the integer matrix A_i, so an
 integer, for every distance-regular graph), Q by the orthogonality relations
@@ -44,7 +45,7 @@ from math import lcm
 from operator import mul, or_
 
 from .errors import IrrationalEigenvalue, DrgError, NotQPolynomial, ParameterError
-from .exact import ExactMatrix, canonical_json, format_fraction, scaled_ints
+from .exact import ExactMatrix, canonical_json, format_fraction, q_int, scaled_ints
 from .graphs import DistanceCensus, Graph, IntersectionArray, iter_bits, representatives
 
 
@@ -106,8 +107,29 @@ def _scaled_minors(arr: IntersectionArray, a: tuple[int, ...], y: int) -> list[i
     return P
 
 
+def _classical_eigenvalues(arr: IntersectionArray) -> tuple[int, ...]:
+    """theta_i = [d-i] (beta - alpha [i]) - [i] for i = 0..d, from the
+    classical parameters (b, alpha, beta) that `arr` carries, [i] =
+    1 + b + ... + b^(i-1) (Brouwer, Cohen and Neumaier 1989, section 8.4);
+    `_eigenvalues` confirms them."""
+    b, alpha, beta = arr.classical
+    e = [q_int(i, b) for i in range(arr.d + 1)]
+    return tuple(e[arr.d - i] * (beta - alpha * e[i]) - e[i] for i in range(arr.d + 1))
+
+
 def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     """The d+1 eigenvalues of the intersection matrix L, descending.
+
+    An array with classical parameters (`graphs.classical_array`) takes
+    them in closed form, `_classical_eigenvalues`, and confirms them
+    exactly: theta_0 > theta_1 > ... > theta_d, and p_{d+1}(theta_i) = 0
+    for each, p_{d+1} = det(xI - L) as below, one `_scaled_minors` call a
+    root.  Then they are d+1 distinct roots of p_{d+1}, which is monic of
+    degree d+1, so they are all its roots, in the descending order the
+    bisection below gives; nothing is taken from the formula unchecked, and
+    a value that fails is refused as a DrgError.  Every other array (one
+    read off a graph by BFS, an odd graph's, one built by hand) is
+    bisected.
 
     L is a Jacobi matrix (every b_{i-1} c_i > 0), so its leading principal
     minors p_0 = 1, p_1, ..., p_{d+1} = det(xI - L) form a Sturm sequence:
@@ -141,6 +163,14 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     not an integer.
     """
     d = arr.d
+    if arr.classical is not None:
+        thetas = _classical_eigenvalues(arr)
+        for j, th in enumerate(thetas):
+            if j and th >= thetas[j - 1] or _scaled_minors(arr, a, 2 * th)[-1]:
+                raise DrgError(f"closed-form eigenvalue {j + 1} of {d + 1} (descending), {th},"
+                               f" of the classical parameters {arr.classical} is not a root"
+                               " of det(xI - L) below the one before it")
+        return thetas
     counts: dict[int, int] = {}  # m -> N(m + 1/2), every count taken
 
     def above(m: int) -> int:

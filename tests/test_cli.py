@@ -294,6 +294,20 @@ def test_selftest(tmp_path, capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_selftest_forms_each_clique_incidence_once(tmp_path, capsys, monkeypatch):
+    # selftest builds six graphs (J(5,2), H(3,2), K5, J(5,2), H(3,2) and
+    # J(7,3)), and the ball rounds of its 400 random subsets read the clique
+    # incidence each graph keeps: one `_through` a graph, not one a subset
+    graphs_made, formed = [], []
+    real_init, real_through = graphs.Graph.__init__, graphs._through
+    monkeypatch.setattr(graphs.Graph, "__init__",
+                        lambda self, *a, **k: graphs_made.append(1) or real_init(self, *a, **k))
+    monkeypatch.setattr(graphs, "_through", lambda *a: formed.append(1) or real_through(*a))
+    code, doc = run(capsys, "selftest", "--cache", str(tmp_path))
+    assert code == 0 and doc["passed"] is True
+    assert len(formed) == len(graphs_made) == 6
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     capsys.readouterr()

@@ -65,6 +65,12 @@ def test_q_int():
     assert q_int(4, 3) == 40
 
 
+@pytest.mark.parametrize("m", range(7))
+def test_q_int_at_base_one_is_m(m):
+    # the sum 1 + 1 + ... + 1 of m terms, where (q^m - 1) / (q - 1) is 0/0
+    assert q_int(m, 1) == m == sum(1 ** j for j in range(m))
+
+
 def test_solve_identity():
     assert solve_linear_exact(mat_eye(3), [1, 2, 3]) == (1, 2, 3)
 

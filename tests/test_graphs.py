@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -42,6 +43,7 @@ from drgcert.errors import (
 from drgcert.exact import q_binomial, q_int
 from drgcert.graphs import (
     Graph,
+    IntersectionArray,
     all_subspaces,
     build_bilinear,
     build_grassmann,
@@ -49,6 +51,7 @@ from drgcert.graphs import (
     build_johnson,
     build_twisted_grassmann,
     check_distance_regular,
+    classical_array,
     distance_census,
     grassmann_intersection_array,
     graph_cache_text,
@@ -804,8 +807,6 @@ def test_not_distance_regular_witness():
 
 
 def test_intersection_array_validation():
-    from drgcert.graphs import IntersectionArray
-
     with pytest.raises(ParameterError, match="integral"):
         IntersectionArray((3, 2), (1, 4))  # k_2 = 6/4 not integral
     with pytest.raises(ParameterError, match="c_1 = 2"):
@@ -868,6 +869,58 @@ def test_hamming_closed_form_array(built):
 def test_twisted_closed_form_array(built):
     _, _, arr, _ = built("twisted", 2, 2)
     assert twisted_intersection_array(2, 2) == arr
+
+
+def _q_sum(m, q):
+    """1 + q + ... + q^(m-1), term by term."""
+    return sum(q ** j for j in range(m))
+
+
+#: (d, b, alpha, beta) of each builder's family at the builder's arguments,
+#: d <= v/2 in every Johnson and Grassmann instance
+CLASSICAL_PARAMETERS = {
+    "johnson": lambda v, d: (d, 1, 1, v - d),
+    "hamming": lambda d, q: (d, 1, 0, q - 1),
+    "grassmann": lambda q, v, d: (d, q, q, _q_sum(v - d + 1, q) - 1),
+    "bilinear": lambda q, d, e: (d, q, q - 1, q ** e - 1),
+    "twisted": lambda q, d: (d, q, q, _q_sum(d + 2, q) - 1),  # J_q(2d+1, d)
+}
+
+
+@pytest.mark.parametrize("family,args", BUILDER_INSTANCES)
+def test_bfs_arrays_have_classical_parameters(family, args, built):
+    arr = built(family, *args)[2]
+    closed = classical_array(*CLASSICAL_PARAMETERS[family](*args))
+    assert (closed.b, closed.c) == (arr.b, arr.c)
+    assert arr.classical is None and closed.classical == CLASSICAL_PARAMETERS[family](*args)[1:]
+
+
+def test_classical_parameters_stay_out_of_equality_hash_and_repr():
+    arr = hamming_intersection_array(3, 4)
+    plain = IntersectionArray(arr.b, arr.c)
+    assert arr.classical == (1, 0, 3) and plain.classical is None
+    assert arr == plain and hash(arr) == hash(plain) and repr(arr) == repr(plain)
+    assert twisted_intersection_array(2, 3).classical == (2, 2, 30)
+
+
+def test_stated_classical_parameters_must_give_the_array(monkeypatch):
+    # refused on construction, so no eigenvalue is ever taken from them
+    from drgcert import scheme
+
+    taken = []
+    monkeypatch.setattr(scheme, "_scaled_minors", lambda *args: taken.append(args))
+    h33 = hamming_intersection_array(3, 3)
+    with pytest.raises(ParameterError, match="classical parameters"):
+        IntersectionArray(h33.b, h33.c, classical=(1, 0, 3))  # those of H(3,4)
+    with pytest.raises(ParameterError, match="classical parameters"):
+        dataclasses.replace(h33, b=(9, 4, 1), c=(1, 4, 9))  # J(6,3), which is valid
+    with pytest.raises(ParameterError, match="b >= 1"):
+        classical_array(2, 0, 0, 2)
+    with pytest.raises(ParameterError, match="b >= 1"):
+        IntersectionArray((21, 20, 16), (1, 2, 12), classical=(-2, -3, 7))  # Her(3,4)
+    with pytest.raises(ParameterError, match="positive"):
+        classical_array(3, 1, 1, 2)  # "J(5,3)" at d > v/2: b_2 = 0
+    assert taken == []
 
 
 def test_closed_form_arrays_take_a_huge_prime_q():

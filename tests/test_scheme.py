@@ -733,10 +733,10 @@ def test_grassmann_eigenvalues_beyond_valency_scan(q, v, d):
     )
 
 
-def test_eigenvalue_bisections_reuse_every_sturm_count(monkeypatch):
-    # the 14 closed-form arrays of the parameter-tier benchmark: each
-    # bisection starts at the largest point already counted above it, so
-    # 756 minor evaluations where restarting at -b_0 - 1 took 898
+def _param_tier_arrays():
+    """The 14 closed-form arrays of the parameter-tier benchmark, each with
+    its eigenvalues by the textbook formulas (Hamming: (q-1)d - qj;
+    Grassmann: q^(j+1) [d-j][v-d-j] - [j])."""
     def qi(m, q):
         return (q ** m - 1) // (q - 1)
 
@@ -753,11 +753,82 @@ def test_eigenvalue_bisections_reuse_every_sturm_count(monkeypatch):
         arr, thetas = grassmann(q, 2 * d + 1, d)
         assert twisted_intersection_array(q, d) == arr
         cases.append((arr, thetas))
+    return cases
+
+
+def _count_minors(monkeypatch) -> list:
     real, calls = scheme._scaled_minors, []
     monkeypatch.setattr(scheme, "_scaled_minors", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_eigenvalue_bisections_reuse_every_sturm_count(monkeypatch):
+    # the param-tier arrays without their classical parameters, as BFS reads
+    # them off a graph: each bisection starts at the largest point already
+    # counted above it, so 756 minor evaluations where restarting at
+    # -b_0 - 1 took 898
+    cases = [(IntersectionArray(arr.b, arr.c), thetas) for arr, thetas in _param_tier_arrays()]
+    calls = _count_minors(monkeypatch)
     for arr, thetas in cases:
+        assert arr.classical is None
         assert scheme._eigenvalues(arr, arr.a()) == thetas
     assert len(calls) == 756
+
+
+def test_classical_eigenvalues_take_one_confirmation_each(monkeypatch):
+    # with their classical parameters the same arrays take theta_i in closed
+    # form and confirm each root once: sum of (d+1) = 91 evaluations
+    cases = _param_tier_arrays()
+    calls = _count_minors(monkeypatch)
+    for arr, thetas in cases:
+        assert arr.classical is not None
+        assert scheme._eigenvalues(arr, arr.a()) == thetas
+    assert len(calls) == sum(arr.d + 1 for arr, _ in cases) == 91
+
+
+def test_classical_eigensystems_equal_the_bisected_ones():
+    for arr, _ in _param_tier_arrays():
+        n = arr.vertex_count()
+        closed = eigensystem_from_array(arr, n)
+        bisected = eigensystem_from_array(IntersectionArray(arr.b, arr.c), n)
+        assert closed == bisected
+        assert (closed.D, closed.DQ) == (bisected.D, bisected.DQ)
+        assert eigensystem_to_json(closed, "x", {}) == eigensystem_to_json(bisected, "x", {})
+
+
+@pytest.mark.parametrize("family", ["hamming", "grassmann", "twisted"])
+def test_closed_form_eigenvalues_match_the_bisection(family):
+    # every array of the family with d <= 8 and prime q <= 7 (Grassmann at
+    # v = 2d and 2d + 3): the closed form on the array equals the Sturm
+    # bisection on the same b and c with no parameters
+    primes = (2, 3, 5, 7)
+    if family == "hamming":
+        arrays = [hamming_intersection_array(d, q) for d in range(1, 9) for q in primes]
+    elif family == "grassmann":
+        arrays = [grassmann_intersection_array(q, v, d) for d in range(1, 9)
+                  for q in primes for v in (2 * d, 2 * d + 3)]
+    else:
+        arrays = [twisted_intersection_array(q, d) for d in range(2, 9) for q in primes]
+    for arr in arrays:
+        plain = IntersectionArray(arr.b, arr.c)
+        assert scheme._eigenvalues(arr, arr.a()) == scheme._eigenvalues(plain, plain.a()), arr
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda th: (th[0] + 1,) + th[1:], id="theta_0+1"),
+    pytest.param(lambda th: th[:3] + (th[3] - 1,) + th[4:], id="theta_3-1"),
+    pytest.param(lambda th: th[:-1] + (th[-1] + 1,), id="theta_d+1"),
+    pytest.param(lambda th: (th[0], th[2], th[1]) + th[3:], id="swapped"),
+    pytest.param(lambda th: (th[0], th[1], th[1]) + th[3:], id="repeated"),
+])
+def test_a_wrong_closed_form_eigenvalue_is_refused(monkeypatch, tamper):
+    # a root one off, or true roots out of order or repeated: the exact
+    # check refuses each, as no eigenvalue is taken from the formula alone
+    arr = grassmann_intersection_array(3, 12, 6)
+    real = scheme._classical_eigenvalues
+    monkeypatch.setattr(scheme, "_classical_eigenvalues", lambda a: tamper(real(a)))
+    with pytest.raises(DrgError, match="closed-form eigenvalue"):
+        eigensystem_from_array(arr, arr.vertex_count())
 
 
 def p_row_by_fractions(arr, th):
