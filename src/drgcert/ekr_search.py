@@ -271,7 +271,9 @@ class DescendentFamily:
 def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFamily]:
     """One family per (t-1)-dim subspace u of H = GF(q)^(2d), in
     `all_subspaces` order, its members sorted and counted; all of them
-    share one `X2PointIndex`.  The X2 pool, [2d, d-1]_q >= q^((d-1)(d+1))
+    share one `X2PointIndex`, and each X2 vertex is one tuple in all the
+    families that hold it, so that index checks and spans it once.  The
+    X2 pool, [2d, d-1]_q >= q^((d-1)(d+1))
     subspaces, is refused above the default vertex cap first.
 
     The members are built through u.  Let U be the pivot columns of u (the
@@ -298,7 +300,7 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
                lambda: q_binomial(2 * d, d - 1, q), DEFAULT_VERTEX_CAP, prime=q)
     n = 2 * d
     expected_members = q_binomial(2 * d + 1 - t, d - t, q)
-    points = X2PointIndex(q, d)
+    points, shared = X2PointIndex(q, d), {}
     families, pattern = [], None
     for u in all_subspaces(n, t - 1, q):  # grouped by pivot pattern
         upiv = [row.index(1) for row in u]
@@ -319,7 +321,8 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
                         r = tuple([(a - c * b) % q for a, b in zip(r, wp)])
                 rows.append(r)
             rows.sort(reverse=True)
-            members.append(tuple(rows))
+            member = tuple(rows)
+            members.append(shared.setdefault(member, member))
         families.append(DescendentFamily(u, tuple(sorted(members)), points))
     if len(families) != q_binomial(2 * d, t - 1, q):
         raise DrgError("descendent family count mismatch")

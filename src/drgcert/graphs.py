@@ -37,7 +37,10 @@ are the masks of its hyperplanes, and a generator's image of it is the
 vertex whose mask is the image of its mask under the generator's
 permutation of the points, found with no row reduction per vertex.  The
 points come from one span kernel on packed ints, `_span_points`, which
-the X2 histogram below uses too.
+takes a batch of bases of one shape and forms their points one step at a
+time over the whole batch, so the cost of a call is paid once a batch:
+`_PointSets` spans each run of subspaces of one dimension in one call, and
+the X2 histogram below spans the members it has not seen in one call too.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
@@ -57,7 +60,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import comb
-from operator import and_, lshift, mul, or_
+from operator import and_, itemgetter, lshift, mul, or_
 
 from .errors import (
     DisconnectedGraph,
@@ -337,19 +340,48 @@ def _pack(row, q: int) -> int:
     return sum(map(lshift, row, _fields(len(row), q)[2]))
 
 
-def _span_points(rows, q: int) -> list[int]:
-    """The points c . R of the row space of a canonical RREF basis R (k
-    rows) over GF(q), one for each c in GF(q)^k whose first nonzero entry
-    is 1, as `_pack` ints, in an order that depends on k and q alone.
-    Each c . R is a point (a vector whose first nonzero entry is 1) with no
-    reduction: for pivots p_0 < ... < p_{k-1} of R and j the first nonzero
-    entry of c, every row R_i with c_i != 0 vanishes before p_i >= p_j, and
-    (c . R)[p_j] = c_j = 1.  Every point x of the row space is one c . R,
-    as x = c . R for one c and then c_j = x[p_j] = 1 at the first nonzero
-    entry of c.  The c with first nonzero entry i give R_i + s, s in the
-    span of the rows below i; the other c R_i + s, formed by adding R_i
-    again, only join that span for the rows above, so the top row takes
-    c = 1 alone.
+@cache
+def _span_plan(k: int, q: int) -> tuple:
+    """(steps, points): the order in which `_span_points` forms the points
+    of k rows over GF(q).  Values 0..k-1 are the rows R_0..R_{k-1}, and
+    step j, a pair (a, b), makes value k+j, the sum of values a and b; the
+    points are the values listed in points, in that order.
+
+    Each value is c . R for one c in GF(q)^k.  The c with first nonzero
+    entry i give R_i + s, s in the span of the rows below i; the other
+    c R_i + s, formed by adding R_i again, only join that span for the rows
+    above, so the top row takes c = 1 alone.  R_i + 0 is R_i itself, so
+    each row joins without a step."""
+    steps, points, tails = [], [], [None]  # None: the zero vector
+
+    def plus(t, i):  # the value t + R_i
+        if t is None:
+            return i
+        steps.append((t, i))
+        return k + len(steps) - 1
+
+    for i in reversed(range(k)):
+        layer, grown = tails, []
+        for _ in range(q - 1 if i else 1):
+            layer = [plus(t, i) for t in layer]
+            grown += layer
+        points += grown[:len(tails)]
+        tails = tails + grown
+    return tuple(steps), tuple(points)
+
+
+def _span_points(bases, q: int) -> list[tuple[int, ...]]:
+    """For each canonical RREF basis R in bases, all of k rows of length n
+    over GF(q), the points c . R of its row space, one for each c in
+    GF(q)^k whose first nonzero entry is 1, as `_pack` ints, in the order
+    of `_span_plan(k, q)`, which depends on k and q alone.  Each step of
+    the plan is taken once over every basis, so a batch pays the cost of a
+    call once.  Each c . R is a point (a vector whose first nonzero entry
+    is 1) with no reduction: for pivots p_0 < ... < p_{k-1} of R and j the
+    first nonzero entry of c, every row R_i with c_i != 0 vanishes before
+    p_i >= p_j, and (c . R)[p_j] = c_j = 1.  Every point x of the row space
+    is one c . R, as x = c . R for one c and then c_j = x[p_j] = 1 at the
+    first nonzero entry of c.
 
     The sums are taken mod q on the packed ints, every coordinate at once
     (SWAR).  Let h = 2^(w-1) >= q and K = sum of 2^(jw), a 1 in each
@@ -361,38 +393,42 @@ def _span_points(rows, q: int) -> list[int]:
     a 1 in each such field, and s less q times them holds a_j + b_j mod q
     in field j, with no borrow.
 
-    R must be in echelon form with leading entries 1, which is checked on
-    the packed rows: the lowest set bit of row i starts a field holding 1,
-    and lies below that of row i+1.  ParameterError otherwise."""
-    w, K, offsets = _fields(len(rows[0]), q)
-    top, bias = w - 1, K * ((1 << w - 1) - q)
-    points, tails, below = [], [0], 1 << w * len(rows[0])
-    for i in reversed(range(len(rows))):
-        r, layer, grown = sum(map(lshift, rows[i], offsets)), tails, []
-        lead = r & -r
-        if not (lead & K and r & lead * ((1 << w) - 1) == lead < below):
-            raise ParameterError(f"{rows!r} is not an echelon basis with leading entries 1")
-        below = lead
-        for _ in range(q - 1 if i else 1):
-            layer = [(s := t + r) - q * ((s + bias) >> top & K) for t in layer]
-            grown += layer
-        points += grown[:len(tails)]
-        tails += grown
-    return points
+    Each R must be in echelon form with leading entries 1, which is checked
+    on the packed rows: the lowest set bit of row i starts a field holding
+    1, and lies below that of row i+1.  ParameterError otherwise, before
+    any point is formed."""
+    if not bases:
+        return []
+    k, n = len(bases[0]), len(bases[0][0])
+    w, K, offsets = _fields(n, q)
+    top, bias, field = w - 1, K * ((1 << w - 1) - q), (1 << w) - 1
+    values = [[sum(map(lshift, row, offsets)) for row in rows] for rows in zip(*bases)]
+    for rows, packed in zip(bases, zip(*values)):
+        below = 1 << w * n
+        for r in reversed(packed):
+            lead = r & -r
+            if not (lead & K and r & lead * field == lead < below):
+                raise ParameterError(f"{rows!r} is not an echelon basis with leading entries 1")
+            below = lead
+    steps, points = _span_plan(k, q)
+    for a, b in steps:
+        values.append([(s := x + y) - q * ((s + bias) >> top & K)
+                       for x, y in zip(values[a], values[b])])
+    return list(zip(*map(values.__getitem__, points)))
 
 
 @cache
 def _hyperplane_positions(k: int, q: int) -> tuple:
     """For each hyperplane ker u of GF(q)^k, the positions in `_span_points`
     order of the c with c . u = 0.  The u are the points of GF(q)^k from
-    `_span_points`, unpacked; ker u fixes u up to a scalar, so each
-    hyperplane comes once.  As c -> c . R is a linear bijection from
-    GF(q)^k onto the row space x of R, these positions of `_span_points(R)`
-    are the points of the hyperplane {c . R : c . u = 0} of x, and every
-    hyperplane of x is one."""
+    `_span_points` of the identity basis, unpacked; ker u fixes u up to a
+    scalar, so each hyperplane comes once.  As c -> c . R is a linear
+    bijection from GF(q)^k onto the row space x of R, these positions of
+    `_span_points` of R are the points of the hyperplane {c . R : c . u =
+    0} of x, and every hyperplane of x is one."""
     w, _, offsets = _fields(k, q)
-    cs = [[x >> s & (1 << w) - 1 for s in offsets]
-          for x in _span_points(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), q)]
+    identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    cs = [[x >> s & (1 << w) - 1 for s in offsets] for x in _span_points([identity], q)[0]]
     return tuple(tuple(i for i, c in enumerate(cs) if sum(map(mul, c, u)) % q == 0)
                  for u in cs)
 
@@ -415,15 +451,24 @@ class _PointSets:
     a f(p'), so p = a p', and a = 1 as both are points.  It maps the points
     of x into f(x), which has as many points as x, as dim f(x) = dim x; so
     the mask of f(x) is the image of the mask of x under that permutation
-    of the points."""
+    of the points.
+
+    The points of the subspaces come from `_span_points`, one batch for
+    each run of subspaces of one dimension (the twisted build gives two,
+    its (d+1)-dim X1 and (d-1)-dim X2 vertices).  Hyperplane masks are
+    formed when asked for, not kept, which would add [k]_q masks to each
+    k-dim subspace held here."""
 
     def __init__(self, v: int, q: int, subspaces):
         self.q = q
         self.points = [p for (p,) in all_subspaces(v, 1, q)]
         self.index = {_pack(p, q): i for i, p in enumerate(self.points)}
         self.bit = [1 << i for i in range(len(self.points))]
-        self.of = {rows: list(map(self.index.__getitem__, _span_points(rows, q)))
-                   for rows in subspaces}
+        self.of = {}
+        for _, group in itertools.groupby(subspaces, len):
+            group = list(group)
+            self.of.update(zip(group, [list(map(self.index.__getitem__, points))
+                                       for points in _span_points(group, q)]))
         self.subspace = {self.mask(rows): rows for rows in self.of}
 
     def mask(self, rows) -> int:
@@ -931,33 +976,57 @@ class X2PointIndex:
     """Point and hyperplane masks of X2 vertices of twisted(q, d), shared by
     the histograms of many sets of them.  Each point of H = GF(q)^(2d) that
     a spanned member contains gets one bit, keyed by its `_pack` int (the
-    trailing zero coordinate of a member packs to nothing).  A member is
-    spanned by `_span_points` the first time a histogram needs it, and
-    masks keeps, under its rows, its point mask and the masks of its
+    trailing zero coordinate of a member packs to nothing).  masks keeps,
+    under each member's rows as tuples, its point mask and the masks of its
     [d-1]_q hyperplanes, taken from `_hyperplane_positions(d-1, q)` over
-    the same spanned points.  So a vertex in many sets is spanned once;
-    only members that pass the checks of `span` are kept."""
+    the same spanned points.  `span` spans the members a histogram needs
+    and masks does not hold together, each once, in one `_span_points`
+    batch, so a vertex in many sets is spanned once, and only members that
+    pass the checks of `twisted_x2_distance_counts` and of `_span_points`
+    are kept.
 
-    __slots__ = ("q", "d", "bits", "masks")
+    checked keeps, by id, each member given as a tuple of tuples that
+    passed the shape check of `twisted_x2_distance_counts`.  Such a
+    member, of int entries, cannot change, and checked holds it, so while
+    the index lives no other object has its id: given again, it is not
+    checked again."""
+
+    __slots__ = ("q", "d", "bits", "masks", "checked")
 
     def __init__(self, q: int, d: int):
-        self.q, self.d, self.bits, self.masks = q, d, {}, {}
+        self.q, self.d, self.bits, self.masks, self.checked = q, d, {}, {}, {}
 
-    def span(self, rows) -> tuple[int, tuple[int, ...]]:
-        """(point mask, hyperplane masks) of rows, d-1 rows of length 2d+1
-        with entries in 0..q-1 and last entry 0, in echelon form with
-        leading entries 1; ParameterError otherwise.  An entry outside
-        0..q-1 would overflow or mis-sum its `_pack` field."""
-        q, k, n = self.q, self.d - 1, 2 * self.d + 1
-        if len(rows) != k or any(len(row) != n or row[-1] or min(row) < 0 or max(row) >= q
-                                 for row in rows):
-            raise ParameterError(
-                f"{rows!r} is not {k} rows of length {n} over 0..{q - 1} with last entry 0")
+    def span(self, members) -> None:
+        """Keep the masks of members, distinct tuples of d-1 row tuples of
+        length 2d+1 with int entries in 0..q-1 and last entry 0 that masks
+        does not hold.  If one is not in echelon form with leading entries
+        1, ParameterError, and none is kept.  The masks are formed a point
+        position (or a hyperplane) at a time over all the members."""
         bits = self.bits
-        point = [1 << bits.setdefault(p, len(bits)) for p in _span_points(rows, q)]
-        held = self.masks[rows] = (sum(point), tuple(
-            sum(map(point.__getitem__, pos)) for pos in _hyperplane_positions(k, q)))
-        return held
+        columns = [[1 << bits.setdefault(p, len(bits)) for p in points]
+                   for points in zip(*_span_points(members, self.q))]
+        zeros = [0] * len(members)  # at d = 2 the one hyperplane, 0, has no points
+        hyperplanes = [list(map(sum, zip(zeros, *map(columns.__getitem__, pos))))
+                       for pos in _hyperplane_positions(self.d - 1, self.q)]
+        self.masks.update(zip(members, zip(map(sum, zip(*columns)), zip(*hyperplanes))))
+
+
+def _x2_shaped(members, q: int, d: int) -> bool:
+    """Whether each member is a tuple or list of d-1 tuples or lists of
+    length 2d+1 with int entries in 0..q-1 and last entry 0.  Each check
+    runs over the members, rows or entries of all the members at once."""
+    kinds = {tuple, list}
+    if not set(map(type, members)) <= kinds or not set(map(len, members)) <= {d - 1}:
+        return False
+    rows = list(itertools.chain.from_iterable(members))
+    if not set(map(type, rows)) <= kinds or not set(map(len, rows)) <= {2 * d + 1} \
+            or any(map(itemgetter(-1), rows)):
+        return False
+    entries = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, entries)) <= {int}:
+        return False
+    values = set(entries)
+    return min(values, default=0) >= 0 and max(values, default=0) < q
 
 
 def _shared_pairs(keys) -> int:
@@ -972,7 +1041,7 @@ def twisted_x2_distance_counts(members: list, q: int, d: int,
     with its trailing zero), over the twisted graph of diameter d, from the
     adjacency rule alone (the graph is never materialized).  Members may
     be given as lists of rows or rows as lists, as JSON labels read back
-    are; they are keyed as tuples.
+    are; they are turned into tuples once checked, before any span.
 
     Let g = dim x - dim(x meet y), the distance of x and y in the Grassmann
     graph J_q(2d, d-1) that X2 induces (x ~ y iff they meet in dimension d-2,
@@ -1016,15 +1085,20 @@ def twisted_x2_distance_counts(members: list, q: int, d: int,
     mask of h meet h' is the AND of theirs, and two members are one
     subspace iff their point masks are equal.  The masks come from points,
     an `X2PointIndex` of the same q and d that other calls may share (a
-    fresh one when None), so a member it already holds is not spanned
-    again.
+    fresh one when None): the members it does not hold are spanned in one
+    batch, each distinct member once, and a member it already holds is not
+    spanned again.
 
     Refused, in this order: a q that is not prime (UnsupportedField), before
     any span, as the spans would be taken in Z/q, which is no field; then,
-    with ParameterError, d < 2, an index of another q or d, a member that
-    is not d-1 rows of length 2d+1 with entries in 0..q-1 and last entry 0
-    or not in echelon form with leading entries 1, and two members that are
-    one subspace (gap 0).
+    with ParameterError, d < 2, an index of another q or d, any member that
+    is not d-1 rows of length 2d+1 with int entries in 0..q-1 and last entry
+    0 (every member is checked before any is spanned, once for each
+    index, see `X2PointIndex`, when it is a tuple of tuples), a
+    member to span that is not in echelon form with leading entries 1, and
+    two members that are one subspace (gap 0).  An entry outside 0..q-1
+    would overflow or mis-sum its `_pack` field, and one that is no int
+    has no field.
     """
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
@@ -1035,12 +1109,21 @@ def twisted_x2_distance_counts(members: list, q: int, d: int,
     elif (points.q, points.d) != (q, d):
         raise ParameterError(
             f"point index of twisted({points.q},{points.d}) used for twisted({q},{d})")
-    held, span = points.masks.get, points.span
-    try:
-        spanned = [held(rows) or span(rows) for rows in members]
-    except TypeError:  # list rows, as json.loads gives labels, are unhashable
+    members, checked = list(members), points.checked
+    fresh = [rows for rows in members if id(rows) not in checked]
+    if not _x2_shaped(fresh, q, d):
+        rows = next(rows for rows in fresh if not _x2_shaped([rows], q, d))
+        raise ParameterError(f"{rows!r} is not {d - 1} rows of length {2 * d + 1}"
+                             f" over 0..{q - 1} with last entry 0")
+    if set(map(type, itertools.chain(fresh, *fresh))) <= {tuple}:
+        checked.update(zip(map(id, fresh), fresh))
+    else:  # lists are unhashable
         members = [tuple(map(tuple, rows)) for rows in members]
-        spanned = [held(rows) or span(rows) for rows in members]
+    masks = points.masks
+    spanned = list(map(masks.get, members))
+    if None in spanned:
+        points.span(list(dict.fromkeys(rows for rows, held in zip(members, spanned) if held is None)))
+        spanned = list(map(masks.__getitem__, members))
     m = len(spanned)
     if len({point for point, _ in spanned}) < m:
         raise ParameterError("two members are the same subspace")

@@ -26,6 +26,7 @@ from drgcert.graphs import (
     iter_bits,
     twisted_intersection_array,
     twisted_x2_distance_counts,
+    twisted_x2_vertices,
 )
 from drgcert.ekr_search import (
     enumerate_descendent_families,
@@ -457,12 +458,13 @@ def test_descendent_enumeration_bytes(q, d, t, digest):
 
 
 def _count_spans(monkeypatch):
+    # the members handed to the span kernel, over all its batches
     real = graphs._span_points
     spans = []
 
-    def counted(rows, q_):
-        spans.append(rows)
-        return real(rows, q_)
+    def counted(bases, q_):
+        spans.extend(bases)
+        return real(bases, q_)
 
     monkeypatch.setattr(graphs, "_span_points", counted)
     return spans
@@ -486,10 +488,18 @@ def test_descendent_families_span_each_x2_vertex_once(q, d, t, vertices, samples
     arr = twisted_intersection_array(q, d)
     sys_ = eigensystem_from_array(arr, arr.vertex_count())
     fams = enumerate_descendent_families(q, d, t)
-    spans = _count_spans(monkeypatch)
+    assert len({id(rows) for fam in fams for rows in fam.members}) == vertices
+    spans, checks, shaped = _count_spans(monkeypatch), [], graphs._x2_shaped
+
+    def counted(members, *args):
+        checks.extend(members)
+        return shaped(members, *args)
+
+    monkeypatch.setattr(graphs, "_x2_shaped", counted)
     for fam in fams:
         verify_descendent_family(fam, q, d, t, sys_)
     assert len(spans) == len(set(spans)) == vertices == q_binomial(2 * d, d - 1, q)
+    assert len(checks) == vertices  # each X2 vertex is one tuple, checked once
     assert len({id(fam.points) for fam in fams}) == 1
     monkeypatch.undo()
     assert histograms == [twisted_x2_distance_counts(list(fam.members), q, d) for fam in fams]
@@ -520,6 +530,15 @@ def test_hand_built_subfamily_gets_its_own_index(monkeypatch):
     monkeypatch.undo()
     assert twisted_x2_distance_counts(list(sub.members), 2, 3, fam.points) == \
         twisted_x2_distance_counts(list(sub.members), 2, 3)
+
+
+def test_repeated_member_is_spanned_once(monkeypatch):
+    # a member listed twice goes to the kernel once and is still refused
+    x, y = twisted_x2_vertices(2, 3)[:2]
+    spans = _count_spans(monkeypatch)
+    with pytest.raises(ParameterError, match="same subspace"):
+        twisted_x2_distance_counts([x, y, x], 2, 3)
+    assert spans == [x, y]
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (2, 3)])

@@ -388,10 +388,9 @@ def unpack(x, n, q):
     return tuple(x >> s & (1 << w) - 1 for s in offsets)
 
 
-def random_rref(rng, n, k, q):
-    """A uniformly chosen pivot pattern with random free entries: a
-    canonical RREF basis of a k-dim subspace of GF(q)^n."""
-    pivots = sorted(rng.sample(range(n), k))
+def random_rref(rng, n, k, q, pivots):
+    """The canonical RREF basis of a k-dim subspace of GF(q)^n with the
+    given pivots and random free entries."""
     rows = [[int(j == p) for j in range(n)] for p in pivots]
     for i, p in enumerate(pivots):
         for j in range(p + 1, n):
@@ -401,24 +400,33 @@ def random_rref(rng, n, k, q):
 
 
 @pytest.mark.parametrize("q,n,ks", [
-    (2, 7, (1, 2, 3, 4)), (3, 6, (1, 2, 3)), (5, 5, (1, 2, 3)),
-    (7, 5, (1, 2, 3)),  # the tightest odd field: 2^(w-1) = 8
-    (23, 4, (1, 2)),
+    (2, 7, (1, 2, 3, 4)), (3, 6, (1, 2, 3, 4)), (5, 5, (1, 2, 3, 4)),
+    (7, 5, (1, 2, 3, 4)),  # the tightest odd field: 2^(w-1) = 8
+    (23, 4, (1, 2, 3)),
 ])
 def test_packed_span_matches_oracle_span(q, n, ks):
-    # the packed points of a row space are its points, each once, and the
-    # i-th is c . R for the i-th packed c of the identity basis
+    # one batch of bases with mixed pivot patterns: each basis gets the
+    # points of its row space, each once, the i-th being c . R for the i-th
+    # packed c of the identity basis; alone in a batch of one it gets the
+    # same, and an empty batch gets none
     rng = random.Random(q)
+    assert graphs._span_points([], q) == []
     for k in ks:
         identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-        cs = [unpack(x, k, q) for x in graphs._span_points(identity, q)]
-        for _ in range(6):
-            rows = random_rref(rng, n, k, q)
-            found = [unpack(x, n, q) for x in graphs._span_points(rows, q)]
+        (packed,) = graphs._span_points([identity], q)
+        cs = [unpack(x, k, q) for x in packed]
+        patterns = list(itertools.combinations(range(n), k))
+        batch = [random_rref(rng, n, k, q, rng.choice(patterns)) for _ in range(8)]
+        batch += [random_rref(rng, n, k, q, pivots) for pivots in (patterns[0], patterns[-1])]
+        spans = graphs._span_points(batch, q)
+        assert len(spans) == len(batch)
+        for rows, points in zip(batch, spans):
+            found = [unpack(x, n, q) for x in points]
             assert len(found) == len(set(found)) == q_int(k, q)
             assert frozenset(found) == projective_points(span(rows, q, n))
             assert found == [tuple(sum(c * r[j] for c, r in zip(cv, rows)) % q for j in range(n))
                              for cv in cs]
+            assert graphs._span_points([rows], q) == [points]
 
 
 def mask_points(points, mask):
@@ -1097,6 +1105,7 @@ def test_x2_members_given_as_lists(members):
     points = graphs.X2PointIndex(2, 2)
     assert twisted_x2_distance_counts(members, 2, 2, points) == [2, 2, 0]
     assert list(points.masks) == [((1, 0, 0, 0, 0),), ((0, 1, 0, 0, 0),)]
+    assert not points.checked  # a list can change, so it is checked at each call
     with pytest.raises(ParameterError, match="same subspace"):
         twisted_x2_distance_counts(members + [((1, 0, 0, 0, 0),)], 2, 2, points)
 
@@ -1159,20 +1168,34 @@ def test_x2_distance_counts_refuse_what_has_no_histogram(members, match):
     ([((1, 0, 0, 0, 0),), ((1, 8, 0, 0, 0),)], 2),
     ([((1, 0, -1, 0, 0),), ((1, 0, 2, 0, 0),)], 3),
     ([((1, 0, 7, 0, 0),), ((1, 0, 1, 0, 0),)], 3),
+    ([((1.0, 0, 0, 0, 0),), ((0, 1, 0, 0, 0),)], 2),
+    ([(("1", 0, 0, 0, 0),)], 2),
+    ([[[0, 1, 0, 0, 0]], [[1, 0, 0, 0, 0.0]]], 2),  # as JSON with a float reads back
 ])
 def test_x2_distance_counts_refuse_entries_outside_the_field(members, q):
-    # each pair is one GF(q) point listed twice; an entry outside 0..q-1
-    # overflows or mis-sums its packed field, and the histogram once came
-    # back [2, 2, 0]
+    # the first three pairs are each one GF(q) point listed twice; an entry
+    # outside 0..q-1 overflows or mis-sums its packed field, and the
+    # histogram once came back [2, 2, 0]; an entry that is no int once
+    # raised TypeError from the packing or the range check
     with pytest.raises(ParameterError, match=rf"over 0\.\.{q - 1}"):
         twisted_x2_distance_counts(members, q, 2)
+
+
+def test_x2_members_equal_to_held_ones_are_checked_too():
+    # 1.0 == 1, so the member below equals one the index holds; it is
+    # refused all the same
+    points = graphs.X2PointIndex(2, 2)
+    assert twisted_x2_distance_counts([((1, 0, 0, 0, 0),)], 2, 2, points) == [1, 0, 0]
+    with pytest.raises(ParameterError, match=r"over 0\.\.1"):
+        twisted_x2_distance_counts([((1.0, 0, 0, 0, 0),)], 2, 2, points)
 
 
 def test_x2_point_index_serves_one_q_and_d():
     members = twisted_x2_vertices(2, 3)[:20]
     points = graphs.X2PointIndex(2, 3)
     counts = twisted_x2_distance_counts(members, 2, 3, points)
-    assert counts == twisted_x2_distance_counts(members, 2, 3)
+    assert counts == twisted_x2_distance_counts(members, 2, 3) == \
+        twisted_x2_distance_counts(iter(members), 2, 3)  # the members are read more than once
     assert twisted_x2_distance_counts(members[5:], 2, 3, points) == \
         twisted_x2_distance_counts(members[5:], 2, 3)
     for q, d in [(3, 3), (2, 4)]:
