@@ -137,6 +137,8 @@ def max_clique(
     best = 0
     if warm_start is not None:
         ws = sorted(set(warm_start))
+        if ws and not 0 <= ws[0] <= ws[-1] < n:
+            raise ParameterError(f"warm start {ws} is not a set of vertices 0..{n - 1}")
         for a, v in enumerate(ws):
             for u in ws[a + 1:]:
                 if not G.is_edge(v, u):

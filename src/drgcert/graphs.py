@@ -37,10 +37,11 @@ are the masks of its hyperplanes, and a generator's image of it is the
 vertex whose mask is the image of its mask under the generator's
 permutation of the points, found with no row reduction per vertex.  The
 points come from one span kernel on packed ints, `_span_points`, which
-takes a batch of bases of one shape and forms their points one step at a
-time over the whole batch, so the cost of a call is paid once a batch:
-`_PointSets` spans each run of subspaces of one dimension in one call, and
-the X2 histogram below spans the members it has not seen in one call too.
+takes a batch of bases of one shape, walks their rows from the bottom and
+takes each sum over the whole batch at once, so the cost of a call is
+paid once a batch: `_PointSets` spans each run of subspaces of one
+dimension in one call, and the X2 histogram below spans the members it
+has not seen in one call too.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for the Grassmann, Hamming and twisted
@@ -340,48 +341,23 @@ def _pack(row, q: int) -> int:
     return sum(map(lshift, row, _fields(len(row), q)[2]))
 
 
-@cache
-def _span_plan(k: int, q: int) -> tuple:
-    """(steps, points): the order in which `_span_points` forms the points
-    of k rows over GF(q).  Values 0..k-1 are the rows R_0..R_{k-1}, and
-    step j, a pair (a, b), makes value k+j, the sum of values a and b; the
-    points are the values listed in points, in that order.
-
-    Each value is c . R for one c in GF(q)^k.  The c with first nonzero
-    entry i give R_i + s, s in the span of the rows below i; the other
-    c R_i + s, formed by adding R_i again, only join that span for the rows
-    above, so the top row takes c = 1 alone.  R_i + 0 is R_i itself, so
-    each row joins without a step."""
-    steps, points, tails = [], [], [None]  # None: the zero vector
-
-    def plus(t, i):  # the value t + R_i
-        if t is None:
-            return i
-        steps.append((t, i))
-        return k + len(steps) - 1
-
-    for i in reversed(range(k)):
-        layer, grown = tails, []
-        for _ in range(q - 1 if i else 1):
-            layer = [plus(t, i) for t in layer]
-            grown += layer
-        points += grown[:len(tails)]
-        tails = tails + grown
-    return tuple(steps), tuple(points)
-
-
 def _span_points(bases, q: int) -> list[tuple[int, ...]]:
     """For each canonical RREF basis R in bases, all of k rows of length n
     over GF(q), the points c . R of its row space, one for each c in
-    GF(q)^k whose first nonzero entry is 1, as `_pack` ints, in the order
-    of `_span_plan(k, q)`, which depends on k and q alone.  Each step of
-    the plan is taken once over every basis, so a batch pays the cost of a
-    call once.  Each c . R is a point (a vector whose first nonzero entry
-    is 1) with no reduction: for pivots p_0 < ... < p_{k-1} of R and j the
-    first nonzero entry of c, every row R_i with c_i != 0 vanishes before
-    p_i >= p_j, and (c . R)[p_j] = c_j = 1.  Every point x of the row space
-    is one c . R, as x = c . R for one c and then c_j = x[p_j] = 1 at the
-    first nonzero entry of c.
+    GF(q)^k whose first nonzero entry is 1, as `_pack` ints, in an order
+    that depends on k and q alone.  Each sum is taken once over every
+    basis, so a batch pays the cost of a call once.  Each c . R is a point
+    (a vector whose first nonzero entry is 1) with no reduction: for pivots
+    p_0 < ... < p_{k-1} of R and j the first nonzero entry of c, every row
+    R_i with c_i != 0 vanishes before p_i >= p_j, and (c . R)[p_j] = c_j =
+    1.  Every point x of the row space is one c . R, as x = c . R for one c
+    and then c_j = x[p_j] = 1 at the first nonzero entry of c.
+
+    The rows are walked from the bottom, with tails the nonzero vectors of
+    the span of the rows below.  The c with first nonzero entry i give
+    R_i + s, s a tail or 0, and R_i + 0 is R_i itself, with no sum; the
+    other c R_i + s, formed by adding R_i again, only join the tails for
+    the rows above, so the top row takes c = 1 alone.
 
     The sums are taken mod q on the packed ints, every coordinate at once
     (SWAR).  Let h = 2^(w-1) >= q and K = sum of 2^(jw), a 1 in each
@@ -402,19 +378,28 @@ def _span_points(bases, q: int) -> list[tuple[int, ...]]:
     k, n = len(bases[0]), len(bases[0][0])
     w, K, offsets = _fields(n, q)
     top, bias, field = w - 1, K * ((1 << w - 1) - q), (1 << w) - 1
-    values = [[sum(map(lshift, row, offsets)) for row in rows] for rows in zip(*bases)]
-    for rows, packed in zip(bases, zip(*values)):
+    rows = [[sum(map(lshift, row, offsets)) for row in position] for position in zip(*bases)]
+    for basis, packed in zip(bases, zip(*rows)):
         below = 1 << w * n
         for r in reversed(packed):
             lead = r & -r
             if not (lead & K and r & lead * field == lead < below):
-                raise ParameterError(f"{rows!r} is not an echelon basis with leading entries 1")
+                raise ParameterError(f"{basis!r} is not an echelon basis with leading entries 1")
             below = lead
-    steps, points = _span_plan(k, q)
-    for a, b in steps:
-        values.append([(s := x + y) - q * ((s + bias) >> top & K)
-                       for x, y in zip(values[a], values[b])])
-    return list(zip(*map(values.__getitem__, points)))
+
+    def plus(t, r):  # t + r over the whole batch
+        return [(s := x + y) - q * ((s + bias) >> top & K) for x, y in zip(t, r)]
+
+    points, tails = [], []
+    for i in reversed(range(k)):
+        r = rows[i]
+        layer = [r] + [plus(t, r) for t in tails]
+        points += layer
+        for _ in range(q - 2 if i else 0):
+            tails += layer
+            layer = [plus(t, r) for t in layer]
+        tails += layer
+    return list(zip(*points))
 
 
 @cache
@@ -681,11 +666,14 @@ class DistanceCensus:
         self.diameter = diameter
 
     def row(self, x: int) -> list[int]:
-        """The level masks of x; ParameterError when the census has none."""
+        """The level masks of x; ParameterError when the census has none,
+        as for any x < 0."""
         try:
-            return self.levels[x]
+            if x >= 0:
+                return self.levels[x]
         except (IndexError, KeyError):
-            raise ParameterError(f"the distance census has no row for vertex {x}") from None
+            pass
+        raise ParameterError(f"the distance census has no row for vertex {x}")
 
     def d(self, i: int, j: int) -> int:
         return next(k for k, mask in enumerate(self.row(i)) if mask >> j & 1)
@@ -789,10 +777,11 @@ def within(G: Graph, radius: int) -> list[int]:
     """For each vertex x, the mask of the vertices at distance 1..radius
     from x, radius >= 1: G.adj itself at radius 1, and otherwise B_radius[x]
     less x, from round radius of `_grow_balls`, or from its last round, of
-    full balls, when the diameter is below radius.  A radius above 1 needs
-    a graph with an edge, as K1 has no round."""
+    full balls, when the diameter is below radius.  K1 has no round, and
+    its ball B_0 = {x} leaves the empty mask."""
     if radius == 1:
         return G.adj
+    ball = [1 << x for x in range(G.n)]
     for k, (_, ball) in enumerate(_grow_balls(G), 1):
         if k == radius:
             break

@@ -154,13 +154,11 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     largest eigenvalue theta_0; it is taken with no bisection, and still
     confirmed by p_{d+1}(b_0) = 0.  For the other d, integer bisection on
     N(m + 1/2) puts the j-th largest eigenvalue in (m - 1/2, m + 1/2); it
-    equals m exactly when p_{d+1}(m) = 0 and is irrational otherwise.  Every
-    count taken is kept: the bisection for eigenvalue j runs from
-    hi = theta_{j-1} and from lo, the largest m probed so far with
-    N(m + 1/2) > j (-b_0 - 1 if none), as more than j eigenvalues lie above
-    lo + 1/2 and j - 1 above theta_{j-1} + 1/2.  d+1 distinct confirmed
-    integers are all the roots.  Raises IrrationalEigenvalue when a root is
-    not an integer.
+    equals m exactly when p_{d+1}(m) = 0 and is irrational otherwise.  The
+    bisection for eigenvalue j runs from lo = -b_0 - 1 and hi =
+    theta_{j-1}, as all d+1 eigenvalues lie above -b_0 - 1/2 and j - 1
+    above theta_{j-1} + 1/2.  d+1 distinct confirmed integers are all the
+    roots.  Raises IrrationalEigenvalue when a root is not an integer.
     """
     d = arr.d
     if arr.classical is not None:
@@ -171,18 +169,16 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
                                f" of the classical parameters {arr.classical} is not a root"
                                " of det(xI - L) below the one before it")
         return thetas
-    counts: dict[int, int] = {}  # m -> N(m + 1/2), every count taken
 
-    def above(m: int) -> int:
+    def above(m: int) -> int:  # N(m + 1/2)
         P = _scaled_minors(arr, a, 2 * m + 1)
-        counts[m] = sum((u < 0) != (v < 0) for u, v in zip(P, P[1:]))
-        return counts[m]
+        return sum((u < 0) != (v < 0) for u, v in zip(P, P[1:]))
 
     thetas: list[int] = []
     hi = arr.b0
     for j in range(d + 1):
         # invariant: N(lo + 1/2) > j >= N(hi + 1/2); theta_0 = b_0 is not bisected
-        lo = max((m for m, c in counts.items() if c > j), default=-arr.b0 - 1) if j else hi - 1
+        lo = -arr.b0 - 1 if j else hi - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if above(mid) > j:
@@ -198,21 +194,31 @@ def _eigenvalues(arr: IntersectionArray, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(thetas)
 
 
-def eigensystem_from_array(
-    arr: IntersectionArray, n_vertices: int, check_q_polynomial: bool = True
-) -> SchemeEigensystem:
+def eigensystem_from_array(arr: IntersectionArray, n_vertices: int) -> SchemeEigensystem:
     """Exact eigensystem from an intersection array.
 
     Raises IrrationalEigenvalue when the characteristic polynomial has fewer
     than d+1 integer roots, and NotQPolynomial when no idempotent ordering is
     Q-polynomial.  The descending ordering is kept when it passes, and the
-    first passing ordering is taken otherwise; with check_q_polynomial off,
-    it is kept and no passing ordering is listed.  The eigensystem is
-    constructed as soon as Q is formed, and the PQ check and the Krein sums
-    read its own D and DQ, so D*Q is formed once; only an ordering other
-    than the descending one goes through `_reorder`, which forms it again
-    for the permuted Q.
+    first passing ordering is taken otherwise.  The eigensystem comes from
+    `_descending_eigensystem`, and the Krein sums read its own D and DQ,
+    so D*Q is formed once; only an ordering other than the descending one
+    goes through `_reorder`, which forms it again for the permuted Q.
     """
+    sys = _descending_eigensystem(arr, n_vertices)
+    passing = verify_q_polynomial(_support(_krein_sums(sys.n, sys.k, sys.m, sys.D, sys.DQ),
+                                           sys.d))
+    if sys.ordering not in passing:
+        return _reorder(sys, passing[0], passing)
+    object.__setattr__(sys, "passing_orderings", passing)  # frozen; not yet shared
+    return sys
+
+
+def _descending_eigensystem(arr: IntersectionArray, n_vertices: int) -> SchemeEigensystem:
+    """The eigensystem of `eigensystem_from_array` in the descending order,
+    PQ = |X| I checked but not the ordering, so no passing ordering is
+    listed.  It is constructed as soon as Q is formed, and the PQ check
+    reads its own D and DQ."""
     k = arr.valencies()
     if sum(k) != n_vertices:
         raise ParameterError(
@@ -241,20 +247,12 @@ def eigensystem_from_array(
         m.append(mj.numerator)
     Q = ExactMatrix([[Fraction(mj * row[i], k[i]) for mj, row in zip(m, prows)]
                      for i in range(d + 1)])
-    natural = tuple(range(d + 1))
     sys = SchemeEigensystem(n=n_vertices, d=d, eigenvalues=thetas, k=k, m=tuple(m),
-                            P=ExactMatrix(prows), Q=Q, ordering=natural,
+                            P=ExactMatrix(prows), Q=Q, ordering=tuple(range(d + 1)),
                             passing_orderings=())
-    D, DQ = sys.D, sys.DQ
-    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * D
-           for r, row in enumerate(prows) for c, col in enumerate(zip(*DQ))):
+    if any(sum(map(mul, row, col)) != (r == c) * n_vertices * sys.D
+           for r, row in enumerate(prows) for c, col in enumerate(zip(*sys.DQ))):
         raise DrgError("PQ != |X| I; the eigensystem is inconsistent")
-    if not check_q_polynomial:
-        return sys
-    passing = verify_q_polynomial(_support(_krein_sums(n_vertices, k, m, D, DQ), d))
-    if natural not in passing:
-        return _reorder(sys, passing[0], passing)
-    object.__setattr__(sys, "passing_orderings", passing)  # frozen; not yet shared
     return sys
 
 

@@ -271,6 +271,16 @@ def test_hint_and_warm_start_do_not_change_results(built):
         max_clique(thr, warm_start=list(non_edge))
 
 
+def test_warm_start_outside_the_vertices_is_refused(built, monkeypatch):
+    # J(5,2), n = 10: no vertex 15 or -1, refused before the search and
+    # before any edge of the warm start is looked up
+    g = built("johnson", 5, 2)[0]
+    monkeypatch.setattr(graphs.Graph, "is_edge", lambda *args: pytest.fail("edge looked up"))
+    for ws in ([15], [-1], [14, 15]):
+        with pytest.raises(ParameterError, match="not a set of vertices 0..9"):
+            max_clique(g, warm_start=ws)
+
+
 def test_result_independent_of_vertex_order(built):
     g, census, _, _ = built("johnson", 7, 3)
     thr = threshold_graph(g, census, 1)

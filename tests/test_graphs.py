@@ -624,9 +624,14 @@ def test_census_needs_the_whole_cover():
     ],
 )
 def test_census_small_graphs(name, adj, levels):
-    census = distance_census(Graph(name, {}, list(range(len(adj))), adj))
+    g = Graph(name, {}, list(range(len(adj))), adj)
+    census = distance_census(g)
     assert census.levels == levels and census.diameter == len(levels[0]) - 1
     assert (levels, census.diameter) == census_by_bfs(adj)
+    # within at radius 1, 2, 3 and past the diameter; K1 has no vertex at
+    # distance 1 or more, so its one mask is empty at every radius
+    for radius in (1, 2, 3, 4):
+        assert within(g, radius) == [sum(row[1:radius + 1]) for row in levels]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -765,6 +770,20 @@ def test_census_consumers_refuse_a_missing_row(built):
     for sources in ([], [g.n], [-1]):
         with pytest.raises(ParameterError):
             distance_census(g, sources)
+
+
+def test_census_refuses_a_negative_vertex(built):
+    # a list census would take row -1 as the last row; a negative vertex has
+    # no row in either form, and d reads its rows through row
+    g, census, _, _ = built("johnson", 5, 2)
+    some = distance_census(g, representatives(g))
+    for c in (census, some):
+        for x in (-1, -g.n, g.n):
+            with pytest.raises(ParameterError, match=f"no row for vertex {x}"):
+                c.row(x)
+        with pytest.raises(ParameterError, match="no row for vertex -1"):
+            c.d(-1, 0)
+    assert census.row(g.n - 1) is census.levels[g.n - 1]
 
 
 def test_orbits_are_found_once_per_generating_tuple():

@@ -212,14 +212,14 @@ def test_krein_check_forms_no_fraction_per_entry(monkeypatch):
         count[0] += 1
         return real(cls, *args, **kwargs)
 
-    def made(arr, check):
+    def made(build, arr):
         count[0] = 0
-        eigensystem_from_array(arr, arr.vertex_count(), check_q_polynomial=check)
+        build(arr, arr.vertex_count())
         return count[0]
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     for arr in arrays:
-        assert made(arr, True) == made(arr, False) > 0
+        assert made(eigensystem_from_array, arr) == made(scheme._descending_eigensystem, arr) > 0
 
 
 def test_replace_derives_fresh_integer_forms():
@@ -262,7 +262,7 @@ def test_replace_refuses_a_fractional_p():
 
 def test_reorder_derives_fresh_integer_forms():
     arr = IntersectionArray((4, 3, 3), (1, 1, 2))  # O_4, Q-polynomial only reordered
-    natural = eigensystem_from_array(arr, 35, check_q_polynomial=False)
+    natural = scheme._descending_eigensystem(arr, 35)
     lp_cert.solve_certificate(natural, 1)
     assert set(natural.certificates) == {1}
     reordered = scheme._reorder(natural, (0, 3, 1, 2), ((0, 3, 1, 2),))
@@ -575,7 +575,7 @@ def test_fractional_p_rejected():
     # no graph has this array, and the integer recurrence says so
     arr = IntersectionArray((4, 3, 1), (1, 2, 2))
     with pytest.raises(DrgError, match="P_2 at eigenvalue -3 is not an integer"):
-        eigensystem_from_array(arr, arr.vertex_count(), check_q_polynomial=False)
+        scheme._descending_eigensystem(arr, arr.vertex_count())
 
 
 def test_vertex_count_mismatch():
@@ -613,7 +613,7 @@ def _relabelled(kt, s):
 def test_constructed_orderings_match_search_under_relabelling(arr, n):
     # relabelling E_1..E_d moves the Q-polynomial orderings; the construction
     # must follow them under every labelling, as the (d)! search does
-    kt = krein_parameters(eigensystem_from_array(arr, n, check_q_polynomial=False))
+    kt = krein_parameters(scheme._descending_eigensystem(arr, n))
     seen = set()
     for perm in itertools.permutations(range(1, len(kt))):
         vals = _relabelled(kt, (0,) + perm)
@@ -669,7 +669,7 @@ def test_hypercube_h82_has_two_orderings():
     sys_ = eigensystem_from_array(arr, 2 ** 8)
     assert sys_.eigenvalues == tuple(8 - 2 * j for j in range(9))
     assert sys_.passing_orderings == (tuple(range(9)), (0, 7, 2, 5, 4, 3, 6, 1, 8))
-    kt = krein_parameters(eigensystem_from_array(arr, 2 ** 8, check_q_polynomial=False))
+    kt = krein_parameters(scheme._descending_eigensystem(arr, 2 ** 8))
     assert orderings_by_search(kt) == sys_.passing_orderings
 
 
@@ -681,7 +681,7 @@ def test_odd_graph_o8_needs_reordering():
     assert sys_.ordering == (0, 7, 1, 6, 2, 5, 3, 4)
     assert sys_.passing_orderings == (sys_.ordering,)
     assert sys_.eigenvalues == (8, -7, 6, -5, 4, -3, 2, -1)
-    kt = krein_parameters(eigensystem_from_array(arr, 6435, check_q_polynomial=False))
+    kt = krein_parameters(scheme._descending_eigensystem(arr, 6435))
     assert orderings_by_search(kt) == sys_.passing_orderings
 
 
@@ -724,7 +724,7 @@ def test_grassmann_eigenvalues_beyond_valency_scan(q, v, d):
         return (q ** m - 1) // (q - 1)
 
     arr = grassmann_intersection_array(q, v, d)
-    sys_ = eigensystem_from_array(arr, arr.vertex_count(), check_q_polynomial=False)
+    sys_ = scheme._descending_eigensystem(arr, arr.vertex_count())
     assert sys_.eigenvalues == tuple(
         q ** (j + 1) * qi(d - j) * qi(v - d - j) - qi(j) for j in range(d + 1)
     )
@@ -762,17 +762,16 @@ def _count_minors(monkeypatch) -> list:
     return calls
 
 
-def test_eigenvalue_bisections_reuse_every_sturm_count(monkeypatch):
+def test_eigenvalue_bisections_start_from_the_valency_bound(monkeypatch):
     # the param-tier arrays without their classical parameters, as BFS reads
-    # them off a graph: each bisection starts at the largest point already
-    # counted above it, so 756 minor evaluations where restarting at
-    # -b_0 - 1 took 898
+    # them off a graph: each bisection for j >= 1 runs from -b_0 - 1 up to
+    # theta_{j-1}, 898 minor evaluations in all
     cases = [(IntersectionArray(arr.b, arr.c), thetas) for arr, thetas in _param_tier_arrays()]
     calls = _count_minors(monkeypatch)
     for arr, thetas in cases:
         assert arr.classical is None
         assert scheme._eigenvalues(arr, arr.a()) == thetas
-    assert len(calls) == 756
+    assert len(calls) == 898
 
 
 def test_classical_eigenvalues_take_one_confirmation_each(monkeypatch):
@@ -883,10 +882,10 @@ def test_eigenvalues_match_sympy_charpoly(arr):
     if sum(roots.values()) < d + 1:
         event("irrational spectrum")
         with pytest.raises(IrrationalEigenvalue):
-            eigensystem_from_array(arr, n, check_q_polynomial=False)
+            scheme._descending_eigensystem(arr, n)
         return
     try:
-        sys_ = eigensystem_from_array(arr, n, check_q_polynomial=False)
+        sys_ = scheme._descending_eigensystem(arr, n)
     except ParameterError as exc:  # a feasibility condition, past the spectrum
         assert "multiplicit" in str(exc)
         event("integral spectrum, infeasible multiplicities")
