@@ -79,6 +79,18 @@ def _family_and_params(args):
     return family, params
 
 
+def _check_t(params, t) -> None:
+    """Refuse t outside 0 < t < d before the build, d the diameter the
+    builder gives: min(d, v-d) for J(v,d) and J_q(v,d), and d for the other
+    families.  Parameters that give d < 1 are left to the builder, whose
+    refusal names them."""
+    d = params["d"]
+    if "v" in params:
+        d = min(d, params["v"] - d)
+    if d >= 1 and not 0 < t < d:
+        raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
+
+
 def _build(family, params, vertex_cap):
     return BUILDERS[family](**params, vertex_cap=vertex_cap)
 
@@ -201,6 +213,7 @@ def cmd_certify(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("certify needs -t")
+    _check_t(params, args.t)
     # refused before the build
     labels = read_subset(args.subset) if args.subset is not None else None
     graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
@@ -234,6 +247,7 @@ def cmd_search(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("search needs -t")
+    _check_t(params, args.t)
     graph, census, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     cert, _, result = ekr_search.search(graph, census, sys_, args.t, args.enum_cap)
     report = {

@@ -656,27 +656,21 @@ def twisted_x2_vertices(q: int, d: int) -> list[tuple]:
 class DistanceCensus:
     """BFS distances as level masks: levels[x][k] is the bitmask of the
     vertices at distance k from x, for k = 0..diameter (zero beyond the
-    eccentricity of x).  levels is a list over every vertex, or, for a
-    census from some sources, a dict keyed by them."""
+    eccentricity of x).  levels is a dict keyed by the sources, every
+    vertex 0..n-1 for a census from every vertex."""
 
     __slots__ = ("levels", "diameter")
 
-    def __init__(self, levels: list[list[int]] | dict[int, list[int]], diameter: int):
+    def __init__(self, levels: dict[int, list[int]], diameter: int):
         self.levels = levels
         self.diameter = diameter
 
     def row(self, x: int) -> list[int]:
-        """The level masks of x; ParameterError when the census has none,
-        as for any x < 0."""
+        """The level masks of x; ParameterError when the census has none."""
         try:
-            if x >= 0:
-                return self.levels[x]
-        except (IndexError, KeyError):
-            pass
-        raise ParameterError(f"the distance census has no row for vertex {x}")
-
-    def d(self, i: int, j: int) -> int:
-        return next(k for k, mask in enumerate(self.row(i)) if mask >> j & 1)
+            return self.levels[x]
+        except KeyError:
+            raise ParameterError(f"the distance census has no row for vertex {x}") from None
 
 
 def distance_census(G: Graph, sources=None) -> DistanceCensus:
@@ -720,7 +714,7 @@ def distance_census(G: Graph, sources=None) -> DistanceCensus:
             row += [0] * (diameter + 1 - len(row))
         return DistanceCensus(levels, diameter)
     rounds = [[1 << x for x in range(n)]] + [level for level, _ in _grow_balls(G)]
-    return DistanceCensus([list(row) for row in zip(*rounds)], len(rounds) - 1)
+    return DistanceCensus(dict(enumerate(map(list, zip(*rounds)))), len(rounds) - 1)
 
 
 def _grow_balls(G: Graph):
@@ -778,7 +772,10 @@ def within(G: Graph, radius: int) -> list[int]:
     from x, radius >= 1: G.adj itself at radius 1, and otherwise B_radius[x]
     less x, from round radius of `_grow_balls`, or from its last round, of
     full balls, when the diameter is below radius.  K1 has no round, and
-    its ball B_0 = {x} leaves the empty mask."""
+    its ball B_0 = {x} leaves the empty mask.  A radius below 1 is refused
+    with ParameterError."""
+    if radius < 1:
+        raise ParameterError(f"within needs radius >= 1, got {radius}")
     if radius == 1:
         return G.adj
     ball = [1 << x for x in range(G.n)]

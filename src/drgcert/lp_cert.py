@@ -18,9 +18,9 @@ elimination on its integer rows (`exact.solve_integer_rows`, which
 re-substitutes its result).  f stays integers over the determinant through
 the normalisation, zero-block, positivity and dual-constraint checks and
 the bound, and its Fractions are formed once, for the DualCertificate.
-Each eigensystem keeps the certificate of each t it was asked for, so a
-job that certifies many families of one eigensystem solves the system
-once.
+The descendent families of one t share one solve through the one verdict
+their eigensystem keeps for their one distance histogram
+(`SchemeEigensystem.verdicts`).
 
 For Hamming graphs there is a second, independent route: the (possibly
 formal) inner distribution e' of a length-d minimum-distance-(t+1) code of
@@ -124,17 +124,13 @@ def solve_certificate(sys: SchemeEigensystem, t: int) -> DualCertificate:
 
     SingularSystem propagates when the system has no unique solution; an
     infeasible (but unique) f is returned with feasible=False rather than
-    raised, since the CLI reports it.  The certificate is kept on sys, so
-    each (eigensystem, t) is solved once.
+    raised, since the CLI reports it.
     """
     d = sys.d
     if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
-    cert = sys.certificates.get(t)
-    if cert is None:
-        F, fi = _pinned_solution(sys.DQ, t)
-        cert = sys.certificates[t] = _finish_certificate(fi, F, t, sys.D, sys.DQ)
-    return cert
+    F, fi = _pinned_solution(sys.DQ, t)
+    return _finish_certificate(fi, F, t, sys.D, sys.DQ)
 
 
 def krawtchouk_matrix(d: int, q: int) -> tuple[tuple[int, ...], ...]:

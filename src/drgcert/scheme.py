@@ -62,14 +62,14 @@ class SchemeEigensystem:
     construction, `dataclasses.replace` and `_reorder` included, so they
     never go stale: `D`, the lcm of Q's denominators, and `DQ` = D*Q.
     P is integral for every distance-regular graph; a fractional P is
-    refused.  `certificates` memoizes `lp_cert.solve_certificate` by t,
-    and `verdicts` keeps the (WidthReport, CertReport) of
+    refused.  `verdicts` keeps the (WidthReport, CertReport) of
     `ekr_search.verify_descendent_family` by (t, distance histogram), for
     this object alone: both reports are functions of the histogram, the
     eigensystem and t, so the families with one histogram (all the
     descendent families of one t are images of each other under the
-    automorphism group) share one verdict, while each histogram is still
-    counted from its own family's members.
+    automorphism group) share one verdict, and with it one certificate
+    solve, while each histogram is still counted from its own family's
+    members.
     """
 
     n: int
@@ -83,7 +83,6 @@ class SchemeEigensystem:
     passing_orderings: tuple[tuple[int, ...], ...]
     D: int = field(init=False, compare=False, repr=False)
     DQ: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    certificates: dict = field(init=False, compare=False, repr=False)
     verdicts: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -93,7 +92,6 @@ class SchemeEigensystem:
         put = object.__setattr__  # the dataclass is frozen
         put(self, "D", D)
         put(self, "DQ", tuple(map(tuple, DQ)))
-        put(self, "certificates", {})
         put(self, "verdicts", {})
 
 
@@ -453,20 +451,14 @@ def materialize_idempotents(
     return out
 
 
-def krein_cross_check(
-    G: Graph,
-    census: DistanceCensus,
-    sys: SchemeEigensystem,
-    kt: tuple | None = None,
-) -> None:
-    """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k, with
-    q^k_ij = kt[k][i][j] (`krein_parameters(sys)` by default), on the
-    idempotents of `materialize_idempotents`, on the rows of the orbit
-    representatives: each side's entry depends on the level of the pair
-    alone, so it is checked once for each level that occurs in those rows.
-    Raises on any mismatch."""
-    if kt is None:
-        kt = krein_parameters(sys)
+def krein_cross_check(G: Graph, census: DistanceCensus, sys: SchemeEigensystem) -> None:
+    """Entrywise check that E_i o E_j = |X|^{-1} sum_k q^k_ij E_k, with the
+    q^k_ij of `krein_parameters(sys)`, on the idempotents of
+    `materialize_idempotents`, on the rows of the orbit representatives:
+    each side's entry depends on the level of the pair alone, so it is
+    checked once for each level that occurs in those rows.  Raises on any
+    mismatch."""
+    kt = krein_parameters(sys)
     out = materialize_idempotents(G, census, sys)
     r = range(sys.d + 1)
     levels = {l for x in representatives(G) for l, mask in enumerate(census.row(x)) if mask}

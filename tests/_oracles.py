@@ -556,6 +556,15 @@ def census_by_bfs(adj, sources=None):
     return levels, diameter
 
 
+def distances_by_bfs(adj):
+    """dist[x][y] by `census_by_bfs`, which shares no code with the
+    package's census."""
+    levels, _ = census_by_bfs(adj)
+    n = len(adj)
+    return [[next(l for l, mask in enumerate(row) if mask >> y & 1) for y in range(n)]
+            for row in levels]
+
+
 def threshold_by_levels(levels, diameter, t):
     """Neighbour masks of the graph at distance 1..diameter-t: the OR of
     levels 1..diameter-t of each row of a census from every vertex."""

@@ -186,7 +186,7 @@ def test_criterion_7_eigensystem_self_consistency(built):
                         assert val == 0, (family, args, kk, i)
                     if abs(kk - i) == 1:
                         assert val != 0, (family, args, kk, i)
-            krein_cross_check(g, census, sys_, kt)
+            krein_cross_check(g, census, sys_)
 
 
 def test_criterion_8_descendent_forward_check_232():

@@ -508,6 +508,36 @@ def test_enumeration_cap_below_the_descendent_families_is_a_tier_limit(tmp_path,
     assert err == "tier exceeded: twisted(2,3) at t=2 has 63 descendent families; cap is 62\n"
 
 
+@pytest.mark.parametrize("argv,t,d", [
+    (["certify", "twisted", "-q", "2", "-d", "3"], 3, 3),
+    (["search", "twisted", "-q", "2", "-d", "3"], 0, 3),
+    (["certify", "twisted", "-q", "5", "-d", "2"], 2, 2),
+    (["search", "johnson", "-v", "10", "-d", "7"], 3, 3),
+])
+def test_threshold_outside_the_diameter_is_refused_before_any_build(tmp_path, capsys,
+                                                                    monkeypatch, argv, t, d):
+    # the twisted builds take seconds before the eigensystem refused t; J(10,7)
+    # is built as J(10,3), so its t is checked against d = 3
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "_build", unreachable)
+    code = main([*argv, "-t", str(t), "--vertex-cap", "25000", "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: need 0 < t < d, got t={t}, d={d}\n")
+
+
+def test_threshold_is_checked_against_the_built_diameter(tmp_path, capsys):
+    # J(10,7) is J(10,3), where t = 2 runs; parameters with no diameter of at
+    # least 1 keep the builder's own refusal
+    code, doc = run(capsys, "search", "johnson", "-v", "10", "-d", "7", "-t", "2",
+                    "--cache", str(tmp_path))
+    assert (code, doc["threshold"], doc["optimum"]) == (0, 1, 8)
+    code = main(["certify", "johnson", "-v", "5", "-d", "0", "-t", "1", "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: J(5,0) needs 0 < d <= v\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["build", "johnson", "-v", "5", "-d", "2"],

@@ -11,6 +11,7 @@ from hypothesis import event, given, settings, strategies as st
 from _oracles import (
     adjacency_by_rule,
     census_by_bfs,
+    distances_by_bfs,
     elements,
     is_automorphism,
     is_clique_cover,
@@ -521,25 +522,27 @@ def test_census_matches_networkx(builder, args):
     g = builder(*args)
     census = distance_census(g)
     oracle = nx_distances(g)
-    for i in range(g.n):
-        for j in range(g.n):
-            assert census.d(i, j) == oracle[i][j]
+    assert census.diameter == max(max(row.values()) for row in oracle.values())
+    assert census.levels == {
+        i: [sum(1 << j for j in range(g.n) if oracle[i][j] == k) for k in range(census.diameter + 1)]
+        for i in range(g.n)
+    }
 
 
 def test_census_trivia():
     k3 = build_hamming(1, 3)
     c = distance_census(k3)
-    assert all(c.d(i, j) == (0 if i == j else 1) for i in range(3) for j in range(3))
+    assert c.levels == {i: [1 << i, 0b111 ^ 1 << i] for i in range(3)}
     sq = build_hamming(2, 2)
     c = distance_census(sq)
-    assert sorted(c.d(0, j) for j in range(4)) == [0, 1, 1, 2]
+    assert [mask.bit_count() for mask in c.row(0)] == [1, 2, 1]
     # level masks per vertex, padded with empty levels up to the diameter
     path = Graph("path", {}, [0, 1, 2], [2, 5, 2])
-    assert distance_census(path).levels == [
-        [0b001, 0b010, 0b100],
-        [0b010, 0b101, 0],
-        [0b100, 0b010, 0b001],
-    ]
+    assert distance_census(path).levels == {
+        0: [0b001, 0b010, 0b100],
+        1: [0b010, 0b101, 0],
+        2: [0b100, 0b010, 0b001],
+    }
 
 
 def test_census_disconnected():
@@ -572,7 +575,8 @@ BUILDER_INSTANCES = ORBIT_INSTANCES + [x for x in CENSUS_INSTANCES if x not in O
 @pytest.mark.parametrize("family,args", CENSUS_INSTANCES)
 def test_census_matches_bfs_oracle(family, args, built):
     g, census, _, _ = built(family, *args)
-    assert (census.levels, census.diameter) == census_by_bfs(g.adj)
+    levels, diameter = census_by_bfs(g.adj)
+    assert (census.levels, census.diameter) == (dict(enumerate(levels)), diameter)
 
 
 @pytest.mark.parametrize("family,args", CENSUS_INSTANCES)
@@ -592,7 +596,8 @@ def test_census_needs_the_whole_cover():
     # In H(3,3) a word two steps from x is reached through two of x's three
     # cliques, so no single dropped clique shows; dropping two of them does.
     g = build_hamming(3, 3)
-    oracle = census_by_bfs(g.adj)
+    levels, diameter = census_by_bfs(g.adj)
+    oracle = (dict(enumerate(levels)), diameter)
     census = distance_census(g)
     assert (census.levels, census.diameter) == oracle
     through_0 = [c for c in g.cliques if 0 in c]
@@ -604,7 +609,7 @@ def test_census_needs_the_whole_cover():
     # cross from 1 to 2, though adj (and so B_1) still has the edge
     path = path_graph([])
     assert [list(c) for c in path.cliques] == [[0, 1], [1, 2], [2, 3]]
-    assert distance_census(path).levels == census_by_bfs(path.adj)[0]
+    assert distance_census(path).levels == dict(enumerate(census_by_bfs(path.adj)[0]))
     path.cliques = path.cliques[::2]
     with pytest.raises(DisconnectedGraph):
         distance_census(path)
@@ -626,12 +631,16 @@ def test_census_needs_the_whole_cover():
 def test_census_small_graphs(name, adj, levels):
     g = Graph(name, {}, list(range(len(adj))), adj)
     census = distance_census(g)
-    assert census.levels == levels and census.diameter == len(levels[0]) - 1
+    assert census.levels == dict(enumerate(levels)) and census.diameter == len(levels[0]) - 1
     assert (levels, census.diameter) == census_by_bfs(adj)
     # within at radius 1, 2, 3 and past the diameter; K1 has no vertex at
     # distance 1 or more, so its one mask is empty at every radius
     for radius in (1, 2, 3, 4):
         assert within(g, radius) == [sum(row[1:radius + 1]) for row in levels]
+    # a radius below 1 is refused, not read as every vertex at distance >= 1
+    for radius in (0, -1):
+        with pytest.raises(ParameterError, match=f"radius >= 1, got {radius}"):
+            within(g, radius)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -648,10 +657,10 @@ def test_census_matches_networkx_on_random_graphs(n, p, seed):
     census = distance_census(graph)
     dist = dict(nx.all_pairs_shortest_path_length(G))
     assert census.diameter == nx.diameter(G)
-    assert census.levels == [
-        [sum(1 << j for j in range(n) if dist[i][j] == k) for k in range(census.diameter + 1)]
+    assert census.levels == {
+        i: [sum(1 << j for j in range(n) if dist[i][j] == k) for k in range(census.diameter + 1)]
         for i in range(n)
-    ]
+    }
     # the other two consumers of the ball rounds, over the 2-cliques of a
     # graph with no cover
     for radius in range(1, census.diameter + 1):
@@ -773,16 +782,14 @@ def test_census_consumers_refuse_a_missing_row(built):
 
 
 def test_census_refuses_a_negative_vertex(built):
-    # a list census would take row -1 as the last row; a negative vertex has
-    # no row in either form, and d reads its rows through row
+    # a negative vertex has no row in a census from every vertex nor in one
+    # from some sources
     g, census, _, _ = built("johnson", 5, 2)
     some = distance_census(g, representatives(g))
     for c in (census, some):
         for x in (-1, -g.n, g.n):
             with pytest.raises(ParameterError, match=f"no row for vertex {x}"):
                 c.row(x)
-        with pytest.raises(ParameterError, match="no row for vertex -1"):
-            c.d(-1, 0)
     assert census.row(g.n - 1) is census.levels[g.n - 1]
 
 
@@ -977,10 +984,11 @@ def test_x2_distance_counts_match_full_graph(built):
     pool = twisted_x2_vertices(2, 2)
     counts = twisted_x2_distance_counts(pool, 2, 2)
     idx = [g.index_of(("X2", rows)) for rows in pool]
+    dist = distances_by_bfs(g.adj)
     expected = [0] * (census.diameter + 1)
     for i in idx:
         for j in idx:
-            expected[census.d(i, j)] += 1
+            expected[dist[i][j]] += 1
     assert counts == expected
 
 

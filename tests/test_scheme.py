@@ -18,6 +18,7 @@ from _oracles import (
     adjacency_matrix,
     census_by_bfs,
     certificate_by_fractions,
+    distances_by_bfs,
     full_matrix_failure,
     inner_distribution_by_fractions,
     integer_form,
@@ -223,12 +224,10 @@ def test_krein_check_forms_no_fraction_per_entry(monkeypatch):
 
 
 def test_replace_derives_fresh_integer_forms():
-    # the integer forms and the certificate memo belong to one object: a
-    # replaced Q gets its own D*Q and an empty memo, and the original keeps
-    # its own
+    # the integer forms belong to one object: a replaced Q gets its own D*Q,
+    # and the original keeps its own
     sys_ = eigensystem_from_array(IntersectionArray((12, 6, 2), (1, 4, 9)), 35)  # J(7,3)
     assert (sys_.D, sys_.DQ) == integer_form(sys_.Q.rows)
-    assert sys_.certificates == {}
     originals = {t: lp_cert.solve_certificate(sys_, t) for t in (1, 2)}
     swapped = ExactMatrix([sys_.Q.rows[r] for r in (0, 2, 1, 3)])  # same D
     # columns 1..d over 7: D grows sevenfold, and column 0 keeps (eQ)_0 = |Y|
@@ -238,7 +237,6 @@ def test_replace_derives_fresh_integer_forms():
         tampered = dataclasses.replace(sys_, Q=Q)
         assert integer_form(Q.rows) != (sys_.D, sys_.DQ)
         assert (tampered.D, tampered.DQ) == integer_form(Q.rows)
-        assert tampered.certificates == {}
         for t in (1, 2):
             cert = lp_cert.solve_certificate(tampered, t)
             assert dataclasses.asdict(cert) == certificate_by_fractions(Q.rows, t)
@@ -250,7 +248,7 @@ def test_replace_derives_fresh_integer_forms():
         else:
             dist = inner_distribution_from_counts(counts, tampered)
             assert (dist.e, dist.eq) == (tuple(e), tuple(eq))
-    assert sys_.certificates == originals
+    assert {t: lp_cert.solve_certificate(sys_, t) for t in (1, 2)} == originals
     assert (sys_.D, sys_.DQ) == integer_form(sys_.Q.rows)
 
 
@@ -263,18 +261,14 @@ def test_replace_refuses_a_fractional_p():
 def test_reorder_derives_fresh_integer_forms():
     arr = IntersectionArray((4, 3, 3), (1, 1, 2))  # O_4, Q-polynomial only reordered
     natural = scheme._descending_eigensystem(arr, 35)
-    lp_cert.solve_certificate(natural, 1)
-    assert set(natural.certificates) == {1}
     reordered = scheme._reorder(natural, (0, 3, 1, 2), ((0, 3, 1, 2),))
     assert reordered == eigensystem_from_array(arr, 35)
     assert reordered.Q != natural.Q
     assert (reordered.D, reordered.DQ) == integer_form(reordered.Q.rows)
-    assert reordered.certificates == {}
     o8 = eigensystem_from_array(IntersectionArray((8, 7, 7, 6, 6, 5, 5), (1, 1, 2, 2, 3, 3, 4)),
                                 6435)
     assert o8.ordering == (0, 7, 1, 6, 2, 5, 3, 4)
     assert (o8.D, o8.DQ) == integer_form(o8.Q.rows)
-    assert o8.certificates == {}
 
 
 def test_krein_k3_by_hand(built):
@@ -286,20 +280,12 @@ def test_krein_k3_by_hand(built):
     assert kt[1][1][1] == 1
 
 
-def _distances(g):
-    """dist[x][y] by the oracle's own BFS, which shares no code with the
-    package's census."""
-    levels, _ = census_by_bfs(g.adj)
-    return [[next(l for l, mask in enumerate(row) if mask >> y & 1) for y in range(g.n)]
-            for row in levels]
-
-
 @pytest.mark.parametrize("family,args", SMALL)
 def test_idempotents_match_lagrange_oracle(family, args, built):
     g, census, arr, sys_ = built(family, *args)
     mats = materialize_idempotents(g, census, sys_)
     oracle = lagrange_idempotents(adjacency_matrix(g), list(sys_.eigenvalues))
-    dist = _distances(g)
+    dist = distances_by_bfs(g.adj)
     for (C, D), E in zip(mats, oracle):
         for x in range(g.n):
             for y in range(g.n):
@@ -309,7 +295,7 @@ def test_idempotents_match_lagrange_oracle(family, args, built):
 def test_k3_idempotent_values(built):
     g, census, arr, sys_ = built("hamming", 1, 3)
     mats = materialize_idempotents(g, census, sys_)
-    dist = _distances(g)
+    dist = distances_by_bfs(g.adj)
     C0, D0 = mats[0]
     assert all(Fraction(C0[dist[i][j]], D0) == Fraction(1, 3) for i in range(3) for j in range(3))
     C1, D1 = mats[1]
@@ -320,7 +306,7 @@ def test_k3_idempotent_values(built):
 def test_idempotent_ranks_are_multiplicities(built):
     g, census, arr, sys_ = built("johnson", 5, 2)
     mats = materialize_idempotents(g, census, sys_)
-    dist = _distances(g)
+    dist = distances_by_bfs(g.adj)
     ranks = []
     for C, D in mats:
         ranks.append(mat_rank([[Fraction(C[l], D) for l in row] for row in dist]))
@@ -357,12 +343,12 @@ def _hand_built(g):
     return copy
 
 
-def _full_tier_verdict(g, census, sys_, kt):
+def _full_tier_verdict(g, census, sys_):
     """(mats, None) when the full-matrix tier passes, (None, message) when it
     raises."""
     try:
         mats = materialize_idempotents(g, census, sys_)
-        krein_cross_check(g, census, sys_, kt)
+        krein_cross_check(g, census, sys_)
     except DrgError as exc:
         return None, str(exc)
     return mats, None
@@ -383,10 +369,10 @@ def test_full_matrix_tier_matches_all_rows_oracle(family, args, built):
     want, message = _oracle(levels, sys_, kt)
     assert message is None
     for graph in (g, _hand_built(g)):
-        mats, verdict = _full_tier_verdict(graph, census, sys_, kt)
+        mats, verdict = _full_tier_verdict(graph, census, sys_)
         assert verdict is None
         assert [D for _, D in mats] == [D for _, D in want]
-        dist = _distances(g)
+        dist = distances_by_bfs(g.adj)
         for (C, _), (W, _) in zip(mats, want):
             assert all(C[l] == W[x, y] for x, row in enumerate(dist) for y, l in enumerate(row))
 
@@ -402,32 +388,32 @@ def test_full_matrix_tier_refuses_swapped_q_rows(family, args, built):
     tampered = dataclasses.replace(sys_, Q=ExactMatrix(rows))
     assert _oracle(census_by_bfs(g.adj)[0], tampered, kt)[1] == "E_0 E_1 != 0"
     for graph in (g, _hand_built(g)):
-        assert _full_tier_verdict(graph, census, tampered, kt) == (None, "E_0 E_1 != 0")
+        assert _full_tier_verdict(graph, census, tampered) == (None, "E_0 E_1 != 0")
 
 
 @pytest.mark.parametrize("family,args", FULL_TIER)
-def test_full_matrix_tier_refuses_a_wrong_krein_parameter(family, args, built):
+def test_full_matrix_tier_refuses_a_wrong_krein_parameter(family, args, built, monkeypatch):
     g, census, _, sys_ = built(family, *args)
     kt = [[list(row) for row in plane] for plane in krein_parameters(sys_)]
     kt[1][1][1] += 1
     message = "Krein expansion of E_1 o E_1 fails entrywise"
     assert _oracle(census_by_bfs(g.adj)[0], sys_, kt)[1] == message
+    monkeypatch.setattr(scheme, "krein_parameters", lambda _: kt)
     for graph in (g, _hand_built(g)):
-        assert _full_tier_verdict(graph, census, sys_, kt) == (None, message)
+        assert _full_tier_verdict(graph, census, sys_) == (None, message)
 
 
-def _switch_unseen_from_row_0(census):
-    """A copy of the census with the distance classes l of (x1, y1), (x2, y2)
+def _switch_unseen_from_row_0(g, census):
+    """A copy of g's census with the distance classes l of (x1, y1), (x2, y2)
     and l' of (x1, y2), (x2, y1) exchanged, where x1, x2 share a level of
     vertex 0 and so do y1, y2.  Every row keeps its class sizes, and row 0 of
     every product of the tampered matrices is unchanged, so only a check of
     another row can see the switch."""
-    n = len(census.levels)
-    dist = [[census.d(x, y) for y in range(n)] for x in range(n)]
-    for x1, x2, y1, y2 in itertools.permutations(range(1, n), 4):
+    dist = distances_by_bfs(g.adj)
+    for x1, x2, y1, y2 in itertools.permutations(range(1, g.n), 4):
         if (dist[0][x1] == dist[0][x2] and dist[0][y1] == dist[0][y2]
                 and dist[x1][y1] == dist[x2][y2] != dist[x1][y2] == dist[x2][y1]):
-            levels = [list(row) for row in census.levels]
+            levels = {x: list(row) for x, row in census.levels.items()}
             for (x, y), (old, new) in [
                 ((x1, y1), (dist[x1][y1], dist[x1][y2])),
                 ((x2, y2), (dist[x1][y1], dist[x1][y2])),
@@ -447,11 +433,12 @@ def test_trivial_group_checks_every_row(family, args, built):
     # that row 0 cannot see is still refused, with the all-rows verdict
     g, census, _, sys_ = built(family, *args)
     kt = krein_parameters(sys_)
-    switched = _switch_unseen_from_row_0(census)
-    assert _oracle(switched.levels, sys_, kt, rows=[0])[1] is None
-    _, message = _oracle(switched.levels, sys_, kt)
+    switched = _switch_unseen_from_row_0(g, census)
+    levels = list(switched.levels.values())
+    assert _oracle(levels, sys_, kt, rows=[0])[1] is None
+    _, message = _oracle(levels, sys_, kt)
     assert message is not None
-    assert _full_tier_verdict(_hand_built(g), switched, sys_, kt) == (None, message)
+    assert _full_tier_verdict(_hand_built(g), switched, sys_) == (None, message)
 
 
 def _with_q_columns(sys_, cols):
@@ -460,7 +447,7 @@ def _with_q_columns(sys_, cols):
 
 
 @pytest.mark.parametrize("family,args", [("johnson", (7, 3)), ("twisted", (2, 2))])
-def test_full_matrix_tier_names_each_failing_pair(family, args, built):
+def test_full_matrix_tier_names_each_failing_pair(family, args, built, monkeypatch):
     # column j of Q doubled makes E_j' = 2 E_j, which first fails as
     # "E_j is not idempotent"; column i added to column j (i < j) makes
     # E_j' = E_i + E_j, still idempotent, with E_j' E_i = E_i != 0, so the
@@ -482,13 +469,15 @@ def test_full_matrix_tier_names_each_failing_pair(family, args, built):
         tampered = _with_q_columns(sys_, cols)
         assert _oracle(levels, tampered, kt)[1] == message
         for graph in graphs:
-            assert _full_tier_verdict(graph, census, tampered, kt) == (None, message)
+            assert _full_tier_verdict(graph, census, tampered) == (None, message)
         wrong = [[list(row) for row in plane] for plane in kt]
         wrong[0][i][j] += 1
         message = f"Krein expansion of E_{i} o E_{j} fails entrywise"
         assert _oracle(levels, sys_, wrong)[1] == message
-        for graph in graphs:
-            assert _full_tier_verdict(graph, census, sys_, wrong) == (None, message)
+        with monkeypatch.context() as m:
+            m.setattr(scheme, "krein_parameters", lambda _: wrong)
+            for graph in graphs:
+                assert _full_tier_verdict(graph, census, sys_) == (None, message)
 
 
 @pytest.mark.parametrize("family,args", [("johnson", (5, 2)), ("johnson", (7, 3)),
@@ -500,13 +489,13 @@ def test_full_matrix_tier_refuses_a_row_copied_from_vertex_0(family, args, built
     # can see
     g, census, _, sys_ = built(family, *args)
     kt = krein_parameters(sys_)
-    levels = [list(row) for row in census.levels]
+    levels = [list(row) for row in census.levels.values()]
     levels[-1] = list(levels[0])
-    copied = DistanceCensus(levels, census.diameter)
+    copied = DistanceCensus(dict(enumerate(levels)), census.diameter)
     message = "E_1 is not idempotent"
     assert _oracle(levels, sys_, kt)[1] == message
     for graph in (g, _hand_built(g)):
-        assert _full_tier_verdict(graph, copied, sys_, kt) == (None, message)
+        assert _full_tier_verdict(graph, copied, sys_) == (None, message)
 
 
 @pytest.mark.parametrize("tamper", [
@@ -514,7 +503,7 @@ def test_full_matrix_tier_refuses_a_row_copied_from_vertex_0(family, args, built
 ])
 def test_full_matrix_tier_refuses_a_census_row_that_is_not_a_partition(tamper, built):
     g, census, _, sys_ = built("johnson", 5, 2)
-    levels = [list(row) for row in census.levels]
+    levels = {x: list(row) for x, row in census.levels.items()}
     row = levels[3]
     if tamper == "a level past d":
         row.append(0)
