@@ -7,6 +7,12 @@ them on stdout with sorted keys and every rational value as an exact
 "num/den" string; identical command plus seed gives byte-identical output
 except for wall-time fields.
 
+`eigensystem`, and `certify` without --subset, read no vertex and build no
+graph: they take the family's closed-form array from `graphs.family_array`,
+which runs the builder's own refusals and vertex cap first.  `build`,
+`widths`, `certify --subset`, `search` and `selftest` build the graph and
+check it by BFS (`_eigensystem_for`), and `verify-theorem` builds its own.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 tier exceeded.
 """
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .graphs import (
     build_twisted_grassmann,
     check_distance_regular,
     distance_census,
+    family_array,
     graph_cache_text,
     representatives,
 )
@@ -80,14 +87,11 @@ def _family_and_params(args):
 
 
 def _check_t(params, t) -> None:
-    """Refuse t outside 0 < t < d before the build, d the diameter the
-    builder gives: min(d, v-d) for J(v,d) and J_q(v,d), and d for the other
-    families.  Parameters that give d < 1 are left to the builder, whose
-    refusal names them."""
+    """Refuse t outside 0 < t < d before any build.  params come from
+    `family_array`, after the family's own refusals, so d is the diameter
+    (min(d, v-d) for J(v,d) and J_q(v,d)) and at least 1."""
     d = params["d"]
-    if "v" in params:
-        d = min(d, params["v"] - d)
-    if d >= 1 and not 0 < t < d:
+    if not 0 < t < d:
         raise ParameterError(f"need 0 < t < d, got t={t}, d={d}")
 
 
@@ -176,13 +180,14 @@ def _eigensystem_for(family, params, vertex_cap):
 
 def cmd_eigensystem(args) -> int:
     family, params = _family_and_params(args)
-    graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
-    content = eigensystem_to_json(sys_, family, graph.params)
-    key = eigensystem_cache_key(family, graph.params)
+    params, arr = family_array(family, params, args.vertex_cap)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    content = eigensystem_to_json(sys_, family, params)
+    key = eigensystem_cache_key(family, params)
     cache_path = Path(args.cache) / f"{family}-{key}.eig.json"
     _cache_write(cache_path, content)
     report = {
-        "config": _config(args, family, graph.params),
+        "config": _config(args, family, params),
         **eigensystem_doc(sys_),
         "cache_file": str(cache_path),
     }
@@ -213,15 +218,19 @@ def cmd_certify(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("certify needs -t")
+    params, arr = family_array(family, params, args.vertex_cap)
     _check_t(params, args.t)
     # refused before the build
     labels = read_subset(args.subset) if args.subset is not None else None
-    graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+    if labels is None:
+        sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    else:
+        graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     cert = solve_certificate(sys_, args.t)
-    table_value, hypothesis_met = expected_bound(family, graph.params, args.t)
+    table_value, hypothesis_met = expected_bound(family, params, args.t)
     report = {
         "family": family,
-        "params": graph.params,
+        "params": params,
         "t": args.t,
         "f": cert.f,
         "feasible": cert.feasible,
@@ -229,7 +238,7 @@ def cmd_certify(args) -> int:
         "hypothesis_met": hypothesis_met,
         "table_value": table_value,
         "match": cert.bound == table_value,
-        "config": _config(args, family, graph.params),
+        "config": _config(args, family, params),
     }
     if family == "hamming":
         mds_cert = hamming_certificate(params["d"], params["q"], args.t)
@@ -247,6 +256,7 @@ def cmd_search(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("search needs -t")
+    params, _ = family_array(family, params, args.vertex_cap)
     _check_t(params, args.t)
     graph, census, sys_ = _eigensystem_for(family, params, args.vertex_cap)
     cert, _, result = ekr_search.search(graph, census, sys_, args.t, args.enum_cap)

@@ -44,10 +44,11 @@ dimension in one call, and the X2 histogram below spans the members it
 has not seen in one call too.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
-itself is never materialized) exist for the Grassmann, Hamming and twisted
-Grassmann families, all built by `classical_array` from classical
-parameters that the array carries, and are cross-validated against
-BFS-extracted arrays in the test suite.  On that tier
+itself is never materialized) exist for every family here, all built by
+`classical_array` from classical parameters that the array carries, and
+are cross-validated against BFS-extracted arrays in the test suite.
+`family_array` gives a builder's family its array after the builder's own
+parameter refusals and vertex cap, which the two share.  On that tier
 `twisted_x2_distance_counts` gives the distance histogram of a set of X2
 vertices by a proved rule, for every q, with no pair of them looked at:
 it counts how many members share each hyperplane (and, from d = 4, each
@@ -495,18 +496,65 @@ def _smaller_side(name: str, v: int, d: int) -> int:
     return min(d, v - d)
 
 
+# Each family's parameter refusals and vertex cap, run first by its builder
+# and by `family_array` alike: (the params the graph carries, its vertex
+# count, its classical parameters (d, b, alpha, beta) for `classical_array`).
+
+
+def _johnson(v: int, d: int, vertex_cap: int) -> tuple[dict, int, tuple]:
+    d = _smaller_side("J", v, d)
+    bits = max(d, v.bit_length() - 1)  # C(v,d) >= C(2d,d) >= 2^d, and C(v,d) >= v
+    n = _check_cap(f"J({v},{d})", bits, lambda: comb(v, d), vertex_cap)
+    return {"v": v, "d": d}, n, (d, 1, 1, v - d)
+
+
+def _hamming(d: int, q: int, vertex_cap: int) -> tuple[dict, int, tuple]:
+    if d < 1 or q < 2:
+        raise ParameterError(f"H({d},{q}) needs d >= 1 and q >= 2")
+    n = _check_cap(f"H({d},{q})", d * (q.bit_length() - 1), lambda: q ** d, vertex_cap)
+    return {"d": d, "q": q}, n, (d, 1, 0, q - 1)
+
+
+def _grassmann(q: int, v: int, d: int, vertex_cap: int) -> tuple[dict, int, tuple]:
+    d = _smaller_side(f"J_{q}", v, d)
+    bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
+    n = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap, q)
+    return {"q": q, "v": v, "d": d}, n, (d, q, q, q_int(v - d + 1, q) - 1)
+
+
+def _bilinear(q: int, d: int, e: int, vertex_cap: int) -> tuple[dict, int, tuple]:
+    if d < 1 or e < d:
+        raise ParameterError(f"Bil_q({d},{e}) needs 1 <= d <= e")
+    bits = d * e * (q.bit_length() - 1)
+    n = _check_cap(f"Bil_{q}({d},{e})", bits, lambda: q ** (d * e), vertex_cap, q)
+    return {"q": q, "d": d, "e": e}, n, (d, q, q - 1, q ** e - 1)
+
+
+def _twisted(q: int, d: int, vertex_cap: int) -> tuple[dict, int, tuple]:
+    """The parameters of J_q(2d+1,d), whose vertex count and array it has."""
+    if d < 2:
+        raise ParameterError(f"twisted Grassmann needs d >= 2, got d={d}")
+    bits = d * (d + 1) * (q.bit_length() - 1)  # [2d+1 d]_q >= q^(d(d+1))
+    n = _check_cap(f"twisted({q},{d})", bits, lambda: q_binomial(2 * d + 1, d, q),
+                   vertex_cap, q)
+    return {"q": q, "d": d}, n, (d, q, q, q_int(d + 2, q) - 1)
+
+
+_FAMILIES = {"johnson": _johnson, "hamming": _hamming, "grassmann": _grassmann,
+             "bilinear": _bilinear, "twisted": _twisted}
+
+
 def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Johnson graph J(v,d): d-subsets of {1..v}, adjacent iff they share d-1
     elements.  d > v/2 is normalized to v-d (complementation isomorphism).
     Clique keys: the d subsets x - {a}.  Two d-sets share d-1 elements iff
     both contain one (d-1)-set, which is then their intersection.
     Automorphisms: (1 2) and (1 ... v), which generate Sym(v)."""
-    d = _smaller_side("J", v, d)
-    bits = max(d, v.bit_length() - 1)  # C(v,d) >= C(2d,d) >= 2^d, and C(v,d) >= v
-    expected = _check_cap(f"J({v},{d})", bits, lambda: comb(v, d), vertex_cap)
+    params, expected, _ = _johnson(v, d, vertex_cap)
+    d = params["d"]
     swap = {1: 2, 2: 1}
     return _assemble(
-        "johnson", {"v": v, "d": d}, itertools.combinations(range(1, v + 1), d),
+        "johnson", params, itertools.combinations(range(1, v + 1), d),
         lambda x: [x[:i] + x[i + 1:] for i in range(d)], expected,
         [lambda x: tuple(sorted(swap.get(a, a) for a in x)),
          lambda x: tuple(sorted(a % v + 1 for a in x))],
@@ -519,11 +567,9 @@ def build_hamming(d: int, q: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph
     (i, w with coordinate i deleted), as two words differ in position i alone
     iff they agree everywhere else.  Automorphisms: the coordinate cycle and
     +1 in coordinate 0; conjugates of the latter give every translation."""
-    if d < 1 or q < 2:
-        raise ParameterError(f"H({d},{q}) needs d >= 1 and q >= 2")
-    expected = _check_cap(f"H({d},{q})", d * (q.bit_length() - 1), lambda: q ** d, vertex_cap)
+    params, expected, _ = _hamming(d, q, vertex_cap)
     return _assemble(
-        "hamming", {"d": d, "q": q}, itertools.product(range(q), repeat=d),
+        "hamming", params, itertools.product(range(q), repeat=d),
         lambda w: [(i, w[:i] + w[i + 1:]) for i in range(d)], expected,
         [lambda w: w[1:] + w[:1], lambda w: ((w[0] + 1) % q,) + w[1:]],
     )
@@ -537,13 +583,12 @@ def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     (d-1)-space, then their intersection.  Automorphisms: `_elementary(q,
     v)`, whose group contains SL(v,q), each acting through its permutation
     of the points."""
-    d = _smaller_side(f"J_{q}", v, d)
-    bits = d * (v - d) * (q.bit_length() - 1)  # [v d]_q >= q^(d(v-d))
-    expected = _check_cap(f"J_{q}({v},{d})", bits, lambda: q_binomial(v, d, q), vertex_cap, q)
+    params, expected, _ = _grassmann(q, v, d, vertex_cap)
+    d = params["d"]
     subspaces = list(all_subspaces(v, d, q))
     points = _PointSets(v, q, subspaces)
     return _assemble(
-        "grassmann", {"q": q, "v": v, "d": d}, subspaces, points.hyperplanes, expected,
+        "grassmann", params, subspaces, points.hyperplanes, expected,
         [points.label_map(f) for f in _elementary(q, v)],
     )
 
@@ -556,10 +601,7 @@ def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP)
     it names the coset.  M - N has rank one iff it is u v^T, v != 0, for one
     such u.  Automorphisms: + E_11, the column cycle and (d > 1) the row
     cycle; conjugates of the first give every translation."""
-    if d < 1 or e < d:
-        raise ParameterError(f"Bil_q({d},{e}) needs 1 <= d <= e")
-    bits = d * e * (q.bit_length() - 1)
-    expected = _check_cap(f"Bil_{q}({d},{e})", bits, lambda: q ** (d * e), vertex_cap, q)
+    params, expected, _ = _bilinear(q, d, e, vertex_cap)
     rows = itertools.product(range(q), repeat=e)
     generators = [
         lambda M: (((M[0][0] + 1) % q,) + M[0][1:],) + M[1:],
@@ -569,7 +611,7 @@ def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP)
         generators.append(lambda M: M[1:] + M[:1])
     points = [(u.index(1), u) for (u,) in all_subspaces(d, 1, q)]
     return _assemble(
-        "bilinear", {"q": q, "d": d, "e": e}, itertools.product(rows, repeat=d),
+        "bilinear", params, itertools.product(rows, repeat=d),
         lambda M: [(u, _shear(M, p, u, q)) for p, u in points], expected, generators,
     )
 
@@ -617,13 +659,8 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     last coordinate 1, which the conjugates x -> x + x_{2d+1} h (h in H) of
     the shear move onto any other such vector.
     """
-    if d < 2:
-        raise ParameterError(f"twisted Grassmann needs d >= 2, got d={d}")
+    params, expected, _ = _twisted(q, d, vertex_cap)
     n_amb = 2 * d + 1
-    bits = d * (d + 1) * (q.bit_length() - 1)  # [2d+1 d]_q >= q^(d(d+1))
-    expected = _check_cap(
-        f"twisted({q},{d})", bits, lambda: q_binomial(n_amb, d, q), vertex_cap, q
-    )
     x1 = [("X1", rows) for rows in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in rows)]
     if len(x1) != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
         raise ParameterError("twisted: X1 enumeration is inconsistent")
@@ -636,7 +673,7 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
             above["X2", points.subspace[meet]].append(w)
     maps = _elementary(q, 2 * d) + [lambda x: ((x[0] + x[-1]) % q,) + x[1:]]
     return _assemble(
-        "twisted", {"q": q, "d": d}, x1 + x2,
+        "twisted", params, x1 + x2,
         lambda lab: above[lab] if lab[0] == "X2" else points.hyperplanes(lab[1]), expected,
         [lambda lab, g=points.label_map(f): (lab[0], g(lab[1])) for f in maps],
     )
@@ -952,6 +989,23 @@ def twisted_intersection_array(q: int, d: int) -> IntersectionArray:
     if d < 2:
         raise ParameterError(f"twisted array needs d >= 2, got d={d}")
     return grassmann_intersection_array(q, 2 * d + 1, d)
+
+
+def family_array(family: str, params: dict, vertex_cap: int = DEFAULT_VERTEX_CAP
+                 ) -> tuple[dict, IntersectionArray]:
+    """(params, array) of a builder's family, with no graph built.  The
+    builder's own refusals and vertex cap run first, with the same text and
+    class, and params is what the builder puts on its graph: d normalized
+    to min(d, v-d) for Johnson and Grassmann.  The array is the family's
+    `classical_array`, equal to the BFS array of the built graph (checked
+    in the test suite); DrgError unless it counts the vertices the cap was
+    checked against."""
+    params, n, classical = _FAMILIES[family](**params, vertex_cap=vertex_cap)
+    arr = classical_array(*classical)
+    if arr.vertex_count() != n:
+        raise DrgError(f"{family} {params}: the array counts {arr.vertex_count()} vertices,"
+                       f" not {n}")
+    return params, arr
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,14 @@ def test_search_above_vertex_cap_exits_3_before_the_build(capsys, monkeypatch):
     assert capsys.readouterr().err == "tier exceeded: J(12,4) has 495 vertices; cap is 100\n"
 
 
+def _forbid_builds(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for family in cli.BUILDERS:
+        monkeypatch.setitem(cli.BUILDERS, family, unreachable)
+
+
 @pytest.mark.parametrize("argv", [
     ["johnson", "-v", "200", "-d", "8"],
     ["hamming", "-d", "12", "-q", "9"],
@@ -350,9 +358,41 @@ def test_search_above_vertex_cap_exits_3_before_the_build(capsys, monkeypatch):
     ["twisted", "-q", "2", "-d", "3000"],
     ["grassmann", "-q", "2305843009213693951", "-v", "4", "-d", "2"],
 ])
-def test_oversized_build_exits_3(tmp_path, capsys, argv):
+def test_oversized_build_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert main(["build", *argv, "--cache", str(tmp_path)]) == 3
-    assert "tier exceeded" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "tier exceeded" in err
+    # the closed-form array keeps the cap, with the same text and no build
+    _forbid_builds(monkeypatch)
+    for command, extra in (("eigensystem", []), ("certify", ["-t", "1"])):
+        assert main([command, *argv, *extra, "--cache", str(tmp_path)]) == 3
+        assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["johnson", "-v", "5", "-d", "0"],
+    ["johnson", "-v", "5", "-d", "5"],
+    ["hamming", "-d", "3", "-q", "1"],
+    ["bilinear", "-q", "2", "-d", "3", "-e", "2"],
+    ["twisted", "-q", "2", "-d", "1"],
+    ["grassmann", "-q", "4", "-v", "4", "-d", "2"],
+    ["bilinear", "-q", "4", "-d", "1", "-e", "2"],
+    ["twisted", "-q", "4", "-d", "2"],
+    ["johnson", "-v", "12", "-d", "4", "--vertex-cap", "100"],
+])
+def test_closed_form_array_refuses_what_the_builder_refuses(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    # eigensystem and plain certify take the array with no graph built, and
+    # refuse each input with the builder's exit code and text
+    def outcome(*command):
+        code = main([*command, "--cache", str(tmp_path)])
+        return (code, *capsys.readouterr())
+
+    built = outcome("build", *argv)
+    assert built[0] in (1, 3) and built[1] == "" and built[2]
+    _forbid_builds(monkeypatch)
+    assert outcome("eigensystem", *argv) == built
+    assert outcome("certify", *argv, "-t", "1") == built
 
 
 def test_verify_theorem_huge_q_exits_3_at_once(capsys):
@@ -538,6 +578,17 @@ def test_threshold_is_checked_against_the_built_diameter(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: J(5,0) needs 0 < d <= v\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "bilinear", "-q", "2", "-d", "3", "-e", "2"], "Bil_q(3,2) needs 1 <= d <= e"),
+    (["search", "hamming", "-d", "3", "-q", "1"], "H(3,1) needs d >= 1 and q >= 2"),
+])
+def test_family_refusals_come_before_the_threshold_check(tmp_path, capsys, argv, message):
+    # t = 3 is outside 0 < t < 3 too, but the parameters are refused first,
+    # in the builder's own words
+    code = main([*argv, "-t", "3", "--cache", str(tmp_path)])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["build", "johnson", "-v", "5", "-d", "2"],
@@ -622,8 +673,9 @@ def test_every_command_takes_one_source_per_orbit(tmp_path, capsys, monkeypatch)
     ):
         assert main([*argv, *cache]) == 0, argv
         capsys.readouterr()
+    # plain eigensystem and certify build no graph and take no census;
     # selftest builds J(5,2), H(3,2), K5, J(5,2), H(3,2) and J(7,3)
-    assert seen == [2, 1, 1, 1, 2, 1, 1] + [1] * 6
+    assert seen == [2, 1, 2, 1, 1] + [1] * 6
 
 
 @pytest.mark.parametrize("argv", [

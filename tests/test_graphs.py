@@ -31,6 +31,7 @@ from _oracles import (
     x2_distance_counts_by_search,
 )
 from drgcert import graphs
+from drgcert.cli import FAMILY_PARAMS
 from drgcert.ekr_search import threshold_graph
 from drgcert.errors import (
     DisconnectedGraph,
@@ -54,6 +55,7 @@ from drgcert.graphs import (
     check_distance_regular,
     classical_array,
     distance_census,
+    family_array,
     grassmann_intersection_array,
     graph_cache_text,
     hamming_intersection_array,
@@ -65,7 +67,8 @@ from drgcert.graphs import (
     twisted_x2_vertices,
     within,
 )
-from drgcert.scheme import materialize_idempotents
+from drgcert.lp_cert import solve_certificate
+from drgcert.scheme import eigensystem_from_array, eigensystem_to_json, materialize_idempotents
 from drgcert.subsets import VertexSubset, distance_counts
 
 
@@ -927,6 +930,21 @@ def test_bfs_arrays_have_classical_parameters(family, args, built):
     closed = classical_array(*CLASSICAL_PARAMETERS[family](*args))
     assert (closed.b, closed.c) == (arr.b, arr.c)
     assert arr.classical is None and closed.classical == CLASSICAL_PARAMETERS[family](*args)[1:]
+
+
+@pytest.mark.parametrize("family,args", BUILDER_INSTANCES + [("johnson", (10, 7)),
+                                                            ("grassmann", (2, 6, 4))])
+def test_family_array_agrees_with_the_built_graph(family, args, built):
+    # the route of eigensystem and plain certify: the builder's normalized
+    # params, its BFS array, the same eigensystem bytes and certificates
+    g, _, arr, sys_ = built(family, *args)
+    params, closed = family_array(family, dict(zip(FAMILY_PARAMS[family], args)))
+    assert params == g.params and (closed.b, closed.c) == (arr.b, arr.c)
+    closed_sys = eigensystem_from_array(closed, closed.vertex_count())
+    assert (eigensystem_to_json(closed_sys, family, params)
+            == eigensystem_to_json(sys_, family, g.params))
+    for t in range(1, arr.d):
+        assert solve_certificate(closed_sys, t) == solve_certificate(sys_, t)
 
 
 def test_classical_parameters_stay_out_of_equality_hash_and_repr():
