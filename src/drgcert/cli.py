@@ -5,13 +5,16 @@ selftest.  Each command passes its result objects as they are, dataclass
 reports through `dataclasses.asdict`, to `exact.canonical_json`, which prints
 them on stdout with sorted keys and every rational value as an exact
 "num/den" string; identical command plus seed gives byte-identical output
-except for wall-time fields.
+except for wall-time fields.  `search` builds its maximizer list from each
+label's canonical text, each vertex of the maxima encoded once, and
+`exact.canonical_object` joins it to the other values' texts.
 
 `eigensystem`, and `certify` without --subset, read no vertex and build no
 graph: they take the family's closed-form array from `graphs.family_array`,
 which runs the builder's own refusals and vertex cap first.  `build`,
 `widths`, `certify --subset`, `search` and `selftest` build the graph and
-check it by BFS (`_eigensystem_for`), and `verify-theorem` builds its own.
+check by BFS that its array is the closed-form one (`_verified_array`),
+from which the eigensystem is taken; `verify-theorem` builds its own.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 tier exceeded.
 """
@@ -26,7 +29,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DrgError, ParameterError, TierLimitExceeded
-from .exact import canonical_json, q_binomial
+from .exact import canonical_json, canonical_object, q_binomial
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     build_bilinear,
@@ -114,9 +117,15 @@ def _config(args, family=None, params=None):
     }
 
 
-def _emit(report: dict, args) -> None:
-    """Writes --out first, so an unwritable path exits 1 with stdout empty."""
-    text = canonical_json(report)
+def _emit(report: dict, args, encoded: dict | None = None) -> None:
+    """Writes --out first, so an unwritable path exits 1 with stdout empty.
+    encoded, when given, holds more top-level values, each already in its
+    canonical text, and `canonical_object` joins them to the report's."""
+    if encoded is None:
+        text = canonical_json(report)
+    else:
+        text = canonical_object({**{k: canonical_json(v) for k, v in report.items()},
+                                 **encoded})
     out = getattr(args, "out", None)
     if out is not None:
         Path(out).write_text(text + "\n", encoding="ascii")
@@ -148,11 +157,22 @@ def _graph_cache_path(args, family, params) -> Path:
     return Path(args.cache) / f"{family}-{key}.drg"
 
 
+def _verified_array(graph, census, arr):
+    """arr, the family's closed-form array, once it equals the BFS array of
+    graph (DrgError naming both otherwise).  The closed form carries the
+    classical parameters, so the eigenvalues come from it."""
+    bfs = check_distance_regular(graph, census)
+    if bfs != arr:
+        raise DrgError(f"{graph.family} {graph.params}: BFS array {{{bfs.b}; {bfs.c}}} differs"
+                       f" from the closed-form array {{{arr.b}; {arr.c}}}")
+    return arr
+
+
 def cmd_build(args) -> int:
     family, params = _family_and_params(args)
     graph = _build(family, params, args.vertex_cap)
     census = distance_census(graph, representatives(graph))
-    arr = check_distance_regular(graph, census)
+    arr = _verified_array(graph, census, family_array(family, params, args.vertex_cap)[1])
     cache_path = _graph_cache_path(args, family, graph.params)
     _cache_write(cache_path, graph_cache_text(graph))
     report = {
@@ -168,13 +188,17 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _eigensystem_for(family, params, vertex_cap):
-    """Build the graph, check it and find its eigensystem.  The census comes
-    from one representative per orbit, all that the distance-regularity
-    check and the threshold graphs read; a subset's histogram needs none."""
+def _eigensystem_for(family, params, vertex_cap, arr=None):
+    """Build the graph, check it and find its eigensystem from arr, the
+    family's closed-form array (taken from `family_array` after the build
+    when not given), once the BFS array equals it.  The census comes from
+    one representative per orbit, all that the distance-regularity check
+    and the threshold graphs read; a subset's histogram needs none."""
     graph = _build(family, params, vertex_cap)
+    if arr is None:
+        arr = family_array(family, params, vertex_cap)[1]
     census = distance_census(graph, representatives(graph))
-    sys_ = eigensystem_from_array(check_distance_regular(graph, census), graph.n)
+    sys_ = eigensystem_from_array(_verified_array(graph, census, arr), graph.n)
     return graph, census, sys_
 
 
@@ -225,7 +249,7 @@ def cmd_certify(args) -> int:
     if labels is None:
         sys_ = eigensystem_from_array(arr, arr.vertex_count())
     else:
-        graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+        graph, _, sys_ = _eigensystem_for(family, params, args.vertex_cap, arr)
     cert = solve_certificate(sys_, args.t)
     table_value, hypothesis_met = expected_bound(family, params, args.t)
     report = {
@@ -256,10 +280,16 @@ def cmd_search(args) -> int:
     family, params = _family_and_params(args)
     if args.t is None:
         raise ParameterError("search needs -t")
-    params, _ = family_array(family, params, args.vertex_cap)
+    params, arr = family_array(family, params, args.vertex_cap)
     _check_t(params, args.t)
-    graph, census, sys_ = _eigensystem_for(family, params, args.vertex_cap)
+    graph, census, sys_ = _eigensystem_for(family, params, args.vertex_cap, arr)
     cert, _, result = ekr_search.search(graph, census, sys_, args.t, args.enum_cap)
+    # each vertex of the maxima encoded once, the list joined from its texts
+    label = graph.vertices
+    texts = {i: canonical_json(label[i]) for i in set().union(*result.families)}
+    maximizers = "[" + ",".join(
+        ["[" + ",".join([texts[i] for i in fam]) + "]" for fam in result.families]
+    ) + "]"
     report = {
         "graph": {"family": family, "params": graph.params},
         "t": args.t,
@@ -267,15 +297,12 @@ def cmd_search(args) -> int:
         "optimum": result.optimum,
         "bound": cert.bound if cert.feasible else None,
         "tight": cert.feasible and cert.bound == result.optimum,
-        "maximizers": [
-            [graph.vertices[i] for i in fam] for fam in result.families
-        ],
         "truncated": result.truncated,
         "nodes": result.nodes,
         "seconds": round(result.seconds, 3),
         "config": _config(args, family, graph.params),
     }
-    _emit(report, args)
+    _emit(report, args, {"maximizers": maximizers})
     return 0
 
 

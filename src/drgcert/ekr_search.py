@@ -406,9 +406,10 @@ def verify_theorem(
     enum_cap: int = ENUM_CAP,
 ) -> TheoremReport:
     """Build the twisted graph, compare its BFS array with the closed-form
-    array of J_q(2d+1,d) (which also settles P and Q), certify the bound,
-    search exhaustively, and compare maximizers with the enumerated
-    descendent families.  search_cap is the vertex cap of the build.  The
+    array of J_q(2d+1,d) (which also settles P and Q, then taken from the
+    closed form and its classical parameters), certify the bound, search
+    exhaustively, and compare maximizers with the enumerated descendent
+    families.  search_cap is the vertex cap of the build.  The
     comparison needs every maximizer listed, so an enum_cap below the
     [2d, t-1]_q descendent families (at least q^((t-1)(2d-t+1)) of them) is
     refused before the build: above it, a truncated list means more maxima
@@ -419,10 +420,11 @@ def verify_theorem(
                lambda: q_binomial(2 * d, t - 1, q), enum_cap, unit="descendent families")
     twisted = build_twisted_grassmann(q, d, search_cap)
     census = distance_census(twisted, representatives(twisted))
-    arr = check_distance_regular(twisted, census)
-    arrays_match = arr == twisted_intersection_array(q, d)
+    arr, closed = check_distance_regular(twisted, census), twisted_intersection_array(q, d)
+    arrays_match = arr == closed
     cert, descendents, result = search(
-        twisted, census, eigensystem_from_array(arr, twisted.n), t, enum_cap
+        twisted, census, eigensystem_from_array(closed if arrays_match else arr, twisted.n),
+        t, enum_cap
     )
     expected, _ = expected_bound("twisted", {"q": q, "d": d}, t)
     maximizers_match = (

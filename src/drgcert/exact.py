@@ -1,5 +1,6 @@
 """Exact arithmetic: q-analogues, rational dense linear algebra, GF(p) row
-reduction, and `canonical_json`, the one encoder of reports and caches.
+reduction, and `canonical_json`, the one encoder of reports and caches, with
+`canonical_object` to join values it has already encoded into one report.
 
 Every quantity in this package is an int or a fractions.Fraction; nothing is
 ever rounded.  Rational systems are solved by fraction-free Gauss-Jordan
@@ -47,6 +48,17 @@ def canonical_json(doc) -> str:
     know raises TypeError).  A document is a fresh tree of plain values, so
     it holds no cycle to look for."""
     return _ENCODER.encode(doc)
+
+
+def canonical_object(texts: dict[str, str]) -> str:
+    """The `canonical_json` text of a top-level object of str keys whose
+    values are given already encoded, each value as its canonical text.
+    The bytes equal those of encoding the object whole: the separators are
+    (",", ":"), so each item is its encoded key, ":" and its value's text,
+    the items joined by ","; `sort_keys` sorts str keys as `sorted` does;
+    and a list encodes as "[" + its items' texts joined by "," + "]", so a
+    value's text may itself be joined from its items' texts."""
+    return "{" + ",".join([_ENCODER.encode(k) + ":" + texts[k] for k in sorted(texts)]) + "}"
 
 
 # ---------------------------------------------------------------------------

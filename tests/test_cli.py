@@ -13,6 +13,7 @@ import drgcert
 from drgcert import cli, ekr_search, graphs
 from drgcert.cli import main
 from drgcert.graphs import build_twisted_grassmann
+from drgcert.exact import canonical_json
 
 
 def run(capsys, *argv):
@@ -740,3 +741,93 @@ def test_shared_parser_gives_fresh_process_reports(tmp_path, capsys, monkeypatch
             assert strip_time(json.loads(out)) == strip_time(json.loads(alone.stdout)), argv
     assert codes == [0, 1, 0, 0, 0, 1]
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "johnson", "-v", "7", "-d", "3"],
+    ["search", "johnson", "-v", "7", "-d", "3", "-t", "1"],
+    ["widths", "johnson", "-v", "7", "-d", "3", "--subset", "SUBSET"],
+    ["certify", "johnson", "-v", "7", "-d", "3", "-t", "1", "--subset", "SUBSET"],
+])
+def test_graph_route_checks_its_bfs_array_against_the_closed_form(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    # a closed-form array that is not the built graph's is a verification
+    # failure naming both arrays, not an eigensystem of the wrong graph
+    subset = tmp_path / "subset.json"
+    subset.write_text("[[1, 2, 3]]")
+    argv = [str(subset) if a == "SUBSET" else a for a in argv]
+    real = cli.family_array
+    _, other = real("hamming", {"d": 3, "q": 2})
+    monkeypatch.setattr(cli, "family_array", lambda *a: (real(*a)[0], other))
+    code = main([*argv, "--cache", str(tmp_path / "cache")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert "{(12, 6, 2); (1, 4, 9)}" in err and "{(3, 2, 1); (1, 2, 3)}" in err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("hamming", "-d", "5", "-q", "3", "-t", "2"),
+    ("johnson", "-v", "10", "-d", "5", "-t", "3"),
+    ("twisted", "-q", "2", "-d", "2", "-t", "1"),  # labels with str tags
+    ("bilinear", "-q", "2", "-d", "2", "-e", "4", "-t", "1"),  # matrix labels
+    ("johnson", "-v", "8", "-d", "4", "-t", "1", "--enum-cap", "7"),  # truncated
+])
+def test_search_prints_the_bytes_of_the_report_encoded_whole(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    # the maximizer list is joined from each label's own text; the printed
+    # line, and the --out file, must be canonical_json of the report with
+    # the maximizers as lists of labels.  GOLDEN re-serialises the parsed
+    # report, so it cannot see these bytes.
+    runs = []
+    real = ekr_search.search
+
+    def spy(G, census, sys_, t, enum_cap):
+        runs.append((G, census, real(G, census, sys_, t, enum_cap)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(ekr_search, "search", spy)
+    out = tmp_path / "report.json"
+    full = ["search", *argv, "--cache", str(tmp_path / "cache"), "--out", str(out)]
+    assert main(full) == 0
+    line = capsys.readouterr().out
+    ((G, census, (cert, _, result)),) = runs
+    args = cli.build_parser().parse_args(full)
+    family = argv[0]
+    report = {
+        "graph": {"family": family, "params": G.params},
+        "t": args.t,
+        "threshold": census.diameter - args.t,
+        "optimum": result.optimum,
+        "bound": cert.bound if cert.feasible else None,
+        "tight": cert.feasible and cert.bound == result.optimum,
+        "maximizers": [[G.vertices[i] for i in fam] for fam in result.families],
+        "truncated": result.truncated,
+        "nodes": result.nodes,
+        "seconds": json.loads(line)["seconds"],
+        "config": cli._config(args, family, G.params),
+    }
+    text = canonical_json(report)
+    assert line == text + "\n"
+    assert out.read_text(encoding="ascii") == text + "\n"
+
+
+def test_search_encodes_each_vertex_label_once(tmp_path, capsys, monkeypatch):
+    # H(5,3) at t=2: 13,365 label occurrences in the maxima, over all 243
+    # vertices, each encoded once
+    labels = []
+    real = cli.canonical_json
+
+    def counting(doc):
+        if isinstance(doc, tuple):
+            labels.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "canonical_json", counting)
+    code, doc = run(capsys, "search", "hamming", "-d", "5", "-q", "3", "-t", "2",
+                    "--cache", str(tmp_path))
+    assert code == 0
+    assert sum(map(len, doc["maximizers"])) == 13365
+    assert len(labels) == 243
+    assert set(labels) == set(graphs.build_hamming(5, 3).vertices)
