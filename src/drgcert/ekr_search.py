@@ -253,10 +253,12 @@ class DescendentFamily:
 
     points is the `X2PointIndex` that the histogram of the members reads
     their point masks from.  The families of one
-    `enumerate_descendent_families` call share one, so each X2 vertex is
-    spanned once however many of them hold it; it lives as long as they do.
-    A family built by hand has none and gets a fresh one at each
-    verification.  It takes no part in comparisons."""
+    `enumerate_descendent_families` call share one, on which their
+    distinct members are registered, so the first histogram checks and
+    spans every X2 vertex of theirs in one batch and the others read them
+    by id; it lives as long as they do.  A family built by hand has none
+    and gets a fresh one at each verification.  It takes no part in
+    comparisons."""
 
     u: tuple
     members: tuple[tuple, ...]
@@ -274,9 +276,11 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     """One family per (t-1)-dim subspace u of H = GF(q)^(2d), in
     `all_subspaces` order, its members sorted and counted; all of them
     share one `X2PointIndex`, and each X2 vertex is one tuple in all the
-    families that hold it, so that index checks and spans it once.  The
-    X2 pool, [2d, d-1]_q >= q^((d-1)(d+1))
-    subspaces, is refused above the default vertex cap first.
+    families that hold it.  The distinct members are registered on the
+    index (`X2PointIndex.pending`) and nothing is spanned here: the first
+    histogram checks and spans them all in one batch.  The X2 pool,
+    [2d, d-1]_q >= q^((d-1)(d+1)) subspaces, is refused above the default
+    vertex cap first.
 
     The members are built through u.  Let U be the pivot columns of u (the
     first 1 of each canonical row) and C the span of the e_j, j not in U.
@@ -293,8 +297,9 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
     above it w_p vanishes before p).  The rows of u now vanish at w's
     pivots and those of w on U, so both, sorted by pivot, are the RREF,
     and for rows led by 1s at distinct pivots descending tuple order is
-    ascending pivot order.  C depends on U alone, so its w are listed once
-    for each pivot pattern of the u, which `all_subspaces` lists together.
+    ascending pivot order.  At t = 1, u is 0 and each member is w as listed.
+    C depends on U alone, so its w are listed once for each pivot pattern
+    of the u, which `all_subspaces` lists together.
     """
     if d < 2 or not 0 < t < d:
         raise ParameterError(f"need d >= 2 and 0 < t < d, got d={d}, t={t}")
@@ -313,21 +318,25 @@ def enumerate_descendent_families(q: int, d: int, t: int) -> list[DescendentFami
             if len(ws) != expected_members:  # every u gets one member per w
                 raise DrgError(f"{len(ws)} spaces w per family, expected {expected_members}")
         u = tuple(row + (0,) for row in u)
-        members = []
-        for w, wpivots in ws:
-            rows = list(w)
-            for r in u:
-                for p, wp in wpivots:
-                    c = r[p]
-                    if c:
-                        r = tuple([(a - c * b) % q for a, b in zip(r, wp)])
-                rows.append(r)
-            rows.sort(reverse=True)
-            member = tuple(rows)
-            members.append(shared.setdefault(member, member))
+        if not u:  # t = 1: u is 0, so the one family's members are the w as listed
+            members = shared = [w for w, _ in ws]
+        else:
+            members = []
+            for w, wpivots in ws:
+                rows = list(w)
+                for r in u:
+                    for p, wp in wpivots:
+                        c = r[p]
+                        if c:
+                            r = tuple([(a - c * b) % q for a, b in zip(r, wp)])
+                    rows.append(r)
+                rows.sort(reverse=True)
+                member = tuple(rows)
+                members.append(shared.setdefault(member, member))
         families.append(DescendentFamily(u, tuple(sorted(members)), points))
     if len(families) != q_binomial(2 * d, t - 1, q):
         raise DrgError("descendent family count mismatch")
+    points.pending = list(shared)
     return families
 
 

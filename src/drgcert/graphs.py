@@ -40,8 +40,9 @@ points come from one span kernel on packed ints, `_span_points`, which
 takes a batch of bases of one shape, walks their rows from the bottom and
 takes each sum over the whole batch at once, so the cost of a call is
 paid once a batch: `_PointSets` spans each run of subspaces of one
-dimension in one call, and the X2 histogram below spans the members it
-has not seen in one call too.
+dimension in one call, and the X2 point index below spans in one call
+the members a histogram meets that it does not hold, with those
+registered on it: every X2 vertex of a descendent enumeration at once.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for every family here, all built by
@@ -52,7 +53,10 @@ parameter refusals and vertex cap, which the two share.  On that tier
 `twisted_x2_distance_counts` gives the distance histogram of a set of X2
 vertices by a proved rule, for every q, with no pair of them looked at:
 it counts how many members share each hyperplane (and, from d = 4, each
-codim-2 subspace), in time linear in the members.
+codim-2 subspace), in time linear in the members.  Its `X2PointIndex`
+holds each member given as a tuple of tuples under the member's id, so
+a histogram whose members it holds reads their masks with no check or
+span.
 """
 from __future__ import annotations
 
@@ -959,12 +963,13 @@ def classical_array(d: int, b: int, alpha: int, beta: int) -> IntersectionArray:
 
 
 def grassmann_intersection_array(q: int, v: int, d: int) -> IntersectionArray:
-    """Intersection array of J_q(v,d), 1 <= d <= v/2: classical, with
-    parameters (d, q, q, [v-d+1]_q - 1)."""
+    """Intersection array of J_q(v,d), 0 < d < v, with d > v/2 normalized
+    to v-d as the builder and `family_array` do: classical, with
+    parameters (d, q, q, [v-d+1]_q - 1).  The builder's refusals of d, by
+    `_smaller_side`, come after the test of q."""
     if not is_prime(q):
         raise UnsupportedField(f"q={q} is not prime")
-    if d < 1 or 2 * d > v:
-        raise ParameterError(f"J_q({v},{d}) array needs 1 <= d <= v/2")
+    d = _smaller_side(f"J_{q}", v, d)
     arr = classical_array(d, q, q, q_int(v - d + 1, q) - 1)
     if arr.vertex_count() != q_binomial(v, d, q):
         raise DrgError(f"J_{q}({v},{d}) array counts {arr.vertex_count()} vertices")
@@ -1017,38 +1022,70 @@ class X2PointIndex:
     the histograms of many sets of them.  Each point of H = GF(q)^(2d) that
     a spanned member contains gets one bit, keyed by its `_pack` int (the
     trailing zero coordinate of a member packs to nothing).  masks keeps,
-    under each member's rows as tuples, its point mask and the masks of its
-    [d-1]_q hyperplanes, taken from `_hyperplane_positions(d-1, q)` over
-    the same spanned points.  `span` spans the members a histogram needs
-    and masks does not hold together, each once, in one `_span_points`
-    batch, so a vertex in many sets is spanned once, and only members that
-    pass the checks of `twisted_x2_distance_counts` and of `_span_points`
-    are kept.
+    under each member's rows as tuples, the entry (rows, point mask, the
+    masks of its [d-1]_q hyperplanes), the hyperplanes taken from
+    `_hyperplane_positions(d-1, q)` over the same spanned points, so a
+    subspace given as many objects is spanned once.
 
-    checked keeps, by id, each member given as a tuple of tuples that
-    passed the shape check of `twisted_x2_distance_counts`.  Such a
-    member, of int entries, cannot change, and checked holds it, so while
-    the index lives no other object has its id: given again, it is not
-    checked again."""
+    held keeps, under its id, each member given as a tuple of tuples that
+    passed the checks of `hold`, with its entry (the member first).  Such
+    a member, of int entries, cannot change, and held holds it, so while
+    the index lives no other object has its id: a histogram whose members
+    are all held reads them by id, with no check or span.
 
-    __slots__ = ("q", "d", "bits", "masks", "checked")
+    pending lists members registered before any histogram meets them (the
+    distinct members of `ekr_search.enumerate_descendent_families`, each
+    one object in all its families): the first histogram with a member
+    that held lacks checks and spans them together with its own."""
+
+    __slots__ = ("q", "d", "bits", "masks", "held", "pending")
 
     def __init__(self, q: int, d: int):
-        self.q, self.d, self.bits, self.masks, self.checked = q, d, {}, {}, {}
+        self.q, self.d, self.bits, self.masks, self.held, self.pending = q, d, {}, {}, {}, []
+
+    def hold(self, members: list) -> list[tuple]:
+        """The entry of each of members.  The objects among members and
+        pending that held lacks are checked as
+        `twisted_x2_distance_counts` states, each once and all in one
+        `_x2_shaped` call, and the subspaces among them that masks lacks
+        are spanned in one batch, each once.  A refusal names the first
+        object refused, members before pending, and keeps nothing;
+        otherwise every tuple of tuples checked is held, and pending is
+        emptied."""
+        q, d, held, masks = self.q, self.d, self.held, self.masks
+        batch = list({id(rows): rows for rows in itertools.chain(members, self.pending)
+                      if id(rows) not in held}.values())
+        if not _x2_shaped(batch, q, d):
+            rows = next(rows for rows in batch if not _x2_shaped([rows], q, d))
+            raise ParameterError(f"{rows!r} is not {d - 1} rows of length {2 * d + 1}"
+                                 f" over 0..{q - 1} with last entry 0")
+        if set(map(type, itertools.chain(batch, *batch))) <= {tuple}:
+            keys = batch
+        else:  # lists are unhashable
+            keys = [tuple(map(tuple, rows)) for rows in batch]
+        new = [key for key in dict.fromkeys(keys) if key not in masks]
+        if new:
+            self.span(new)
+        for rows, key in zip(batch, keys):
+            if rows == key:  # a list, or a tuple with a list row, is unequal
+                entry = masks[key]
+                held[id(rows)] = entry if entry[0] is rows else (rows, *entry[1:])
+        self.pending = []
+        return [held.get(id(rows)) or masks[tuple(map(tuple, rows))] for rows in members]
 
     def span(self, members) -> None:
-        """Keep the masks of members, distinct tuples of d-1 row tuples of
-        length 2d+1 with int entries in 0..q-1 and last entry 0 that masks
-        does not hold.  If one is not in echelon form with leading entries
-        1, ParameterError, and none is kept.  The masks are formed a point
-        position (or a hyperplane) at a time over all the members."""
+        """Keep the entries of members, distinct tuples of d-1 row tuples
+        of length 2d+1 with int entries in 0..q-1 and last entry 0 that
+        masks does not hold.  If one is not in echelon form with leading
+        entries 1, ParameterError, and none is kept.  The masks are formed
+        a point position (or a hyperplane) at a time over all the members."""
         bits = self.bits
         columns = [[1 << bits.setdefault(p, len(bits)) for p in points]
                    for points in zip(*_span_points(members, self.q))]
         zeros = [0] * len(members)  # at d = 2 the one hyperplane, 0, has no points
         hyperplanes = [list(map(sum, zip(zeros, *map(columns.__getitem__, pos))))
                        for pos in _hyperplane_positions(self.d - 1, self.q)]
-        self.masks.update(zip(members, zip(map(sum, zip(*columns)), zip(*hyperplanes))))
+        self.masks.update(zip(members, zip(members, map(sum, zip(*columns)), zip(*hyperplanes))))
 
 
 def _x2_shaped(members, q: int, d: int) -> bool:
@@ -1125,16 +1162,19 @@ def twisted_x2_distance_counts(members: list, q: int, d: int,
     mask of h meet h' is the AND of theirs, and two members are one
     subspace iff their point masks are equal.  The masks come from points,
     an `X2PointIndex` of the same q and d that other calls may share (a
-    fresh one when None): the members it does not hold are spanned in one
-    batch, each distinct member once, and a member it already holds is not
-    spanned again.
+    fresh one when None).  When it holds every member by id, the counts
+    read the masks from there, with no check or span; otherwise
+    `X2PointIndex.hold` checks the members it does not hold, with any
+    registered on it, in one pass and spans them in one batch, each
+    distinct subspace once, and a subspace it already has is not spanned
+    again.
 
     Refused, in this order: a q that is not prime (UnsupportedField), before
     any span, as the spans would be taken in Z/q, which is no field; then,
     with ParameterError, d < 2, an index of another q or d, any member that
     is not d-1 rows of length 2d+1 with int entries in 0..q-1 and last entry
-    0 (every member is checked before any is spanned, once for each
-    index, see `X2PointIndex`, when it is a tuple of tuples), a
+    0 (every member is checked before any is spanned; a tuple of tuples
+    that passed is held by id, see `X2PointIndex`, and not checked again), a
     member to span that is not in echelon form with leading entries 1, and
     two members that are one subspace (gap 0).  An entry outside 0..q-1
     would overflow or mis-sum its `_pack` field, and one that is no int
@@ -1149,30 +1189,19 @@ def twisted_x2_distance_counts(members: list, q: int, d: int,
     elif (points.q, points.d) != (q, d):
         raise ParameterError(
             f"point index of twisted({points.q},{points.d}) used for twisted({q},{d})")
-    members, checked = list(members), points.checked
-    fresh = [rows for rows in members if id(rows) not in checked]
-    if not _x2_shaped(fresh, q, d):
-        rows = next(rows for rows in fresh if not _x2_shaped([rows], q, d))
-        raise ParameterError(f"{rows!r} is not {d - 1} rows of length {2 * d + 1}"
-                             f" over 0..{q - 1} with last entry 0")
-    if set(map(type, itertools.chain(fresh, *fresh))) <= {tuple}:
-        checked.update(zip(map(id, fresh), fresh))
-    else:  # lists are unhashable
-        members = [tuple(map(tuple, rows)) for rows in members]
-    masks = points.masks
-    spanned = list(map(masks.get, members))
+    members = list(members)
+    spanned = list(map(points.held.get, map(id, members)))
     if None in spanned:
-        points.span(list(dict.fromkeys(rows for rows, held in zip(members, spanned) if held is None)))
-        spanned = list(map(masks.__getitem__, members))
+        spanned = points.hold(members)
     m = len(spanned)
-    if len({point for point, _ in spanned}) < m:
+    if len({point for _, point, _ in spanned}) < m:
         raise ParameterError("two members are the same subspace")
-    gap1 = _shared_pairs(itertools.chain.from_iterable(hyps for _, hyps in spanned))
+    gap1 = _shared_pairs(itertools.chain.from_iterable(hyps for _, _, hyps in spanned))
     gap2 = comb(m, 2) - gap1
     if d >= 4:
         gap2 = _shared_pairs(itertools.chain.from_iterable(
             set(itertools.starmap(and_, itertools.combinations(hyps, 2)))
-            for _, hyps in spanned)) - q_int(d - 2, q) * gap1
+            for _, _, hyps in spanned)) - q_int(d - 2, q) * gap1
         if comb(m, 2) - gap1 - gap2:
             raise DistanceUndetermined(
                 "pair is at distance >= 3; materialize the graph for an exact value"

@@ -13,6 +13,7 @@ from _oracles import (
     is_automorphism,
     max_clique_reference,
     span,
+    x2_counts_by_pairs,
     x2_distance_counts_by_search,
 )
 from drgcert import ekr_search, graphs, lp_cert
@@ -468,8 +469,10 @@ def test_descendent_enumeration_bytes(q, d, t, digest):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
-def _count_spans(monkeypatch):
-    # the members handed to the span kernel, over all its batches
+def _count_spans(monkeypatch, q, d):
+    # the members handed to the span kernel, over all its batches, after
+    # the kernel's own span for the cached `_hyperplane_positions(d-1, q)`
+    graphs._hyperplane_positions(d - 1, q)
     real = graphs._span_points
     spans = []
 
@@ -500,7 +503,7 @@ def test_descendent_families_span_each_x2_vertex_once(q, d, t, vertices, samples
     sys_ = eigensystem_from_array(arr, arr.vertex_count())
     fams = enumerate_descendent_families(q, d, t)
     assert len({id(rows) for fam in fams for rows in fam.members}) == vertices
-    spans, checks, shaped = _count_spans(monkeypatch), [], graphs._x2_shaped
+    spans, checks, shaped = _count_spans(monkeypatch, q, d), [], graphs._x2_shaped
 
     def counted(members, *args):
         checks.extend(members)
@@ -519,7 +522,7 @@ def test_descendent_families_span_each_x2_vertex_once(q, d, t, vertices, samples
 
 
 def test_second_enumeration_spans_afresh(monkeypatch):
-    spans = _count_spans(monkeypatch)
+    spans = _count_spans(monkeypatch, 2, 3)
     for _ in range(2):
         fams = enumerate_descendent_families(2, 3, 2)
         for fam in fams:
@@ -534,7 +537,7 @@ def test_hand_built_subfamily_gets_its_own_index(monkeypatch):
     sub = ekr_search.DescendentFamily(fam.u, fam.members[::4])
     assert sub.points is None and sub == ekr_search.DescendentFamily(fam.u, fam.members[::4],
                                                                      fam.points)
-    spans = _count_spans(monkeypatch)
+    spans = _count_spans(monkeypatch, 2, 3)
     wr, cr = verify_descendent_family(sub, 2, 3, 1)
     assert cr.verdict == "strict" and cr.size == sub.size == 163 and wr.width <= 2
     assert len(spans) == 163
@@ -543,10 +546,103 @@ def test_hand_built_subfamily_gets_its_own_index(monkeypatch):
         twisted_x2_distance_counts(list(sub.members), 2, 3)
 
 
+def _count_batches(monkeypatch, q, d):
+    # each call of the span kernel and of the shape check, with its members,
+    # after the kernel's own span for the cached `_hyperplane_positions(d-1, q)`
+    graphs._hyperplane_positions(d - 1, q)
+    real_span, real_shaped = graphs._span_points, graphs._x2_shaped
+    batches, shaped = [], []
+    monkeypatch.setattr(graphs, "_span_points",
+                        lambda bases, q_: batches.append(list(bases)) or real_span(bases, q_))
+    monkeypatch.setattr(graphs, "_x2_shaped",
+                        lambda members, *args: shaped.append(list(members))
+                        or real_shaped(members, *args))
+    return batches, shaped
+
+
+def test_descendent_verifications_check_and_span_in_one_batch(monkeypatch):
+    # the enumeration registers its 651 distinct members on the shared
+    # index, so the first of the 63 histograms shape-checks and spans them
+    # all at once, and the rest read them by id
+    arr = twisted_intersection_array(2, 3)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fams = enumerate_descendent_families(2, 3, 2)
+    batches, shaped = _count_batches(monkeypatch, 2, 3)
+    for fam in fams:
+        verify_descendent_family(fam, 2, 3, 2, sys_)
+    assert [len(batch) for batch in batches] == [651] == [len(set(batches[0]))]
+    assert [len(members) for members in shaped] == [651]
+    assert set(map(id, shaped[0])) == {id(rows) for fam in fams for rows in fam.members}
+    assert len(fams[0].points.held) == 651 and not fams[0].points.pending
+
+
+def test_second_pass_over_descendent_families_checks_and_spans_nothing(monkeypatch):
+    arr = twisted_intersection_array(2, 3)
+    sys_ = eigensystem_from_array(arr, arr.vertex_count())
+    fams = enumerate_descendent_families(2, 3, 2)
+    first = [twisted_x2_distance_counts(list(fam.members), 2, 3, fam.points) for fam in fams]
+    batches, shaped = _count_batches(monkeypatch, 2, 3)
+    assert [twisted_x2_distance_counts(list(fam.members), 2, 3, fam.points)
+            for fam in fams] == first
+    for fam in fams:
+        verify_descendent_family(fam, 2, 3, 2, sys_)
+    assert batches == shaped == []
+
+
+WRONG_SHAPES = [
+    (((1, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 0)), "is not 2 rows"),  # outside H
+    (((1.0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)), "is not 2 rows"),  # equal to a vertex
+    (((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)), "echelon"),
+]
+
+
+@pytest.mark.parametrize("rows,match", WRONG_SHAPES)
+def test_malformed_member_on_a_warm_index_is_refused(rows, match, monkeypatch):
+    # a new object among held members is checked as on a fresh index, with
+    # the same message, and the refused call keeps nothing
+    fams = enumerate_descendent_families(2, 3, 2)
+    for fam in fams:
+        verify_descendent_family(fam, 2, 3, 2)
+    points = fams[0].points
+    before = (dict(points.held), dict(points.masks), dict(points.bits))
+    members = [rows, *fams[0].members[1:]]
+    with pytest.raises(ParameterError) as fresh:
+        twisted_x2_distance_counts(members, 2, 3)
+    batches, shaped = _count_batches(monkeypatch, 2, 3)
+    with pytest.raises(ParameterError, match=match) as warm:
+        twisted_x2_distance_counts(members, 2, 3, points)
+    assert str(warm.value) == str(fresh.value)
+    assert (dict(points.held), dict(points.masks), dict(points.bits)) == before
+    assert shaped[0] == [rows] and batches == ([[rows]] if match == "echelon" else [])
+
+
+def test_hand_built_members_on_a_shared_index_count_as_on_a_fresh_one():
+    # a hand-built subfamily of two families, as new tuples, as the held
+    # tuples and as lists, on the enumeration's index before and after the
+    # families are verified: each histogram is the one a fresh index gives
+    fams = enumerate_descendent_families(2, 3, 2)
+    points = fams[0].points
+    originals = sorted(set(fams[0].members[::3] + fams[5].members[::2]))
+    copies = [tuple(map(tuple, map(list, rows))) for rows in originals]
+    lists = [list(map(list, rows)) for rows in originals]
+    expected = twisted_x2_distance_counts(originals, 2, 3)
+    assert expected == x2_counts_by_pairs(originals, 2, 3)
+    assert twisted_x2_distance_counts(copies, 2, 3, points) == expected
+    for fam in fams:
+        verify_descendent_family(fam, 2, 3, 2)
+    for members in (originals, copies, lists):
+        assert twisted_x2_distance_counts(members, 2, 3, points) == expected
+        sub = ekr_search.DescendentFamily(fams[0].u, tuple(members), points)
+        assert verify_descendent_family(sub, 2, 3, 1) == \
+            verify_descendent_family(ekr_search.DescendentFamily(fams[0].u, tuple(originals)),
+                                     2, 3, 1)
+    assert not any(id(rows) in points.held for rows in lists)
+
+
 def test_repeated_member_is_spanned_once(monkeypatch):
     # a member listed twice goes to the kernel once and is still refused
     x, y = twisted_x2_vertices(2, 3)[:2]
-    spans = _count_spans(monkeypatch)
+    spans = _count_spans(monkeypatch, 2, 3)
     with pytest.raises(ParameterError, match="same subspace"):
         twisted_x2_distance_counts([x, y, x], 2, 3)
     assert spans == [x, y]

@@ -947,6 +947,22 @@ def test_family_array_agrees_with_the_built_graph(family, args, built):
         assert solve_certificate(closed_sys, t) == solve_certificate(sys_, t)
 
 
+CLOSED_FORM_ARRAYS = {"hamming": hamming_intersection_array,
+                      "grassmann": grassmann_intersection_array,
+                      "twisted": twisted_intersection_array}
+
+
+@pytest.mark.parametrize("family,args",
+                         [x for x in BUILDER_INSTANCES if x[0] in CLOSED_FORM_ARRAYS]
+                         + [("grassmann", (2, 5, 3)), ("grassmann", (2, 6, 4))])
+def test_closed_form_array_functions_equal_family_array(family, args):
+    # both state the classical parameters; J_2(5,3) and J_2(6,4), at
+    # d > v/2, were once refused by the first and normalized by the second
+    _, arr = family_array(family, dict(zip(FAMILY_PARAMS[family], args)))
+    closed = CLOSED_FORM_ARRAYS[family](*args)
+    assert (closed, closed.classical) == (arr, arr.classical)
+
+
 def test_classical_parameters_stay_out_of_equality_hash_and_repr():
     arr = hamming_intersection_array(3, 4)
     plain = IntersectionArray(arr.b, arr.c)
@@ -1150,7 +1166,7 @@ def test_x2_members_given_as_lists(members):
     points = graphs.X2PointIndex(2, 2)
     assert twisted_x2_distance_counts(members, 2, 2, points) == [2, 2, 0]
     assert list(points.masks) == [((1, 0, 0, 0, 0),), ((0, 1, 0, 0, 0),)]
-    assert not points.checked  # a list can change, so it is checked at each call
+    assert not points.held  # a list can change, so it is checked at each call
     with pytest.raises(ParameterError, match="same subspace"):
         twisted_x2_distance_counts(members + [((1, 0, 0, 0, 0),)], 2, 2, points)
 
