@@ -1,10 +1,14 @@
 """Concrete distance-regular graph families as explicit vertex/edge sets.
 
-Vertices are plain nested tuples (canonical labels, JSON-friendly); adjacency
-is stored as one Python-int bitmask per vertex, built in O(n * keys) from a
-few clique keys per vertex (a Johnson vertex less one element, a Grassmann
-vertex's hyperplanes): each builder proves that two adjacent vertices
-share exactly one key and two others none.  The vertices that share a key
+Vertices are plain nested tuples (canonical labels, JSON-friendly), used
+only for their order and for output; a builder works on one int code per
+vertex: a Johnson set as a bitmask, a Hamming word and a bilinear form as
+`_pack` ints, a subspace as its point mask.  Adjacency is stored as one
+Python-int bitmask per vertex, built in O(n * keys) from a few clique
+keys per vertex, formed on the codes a column at a time (a Johnson vertex
+less one element, a Grassmann vertex's hyperplanes): each builder proves
+that two adjacent vertices share exactly one key and two others none.
+The vertices that share a key
 form a clique, and the graph keeps these cliques (`Graph.cliques`), which
 partition the edges: every edge lies in exactly one.  Distances are always
 computed from the graph itself, never by closed-form distance formulas,
@@ -20,10 +24,12 @@ subset's width, with no census kept.  A census keeps the level masks it
 produces: levels[x][k] is the bitmask of the vertices at distance k from
 x.
 
-Each builder also names a few label maps that generate a group of
-automorphisms (Sym(v) for Johnson, SL(v,q) for Grassmann, ...).  None is
-trusted: `_assemble` turns each into an index permutation and checks that it
-is a bijection mapping each clique's member set onto a clique's member set,
+Each builder also names a few maps that generate a group of
+automorphisms (Sym(v) for Johnson, SL(v,q) for Grassmann, ...), and gives
+each as the codes of the images of all the vertices, formed on the codes
+over all of them at once.  None is trusted: `_assemble` turns each into
+an index permutation through the code -> index map and checks that it is
+a bijection mapping each clique's member set onto a clique's member set,
 in O(sum of clique sizes).  Their orbits (one per family, X1 and X2 for
 the twisted graph), found once per graph, let the distance-regularity
 check take its sources among the orbit representatives only, since an
@@ -31,18 +37,19 @@ automorphism g gives the counts at (gx, gy) the values at (x, y), and let
 the clique search in `ekr_search` root at those representatives.
 
 A subspace of GF(q)^n is a plain tuple, its canonical RREF basis, which is
-also its vertex label.  A subspace builder also gives each vertex its set
-of points (the 1-dim subspaces in it) as an int mask, once: its clique keys
-are the masks of its hyperplanes, and a generator's image of it is the
-vertex whose mask is the image of its mask under the generator's
-permutation of the points, found with no row reduction per vertex.  The
-points come from one span kernel on packed ints, `_span_points`, which
-takes a batch of bases of one shape, walks their rows from the bottom and
-takes each sum over the whole batch at once, so the cost of a call is
-paid once a batch: `_PointSets` spans each run of subspaces of one
-dimension in one call, and the X2 point index below spans in one call
-the members a histogram meets that it does not hold, with those
-registered on it: every X2 vertex of a descendent enumeration at once.
+also its vertex label.  Its code is its set of points (the 1-dim
+subspaces in it) as an int mask: its clique keys are the masks of its
+hyperplanes, and a generator's image of it is the image of its mask
+under the generator's permutation of the points, found with no row
+reduction per vertex.  The points come from one span kernel on packed
+ints, `_span_points`, which takes a batch of bases of one shape, walks
+their rows from the bottom and takes each sum over the whole batch at
+once, so the cost of a call is paid once a batch: `_PointSets` spans all
+the vertices of one dimension in one call and forms their masks, keys
+and images one point position at a time over all of them, and the X2
+point index below spans in one call the members a histogram meets that
+it does not hold, with those registered on it: every X2 vertex of a
+descendent enumeration at once.
 
 Closed-form intersection arrays (for the parameter tier, where the graph
 itself is never materialized) exist for every family here, all built by
@@ -54,9 +61,9 @@ parameter refusals and vertex cap, which the two share.  On that tier
 vertices by a proved rule, for every q, with no pair of them looked at:
 it counts how many members share each hyperplane (and, from d = 4, each
 codim-2 subspace), in time linear in the members.  Its `X2PointIndex`
-holds each member given as a tuple of tuples under the member's id, so
-a histogram whose members it holds reads their masks with no check or
-span.
+holds the first member given as a tuple of tuples for each subspace
+under the member's id, so a histogram whose members it holds reads their
+masks with no check or span.
 """
 from __future__ import annotations
 
@@ -222,32 +229,41 @@ def _incidence(G: Graph) -> tuple[list[array], list[array]]:
     return cliques, through
 
 
-def _assemble(family, params, labels, keys, expected_n, generators):
-    """Sort the labels, join the vertices of each clique, verify the
-    automorphism generators (connectivity is checked by `distance_census`,
-    which every graph goes through before use).  keys(label) lists a
-    vertex's clique keys, and the vertices that share a key form one
-    clique.  adj[i] is the OR of the masks of the cliques through i, less
-    bit i, and the cliques are kept on the graph as its cover.
+def _assemble(family, params, labels, codes, keys, expected_n, images):
+    """Join the vertices of each clique, verify the automorphism generators
+    (connectivity is checked by `distance_census`, which every graph goes
+    through before use).  labels lists the vertices' labels, ascending, and
+    codes[i] is the int code of vertex i, one per vertex.  keys yields the
+    clique keys a column at a time, each an iterable of (i, key) pairs
+    formed when asked for and read once, so that no more than one is held;
+    the vertices that share a key form one clique.  adj[i] is the OR of the
+    masks of the cliques through i, less bit i, and the cliques are kept on
+    the graph as its cover.
 
-    Each generator, a label map g, becomes the index permutation p with
-    p[x] = index_of(g(x)).  p must be a bijection that maps every clique's
-    member set onto a clique's member set, in O(sum of clique sizes) per
-    map; DrgError otherwise.  This proves p an automorphism.  The family F
-    of member sets is finite and p is injective, so p maps F into F
-    injectively, hence onto F, and p^-1 maps F into F as well.  x ~ y iff
-    {x, y} lies in a set of F, so x ~ y iff p(x) ~ p(y).  The test is
-    sufficient, not necessary: an automorphism may move a member set onto a
-    clique that is not in F.  Every builder's generators act on the keys
-    themselves, so they pass."""
-    labels = sorted(labels)
+    images yields, for each generator, the codes of the images of the
+    vertices, in vertex order; it becomes the index permutation p with p[x]
+    the index of the code of the image of x.  p must be a bijection that
+    maps every clique's member set onto a clique's member set, in O(sum of
+    clique sizes) per map; DrgError otherwise.  This proves p an
+    automorphism.  The family F of member sets is finite and p is
+    injective, so p maps F into F injectively, hence onto F, and p^-1 maps F
+    into F as well.  x ~ y iff {x, y} lies in a set of F, so x ~ y iff p(x)
+    ~ p(y).  The test is sufficient, not necessary: an automorphism may move
+    a member set onto a clique that is not in F.  Every builder's
+    generators act on the keys themselves, so they pass."""
+    labels = list(labels)
     if len(labels) != expected_n:
         raise ParameterError(f"{family}: enumerated {len(labels)} vertices, expected {expected_n}")
     graph = Graph(family, params, labels, [])
     members = defaultdict(lambda: array("I"))
-    for i, label in enumerate(labels):
-        for key in keys(label):
+    for column in keys:
+        for i, key in column:
             members[key].append(i)
+    # the ints of graph._index, so that the permutations hold none of their own
+    index = dict(zip(codes, graph._index.values()))
+    # formed before the n-bit masks, so that no list of images is held with them
+    perms = [tuple(map(index.get, moved)) for moved in images]
+    del index
     cliques = list(members.values())
     masks = [reduce(or_, map((1).__lshift__, c)) for c in cliques]
     through = _through(graph.n, cliques)
@@ -257,17 +273,16 @@ def _assemble(family, params, labels, keys, expected_n, generators):
     graph.cliques = cliques
     graph._incidence = (cliques, graph.adj, cliques, through)
     sets = set(map(frozenset, cliques))
-    perms = []
-    for g in generators:
-        perm = tuple(graph._index.get(g(label)) for label in labels)
+    for perm in perms:
         if None in perm or len(set(perm)) != graph.n:
             raise DrgError(f"{family}: a generator is not a bijection of the vertices")
-        for s in sets:
-            if frozenset(map(perm.__getitem__, s)) not in sets:
+    for c in cliques:
+        image = itemgetter(*c, c[0])  # a tuple, for a clique of one too
+        for perm in perms:
+            if frozenset(image(perm)) not in sets:
                 raise DrgError(
-                    f"{family}: a generator does not preserve the edges at {labels[min(s)]!r}"
+                    f"{family}: a generator does not preserve the edges at {labels[min(c)]!r}"
                 )
-        perms.append(perm)
     graph.automorphisms = tuple(perms)
     return graph
 
@@ -307,14 +322,6 @@ def representatives(G: Graph) -> list[int]:
     return [(orbit & -orbit).bit_length() - 1 for orbit in orbits(G)]
 
 
-def _shear(rows, p: int, u, q: int) -> tuple:
-    """The rows R_i - u_i R_p over GF(q); row p becomes zero (u_p = 1)."""
-    return tuple([
-        tuple([(a - c * b) % q for a, b in zip(row, rows[p])]) if c else row
-        for row, c in zip(rows, u)
-    ])
-
-
 def _elementary(q: int, m: int) -> list:
     """Maps of row vectors over GF(q) that fix every coordinate after the
     first m: the cycle of those coordinates, x_1 <-> x_2 and x_1 += x_2.
@@ -346,12 +353,14 @@ def _pack(row, q: int) -> int:
     return sum(map(lshift, row, _fields(len(row), q)[2]))
 
 
-def _span_points(bases, q: int) -> list[tuple[int, ...]]:
+def _span_points(bases, q: int) -> list[list[int]]:
     """For each canonical RREF basis R in bases, all of k rows of length n
     over GF(q), the points c . R of its row space, one for each c in
-    GF(q)^k whose first nonzero entry is 1, as `_pack` ints, in an order
-    that depends on k and q alone.  Each sum is taken once over every
-    basis, so a batch pays the cost of a call once.  Each c . R is a point
+    GF(q)^k whose first nonzero entry is 1, as `_pack` ints, one list per
+    point position over the batch: points[j][b] is point j of bases[b], in
+    an order of the positions that depends on k and q alone.  Each distinct
+    row is packed once, and each sum is taken once over every basis, so a
+    batch pays the cost of a call once.  Each c . R is a point
     (a vector whose first nonzero entry is 1) with no reduction: for pivots
     p_0 < ... < p_{k-1} of R and j the first nonzero entry of c, every row
     R_i with c_i != 0 vanishes before p_i >= p_j, and (c . R)[p_j] = c_j =
@@ -383,7 +392,8 @@ def _span_points(bases, q: int) -> list[tuple[int, ...]]:
     k, n = len(bases[0]), len(bases[0][0])
     w, K, offsets = _fields(n, q)
     top, bias, field = w - 1, K * ((1 << w - 1) - q), (1 << w) - 1
-    rows = [[sum(map(lshift, row, offsets)) for row in position] for position in zip(*bases)]
+    packs = {row: sum(map(lshift, row, offsets)) for row in set(itertools.chain(*bases))}
+    rows = [list(map(packs.__getitem__, position)) for position in zip(*bases)]
     for basis, packed in zip(bases, zip(*rows)):
         below = 1 << w * n
         for r in reversed(packed):
@@ -404,7 +414,7 @@ def _span_points(bases, q: int) -> list[tuple[int, ...]]:
             tails += layer
             layer = [plus(t, r) for t in layer]
         tails += layer
-    return list(zip(*points))
+    return points
 
 
 @cache
@@ -418,16 +428,16 @@ def _hyperplane_positions(k: int, q: int) -> tuple:
     0} of x, and every hyperplane of x is one."""
     w, _, offsets = _fields(k, q)
     identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    cs = [[x >> s & (1 << w) - 1 for s in offsets] for x in _span_points([identity], q)[0]]
+    cs = [[x >> s & (1 << w) - 1 for s in offsets] for (x,) in _span_points([identity], q)]
     return tuple(tuple(i for i, c in enumerate(cs) if sum(map(mul, c, u)) % q == 0)
                  for u in cs)
 
 
 class _PointSets:
-    """Subspaces of GF(q)^v as sets of points, the vectors whose first
-    nonzero entry is 1: one for each 1-dim subspace, [v]_q in all, held in
-    one list per build, and indexed by their `_pack` ints.  A subspace's
-    mask has bit i for each point i in it.
+    """The points of GF(q)^v, the vectors whose first nonzero entry is 1:
+    one for each 1-dim subspace, [v]_q in all, indexed by their `_pack`
+    ints.  A subspace's code is its point mask, with bit i for each point i
+    in it.
 
     A subspace S is the union of 0 and the multiples of its points: a
     vector x != 0 of S is a p, with a the first nonzero entry of x and p =
@@ -443,51 +453,51 @@ class _PointSets:
     the mask of f(x) is the image of the mask of x under that permutation
     of the points.
 
-    The points of the subspaces come from `_span_points`, one batch for
-    each run of subspaces of one dimension (the twisted build gives two,
-    its (d+1)-dim X1 and (d-1)-dim X2 vertices).  Hyperplane masks are
-    formed when asked for, not kept, which would add [k]_q masks to each
-    k-dim subspace held here."""
+    A batch of subspaces of one dimension is spanned in one `_span_points`
+    call, and its masks, its hyperplanes' masks and its images under a
+    generator are formed a point position at a time over the whole batch,
+    from `columns`: for each position, the index of that point of each
+    subspace."""
 
-    def __init__(self, v: int, q: int, subspaces):
+    def __init__(self, v: int, q: int):
         self.q = q
         self.points = [p for (p,) in all_subspaces(v, 1, q)]
         self.index = {_pack(p, q): i for i, p in enumerate(self.points)}
         self.bit = [1 << i for i in range(len(self.points))]
-        self.of = {}
-        for _, group in itertools.groupby(subspaces, len):
-            group = list(group)
-            self.of.update(zip(group, [list(map(self.index.__getitem__, points))
-                                       for points in _span_points(group, q)]))
-        self.subspace = {self.mask(rows): rows for rows in self.of}
 
-    def mask(self, rows) -> int:
-        return sum(map(self.bit.__getitem__, self.of[rows]))
+    def columns(self, bases) -> list[list[int]]:
+        return [list(map(self.index.__getitem__, points)) for points in _span_points(bases, self.q)]
 
-    def hyperplanes(self, rows) -> list[int]:
-        """The masks of the [k]_q hyperplanes of a k-dim subspace, by
-        `_hyperplane_positions`."""
-        bits = list(map(self.bit.__getitem__, self.of[rows]))
-        return [sum(map(bits.__getitem__, pos))
-                for pos in _hyperplane_positions(len(rows), self.q)]
+    def sums(self, columns, table=None) -> list[int]:
+        """For each subspace of the batch, the sum of table[i] (by default
+        the bit of point i, giving its mask) over its points i at the
+        positions of columns, which must not be empty."""
+        return list(map(sum, zip(*[map((table or self.bit).__getitem__, c) for c in columns])))
 
-    def label_map(self, f):
-        """f, a map of row vectors, on the subspaces held here, through its
-        images of the points: the subspace whose mask is the image of x's
-        mask, or None where no subspace here has that mask.  That is f(x)
-        when f is linear and bijective; the caller checks the result."""
-        q = self.q
+    def hyperplanes(self, columns, k: int):
+        """The masks of the [k]_q hyperplanes of each k-dim subspace of the
+        batch, one list for each hyperplane of `_hyperplane_positions`,
+        formed when asked for."""
+        for pos in _hyperplane_positions(k, self.q):  # at k = 1 the one hyperplane, 0, has no point
+            yield self.sums([columns[j] for j in pos]) if pos else [0] * len(columns[0])
 
-        def point(x):  # N(x) by its index; pow raises ValueError when x is 0
-            x = [a % q for a in x]
-            inv = pow(next(filter(None, x), 0), -1, q)
-            return self.index[_pack([a * inv % q for a in x], q)]
+    def moved(self, f) -> list[int]:
+        """For each point p, the bit of N(f(p)), f a map of row vectors; so
+        `sums` with these gives the mask of f(x) when f is linear and
+        bijective.  Where f(p) is 0 or no vector of GF(q)^v it is 1 << [v]_q,
+        so that the image of each subspace through p is no mask of a
+        subspace; the caller checks the images."""
+        q, nowhere = self.q, 1 << len(self.points)
 
-        try:
-            moved = [self.bit[point(f(p))] for p in self.points]
-        except (KeyError, ValueError):  # f(p) is 0 or no vector of GF(q)^v
-            return lambda rows: None
-        return lambda rows: self.subspace.get(sum(map(moved.__getitem__, self.of[rows])))
+        def image(p):  # pow raises ValueError when f(p) is 0
+            x = [a % q for a in f(p)]
+            try:
+                inv = pow(next(filter(None, x), 0), -1, q)
+                return self.bit[self.index[_pack([a * inv % q for a in x], q)]]
+            except (KeyError, ValueError):
+                return nowhere
+
+        return list(map(image, self.points))
 
 
 def _smaller_side(name: str, v: int, d: int) -> int:
@@ -548,76 +558,108 @@ _FAMILIES = {"johnson": _johnson, "hamming": _hamming, "grassmann": _grassmann,
              "bilinear": _bilinear, "twisted": _twisted}
 
 
+def _bump(q: int, w: int):
+    """+1 mod q in the field at bit 0 of a `_pack`ed int of w-bit fields."""
+    return lambda c: c + 1 if c & (1 << w) - 1 < q - 1 else c - q + 1
+
+
 def build_johnson(v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Johnson graph J(v,d): d-subsets of {1..v}, adjacent iff they share d-1
     elements.  d > v/2 is normalized to v-d (complementation isomorphism).
-    Clique keys: the d subsets x - {a}.  Two d-sets share d-1 elements iff
-    both contain one (d-1)-set, which is then their intersection.
-    Automorphisms: (1 2) and (1 ... v), which generate Sym(v)."""
+    A vertex's code is its set as a mask, element a at bit a-1.  Clique
+    keys: the d masks of x - {a}, a column for each a.  Two d-sets share d-1
+    elements iff both contain one (d-1)-set, which is then their
+    intersection.  Automorphisms: (1 2), which swaps bits 0 and 1, and
+    (1 ... v), which rotates the v bits up by one; they generate Sym(v)."""
     params, expected, _ = _johnson(v, d, vertex_cap)
     d = params["d"]
-    swap = {1: 2, 2: 1}
+    labels = list(itertools.combinations(range(1, v + 1), d))
+    codes = [sum(map((1).__lshift__, x)) >> 1 for x in labels]
+    full = (1 << v) - 1
     return _assemble(
-        "johnson", params, itertools.combinations(range(1, v + 1), d),
-        lambda x: [x[:i] + x[i + 1:] for i in range(d)], expected,
-        [lambda x: tuple(sorted(swap.get(a, a) for a in x)),
-         lambda x: tuple(sorted(a % v + 1 for a in x))],
+        "johnson", params, labels, codes,
+        ([(i, c ^ b) for i, c in enumerate(codes) if c & b] for b in map((1).__lshift__, range(v))),
+        expected,
+        ([c ^ ((c ^ c >> 1) & 1) * 3 for c in codes],
+         [(c << 1 | c >> v - 1) & full for c in codes]),
     )
 
 
 def build_hamming(d: int, q: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Hamming graph H(d,q): words of length d over a q-letter alphabet,
-    adjacent iff they differ in exactly one position.  Clique keys:
-    (i, w with coordinate i deleted), as two words differ in position i alone
-    iff they agree everywhere else.  Automorphisms: the coordinate cycle and
-    +1 in coordinate 0; conjugates of the latter give every translation."""
+    adjacent iff they differ in exactly one position.  A word's code is its
+    `_pack` int, letter i in the w-bit field at bit iw.  Clique keys: the
+    code with field i cleared, tagged with i above the fields, a column for
+    each i, as two words differ in position i alone iff they agree
+    everywhere else.  Automorphisms: the coordinate cycle, which shifts the
+    fields down by one and field 0 to the top, and +1 in coordinate 0;
+    conjugates of the latter give every translation."""
     params, expected, _ = _hamming(d, q, vertex_cap)
+    w, _, offsets = _fields(d, q)
+    labels = list(itertools.product(range(q), repeat=d))
+    codes = [sum(map(lshift, x, offsets)) for x in labels]
+    field = (1 << w) - 1
     return _assemble(
-        "hamming", params, itertools.product(range(q), repeat=d),
-        lambda w: [(i, w[:i] + w[i + 1:]) for i in range(d)], expected,
-        [lambda w: w[1:] + w[:1], lambda w: ((w[0] + 1) % q,) + w[1:]],
+        "hamming", params, labels, codes,
+        (enumerate([c & ~(field << s) | i << w * d for c in codes]) for i, s in enumerate(offsets)),
+        expected,
+        ([c >> w | (c & field) << w * (d - 1) for c in codes], list(map(_bump(q, w), codes))),
     )
 
 
 def build_grassmann(q: int, v: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Grassmann graph J_q(v,d): d-dim subspaces of GF(q)^v, adjacent iff the
-    intersection has dimension d-1.  d > v/2 is normalized to v-d.
-    Clique keys: the masks of the [d]_q hyperplanes of x (`_PointSets`).
-    Distinct d-spaces meet in dimension d-1 iff both contain one
-    (d-1)-space, then their intersection.  Automorphisms: `_elementary(q,
-    v)`, whose group contains SL(v,q), each acting through its permutation
-    of the points."""
+    intersection has dimension d-1.  d > v/2 is normalized to v-d.  A
+    vertex's code is its point mask (`_PointSets`).  Clique keys: the masks
+    of its [d]_q hyperplanes.  Distinct d-spaces meet in dimension d-1 iff
+    both contain one (d-1)-space, then their intersection.  Automorphisms:
+    `_elementary(q, v)`, whose group contains SL(v,q), each acting through
+    its permutation of the points."""
     params, expected, _ = _grassmann(q, v, d, vertex_cap)
     d = params["d"]
-    subspaces = list(all_subspaces(v, d, q))
-    points = _PointSets(v, q, subspaces)
+    subspaces = sorted(all_subspaces(v, d, q))
+    points = _PointSets(v, q)
+    columns = points.columns(subspaces)
     return _assemble(
-        "grassmann", params, subspaces, points.hyperplanes, expected,
-        [points.label_map(f) for f in _elementary(q, v)],
+        "grassmann", params, subspaces, points.sums(columns),
+        map(enumerate, points.hyperplanes(columns, d)), expected,
+        (points.sums(columns, points.moved(f)) for f in _elementary(q, v)),
     )
 
 
 def build_bilinear(q: int, d: int, e: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Bilinear forms graph Bil_q(d,e): d x e matrices over GF(q), adjacent
-    iff the difference has rank one.  Clique keys: (u, M - u M_p) for each
-    point u of GF(q)^d, u_p = 1 its first nonzero entry (any p with u_p = 1
-    would do): the member of the coset M + {u v^T} whose row p is zero, so
-    it names the coset.  M - N has rank one iff it is u v^T, v != 0, for one
-    such u.  Automorphisms: + E_11, the column cycle and (d > 1) the row
-    cycle; conjugates of the first give every translation."""
+    iff the difference has rank one.  A matrix's code is the `_pack` int of
+    its entries read row by row, row i in the e fields from bit iew.
+    Clique keys: for each point u of GF(q)^d, u_p = 1 its first nonzero
+    entry (any p with u_p = 1 would do), the code of M - u M_p tagged with
+    u above the fields: the member of the coset M + {u v^T} whose row p is
+    zero, so it names the coset.  It is M plus the rows (q - u_i) M_p mod
+    q, looked up by M_p, by the SWAR sum of `_span_points`.  M - N has rank
+    one iff it is u v^T, v != 0, for one such u.  Automorphisms: + E_11,
+    the column cycle and (d > 1) the row cycle, each on the fields;
+    conjugates of the first give every translation."""
     params, expected, _ = _bilinear(q, d, e, vertex_cap)
-    rows = itertools.product(range(q), repeat=e)
-    generators = [
-        lambda M: (((M[0][0] + 1) % q,) + M[0][1:],) + M[1:],
-        lambda M: tuple(r[1:] + r[:1] for r in M),
-    ]
+    w, K, offsets = _fields(d * e, q)
+    top, bias, row = w - 1, K * ((1 << w - 1) - q), (1 << w * e) - 1
+    rows = list(itertools.product(range(q), repeat=e))
+    labels = list(itertools.product(rows, repeat=d))
+    codes = [sum(map(lshift, itertools.chain.from_iterable(M), offsets)) for M in labels]
+
+    def keys():
+        for tag, (u,) in enumerate(all_subspaces(d, 1, q)):
+            less = {_pack(r, q): sum(_pack([(q - c) * x % q for x in r], q) << i * e * w
+                                     for i, c in enumerate(u)) for r in rows}
+            p, tag = u.index(1) * e * w, tag << w * d * e
+            yield enumerate([(s := c + less[c >> p & row]) - q * ((s + bias) >> top & K) | tag
+                             for c in codes])
+
+    first = sum((1 << w) - 1 << i * e * w for i in range(d))  # the first field of each row
+    images = [list(map(_bump(q, w), codes)),
+              [c >> w & ~(first << w * (e - 1)) | (c & first) << w * (e - 1) for c in codes]]
     if d > 1:
-        generators.append(lambda M: M[1:] + M[:1])
-    points = [(u.index(1), u) for (u,) in all_subspaces(d, 1, q)]
-    return _assemble(
-        "bilinear", params, itertools.product(rows, repeat=d),
-        lambda M: [(u, _shear(M, p, u, q)) for p, u in points], expected, generators,
-    )
+        images.append([c >> w * e | (c & row) << w * e * (d - 1) for c in codes])
+    return _assemble("bilinear", params, labels, codes, keys(), expected, images)
 
 
 def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -626,7 +668,9 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     With H the span of the first 2d coordinate vectors (all vectors whose
     last coordinate vanishes): X1 holds the (d+1)-dim subspaces not contained
     in H, X2 the (d-1)-dim subspaces of H, and x ~ y iff
-    dim x + dim y - 2 dim(x meet y) = 2.  Labels carry the part tag.
+    dim x + dim y - 2 dim(x meet y) = 2.  Labels carry the part tag; a
+    vertex's code is its point mask (`_PointSets`), which tells the parts
+    apart by its number of points.
     Each X1 vertex is keyed by its d-dim hyperplanes and each X2 vertex by
     the d-spaces W of H through it, so the keys are the d-spaces of
     GF(q)^(2d+1), one clique each: a W inside H holds the X1 vertices
@@ -650,11 +694,11 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     may meet in x2 alone.
 
     The X2 vertices inside W come from any X1 vertex x1 through W: they are
-    W meet K over the other hyperplanes K of x1, as the masks W & K
-    (`_PointSets`).  W + K = x1, so W meet K has dimension d + d - (d+1) =
-    d-1, and it lies in H.  Each (d-1)-space Y of W is one of them: with
-    x1 = W + <z>, K = Y + <z> is a hyperplane of x1 other than W, and W meet
-    K contains Y, so it is Y.
+    W meet K over the other hyperplanes K of x1, as the masks W & K.  W + K
+    = x1, so W meet K has dimension d + d - (d+1) = d-1, and it lies in H.
+    Each (d-1)-space Y of W is one of them: with x1 = W + <z>, K = Y + <z>
+    is a hyperplane of x1 other than W, and W meet K contains Y, so it is
+    Y.  They are taken from the last X1 vertex through each W.
 
     Automorphisms: `_elementary(q, 2d)` on the first 2d coordinates and the
     shear x_1 += x_{2d+1}, all of which fix H and so each part.  They are
@@ -665,21 +709,26 @@ def build_twisted_grassmann(q: int, d: int, vertex_cap: int = DEFAULT_VERTEX_CAP
     """
     params, expected, _ = _twisted(q, d, vertex_cap)
     n_amb = 2 * d + 1
-    x1 = [("X1", rows) for rows in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in rows)]
+    x1 = sorted(rows for rows in all_subspaces(n_amb, d + 1, q) if any(x[-1] for x in rows))
     if len(x1) != q_binomial(n_amb, d + 1, q) - q_binomial(2 * d, d + 1, q):
         raise ParameterError("twisted: X1 enumeration is inconsistent")
-    x2 = [("X2", rows) for rows in twisted_x2_vertices(q, d)]
-    points = _PointSets(n_amb, q, [rows for _, rows in x1 + x2])
+    x2 = twisted_x2_vertices(q, d)
+    points = _PointSets(n_amb, q)
+    cols1, cols2 = points.columns(x1), points.columns(x2)
+    codes1, codes2 = points.sums(cols1), points.sums(cols2)
     in_h = sum(b for p, b in zip(points.points, points.bit) if not p[-1])
-    above = defaultdict(list)  # X2 label -> the masks of the W through it
-    for w, rows in {points.mask(rows) & in_h: rows for _, rows in x1}.items():
-        for meet in {w & k for k in points.hyperplanes(rows)} - {w}:
-            above["X2", points.subspace[meet]].append(w)
+    last = {c & in_h: i for i, c in enumerate(codes1)}  # each W, with an X1 vertex through it
+    x2_index = dict(zip(codes2, itertools.count(len(x1))))
+    above = [(x2_index[y], w) for y, w in {  # each X2 vertex y, with a W through it
+        (w & k, w) for ks in points.hyperplanes([list(map(c.__getitem__, last.values()))
+                                                 for c in cols1], d + 1)
+        for w, k in zip(last, ks)} if y != w]
     maps = _elementary(q, 2 * d) + [lambda x: ((x[0] + x[-1]) % q,) + x[1:]]
     return _assemble(
-        "twisted", params, x1 + x2,
-        lambda lab: above[lab] if lab[0] == "X2" else points.hyperplanes(lab[1]), expected,
-        [lambda lab, g=points.label_map(f): (lab[0], g(lab[1])) for f in maps],
+        "twisted", params, [("X1", rows) for rows in x1] + [("X2", rows) for rows in x2],
+        codes1 + codes2,
+        itertools.chain(map(enumerate, points.hyperplanes(cols1, d + 1)), [above]), expected,
+        (points.sums(cols1, f) + points.sums(cols2, f) for f in map(points.moved, maps)),
     )
 
 
@@ -1027,11 +1076,13 @@ class X2PointIndex:
     `_hyperplane_positions(d-1, q)` over the same spanned points, so a
     subspace given as many objects is spanned once.
 
-    held keeps, under its id, each member given as a tuple of tuples that
-    passed the checks of `hold`, with its entry (the member first).  Such
-    a member, of int entries, cannot change, and held holds it, so while
-    the index lives no other object has its id: a histogram whose members
-    are all held reads them by id, with no check or span.
+    held keeps, under its id, the member that masks keys each entry by,
+    when it was given as a tuple of tuples that passed the checks of
+    `hold`: the first object of its subspace, so held never outgrows masks,
+    and a later copy is checked again and read by value.  Such a member, of
+    int entries, cannot change, and held holds it, so while the index lives
+    no other object has its id: a histogram whose members are all held
+    reads them by id, with no check or span.
 
     pending lists members registered before any histogram meets them (the
     distinct members of `ekr_search.enumerate_descendent_families`, each
@@ -1050,8 +1101,8 @@ class X2PointIndex:
         `_x2_shaped` call, and the subspaces among them that masks lacks
         are spanned in one batch, each once.  A refusal names the first
         object refused, members before pending, and keeps nothing;
-        otherwise every tuple of tuples checked is held, and pending is
-        emptied."""
+        otherwise each object checked that its entry in masks starts with
+        is held, and pending is emptied."""
         q, d, held, masks = self.q, self.d, self.held, self.masks
         batch = list({id(rows): rows for rows in itertools.chain(members, self.pending)
                       if id(rows) not in held}.values())
@@ -1067,9 +1118,8 @@ class X2PointIndex:
         if new:
             self.span(new)
         for rows, key in zip(batch, keys):
-            if rows == key:  # a list, or a tuple with a list row, is unequal
-                entry = masks[key]
-                held[id(rows)] = entry if entry[0] is rows else (rows, *entry[1:])
+            if masks[key][0] is rows:
+                held[id(rows)] = masks[key]
         self.pending = []
         return [held.get(id(rows)) or masks[tuple(map(tuple, rows))] for rows in members]
 
@@ -1081,7 +1131,7 @@ class X2PointIndex:
         a point position (or a hyperplane) at a time over all the members."""
         bits = self.bits
         columns = [[1 << bits.setdefault(p, len(bits)) for p in points]
-                   for points in zip(*_span_points(members, self.q))]
+                   for points in _span_points(members, self.q)]
         zeros = [0] * len(members)  # at d = 2 the one hyperplane, 0, has no points
         hyperplanes = [list(map(sum, zip(zeros, *map(columns.__getitem__, pos))))
                        for pos in _hyperplane_positions(self.d - 1, self.q)]
@@ -1173,8 +1223,9 @@ def twisted_x2_distance_counts(members: list, q: int, d: int,
     any span, as the spans would be taken in Z/q, which is no field; then,
     with ParameterError, d < 2, an index of another q or d, any member that
     is not d-1 rows of length 2d+1 with int entries in 0..q-1 and last entry
-    0 (every member is checked before any is spanned; a tuple of tuples
-    that passed is held by id, see `X2PointIndex`, and not checked again), a
+    0 (every member is checked before any is spanned; the first tuple of
+    tuples of each subspace that passed is held by id, see `X2PointIndex`,
+    and not checked again), a
     member to span that is not in echelon form with leading entries 1, and
     two members that are one subspace (gap 0).  An entry outside 0..q-1
     would overflow or mis-sum its `_pack` field, and one that is no int

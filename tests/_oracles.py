@@ -380,6 +380,28 @@ def subspace_label_maps(family, q, v):
     return [lambda rows, f=f: rref_rows(map(f, rows), q) for f in maps]
 
 
+def label_maps(family, *args):
+    """Label maps of the generators of each builder's graph, in its order,
+    for the builder's arguments: on J(v,d) the transposition (1 2) and
+    a -> a mod v + 1 of the elements; on H(d,q) the coordinate cycle and +1
+    in coordinate 0; on Bil_q(d,e) +E_11, the cycle of the columns and, for
+    d > 1, of the rows; on the subspace graphs `subspace_label_maps`."""
+    if family == "johnson":
+        v = args[0]
+        return [lambda x: tuple(sorted({1: 2, 2: 1}.get(a, a) for a in x)),
+                lambda x: tuple(sorted(a % v + 1 for a in x))]
+    if family == "hamming":
+        q = args[1]
+        return [lambda w: w[1:] + w[:1], lambda w: ((w[0] + 1) % q,) + w[1:]]
+    if family == "bilinear":
+        q, d = args[0], args[1]
+        maps = [lambda M: (((M[0][0] + 1) % q,) + M[0][1:],) + M[1:],
+                lambda M: tuple(row[1:] + row[:1] for row in M)]
+        return maps + [lambda M: M[1:] + M[:1]] if d > 1 else maps
+    q, v = args[0], args[1] if family == "grassmann" else 2 * args[1] + 1
+    return subspace_label_maps(family, q, v)
+
+
 # ---------------------------------------------------------------------------
 # graph cache files
 

@@ -639,6 +639,20 @@ def test_hand_built_members_on_a_shared_index_count_as_on_a_fresh_one():
     assert not any(id(rows) in points.held for rows in lists)
 
 
+def test_copies_of_held_members_are_not_held():
+    # each pass over the (2,3,2) families, with every member a freshly
+    # built copy, gives the histograms of the members themselves; held
+    # keeps only the first object of each subspace, so it never has more
+    # entries than the index has subspaces
+    fams = enumerate_descendent_families(2, 3, 2)
+    points = fams[0].points
+    expected = [twisted_x2_distance_counts(list(fam.members), 2, 3, points) for fam in fams]
+    for _ in range(3):
+        copies = [[tuple(map(tuple, map(list, rows))) for rows in fam.members] for fam in fams]
+        assert [twisted_x2_distance_counts(members, 2, 3, points) for members in copies] == expected
+        assert len(points.held) <= len(points.masks) == 651
+
+
 def test_repeated_member_is_spanned_once(monkeypatch):
     # a member listed twice goes to the kernel once and is still refused
     x, y = twisted_x2_vertices(2, 3)[:2]

@@ -16,6 +16,7 @@ from _oracles import (
     is_automorphism,
     is_clique_cover,
     is_clique_partition,
+    label_maps,
     orbit_representatives,
     parse_graph_cache,
     projective_points,
@@ -23,7 +24,6 @@ from _oracles import (
     rref_rows,
     span,
     sub_subspaces,
-    subspace_label_maps,
     subspaces_by_cells,
     threshold_by_levels,
     x2_counts_by_pairs,
@@ -313,9 +313,12 @@ def test_generators_are_automorphisms_with_expected_orbits(family, args, built):
 
 def test_tampered_generators_are_refused():
     def johnson52(generator):
+        # the labels are their own codes, and each generator a label map
+        labels = list(itertools.combinations(range(1, 6), 2))
+        keys = [[(i, x[:1]) for i, x in enumerate(labels)],
+                [(i, x[1:]) for i, x in enumerate(labels)]]
         return graphs._assemble(
-            "johnson", {"v": 5, "d": 2}, itertools.combinations(range(1, 6), 2),
-            lambda x: [x[:1], x[1:]], 10, [generator],
+            "johnson", {"v": 5, "d": 2}, labels, labels, keys, 10, [list(map(generator, labels))],
         )
 
     assert johnson52(lambda x: x).automorphisms == (tuple(range(10)),)
@@ -331,9 +334,11 @@ def test_tampered_generators_are_refused():
 
 
 def path_graph(generators):
-    """The path 0-1-2-3 from the keys {0,1}, {1,2} and {2,3}."""
-    keys = {0: ["low"], 1: ["low", "mid"], 2: ["mid", "high"], 3: ["high"]}
-    return graphs._assemble("path", {}, range(4), keys.__getitem__, 4, generators)
+    """The path 0-1-2-3 from the keys {0,1}, {1,2} and {2,3}, each vertex its
+    own code."""
+    keys = [[(0, "low"), (1, "low"), (1, "mid"), (2, "mid"), (2, "high"), (3, "high")]]
+    return graphs._assemble("path", {}, range(4), range(4), keys, 4,
+                            [list(map(g, range(4))) for g in generators])
 
 
 def test_generators_must_map_link_pairs_onto_link_pairs():
@@ -355,25 +360,77 @@ def test_generators_must_map_link_pairs_onto_link_pairs():
     ("grassmann", (2, 6, 3)),
     ("twisted", (2, 2)),
     ("twisted", (3, 2)),
+    ("johnson", (7, 3)),
+    ("johnson", (10, 7)),
+    ("hamming", (3, 2)),
+    ("hamming", (4, 3)),
+    ("hamming", (1, 3)),
+    ("bilinear", (2, 2, 3)),
+    ("bilinear", (3, 2, 2)),
+    ("bilinear", (2, 3, 3)),
+    ("bilinear", (2, 1, 3)),
 ])
 def test_generators_match_label_maps_by_row_reduction(family, args, built):
-    # the point permutations give the permutations of row-reducing f(R)
-    # for every label R
+    # the maps on the codes give the permutations of the label maps: for a
+    # subspace, the point permutations give those of row-reducing f(R) for
+    # every label R; for a set, a word or a matrix, the bit and field moves
+    # give those of the maps on its elements or entries
     g = built(family, *args)[0]
-    v = args[1] if family == "grassmann" else 2 * args[1] + 1
-    maps = subspace_label_maps(family, args[0], v)
     assert g.automorphisms == tuple(
-        tuple(g.index_of(m(lab)) for lab in g.vertices) for m in maps
+        tuple(g.index_of(m(lab)) for lab in g.vertices) for m in label_maps(family, *args)
     )
 
 
+@pytest.mark.parametrize("family,args", [
+    ("johnson", (5, 2)),
+    ("hamming", (3, 3)),
+    ("grassmann", (2, 4, 2)),
+    ("bilinear", (2, 2, 3)),
+    ("twisted", (2, 2)),
+])
+def test_every_builder_checks_its_generators(family, args, monkeypatch):
+    # the builder's own codes, keys and images, with the images of its
+    # first generator changed once formed: with those of vertices 0 and 1
+    # swapped the map is no automorphism, as no two vertices of these
+    # graphs have the same neighbours, and with a code no vertex has it is
+    # no bijection
+    real = graphs._assemble
+
+    def swap(moved, codes):
+        moved[0], moved[1] = moved[1], moved[0]
+
+    def stray(moved, codes):
+        moved[0] = max(codes) + 1
+
+    def tampered(change):
+        def assemble(family, params, labels, codes, keys, n, images):
+            images = [list(moved) for moved in images]
+            change(images[0], codes)
+            return real(family, params, labels, codes, keys, n, images)
+        return assemble
+
+    expected = _BUILD[family](*args).automorphisms
+    monkeypatch.setattr(graphs, "_assemble", tampered(lambda moved, codes: None))
+    assert _BUILD[family](*args).automorphisms == expected
+    for change, message in ((swap, "does not preserve the edges"), (stray, "not a bijection")):
+        monkeypatch.setattr(graphs, "_assemble", tampered(change))
+        with pytest.raises(DrgError, match=message):
+            _BUILD[family](*args)
+
+
 def test_singular_map_is_refused():
-    points = graphs._PointSets(4, 3, list(all_subspaces(4, 2, 3)))
-    assert points.label_map(lambda x: (0,) + x[1:])(((1, 0, 0, 0), (0, 1, 0, 0))) is None
+    points = graphs._PointSets(4, 3)
+    subspaces = sorted(all_subspaces(4, 2, 3))
+    columns = points.columns(subspaces)
+    codes = points.sums(columns)
+    # x -> (0, x_2, x_3, x_4) sends (1, 0, 0, 0) to 0, so the image of a
+    # plane through it is no vertex's mask
+    plane = points.columns([((1, 0, 0, 0), (0, 1, 0, 0))])
+    assert points.sums(plane, points.moved(lambda x: (0,) + x[1:]))[0] not in codes
     with pytest.raises(DrgError, match="not a bijection"):
         graphs._assemble(
-            "grassmann", {}, points.of, points.hyperplanes, 130,
-            [points.label_map(lambda x: (x[0], x[0]) + x[2:])],
+            "grassmann", {}, subspaces, codes, map(enumerate, points.hyperplanes(columns, 2)), 130,
+            [points.sums(columns, points.moved(lambda x: (x[0], x[0]) + x[2:]))],
         )
 
 
@@ -417,12 +474,12 @@ def test_packed_span_matches_oracle_span(q, n, ks):
     assert graphs._span_points([], q) == []
     for k in ks:
         identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-        (packed,) = graphs._span_points([identity], q)
+        packed = [x for (x,) in graphs._span_points([identity], q)]
         cs = [unpack(x, k, q) for x in packed]
         patterns = list(itertools.combinations(range(n), k))
         batch = [random_rref(rng, n, k, q, rng.choice(patterns)) for _ in range(8)]
         batch += [random_rref(rng, n, k, q, pivots) for pivots in (patterns[0], patterns[-1])]
-        spans = graphs._span_points(batch, q)
+        spans = list(zip(*graphs._span_points(batch, q)))  # a tuple of points per basis
         assert len(spans) == len(batch)
         for rows, points in zip(batch, spans):
             found = [unpack(x, n, q) for x in points]
@@ -430,7 +487,7 @@ def test_packed_span_matches_oracle_span(q, n, ks):
             assert frozenset(found) == projective_points(span(rows, q, n))
             assert found == [tuple(sum(c * r[j] for c, r in zip(cv, rows)) % q for j in range(n))
                              for cv in cs]
-            assert graphs._span_points([rows], q) == [points]
+            assert graphs._span_points([rows], q) == [[x] for x in points]
 
 
 def mask_points(points, mask):
@@ -441,15 +498,15 @@ def mask_points(points, mask):
 @pytest.mark.parametrize("n,k,q", [(4, 1, 2), (5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 3, 3)])
 def test_hyperplanes_match_sub_subspaces(n, k, q):
     sample = list(all_subspaces(n, k, q))[::37]
-    points = graphs._PointSets(n, q, sample)
+    points = graphs._PointSets(n, q)
     everything = frozenset(itertools.product(range(q), repeat=n))
     listed = points.points
     assert len(listed) == q_int(n, q) and frozenset(listed) == projective_points(everything)
-    for rows in sample:
-        whole = points.mask(rows)
+    columns = points.columns(sample)
+    masks = points.sums(columns)
+    assert len(set(masks)) == len(sample)
+    for rows, whole, found in zip(sample, masks, zip(*points.hyperplanes(columns, k)), strict=True):
         assert mask_points(points, whole) == projective_points(span(rows, q, n))
-        assert points.subspace[whole] == rows
-        found = points.hyperplanes(rows)
         assert len(found) == q_int(k, q)
         assert len(set(found)) == len(found)
         assert all(m & whole == m for m in found)
@@ -468,10 +525,11 @@ def test_meet_h_on_both_rref_shapes(q, rows):
     # x meet H, for x not inside H, is the mask of x AND the points of H,
     # and the one hyperplane key of x inside H
     n = len(rows[0])
-    points = graphs._PointSets(n, q, [rows])
+    points = graphs._PointSets(n, q)
+    columns = points.columns([rows])
     in_h = sum(1 << i for i, p in enumerate(points.points) if not p[-1])
-    meet = points.mask(rows) & in_h
-    assert [m for m in points.hyperplanes(rows) if m & in_h == m] == [meet]
+    meet = points.sums(columns)[0] & in_h
+    assert [m for (m,) in points.hyperplanes(columns, len(rows)) if m & in_h == m] == [meet]
     meet_points = frozenset(p for p in span(rows, q, n) if p[-1] == 0)
     assert meet_points in sub_subspaces(rows, q, n, len(rows) - 1)
     assert mask_points(points, meet) == projective_points(meet_points)
